@@ -3,8 +3,8 @@
 Modules by layer: `polytope` (exact convex bodies), `toric` / `surface` /
 `curve` (variety models), `invariants` (bodies, volumes and numerical
 dimensions), `fiberspace` (fiber-space subadditivity checks), `cli`
-(command-line front end).  `kernel` selects the compiled integer-geometry
-lane when the extension is built, the pure-Python twin otherwise.
+(command-line front end).  `kernel` holds the exact integer-geometry
+inner loops the polytope layer runs on.
 """
 
 from .curve import CurveModel

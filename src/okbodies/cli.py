@@ -6,8 +6,9 @@ and emit plot data.  JSON reports go to stdout, a one-line human summary
 to stderr.
 
 Exit codes: 0 = computed (checks: verdict holds/strict); 1 = a check
-verdict is "fails"; 2 = hypotheses not met, or malformed/inconsistent
-input.
+verdict is "fails"; 2 = hypotheses not met, malformed/inconsistent input,
+or a computation beyond the implemented capability (e.g. exact volume
+above dimension 3).
 """
 
 from __future__ import annotations
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ValueError, OSError, KeyError) as exc:
         _summary(f"error: {exc}")
+        return EXIT_INPUT
+    except NotImplementedError as exc:
+        _summary(f"unsupported: {exc}")
         return EXIT_INPUT
 
 

@@ -1,66 +1,162 @@
-"""Kernel lane selection and the 3D hull driver.
+"""Exact integer-geometry kernels and the 3D hull driver.
 
-The compiled extension (`okbodies._speedups`, built from Cython) and the
-pure-Python module (`okbodies._kernel_py`) implement identical primitives
-on integer coordinates.  The compiled lane runs on C int64, so every entry
-point here guards coordinate magnitudes and falls back to the pure lane
-when a computation could overflow; results are identical either way.
-
-Set OKBODIES_KERNEL=python (or =compiled) to force a lane.
+These are the hot inner loops of the package: orientation predicates, the
+2D monotone chain, 3D gift wrapping, the interior-point prefilter, and
+lattice-point enumeration.  All inputs are plain Python ints, so results
+are exact for any magnitude.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from math import gcd
 
-from . import _kernel_py as _py
-
-try:
-    from . import _speedups as _fast
-except ImportError:  # extension not built
-    _fast = None
-
-_FORCED = os.environ.get("OKBODIES_KERNEL", "auto")
-if _FORCED == "compiled" and _fast is None:
-    raise ImportError("OKBODIES_KERNEL=compiled but okbodies._speedups is not built")
-
-# int64 safety bounds (orient3d grows like 48*M^3, orient2d like 8*M^2)
-MAX3 = 200_000
-MAX2 = 100_000_000
-
-
-def _lane(use_fast: bool):
-    if _FORCED == "python":
-        return _py
-    if _fast is None:
-        return _py
-    return _fast if use_fast else _py
-
 
 def active_lane() -> str:
-    return _lane(True).LANE
+    """Name of the integer-geometry implementation; there is one."""
+    return "python"
+
+
+def orient2d(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def orient3d(a, b, c, d) -> int:
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+    return (ux * (vy * wz - vz * wy)
+            - uy * (vx * wz - vz * wx)
+            + uz * (vx * wy - vy * wx))
 
 
 def hull2d_indices(pts):
-    m = max((max(abs(x), abs(y)) for x, y in pts), default=0)
-    return _lane(m <= MAX2).hull2d_indices(pts)
+    """Indices of the convex hull of distinct integer pairs, CCW from lex-min.
+
+    Collinear non-extreme points are dropped.
+    """
+    idx = sorted(range(len(pts)), key=lambda i: pts[i])
+    if len(idx) <= 2:
+        return idx
+    lower = []
+    for i in idx:
+        while len(lower) >= 2 and orient2d(pts[lower[-2]], pts[lower[-1]], pts[i]) <= 0:
+            lower.pop()
+        lower.append(i)
+    upper = []
+    for i in reversed(idx):
+        while len(upper) >= 2 and orient2d(pts[upper[-2]], pts[upper[-1]], pts[i]) <= 0:
+            upper.pop()
+        upper.append(i)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) == 1:  # all points collinear collapses both chains
+        hull = [idx[0], idx[-1]]
+    return hull
+
+
+def pivot3d(pts, a, b):
+    """Gift-wrap pivot around the directed edge (a, b) of a 3D hull.
+
+    Returns c with orient3d(pts[a], pts[b], pts[c], p) <= 0 for every point
+    p, i.e. (a, b, c) spans a supporting plane with outward normal
+    cross(pb - pa, pc - pa).  Requires a full-dimensional point set.
+    """
+    pa, pb = pts[a], pts[b]
+    c = -1
+    pc = None
+    for i in range(len(pts)):
+        if i == a or i == b:
+            continue
+        if c < 0:
+            if _collinear(pa, pb, pts[i]):
+                continue
+            c = i
+            pc = pts[i]
+            continue
+        if orient3d(pa, pb, pc, pts[i]) > 0:
+            c = i
+            pc = pts[i]
+    return c
+
+
+def _collinear(a, b, p) -> bool:
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = p[0] - a[0], p[1] - a[1], p[2] - a[2]
+    return (uy * vz - uz * vy == 0
+            and uz * vx - ux * vz == 0
+            and ux * vy - uy * vx == 0)
+
+
+def coplanar3d(pts, a, b, c):
+    """All indices whose points lie on the plane through pts[a,b,c]."""
+    pa, pb, pc = pts[a], pts[b], pts[c]
+    return [i for i in range(len(pts)) if orient3d(pa, pb, pc, pts[i]) == 0]
 
 
 def prune_interior(pts, dirs):
-    m = max((max(abs(c) for c in p) for p in pts), default=0)
-    return _lane(m < 2**62).prune_interior(pts, dirs)
+    """Indices of points that are not obvious midpoints of neighbours.
+
+    A point with both p+d and p-d present (d from `dirs`) is their midpoint,
+    hence not extreme; dropping it is always safe.  This is a prefilter for
+    hulls of dense lattice-point clouds.
+    """
+    pset = set(pts)
+    keep = []
+    for i, p in enumerate(pts):
+        interior = False
+        for d in dirs:
+            plus = tuple(p[k] + d[k] for k in range(len(p)))
+            if plus not in pset:
+                continue
+            minus = tuple(p[k] - d[k] for k in range(len(p)))
+            if minus in pset:
+                interior = True
+                break
+        if not interior:
+            keep.append(i)
+    return keep
 
 
 def lattice_points(normals, offsets, lo, hi):
-    box = max([abs(v) for v in list(lo) + list(hi)], default=0)
-    norm = max((sum(abs(c) for c in n) for n in normals), default=0)
-    off = max((abs(o) for o in offsets), default=0)
-    ok = norm * box < 10**17 and off < 10**17
-    return _lane(ok).lattice_points(
-        [tuple(n) for n in normals], list(offsets), list(lo), list(hi)
-    )
+    """Integer points u in the box [lo, hi] with normals[j].u >= offsets[j].
+
+    Output is in lexicographic order.  Prunes a coordinate prefix when no
+    completion inside the box can satisfy some constraint.
+    """
+    dim = len(lo)
+    m = len(normals)
+    # max contribution of coordinates >= level k, per constraint
+    maxrest = [[0] * (dim + 1) for _ in range(m)]
+    for j in range(m):
+        for k in range(dim - 1, -1, -1):
+            nj = normals[j][k]
+            best = nj * (hi[k] if nj > 0 else lo[k])
+            maxrest[j][k] = maxrest[j][k + 1] + best
+    out = []
+    u = [0] * dim
+    partial = [[0] * m for _ in range(dim + 1)]
+
+    def rec(k):
+        if k == dim:
+            out.append(tuple(u))
+            return
+        base = partial[k]
+        for v in range(lo[k], hi[k] + 1):
+            u[k] = v
+            nxt = partial[k + 1]
+            ok = True
+            for j in range(m):
+                s = base[j] + normals[j][k] * v
+                if s + maxrest[j][k + 1] < offsets[j]:
+                    ok = False
+                    break
+                nxt[j] = s
+            if ok:
+                rec(k + 1)
+        u[k] = lo[k]
+
+    rec(0)
+    return out
 
 
 def plus_minus_directions(dim):
@@ -96,7 +192,7 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _initial_edge(pts, lane, handle):
+def _initial_edge(pts):
     """An edge of the 3D hull: wrap the xy-shadow, then wrap inside the
     vertical support plane it determines."""
     i0 = min(range(len(pts)), key=lambda i: pts[i])
@@ -107,17 +203,17 @@ def _initial_edge(pts, lane, handle):
             continue
         if c < 0:
             c = i
-        elif _py.orient2d(p0, pts[c], p) < 0:
+        elif orient2d(p0, pts[c], p) < 0:
             c = i
     if c < 0:
         raise ValueError("point set is vertical; not full-dimensional")
     d2 = (pts[c][0] - p0[0], pts[c][1] - p0[1])
     in_plane = [i for i, p in enumerate(pts)
-                if _py.orient2d(p0, pts[c], p) == 0]
+                if orient2d(p0, pts[c], p) == 0]
     # 2D hull inside the vertical plane; coordinates (along-line, z)
     coords = [((pts[i][0] - p0[0]) * d2[0] + (pts[i][1] - p0[1]) * d2[1],
                pts[i][2]) for i in in_plane]
-    sub = _py.hull2d_indices(coords)
+    sub = hull2d_indices(coords)
     return in_plane[sub[0]], in_plane[sub[1]]
 
 
@@ -126,14 +222,9 @@ def hull3d_facets(pts):
 
     Returns (extreme_indices, facets); each facet is (outward primitive
     integer normal, integer offset, vertex indices CCW seen from outside).
-    Gift wrapping with exact predicates; the O(n) pivot passes run in the
-    selected kernel lane.
+    Gift wrapping with exact predicates.
     """
-    maxc = max(max(abs(c) for c in p) for p in pts)
-    lane = _lane(maxc <= MAX3)
-    handle = lane.prepare3(pts)
-
-    e0 = _initial_edge(pts, lane, handle)
+    e0 = _initial_edge(pts)
     queue = deque([e0, (e0[1], e0[0])])
     edge_facet = {}
     facet_key_to_id = {}
@@ -143,7 +234,7 @@ def hull3d_facets(pts):
         a, b = queue.popleft()
         if (a, b) in edge_facet:
             continue
-        c = lane.pivot3d(handle, a, b)
+        c = pivot3d(pts, a, b)
         pa, pb, pc = pts[a], pts[b], pts[c]
         n = _cross((pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]),
                    (pc[0] - pa[0], pc[1] - pa[1], pc[2] - pa[2]))
@@ -153,7 +244,7 @@ def hull3d_facets(pts):
         if key in facet_key_to_id:
             poly = facets[facet_key_to_id[key]][2]
         else:
-            cop = lane.coplanar3d(handle, a, b, c)
+            cop = coplanar3d(pts, a, b, c)
             poly = _facet_polygon(pts, cop, n)
             facet_key_to_id[key] = len(facets)
             facets.append((n, off, poly))
@@ -177,7 +268,7 @@ def _facet_polygon(pts, cop, n):
     k = max(range(3), key=lambda i: abs(n[i]))
     i1, j1 = [(1, 2), (2, 0), (0, 1)][k]  # (i1, j1, k) is an even permutation
     proj = [(pts[i][i1], pts[i][j1]) for i in cop]
-    sub = _py.hull2d_indices(proj)
+    sub = hull2d_indices(proj)
     poly = [cop[s] for s in sub]
     if n[k] < 0:
         poly.reverse()

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from . import kernel
 from .linalg import (clear_denominators_columns, dot, frac,
@@ -342,38 +343,49 @@ def _extreme_points(pts):
     else:
         coords = _coords_map(pts, basis, pivcols)
     ints, _ = clear_denominators_columns(coords)
-    if d == 1:
-        lo = min(range(len(ints)), key=lambda i: ints[i])
-        hi = max(range(len(ints)), key=lambda i: ints[i])
-        return sorted({lo, hi}), 1
-    if d == 2:
-        return sorted(kernel.hull2d_indices(ints)), 2
-    if d == 3:
-        idxmap = list(range(len(ints)))
-        if len(ints) > 64:
-            idxmap = kernel.prune_interior(ints, kernel.plus_minus_directions(3))
-            ints = [ints[i] for i in idxmap]
-        extreme, _facets = kernel.hull3d_facets(ints)
-        return sorted(idxmap[i] for i in extreme), 3
-    extreme = _extreme_generic(ints, d)
+    extreme, _facets = _int_hull(ints, d)
     return sorted(extreme), d
 
 
-def _extreme_generic(ints, d):
-    """Vertices in dimension >= 4 via brute-force facet enumeration."""
+def _int_hull(ints, d):
+    """Hull of a full-dimensional set of distinct integer points in R^d.
+
+    Returns (extreme indices, facets); each facet is (outward integer
+    normal, offset, member indices) with normal . p <= offset on every
+    point.  Members are the facet's corners in boundary order for d <= 3
+    (CCW seen from outside in R^3), all incident points for d >= 4.
+    """
+    if d == 1:
+        lo = min(range(len(ints)), key=lambda i: ints[i])
+        hi = max(range(len(ints)), key=lambda i: ints[i])
+        return [lo, hi], [((1,), ints[hi][0], [hi]),
+                          ((-1,), -ints[lo][0], [lo])]
+    if d == 2:
+        cyc = kernel.hull2d_indices(ints)
+        facets = []
+        for i, j in zip(cyc, cyc[1:] + cyc[:1]):
+            (ax, ay), (bx, by) = ints[i], ints[j]
+            nrm = (by - ay, ax - bx)  # outward for a CCW polygon
+            facets.append((nrm, nrm[0] * ax + nrm[1] * ay, [i, j]))
+        return cyc, facets
+    if d == 3:
+        if len(ints) <= 64:
+            return kernel.hull3d_facets(ints)
+        idxmap = kernel.prune_interior(ints, kernel._DIRS3)
+        extreme, facets = kernel.hull3d_facets([ints[i] for i in idxmap])
+        return ([idxmap[i] for i in extreme],
+                [(nrm, off, [idxmap[i] for i in poly])
+                 for nrm, off, poly in facets])
     if len(ints) > 48:
         raise NotImplementedError(
             "hulls of more than 48 points are only supported up to dimension 3")
     facets = _brute_facets(ints, d)
     on = {i: [] for i in range(len(ints))}
-    for nrm, off, members in facets:
+    for nrm, _off, members in facets:
         for i in members:
             on[i].append(nrm)
-    out = []
-    for i, nrms in on.items():
-        if nrms and rank(nrms) == d:
-            out.append(i)
-    return out
+    extreme = [i for i, nrms in on.items() if nrms and rank(nrms) == d]
+    return extreme, facets
 
 
 def _brute_facets(ints, d):
@@ -451,7 +463,7 @@ def _facet_halfspaces(pts):
             mrows.append(tuple(row))
     ints, mults = clear_denominators_columns(coords)
 
-    for g, c in _coord_facets(ints, d):
+    for g, c, _members in _int_hull(ints, d)[1]:
         gy = [frac(g[i]) * mults[i] for i in range(d)]
         normal = tuple(sum(gy[i] * mrows[i][col] for i in range(d))
                        for col in range(n))
@@ -469,31 +481,6 @@ def _invert_small(rows):
         cols.append(solve(rows, rhs))
     # cols[i] is the i-th column of the inverse
     return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _coord_facets(ints, d):
-    """Facet inequalities g . y <= c of a full-dimensional int point set."""
-    if d == 1:
-        vals = [p[0] for p in ints]
-        return [((1,), max(vals)), ((-1,), -min(vals))]
-    if d == 2:
-        cyc = kernel.hull2d_indices(ints)
-        out = []
-        for i in range(len(cyc)):
-            a = ints[cyc[i]]
-            b = ints[cyc[(i + 1) % len(cyc)]]
-            e = (b[0] - a[0], b[1] - a[1])
-            nrm = (e[1], -e[0])  # outward for a CCW polygon
-            out.append((nrm, nrm[0] * a[0] + nrm[1] * a[1]))
-        return out
-    if d == 3:
-        idxmap = list(range(len(ints)))
-        if len(ints) > 64:
-            idxmap = kernel.prune_interior(ints, kernel.plus_minus_directions(3))
-            ints = [ints[i] for i in idxmap]
-        _, facets = kernel.hull3d_facets(ints)
-        return [(nrm, off) for nrm, off, _poly in facets]
-    return [(nrm, off) for nrm, off, _m in _brute_facets(ints, d)]
 
 
 # -- vertex enumeration (H -> V) ---------------------------------------------
@@ -530,42 +517,29 @@ def _volume_full(pts, d):
     return _int_volume(ints, d) / denom
 
 
+# d! times the signed volume of the simplex (p0, a, ...)
+_SIMPLEX_ORIENT = {1: lambda p0, a: a[0] - p0[0],
+                   2: kernel.orient2d,
+                   3: kernel.orient3d}
+
+
 def _int_volume(ints, d):
-    if d == 1:
-        vals = [p[0] for p in ints]
-        return Fraction(max(vals) - min(vals))
-    if d == 2:
-        cyc = kernel.hull2d_indices(ints)
-        s = 0
-        for i in range(len(cyc)):
-            a = ints[cyc[i]]
-            b = ints[cyc[(i + 1) % len(cyc)]]
-            s += a[0] * b[1] - a[1] * b[0]
-        return Fraction(abs(s), 2)
-    if d == 3:
-        idxmap = list(range(len(ints)))
-        if len(ints) > 64:
-            idxmap = kernel.prune_interior(ints, kernel.plus_minus_directions(3))
-            ints = [ints[i] for i in idxmap]
-        _, facets = kernel.hull3d_facets(ints)
-        v0 = min(range(len(ints)), key=lambda i: ints[i])
-        p0 = ints[v0]
-        total = 0
-        for _nrm, _off, poly in facets:
-            if v0 in poly:
-                continue
-            for i in range(1, len(poly) - 1):
-                a, b, c = ints[poly[0]], ints[poly[i]], ints[poly[i + 1]]
-                total += -_orient3(a, b, c, p0)
-        if total < 0:
-            raise AssertionError("inconsistent facet orientation in volume")
-        return Fraction(total, 6)
-    raise NotImplementedError("exact volume is implemented up to dimension 3")
+    """Volume of a full-dimensional integer point set in R^d, d <= 3: the
+    cones from the lex-min vertex over the facets that miss it, each facet
+    fanned into simplices from its first corner."""
+    if d > 3:
+        raise NotImplementedError("exact volume is implemented up to dimension 3")
+    orient = _SIMPLEX_ORIENT[d]
+    extreme, facets = _int_hull(ints, d)
+    v0 = min(extreme, key=lambda i: ints[i])
+    p0 = ints[v0]
+    total = 0
+    for _nrm, _off, poly in facets:
+        if v0 in poly:
+            continue
+        for i in range(1, len(poly) - d + 2):
+            total += orient(p0, *(ints[j] for j in poly[:1] + poly[i:i + d - 1]))
+    if total < 0:
+        raise AssertionError("inconsistent facet orientation in volume")
+    return Fraction(total, factorial(d))
 
-
-def _orient3(a, b, c, d):
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    return (ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx)
-            + uz * (vx * wy - vy * wx))

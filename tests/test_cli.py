@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from okbodies import fixtures as FX
+from okbodies import toric
 from okbodies.cli import main
 from okbodies.ioformats import canonical_dumps, instance_from_obj, load_json
 
@@ -69,6 +70,26 @@ class TestComputeVerbs:
         assert code == 0
         rep = json.loads(out)
         assert rep["contained"] and rep["margin"] == "0"
+
+
+    def test_body_beyond_volume_dimension_is_unsupported(self, capsys, tmp_path):
+        # (P^1)^4: the body is 4-dimensional, beyond exact volume; this must
+        # exit 2 with a summary, never 1 (the exit code of a "fails" verdict)
+        p1 = toric.projective_line()
+        p1xp1 = toric.product_fibration(p1, p1).total
+        X = toric.product_fibration(p1xp1, p1xp1).total
+        files = {"model": X.to_obj(),
+                 "divisor": {"coeffs": ["1"] * len(X.rays)},
+                 "flag": {"cone": 0, "ray_order": [0, 2, 4, 6]}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code, out, err = run(capsys, "body",
+                             "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json",
+                             "--flag", tmp_path / "flag.json")
+        assert code == 2
+        assert err.startswith("unsupported: ") and "dimension 3" in err
+        assert out == ""
 
 
 class TestCheckVerb:

@@ -1,20 +1,13 @@
-"""Kernel lane tests: pure-Python reference behaviour, compiled-lane
-parity, and brute-force oracles for the wrapped hull driver."""
+"""Integer-geometry kernel tests: reference behaviour and brute-force
+oracles for the 2D chain, the 3D hull driver, lattice enumeration and the
+interior-point prefilter."""
 
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
-import pytest
-
-from okbodies import _kernel_py as pyk
 from okbodies import kernel
-
-try:
-    from okbodies import _speedups as cyk
-except ImportError:
-    cyk = None
-
-needs_compiled = pytest.mark.skipif(cyk is None, reason="extension not built")
+from okbodies.polytope import Polytope
 
 
 def brute_hull2d(pts):
@@ -25,15 +18,15 @@ def brute_hull2d(pts):
         others = [q for j, q in enumerate(pts) if j != i]
         inside = False
         for a, b, c in combinations(others, 3):
-            d1 = pyk.orient2d(a, b, p)
-            d2 = pyk.orient2d(b, c, p)
-            d3 = pyk.orient2d(c, a, p)
+            d1 = kernel.orient2d(a, b, p)
+            d2 = kernel.orient2d(b, c, p)
+            d3 = kernel.orient2d(c, a, p)
             if (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0):
-                if pyk.orient2d(a, b, c) != 0:
+                if kernel.orient2d(a, b, c) != 0:
                     inside = True
                     break
         for a, b in combinations(others, 2):
-            if pyk.orient2d(a, b, p) == 0 and _between(a, b, p):
+            if kernel.orient2d(a, b, p) == 0 and _between(a, b, p):
                 inside = True
         if not inside:
             out.append(i)
@@ -49,19 +42,19 @@ def _between(a, b, p):
 class TestHull2D:
     def test_square(self):
         pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
-        assert sorted(pyk.hull2d_indices(pts)) == [0, 1, 2, 3]
+        assert sorted(kernel.hull2d_indices(pts)) == [0, 1, 2, 3]
 
     def test_collinear(self):
         pts = [(0, 0), (1, 1), (2, 2), (3, 3)]
-        assert sorted(pyk.hull2d_indices(pts)) == [0, 3]
+        assert sorted(kernel.hull2d_indices(pts)) == [0, 3]
 
     def test_single_and_pair(self):
-        assert pyk.hull2d_indices([(5, 5)]) == [0]
-        assert sorted(pyk.hull2d_indices([(0, 1), (1, 0)])) == [0, 1]
+        assert kernel.hull2d_indices([(5, 5)]) == [0]
+        assert sorted(kernel.hull2d_indices([(0, 1), (1, 0)])) == [0, 1]
 
     def test_ccw_order(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
-        cyc = pyk.hull2d_indices(pts)
+        cyc = kernel.hull2d_indices(pts)
         assert cyc[0] == 0  # lex-min first
         area2 = sum(
             pts[cyc[i]][0] * pts[cyc[(i + 1) % 4]][1]
@@ -74,7 +67,7 @@ class TestHull2D:
         for _ in range(60):
             pts = list({(rng.randint(-6, 6), rng.randint(-6, 6))
                         for _ in range(rng.randint(3, 16))})
-            got = sorted(pyk.hull2d_indices(pts))
+            got = sorted(kernel.hull2d_indices(pts))
             if len(got) <= 2:
                 continue
             assert got == brute_hull2d(pts), pts
@@ -84,7 +77,7 @@ class TestHull3D:
     def brute_facets(self, pts):
         planes = set()
         for a, b, c in combinations(range(len(pts)), 3):
-            sides = [pyk.orient3d(pts[a], pts[b], pts[c], p) for p in pts]
+            sides = [kernel.orient3d(pts[a], pts[b], pts[c], p) for p in pts]
             if all(s <= 0 for s in sides) or all(s >= 0 for s in sides):
                 if any(s != 0 for s in sides):
                     members = frozenset(i for i, s in enumerate(sides) if s == 0)
@@ -121,6 +114,21 @@ class TestHull3D:
                     if sum(a * b for a, b in zip(n, p)) == off))
             assert got_full == expected, pts
 
+    def test_huge_coordinates_are_exact(self):
+        # far beyond 64-bit range: predicates run on Python ints
+        big = 10**20
+        pts = [(x, y, z) for x in (0, 2 * big) for y in (0, 2 * big)
+               for z in (0, 2 * big)]
+        pts += [(big, big, big), (big, 1, big + 3), (big - 7, big, 2 * big - 1)]
+        extreme, facets = kernel.hull3d_facets(pts)
+        assert extreme == list(range(8))
+        assert sorted((n, off) for n, off, _ in facets) == sorted(
+            [((1, 0, 0), 2 * big), ((-1, 0, 0), 0), ((0, 1, 0), 2 * big),
+             ((0, -1, 0), 0), ((0, 0, 1), 2 * big), ((0, 0, -1), 0)])
+        P = Polytope.hull(pts)
+        assert len(P.vertices) == 8
+        assert P.volume_in_dim(3) == Fraction(8 * big**3)
+
     def test_tetra_volume_path(self):
         pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
         extreme, facets = kernel.hull3d_facets(pts)
@@ -138,13 +146,30 @@ def _rank3(diffs):
 class TestLattice:
     def test_simplex_points(self):
         # u1, u2 >= 0, u1 + u2 <= 3
-        pts = pyk.lattice_points([(1, 0), (0, 1), (-1, -1)], [0, 0, -3],
-                                 [0, 0], [3, 3])
+        pts = kernel.lattice_points([(1, 0), (0, 1), (-1, -1)], [0, 0, -3],
+                                    [0, 0], [3, 3])
         assert len(pts) == 10
         assert pts == sorted(pts)
 
     def test_empty(self):
-        assert pyk.lattice_points([(1,)], [5], [0], [3]) == []
+        assert kernel.lattice_points([(1,)], [5], [0], [3]) == []
+
+    def test_against_box_filter(self):
+        # the prefix pruning must drop exactly the box points that violate
+        # some constraint, and keep lexicographic order
+        rng = random.Random(41)
+        for _ in range(120):
+            dim = rng.randint(1, 3)
+            normals = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                       for _ in range(rng.randint(1, 5))]
+            offs = [rng.randint(-6, 2) for _ in normals]
+            lo = [rng.randint(-4, 0) for _ in range(dim)]
+            hi = [l + rng.randint(0, 5) for l in lo]
+            box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            expected = [u for u in box
+                        if all(sum(a * b for a, b in zip(n, u)) >= o
+                               for n, o in zip(normals, offs))]
+            assert kernel.lattice_points(normals, offs, lo, hi) == expected
 
 
 class TestPrune:
@@ -154,44 +179,10 @@ class TestPrune:
         for _ in range(30):
             pts = list({(rng.randint(0, 8), rng.randint(0, 8))
                         for _ in range(rng.randint(6, 40))})
-            keep = set(pyk.prune_interior(pts, dirs))
-            hull = set(pyk.hull2d_indices(pts))
+            keep = set(kernel.prune_interior(pts, dirs))
+            hull = set(kernel.hull2d_indices(pts))
             assert hull <= keep
 
 
-@needs_compiled
-class TestLaneParity:
-    def test_hull2d(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            pts = list({(rng.randint(-50, 50), rng.randint(-50, 50))
-                        for _ in range(rng.randint(1, 30))})
-            assert cyk.hull2d_indices(pts) == pyk.hull2d_indices(pts)
-
-    def test_pivot_coplanar(self):
-        rng = random.Random(37)
-        for _ in range(150):
-            pts = list({(rng.randint(-7, 7), rng.randint(-7, 7), rng.randint(-7, 7))
-                        for _ in range(rng.randint(4, 20))})
-            hc, hp = cyk.prepare3(pts), pyk.prepare3(pts)
-            for _ in range(4):
-                a, b = rng.sample(range(len(pts)), 2)
-                assert cyk.pivot3d(hc, a, b) == pyk.pivot3d(hp, a, b)
-                c = pyk.pivot3d(hp, a, b)
-                if c >= 0:
-                    assert cyk.coplanar3d(hc, a, b, c) == pyk.coplanar3d(hp, a, b, c)
-
-    def test_lattice(self):
-        rng = random.Random(41)
-        for _ in range(80):
-            dim = rng.randint(1, 3)
-            normals = [tuple(rng.randint(-3, 3) for _ in range(dim))
-                       for _ in range(rng.randint(1, 5))]
-            offs = [rng.randint(-6, 2) for _ in normals]
-            lo = [rng.randint(-4, 0) for _ in range(dim)]
-            hi = [l + rng.randint(0, 5) for l in lo]
-            assert (cyk.lattice_points(normals, offs, lo, hi)
-                    == pyk.lattice_points(normals, offs, lo, hi))
-
-    def test_active_lane_reports(self):
-        assert kernel.active_lane() in ("python", "compiled")
+def test_active_lane_reports_python():
+    assert kernel.active_lane() == "python"
