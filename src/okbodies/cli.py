@@ -8,7 +8,8 @@ to stderr.
 Exit codes: 0 = computed (checks: verdict holds/strict); 1 = a check
 verdict is "fails"; 2 = hypotheses not met, malformed/inconsistent input,
 or a computation beyond the implemented capability (e.g. exact volume
-above dimension 3).
+above dimension 3); 3 = internal error (an unexpected exception, reported
+as a one-line summary instead of a traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .polytope import Polytope
 
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _summary(text):
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except NotImplementedError as exc:
         _summary(f"unsupported: {exc}")
         return EXIT_INPUT
+    except Exception as exc:
+        _summary(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

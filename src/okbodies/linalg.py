@@ -139,6 +139,26 @@ def det(rows) -> Fraction:
     return d
 
 
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss
+    elimination: every division is exact); 1 for the empty matrix."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def primitive_int_vector(v):
     """Scale a nonzero rational vector to a primitive integer vector.
 

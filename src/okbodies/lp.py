@@ -5,13 +5,18 @@ package must be exact, and no pre-installed solver does rational
 arithmetic, so we carry a ~150 line simplex.  Bland's rule, so it
 terminates; everything is Fractions.  Problem sizes here are a handful of
 variables and constraints.
+
+The boundedness test `recession_is_trivial` uses no simplex: a pointed cone
+{x : Ax <= 0} is nonzero iff one of its extreme rays, each the kernel of
+n-1 independent rows, lies in it; integer minors give those kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .linalg import frac
+from .linalg import frac, int_det, primitive_int_vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -160,13 +165,26 @@ def max_over_ineqs(A, b, c):
 
 
 def recession_is_trivial(A, dim):
-    """True iff {x : A x <= 0} == {0} (A rows = inequality normals)."""
-    zero = [Fraction(0)] * len(A)
-    for j in range(dim):
-        for sign in (1, -1):
-            c = [Fraction(0)] * dim
-            c[j] = Fraction(sign)
-            status, _, val = max_over_ineqs(A, zero, c)
-            if status == UNBOUNDED or (status == OPTIMAL and val > 0):
-                return False
-    return True
+    """True iff {x : A x <= 0} == {0} (A rows = inequality normals).
+
+    Each (dim-1)-subset of rows gives the vector r of its signed maximal
+    minors, which spans the subset's kernel when the rows are independent.
+    If rank(A) == dim the cone is pointed, hence nonzero iff some such r or
+    -r lies in it.  If rank(A) == dim-1 the first nonzero r spans the
+    lineality line and is orthogonal to every row; if rank(A) < dim-1 every
+    r vanishes.  Either way the cone is nonzero.
+    """
+    rows = list(dict.fromkeys(primitive_int_vector(row)[0]
+                              for row in A if any(x != 0 for x in row)))
+    cols = range(dim)
+    found = False
+    for sub in combinations(rows, dim - 1):
+        r = [(-1) ** j * int_det([[a[k] for k in cols if k != j] for a in sub])
+             for j in cols]
+        if not any(r):
+            continue
+        found = True
+        s = [sum(x * y for x, y in zip(a, r)) for a in rows]
+        if all(v <= 0 for v in s) or all(v >= 0 for v in s):
+            return False
+    return found

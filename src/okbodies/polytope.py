@@ -90,7 +90,9 @@ class Polytope:
         """Vertex enumeration of an intersection of half-spaces.
 
         The system must be bounded (raises otherwise); an infeasible system
-        yields the empty polytope.
+        yields the empty polytope.  Boundedness is decided without LP, by
+        `recession_is_trivial` on the integer normals; the vertices are the
+        feasible solutions of the n-row subsystems.
         """
         hs = list(halfspaces)
         verts = _vertex_enum(hs, ambient_dim)

@@ -11,6 +11,7 @@ an independent oracle for that exact path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,8 +143,12 @@ class GradedSeries:
 # -- cone/divisor predicates -------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def section_polytope(X: ToricVariety, D: ToricDivisor) -> Polytope:
-    """{u : <u, ray_i> >= -a_i}; empty exactly when D has no sections."""
+    """{u : <u, ray_i> >= -a_i}; empty exactly when D has no sections.
+
+    Memoized: models and divisors are frozen and compare by value, and the
+    returned Polytope is immutable (its lazy caches are deterministic)."""
     hs = [HalfSpace(qvec([-c for c in ray]), frac(a))
           for ray, a in zip(X.rays, D.coeffs)]
     return Polytope.from_halfspaces(hs, X.dim)

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from okbodies import fixtures as FX
+from okbodies import fiberspace as fsmod
 from okbodies import toric
-from okbodies.cli import main
+from okbodies.cli import EXIT_INTERNAL, main
 from okbodies.ioformats import canonical_dumps, instance_from_obj, load_json
 
 REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -124,6 +125,20 @@ class TestCheckVerb:
         assert len(reports) == 6 * len(FX.ALL_INSTANCES)
         assert all(r["verdict"] in ("holds", "strict", "hypotheses-not-met")
                    for r in reports)
+
+    def test_unexpected_exception_is_internal_error(self, corpus, capsys,
+                                                    monkeypatch):
+        # an unexpected exception must not exit 1, the code of a "fails"
+        # verdict, nor end in a traceback
+        def broken(fs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(fsmod.ALL_CHECKS, "thm1_3", broken)
+        code, out, err = run(capsys, "check", "thm1_3", "--instance",
+                             corpus / "instances/prod_line_line.json")
+        assert code == EXIT_INTERNAL == 3
+        assert err == "internal error: RuntimeError: boom\n"
+        assert out == ""
 
     def test_unknown_check(self, corpus, capsys):
         code, _, err = run(capsys, "check", "thm9_9", "--instance",

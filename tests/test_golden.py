@@ -1,0 +1,34 @@
+"""Byte-identity of the main verbs' stdout on the shipped corpus.
+
+The digests pin the canonical JSON that `check --all` and `scaling-search`
+print for the files under fixtures/instances; any change to a verdict, a
+vertex or a formatting detail shows up here.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from okbodies.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+GOLDEN = {
+    "check_all": (
+        ["check", "--all", "fixtures/instances"],
+        "97daee3eb52ec7c534386d19da2fbf76f9b42d9b2d3eb35ef55e5a2abb6e2146"),
+    "scaling_ex42": (
+        ["scaling-search", "--instance", "fixtures/instances/ex42.json"],
+        "c985d06426f197a7fadeac36c05e81f57d3f747c6b9905c8794edbd9c0b9e13f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_digest(name, capsys, monkeypatch):
+    argv, digest = GOLDEN[name]
+    monkeypatch.chdir(REPO)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -66,6 +66,37 @@ class TestSectionPolytope:
         assert any(any(c.denominator > 1 for c in v) for v in P.vertices)
 
 
+class TestSectionPolytopeMemo:
+    def test_equal_inputs_share_one_polytope(self):
+        X1, X2 = T.projective_plane(), T.projective_plane()
+        D1 = d(X1, [0, 0, 3])
+        D2 = T.ToricDivisor(X2, (F(0), F(0), F(3)))
+        assert X1 is not X2 and D1 is not D2
+        assert T.section_polytope(X1, D1) is T.section_polytope(X2, D2)
+
+    def test_different_coefficients_differ(self):
+        assert (T.section_polytope(P2, d(P2, [0, 0, 3]))
+                != T.section_polytope(P2, d(P2, [0, 0, 4])))
+
+    def test_cache_is_bounded(self):
+        maxsize = T.section_polytope.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    def test_predicates_unchanged_when_warm(self):
+        cases = [(P2, [0, 0, 3]), (P2, [0, 0, -1]), (P2, [0, 0, 0]),
+                 (F2, [1, 1, 0, 0]), (F2, [0, 0, 0, 1]), (BL, [0, 1, 1, 0])]
+
+        def answers():
+            return [(T.is_effective(X, d(X, c)), T.is_big(X, d(X, c)),
+                     T.kappa(X, d(X, c))) for X, c in cases]
+
+        T.section_polytope.cache_clear()
+        cold = answers()
+        hits = T.section_polytope.cache_info().hits
+        assert answers() == cold
+        assert T.section_polytope.cache_info().hits > hits
+
+
 class TestSections:
     def test_plane_count(self):
         pts = T.sections(P2, d(P2, [0, 0, 1]), 2)
