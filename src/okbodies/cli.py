@@ -79,10 +79,7 @@ def cmd_limbody(args):
     flag = _load_flag(args.flag, model) if args.flag else None
     backend = backend_for(model)
     A = _load_divisor(args.ample) if args.ample else None
-    if isinstance(model, surfmod.SurfaceLattice) and args.epsilon:
-        body = backend.body_lim(cls, flag, A, frac(args.epsilon))
-    else:
-        body = backend.body_lim(cls, flag, A)
+    body = backend.body_lim(cls, flag, A)
     _emit({"body": body.to_obj(), "dim": body.dim(),
            "volume": str(body.volume_in_dim(body.dim()))}, args.out)
     _summary(f"limiting body: dim {body.dim()}, {len(body.vertices)} vertices")
@@ -262,7 +259,6 @@ def build_parser():
     sp.add_argument("--divisor", required=True)
     sp.add_argument("--flag")
     sp.add_argument("--ample", help="ample class file for the perturbation")
-    sp.add_argument("--epsilon", help="starting perturbation size, e.g. 1/64")
     sp = add("zariski", cmd_zariski, help="Zariski decomposition (surface)")
     sp.add_argument("--model", required=True)
     sp.add_argument("--divisor", required=True)

@@ -551,7 +551,7 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
     name = "rem3_6"
     rf = fs.R_fiber
     failures = _check_hypotheses([
-        ("D pseudoeffective", _is_psef(fs.total_backend, fs.D)),
+        ("D pseudoeffective", fs.total_backend.is_psef(fs.D)),
         ("D_Y pseudoeffective", fs.base_backend.is_psef(fs.D_Y)),
         ("R|_F pseudoeffective", fs.fiber_backend.is_psef(rf)),
     ])
@@ -567,12 +567,6 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
         margin=Fraction(0) if ok else Fraction(kv_y + kv_f - kv_x),
         dims={"kappa_vol_X": kv_x, "kappa_vol_Y": kv_y, "kappa_vol_F": kv_f},
         notes=[f"kappa_vol superadditivity: {kv_x} >= {kv_y} + {kv_f}"])
-
-
-def _is_psef(backend, cls):
-    if hasattr(backend, "is_psef"):
-        return backend.is_psef(cls)
-    return backend.is_effective(cls)
 
 
 def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),

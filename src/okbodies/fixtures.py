@@ -250,4 +250,5 @@ def write_corpus(directory):
         canonical_dumps(blown_up_plane_lattice().to_obj()))
     (model_dir / "d_2h_plus_e.json").write_text(
         canonical_dumps({"coeffs": ["2", "1"]}))
+    (model_dir / "curve_flag.json").write_text(canonical_dumps({"curve": 0}))
     return root

@@ -93,9 +93,11 @@ class ToricBackend:
         return toricmod.okounkov_body_toric(self.X, self._div(cls), flag)
 
     def body_lim(self, cls, flag, A=None) -> Polytope:
-        """Equals the valuative body: section polytopes of invariant
-        classes vary continuously under ample perturbation, so the
-        intersection over eps > 0 is the body of the class itself."""
+        """Equals the valuative body.  On the first chamber (0, eps1) of
+        D + eps*A (`toric.first_chamber`) the vertices of the section
+        polytope are affine in eps, so they tend to those of the section
+        polytope of D, and the intersection over eps > 0 of the bodies is
+        the body of the class itself."""
         return self.body_val(cls, flag)
 
     def volume(self, cls) -> Fraction:
@@ -111,28 +113,16 @@ class ToricBackend:
         return toricmod.restricted_volume_toric(self.X, self._div(cls), stratum)
 
     def restricted_volume_plus(self, cls, stratum, A) -> Fraction:
-        """eps-limit of restricted volumes under ample perturbation,
-        evaluated exactly by polynomial fit inside one chamber."""
+        """Limit of vol_{X|V}(D + eps*A) as eps -> 0, exact.
+
+        On the first chamber (0, eps1) of D + eps*A (`toric.first_chamber`)
+        the face of the section polytope over the stratum keeps its face
+        lattice, so the restricted volume is a polynomial in eps there; its
+        constant term is the limit."""
         if not self.is_ample(A):
             raise ValueError("perturbation class must be ample")
-        v = self.X.dim - len(tuple(stratum))
-        cls = qvec(cls)
-        A = qvec(A)
-
-        def rv(eps):
-            shifted = tuple(c + eps * a for c, a in zip(cls, A))
-            return self.restricted_volume(shifted, stratum)
-
-        base = Fraction(1, 8)
-        for _ in range(12):
-            xs = [base / (2 ** i) for i in range(v + 2)]
-            ys = [rv(x) for x in xs]
-            coeffs = _poly_fit(xs[: v + 1], ys[: v + 1])
-            check = sum(c * xs[-1] ** k for k, c in enumerate(coeffs))
-            if check == ys[-1]:
-                return coeffs[0]
-            base /= 2
-        raise ValueError("restricted volumes never stabilized in one chamber")
+        return self._eps_fit(lambda c: self.restricted_volume(c, stratum),
+                             cls, A, stratum)[0]
 
     def dims(self, cls, A=None) -> DimsReport:
         k = self.kappa(cls)
@@ -155,25 +145,27 @@ class ToricBackend:
         raise ValueError("no obvious ample class on this fan")
 
     def _kappa_vol(self, cls, A):
-        """Growth exponent of vol(D + eps A): exact polynomial fit."""
+        """Growth exponent of vol(D + eps*A) as eps -> 0: n minus the order
+        of vanishing at 0 of the volume polynomial of the first chamber."""
         n = self.X.dim
+        coeffs = self._eps_fit(self.volume, cls, A)
+        low = next((k for k, c in enumerate(coeffs) if c != 0), n)
+        return n - low
+
+    def _eps_fit(self, f, cls, A, stratum=()):
+        """Coefficients (c_0, ..., c_v) of eps -> f(D + eps*A) on the first
+        chamber of D + eps*A along `stratum`; v = the stratum dimension.
+
+        The face lattice is fixed on (0, eps1), so f is a polynomial of
+        degree <= v there and v+1 points inside the chamber determine it.
+        """
         cls = qvec(cls)
         A = qvec(A)
-
-        def vol(eps):
-            return self.volume(tuple(c + eps * a for c, a in zip(cls, A)))
-
-        base = Fraction(1, 8)
-        for _ in range(12):
-            xs = [base / (2 ** i) for i in range(n + 2)]
-            ys = [vol(x) for x in xs]
-            coeffs = _poly_fit(xs[: n + 1], ys[: n + 1])
-            check = sum(c * xs[-1] ** k for k, c in enumerate(coeffs))
-            if check == ys[-1]:
-                low = next((k for k, c in enumerate(coeffs) if c != 0), n)
-                return n - low
-            base /= 2
-        raise ValueError("volumes never stabilized in one chamber")
+        eps1 = toricmod.first_chamber(self.X, self._div(cls), self._div(A),
+                                      stratum)
+        xs = [eps1 / 2 ** i for i in range(1, self.X.dim - len(stratum) + 2)]
+        ys = [f(tuple(c + x * a for c, a in zip(cls, A))) for x in xs]
+        return _poly_fit(xs, ys)
 
     def nakayama(self, cls, stratum, m_max=10):
         return toricmod.nakayama_verdict(self.X, self._div(cls), stratum, m_max)
@@ -223,10 +215,13 @@ class SurfaceBackend:
             return surfmod.okounkov_body_surface(self.S, cls, flag_curve)
         return surfmod.valuative_body_abundant(self.S, cls, flag_curve)
 
-    def body_lim(self, cls, flag_curve, A=None, eps0=Fraction(1, 64)) -> Polytope:
+    def body_lim(self, cls, flag_curve, A=None) -> Polytope:
+        """Limiting body, exact: the negative part of D - tC + eps*A is
+        affine in eps on a first chamber and tends to that of D - tC, so
+        the limit is the body of D itself (`limiting_body_surface`)."""
         if A is None:
             A = surfmod.some_ample(self.S)
-        return surfmod.limiting_body_surface(self.S, cls, flag_curve, A, eps0)
+        return surfmod.limiting_body_surface(self.S, cls, flag_curve, A)
 
     def volume(self, cls) -> Fraction:
         return surfmod.volume_surface(self.S, cls)

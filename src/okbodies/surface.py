@@ -25,7 +25,6 @@ from .linalg import frac, qvec, signature, solve
 from .polytope import Polytope
 
 _MAX_SWEEP = 256
-_MAX_RETRY = 10
 
 
 class ConeDataError(ValueError):
@@ -253,11 +252,11 @@ def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
 
 
 def _fixed_support_affine(S, D, C, support):
-    """beta and validity data for a fixed negative-part support.
+    """Positive part and validity data for a fixed negative-part support.
 
-    Returns (beta, conds): beta(t) = P(D - tC).C as (const, slope); conds
-    is a list of affine (const, slope) functions whose nonnegativity on an
-    interval certifies that `support` is the true Zariski support there.
+    Returns ((p0, p1), conds): P(D - tC) = p0 + t*p1 while `support` is
+    the Zariski support; conds is a list of affine (const, slope)
+    functions whose nonnegativity on an interval certifies that it is.
     """
     D = qvec(D)
     C = qvec(C)
@@ -277,8 +276,7 @@ def _fixed_support_affine(S, D, C, support):
         conds.append((a, b))  # support coefficients stay >= 0
     for g in S.effective_generators:
         conds.append((S.pair(p0, g), S.pair(p1, g)))  # P stays nef
-    beta = (S.pair(p0, C), S.pair(p1, C))
-    return beta, conds
+    return (p0, p1), conds
 
 
 def _cond_window(conds, probe):
@@ -305,11 +303,12 @@ def _beta_breakpoints(S, D, C, lo, hi):
     t = lo
     for _ in range(_MAX_SWEEP):
         sup = zariski_decompose(S, _shift(D, C, t)).support
-        beta, conds = _fixed_support_affine(S, D, C, sup)
+        p, conds = _fixed_support_affine(S, D, C, sup)
         win = _cond_window(conds, t)
         t_end = hi if win is None or win[1] is None else min(win[1], hi)
         if win is None or t_end <= t:
-            t_end, beta = _probe_forward(S, D, C, t, hi)
+            t_end, p = _probe_forward(S, D, C, t, hi)
+        beta = (S.pair(p[0], C), S.pair(p[1], C))  # P(D - tC).C
         pts.append((t, beta[0] + beta[1] * t))
         pts.append((t_end, beta[0] + beta[1] * t_end))
         if t_end >= hi:
@@ -319,16 +318,17 @@ def _beta_breakpoints(S, D, C, lo, hi):
 
 
 def _probe_forward(S, D, C, t, hi):
-    """First chamber strictly after t: (its end, its beta)."""
+    """First chamber [t, t_end] of D - sC after s = t: (t_end, (p0, p1))
+    with P(D - sC) = p0 + s*p1 on the whole closed chamber."""
     probe = (t + hi) / 2
     for _ in range(_MAX_SWEEP):
         sup = zariski_decompose(S, _shift(D, C, probe)).support
-        beta, conds = _fixed_support_affine(S, D, C, sup)
+        p, conds = _fixed_support_affine(S, D, C, sup)
         win = _cond_window(conds, probe)
         if win is not None and (win[0] is None or win[0] <= t):
             t_end = hi if win[1] is None else min(win[1], hi)
             if t_end > t:
-                return t_end, beta
+                return t_end, p
         probe = (t + probe) / 2
     raise ConeDataError("chamber sweep did not terminate near t=%s" % t)
 
@@ -355,53 +355,31 @@ def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     a = zp.coefficient_of(flag_curve)
     mu = psef_threshold(S, D, C)
     if a == mu:
-        beta, _ = _fixed_support_affine(
-            S, D, C, zariski_decompose(S, _shift(D, C, mu)).support)
-        top = beta[0] + beta[1] * mu
+        top = S.pair(zariski_decompose(S, _shift(D, C, mu)).positive, C)
         return Polytope.hull([(mu, Fraction(0)), (mu, top)])
     pts = _beta_breakpoints(S, D, C, a, mu)
     verts = [(a, Fraction(0)), (mu, Fraction(0))] + [(t, y) for t, y in pts]
     return Polytope.hull(verts)
 
 
-def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A,
-                          eps0=Fraction(1, 64)) -> Polytope:
-    """Common limit of the bodies of D + eps*A as eps -> 0.
+def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A) -> Polytope:
+    """Common limit of the bodies of D + eps*A as eps -> 0: the body of D.
 
-    Two small eps give a vertexwise linear extrapolation to 0; a third eps
-    and the direct body of D must reproduce it exactly, otherwise the body
-    may straddle a chamber wall and all eps are halved (up to 10 times).
+    This is exact, not an extrapolation.  For each t, the negative-part
+    support of D - tC + eps*A is monotone in eps and takes finitely many
+    values, so it is fixed on a first chamber (0, eps1]; there
+    N(D - tC + eps*A) solves a linear system whose right-hand side is
+    affine in eps, so N is affine in eps.  Its limit at eps = 0 still has
+    nonnegative coefficients, a negative definite support, a nef residual
+    orthogonal to the support, and those conditions define N(D - tC)
+    uniquely.  Hence the boundary functions of the bodies converge to
+    those of D (with the psef threshold and the multiplicity of C as the
+    ends), and by continuity of Okounkov bodies the limiting body is
+    `okounkov_body_surface(S, D, flag_curve)`.
     """
-    D = qvec(D)
-    A = qvec(A)
-    if not is_psef(S, D):
-        raise ValueError("divisor is not pseudoeffective")
-    if not is_ample(S, A):
+    if not is_ample(S, qvec(A)):
         raise ValueError("perturbation class must be ample")
-    direct = okounkov_body_surface(S, D, flag_curve)
-    eps = frac(eps0)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    for _ in range(_MAX_RETRY):
-        bodies = [okounkov_body_surface(S, tuple(d + e * a for d, a in zip(D, A)),
-                                        flag_curve)
-                  for e in (eps, eps / 2, eps / 4)]
-        e01 = _extrapolate(bodies[0], bodies[1], eps, eps / 2)
-        e12 = _extrapolate(bodies[1], bodies[2], eps / 2, eps / 4)
-        if e01 is not None and e01 == e12 and e01 == direct:
-            return e01
-        eps /= 2
-    raise ValueError("chamber crossing: decrease epsilon")
-
-
-def _extrapolate(body1, body2, e1, e2):
-    if len(body1.vertices) != len(body2.vertices):
-        return None
-    f = e2 / (e1 - e2)
-    verts = []
-    for v1, v2 in zip(body1.vertices, body2.vertices):
-        verts.append(tuple(b + (b - a) * f for a, b in zip(v1, v2)))
-    return Polytope.hull(verts)
+    return okounkov_body_surface(S, D, flag_curve)
 
 
 # -- numerical dimensions -----------------------------------------------------
@@ -411,8 +389,10 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
     """nu and kappa_vol of a pseudoeffective class.
 
     Classified by the Zariski positive part and cross-checked against the
-    exact growth of vol(D + eps*A) in eps (quadratic fit through three
-    samples inside one chamber).
+    exact growth of vol(D + eps*A).  One chamber probe along the
+    direction A certifies a fixed support on [0, eps1], where
+    P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) = (p0 + eps*p1)^2 there,
+    with constant term p0^2 and linear term 2 p0.p1, exactly.
     """
     D = qvec(D)
     A = qvec(A)
@@ -428,25 +408,17 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
         k = 1
     else:
         k = 0
-    base = Fraction(1, 8)
-    for _ in range(_MAX_RETRY):
-        eps = (base, base / 2, base / 4)
-        vols = [volume_surface(S, tuple(d + e * a for d, a in zip(D, A)))
-                for e in eps]
-        a0, a1, a2 = _quadratic_fit(eps, vols)
-        if a0 == p2:
-            fitted = 2 if a0 > 0 else (1 if a1 > 0 else 0)
-            if fitted != k:
-                raise ConeDataError("volume growth contradicts the Zariski "
-                                    "classification")
-            return {"nu_bdpp": k, "kappa_vol": k}
-        base /= 2
-    raise ConeDataError("volume samples never stabilized in one chamber")
-
-
-def _quadratic_fit(xs, ys):
-    rows = [[Fraction(1), x, x * x] for x in xs]
-    return solve(rows, list(ys))
+    _, (p0, p1) = _probe_forward(S, D, tuple(-a for a in A),
+                                 Fraction(0), Fraction(1))
+    a0, a1 = S.pair(p0, p0), 2 * S.pair(p0, p1)
+    if a0 != p2:
+        raise ConeDataError("chamber volume at eps=0 contradicts the "
+                            "Zariski decomposition")
+    fitted = 2 if a0 > 0 else (1 if a1 > 0 else 0)
+    if fitted != k:
+        raise ConeDataError("volume growth contradicts the Zariski "
+                            "classification")
+    return {"nu_bdpp": k, "kappa_vol": k}
 
 
 def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:

@@ -12,6 +12,7 @@ an independent oracle for that exact path.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -303,6 +304,35 @@ def _face_halfspaces(X, D, stratum):
         ray = qvec(X.rays[i])
         hs.append(HalfSpace(ray, -D.coeffs[i]))  # makes <u, ray> == -a_i
     return hs
+
+
+def first_chamber(X, D: ToricDivisor, A: ToricDivisor, stratum=()) -> Fraction:
+    """Right end eps1 of the first chamber of D + eps*A along `stratum`.
+
+    The face half-spaces of D + eps*A have offsets b0 + eps*b1, so the
+    vertex x_S(eps) cut out by a nonsingular n-subset S of them is affine
+    in eps, and so is every slack b_j(eps) - r_j.x_S(eps).  eps1 is the
+    least positive root of those slacks, capped at 1.  On
+    (0, eps1) no slack changes sign, so which candidates are vertices and
+    which half-spaces are tight at them is fixed: the face lattice is
+    constant and every volume of the face is a polynomial in eps.
+    """
+    hs0 = _face_halfspaces(X, D, stratum)
+    b1 = [h.offset for h in _face_halfspaces(X, A, stratum)]
+    eps1 = Fraction(1)
+    for subset in itertools.combinations(range(len(hs0)), X.dim):
+        rows = [hs0[i].normal for i in subset]
+        x0 = solve(rows, [hs0[i].offset for i in subset])
+        if x0 is None:
+            continue
+        x1 = solve(rows, [b1[i] for i in subset])
+        for h, c1 in zip(hs0, b1):
+            slope = c1 - dot(h.normal, x1)
+            if slope:
+                root = (dot(h.normal, x0) - h.offset) / slope
+                if 0 < root < eps1:
+                    eps1 = root
+    return eps1
 
 
 def restricted_series(X, D: ToricDivisor, stratum, levels) -> GradedSeries:

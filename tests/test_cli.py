@@ -93,6 +93,38 @@ class TestComputeVerbs:
         assert out == ""
 
 
+class TestEpsLimitVerbs:
+    """Classes whose first chamber under the default ample class is far
+    shorter than the eps the sampled fits started from."""
+
+    @staticmethod
+    def _write(tmp_path, **objs):
+        for name, obj in objs.items():
+            (tmp_path / f"{name}.json").write_text(canonical_dumps(obj))
+
+    def test_dims_of_small_rigid_toric_class(self, capsys, tmp_path):
+        self._write(tmp_path, model=toric.blown_up_plane().to_obj(),
+                    divisor={"coeffs": ["0", "0", "0", "1/100"]})
+        code, out, _ = run(capsys, "dims", "--model", tmp_path / "model.json",
+                           "--divisor", tmp_path / "divisor.json")
+        assert code == 0
+        assert json.loads(out) == {"kappa": 0, "nu_bdpp": 0, "kappa_vol": 0,
+                                   "kappa_sigma": "undeclared"}
+
+    def test_limbody_of_tiny_surface_class(self, capsys, tmp_path):
+        self._write(tmp_path, model=FX.blown_up_plane_lattice().to_obj(),
+                    divisor={"coeffs": ["0", "1/1000000"]},
+                    flag={"curve": 0})
+        code, out, err = run(capsys, "limbody",
+                             "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json",
+                             "--flag", tmp_path / "flag.json")
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["body"]["vertices"] == [["1/1000000", "0"]]
+        assert rep["dim"] == 0
+
+
 class TestCheckVerb:
     def test_exit_codes(self, corpus, capsys):
         cases = [

@@ -1,8 +1,9 @@
 """Byte-identity of the main verbs' stdout on the shipped corpus.
 
 The digests pin the canonical JSON that `check --all` and `scaling-search`
-print for the files under fixtures/instances; any change to a verdict, a
-vertex or a formatting detail shows up here.
+print for the files under fixtures/instances, and that `dims` and
+`limbody` print for the model files under fixtures/models; any change to
+a verdict, a vertex or a formatting detail shows up here.
 """
 
 import hashlib
@@ -21,6 +22,19 @@ GOLDEN = {
     "scaling_ex42": (
         ["scaling-search", "--instance", "fixtures/instances/ex42.json"],
         "c985d06426f197a7fadeac36c05e81f57d3f747c6b9905c8794edbd9c0b9e13f"),
+    "dims_surface": (
+        ["dims", "--model", "fixtures/models/blown_up_plane_surface.json",
+         "--divisor", "fixtures/models/d_2h_plus_e.json"],
+        "314d629c381d53aae5991fddab8e0ce82088bb3b04cefc667425b10457208099"),
+    "limbody_surface": (
+        ["limbody", "--model", "fixtures/models/blown_up_plane_surface.json",
+         "--divisor", "fixtures/models/d_2h_plus_e.json",
+         "--flag", "fixtures/models/curve_flag.json"],
+        "b1347bb4544746cbbb2abab2435fe735bb68bcf826c6064ca0f0583a45f5f7c0"),
+    "dims_plane": (
+        ["dims", "--model", "fixtures/models/plane.json",
+         "--divisor", "fixtures/models/d2.json"],
+        "301533c67140538d689cf9c84edb47efeb1ff8aeeb5dc37d9eea379621e53c56"),
 }
 
 

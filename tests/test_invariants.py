@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbodies import invariants as I
 from okbodies import toric as T
@@ -215,3 +217,68 @@ class TestDimsBackends:
         sb = I.SurfaceBackend(blown_up_plane_lattice())
         rep = sb.dims([2, 1])
         assert rep.kappa is None and rep.nu_bdpp == 2
+
+
+class TestFirstChamberLimits:
+    """Limits at eps = 0 along A = (1, 1, 1, 1) on the toric blown-up plane.
+
+    For H + E/100, E/100 and E/10^6 the first chamber is shorter than the
+    samples 1/8, 1/16, ... that a sampled fit starts from; E/2 is a
+    control whose first chamber such samples do reach."""
+
+    BLT = T.blown_up_plane()
+    A = [1, 1, 1, 1]
+
+    def test_vol_plus_of_h_plus_small_e(self):
+        # H + E/100: positive part H, so vol+ is H.E = 0 along E (ray 3)
+        # and H.(H - E) = 1 along the strict transform of a line (ray 0)
+        tb = I.ToricBackend(self.BLT)
+        D = [0, 0, 1, F(1, 100)]
+        assert tb.restricted_volume_plus(D, (3,), self.A) == 0
+        assert tb.restricted_volume_plus(D, (0,), self.A) == 1
+
+    @pytest.mark.parametrize("c", [F(1, 100), F(1, 2), F(1, 10**6)])
+    def test_rigid_class_has_kappa_vol_zero(self, c):
+        rep = I.ToricBackend(self.BLT).dims([0, 0, 0, c], self.A)
+        assert (rep.kappa, rep.nu_bdpp, rep.kappa_vol) == (0, 0, 0)
+
+
+_P1xP1 = T.product_fibration(P1, P1).total
+TORIC_MODELS = (P2, T.blown_up_plane(), T.hirzebruch(2), _P1xP1,
+                T.product_fibration(P2, P1).total)
+
+
+@st.composite
+def toric_eps_cases(draw):
+    X = draw(st.sampled_from(TORIC_MODELS))
+    coeff = st.fractions(min_value=-2, max_value=3, max_denominator=6)
+    cls = draw(st.lists(coeff, min_size=len(X.rays), max_size=len(X.rays)))
+    tb = I.ToricBackend(X)
+    A = draw(st.lists(st.integers(0, 3), min_size=len(X.rays),
+                      max_size=len(X.rays)))
+    if not tb.is_ample(A):
+        A = tb.some_ample()
+    order = draw(st.permutations(draw(st.sampled_from(X.max_cones))))
+    stratum = tuple(order[:draw(st.integers(0, X.dim))])
+    return tb, cls, A, stratum
+
+
+class TestEpsFitOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(toric_eps_cases())
+    def test_fit_reproduces_points_inside_the_chamber(self, case):
+        # the fit uses eps1/2, eps1/4, ...; eps1/3 and 2*eps1/3 are not
+        # among them, so a chamber wall inside (0, eps1) would show here
+        tb, cls, A, stratum = case
+        if stratum:
+            def f(c):
+                return tb.restricted_volume(c, stratum)
+        else:
+            f = tb.volume
+        coeffs = tb._eps_fit(f, cls, A, stratum)
+        eps1 = T.first_chamber(tb.X, T.divisor(tb.X, cls), T.divisor(tb.X, A),
+                               stratum)
+        assert 0 < eps1 <= 1
+        for x in (eps1 / 3, 2 * eps1 / 3):
+            shifted = [c + x * a for c, a in zip(cls, A)]
+            assert sum(c * x ** k for k, c in enumerate(coeffs)) == f(shifted)

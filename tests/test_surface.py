@@ -1,11 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbodies import surface as S
 from okbodies.fixtures import blown_up_plane_lattice
-from okbodies.linalg import qvec
-from okbodies.polytope import hull
+from okbodies.linalg import qvec, solve
+from okbodies.polytope import Polytope, hull
 
 BL = blown_up_plane_lattice()
 H = qvec([1, 0])
@@ -22,6 +24,18 @@ def g2xg2_lattice():
         canonical_class=qvec([2, 2]),
         abundance={"iitaka_degree_on": {0: 1}},
         declared_kappa={"2,2": 2})
+
+
+def bl2_lattice():
+    """Plane blown up in two points, basis (H, E1, E2); the three negative
+    curves E1, E2 and the line L = H - E1 - E2 span the effective cone."""
+    return S.SurfaceLattice(
+        rank=3, gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        effective_generators=(qvec([0, 1, 0]), qvec([0, 0, 1]),
+                              qvec([1, -1, -1])),
+        nef_generators=(qvec([1, 0, 0]), qvec([1, -1, 0]), qvec([1, 0, -1])),
+        negative_curves=(0, 1, 2),
+        canonical_class=qvec([-3, 1, 1]))
 
 
 class TestValidation:
@@ -175,15 +189,12 @@ class TestLimitingBodies:
         with pytest.raises(ValueError, match="ample"):
             S.limiting_body_surface(BL, E, 0, H)
 
-    def test_retry_across_chamber_walls(self):
-        # an absurdly large starting eps straddles chamber walls; the
-        # halving retry still reaches the stable answer
-        body = S.limiting_body_surface(BL, E, 0, A_BL, eps0=F(4))
-        assert body == hull([(1, 0)])
+    def test_tiny_rigid_class(self):
+        # every chamber probe the sampled extrapolation tried crossed a wall
+        D = qvec([0, F(1, 10**6)])
+        lim = S.limiting_body_surface(BL, D, 0, A_BL)
+        assert lim == hull([(F(1, 10**6), 0)])
 
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError, match="positive"):
-            S.limiting_body_surface(BL, E, 0, A_BL, eps0=0)
 
 
 class TestConeDataErrors:
@@ -215,6 +226,12 @@ class TestNumericalDims:
     def test_not_psef(self):
         with pytest.raises(ValueError):
             S.numerical_dims_surface(BL, qvec([-1, 0]), A_BL)
+
+    def test_tiny_rigid_class(self):
+        # the first chamber of E/10^6 + eps*A ends near 10^-6, far below
+        # the smallest eps the sampled quadratic fit ever tried
+        nd = S.numerical_dims_surface(BL, qvec([0, F(1, 10**6)]), A_BL)
+        assert nd == {"nu_bdpp": 0, "kappa_vol": 0}
 
 
 class TestValuativeAbundant:
@@ -259,3 +276,94 @@ class TestBodyProperties:
         for cls, nu in ((H, 2), (qvec([1, -1]), 1), (E, 0)):
             lim = S.limiting_body_surface(BL, cls, 0, A_BL)
             assert lim.dim() == S.numerical_dims_surface(BL, cls, A_BL)["nu_bdpp"]
+
+
+# -- the sampled eps-limits these functions used to compute ------------------
+
+
+def _plus(D, e, A):
+    return tuple(d + e * a for d, a in zip(D, A))
+
+
+def _extrapolate(body1, body2, e1, e2):
+    if len(body1.vertices) != len(body2.vertices):
+        return None
+    f = e2 / (e1 - e2)
+    return Polytope.hull([tuple(b + (b - a) * f for a, b in zip(v1, v2))
+                          for v1, v2 in zip(body1.vertices, body2.vertices)])
+
+
+def sampled_limiting_body(L, D, flag_curve, A):
+    """Vertexwise extrapolation from the bodies at eps, eps/2, eps/4 that
+    must match a second extrapolation and the body of D, halving eps from
+    1/64 up to ten times; None where it gives up."""
+    direct = S.okounkov_body_surface(L, D, flag_curve)
+    eps = F(1, 64)
+    for _ in range(10):
+        bodies = [S.okounkov_body_surface(L, _plus(D, e, A), flag_curve)
+                  for e in (eps, eps / 2, eps / 4)]
+        e01 = _extrapolate(bodies[0], bodies[1], eps, eps / 2)
+        e12 = _extrapolate(bodies[1], bodies[2], eps / 2, eps / 4)
+        if e01 is not None and e01 == e12 and e01 == direct:
+            return e01
+        eps /= 2
+    return None
+
+
+def sampled_numerical_dims(L, D, A):
+    """Quadratic fit of vol(D + eps*A) through eps = b, b/2, b/4 that must
+    reproduce vol(D) at 0, halving b from 1/8 up to ten times; None where
+    it gives up."""
+    zp = S.zariski_decompose(L, D)
+    p2 = L.pair(zp.positive, zp.positive)
+    k = 2 if p2 > 0 else (1 if any(zp.positive) else 0)
+    base = F(1, 8)
+    for _ in range(10):
+        xs = (base, base / 2, base / 4)
+        ys = [S.volume_surface(L, _plus(D, x, A)) for x in xs]
+        a0, a1, _a2 = solve([[F(1), x, x * x] for x in xs], ys)
+        if a0 == p2:
+            assert (2 if a0 > 0 else (1 if a1 > 0 else 0)) == k
+            return {"nu_bdpp": k, "kappa_vol": k}
+        base /= 2
+    return None
+
+
+ORACLE_LATTICES = (BL, bl2_lattice(), g2xg2_lattice())
+
+
+@st.composite
+def psef_cases(draw):
+    L = draw(st.sampled_from(ORACLE_LATTICES))
+    gens = L.effective_generators
+    coeff = st.fractions(min_value=0, max_value=3, max_denominator=8)
+    weights = draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    D = tuple(sum((w * g[i] for w, g in zip(weights, gens)), F(0))
+              for i in range(L.rank))
+    ks = draw(st.lists(st.integers(1, 3), min_size=len(L.nef_generators),
+                       max_size=len(L.nef_generators)))
+    A = tuple(sum((k * g[i] for k, g in zip(ks, L.nef_generators)), F(0))
+              for i in range(L.rank))
+    flag = draw(st.integers(0, len(gens) - 1))
+    return L, D, A, flag
+
+
+class TestSampledOracle:
+    """Wherever the old sampled code returns, the chamber argument agrees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(psef_cases())
+    def test_limiting_body(self, case):
+        L, D, A, flag = case
+        assert S.is_ample(L, A)
+        old = sampled_limiting_body(L, D, flag, A)
+        if old is not None:
+            assert S.limiting_body_surface(L, D, flag, A) == old
+
+    @settings(max_examples=60, deadline=None)
+    @given(psef_cases())
+    def test_numerical_dims(self, case):
+        L, D, A, _flag = case
+        old = sampled_numerical_dims(L, D, A)
+        if old is not None:
+            assert S.numerical_dims_surface(L, D, A) == old
