@@ -6,10 +6,11 @@ and emit plot data.  JSON reports go to stdout, a one-line human summary
 to stderr.
 
 Exit codes: 0 = computed (checks: verdict holds/strict); 1 = a check
-verdict is "fails"; 2 = hypotheses not met, malformed/inconsistent input,
-or a computation beyond the implemented capability (e.g. exact volume
-above dimension 3); 3 = internal error (an unexpected exception, reported
-as a one-line summary instead of a traceback).
+verdict is "fails"; 2 = hypotheses not met, malformed/inconsistent input
+(a missing or out-of-range flag included), or a computation beyond the
+implemented capability (e.g. exact volume above dimension 3); 3 =
+internal error (an unexpected exception, reported as a one-line summary
+instead of a traceback).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import ioformats as io
 from . import plotting
 from . import surface as surfmod
 from . import toric as toricmod
+from .curve import CurveModel
 from .invariants import backend_for
 from .linalg import frac
 from .polytope import Polytope
@@ -57,6 +59,17 @@ def _load_flag(path, model):
     return io.flag_from_obj(io.load_json(path), model, path)
 
 
+def _body_flag(args, model):
+    """The flag of `body` / `limbody`: required except on curves, whose
+    flag (curve, general point) is implicit."""
+    if args.flag:
+        return _load_flag(args.flag, model)
+    if isinstance(model, CurveModel):
+        return None
+    raise io.InputError("--flag", "a flag file is required for toric and "
+                                  "surface models")
+
+
 def _load_instance(path):
     return io.instance_from_obj(io.load_json(path), path)
 
@@ -64,7 +77,7 @@ def _load_instance(path):
 def cmd_body(args):
     model = _load_model(args.model)
     cls = _load_divisor(args.divisor)
-    flag = _load_flag(args.flag, model) if args.flag else None
+    flag = _body_flag(args, model)
     backend = backend_for(model)
     body = backend.body_val(cls, flag)
     _emit({"body": body.to_obj(), "dim": body.dim(),
@@ -76,7 +89,7 @@ def cmd_body(args):
 def cmd_limbody(args):
     model = _load_model(args.model)
     cls = _load_divisor(args.divisor)
-    flag = _load_flag(args.flag, model) if args.flag else None
+    flag = _body_flag(args, model)
     backend = backend_for(model)
     A = _load_divisor(args.ample) if args.ample else None
     body = backend.body_lim(cls, flag, A)

@@ -57,10 +57,6 @@ class FiberTypeFlag:
         return {"base": enc(self.base_flag), "fiber": enc(self.fiber_flag)}
 
 
-def fiber_type_flag(base_flag, fiber_flag) -> FiberTypeFlag:
-    return FiberTypeFlag(base_flag, fiber_flag)
-
-
 @dataclass
 class FiberSpaceInstance:
     name: str

@@ -45,6 +45,16 @@ def _int(value, path) -> int:
     return value
 
 
+def _curve_index(value, surface, path) -> int:
+    """A flag-curve index: a position in the surface's effective generators."""
+    i = _int(value, path)
+    count = len(surface.effective_generators)
+    if not 0 <= i < count:
+        raise InputError(path, f"curve index {i} out of range: the surface "
+                               f"has {count} effective generators")
+    return i
+
+
 def _int_vec(values, path):
     if not isinstance(values, list):
         raise InputError(path, "expected a list of integers")
@@ -122,7 +132,7 @@ def flag_from_obj(obj, model, path="flag"):
     if isinstance(model, CurveModel):
         return None  # curves have a unique flag shape: (curve, point)
     if isinstance(model, SurfaceLattice):
-        return _int(obj.get("curve"), f"{path}.curve")
+        return _curve_index(obj.get("curve"), model, f"{path}.curve")
     raise InputError(path, "flag for unsupported model type")
 
 
@@ -149,6 +159,9 @@ def instance_from_obj(obj, path="instance"):
     if isinstance(total, ToricVariety):
         total_flag = flag_from_obj(obj.get("total_flag"), total,
                                    f"{path}.total_flag")
+    elif isinstance(total, SurfaceLattice):
+        total_flag = _curve_index(obj.get("total_flag"), total,
+                                  f"{path}.total_flag")
     else:
         total_flag = _int(obj.get("total_flag"), f"{path}.total_flag")
     ample = {k: _rat_vec(v, f"{path}.ample.{k}")
@@ -184,8 +197,3 @@ def load_json(path: str):
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_instance(fs: FiberSpaceInstance, path: str):
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(fs.to_obj()))

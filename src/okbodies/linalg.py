@@ -29,17 +29,8 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(a, c):
-    c = frac(c)
-    return tuple(c * x for x in a)
 
 
 def mat_vec(rows, v):

@@ -5,6 +5,13 @@ The vertex description is canonical (sorted tuple of coordinate tuples of
 demand (primitive integer normals, lexicographically sorted).  All
 operations are pure and exact; floats never appear.
 
+Each polytope has one frame and one hull, computed once and cached: the
+frame projects the affine hull injectively onto its pivot coordinates,
+which scaled per axis become integer points, and `_int_hull` gives their
+extreme points and facets.  `hull` keeps the extreme points, `to_hrep`
+maps the facets back to ambient half-spaces, and `volume_in_dim` sums
+simplices over the same facets.
+
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
 """
@@ -15,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from . import kernel
 from .linalg import (clear_denominators_columns, dot, frac,
@@ -46,11 +53,17 @@ class HalfSpace:
 
 
 class Polytope:
-    """Bounded rational polytope, canonically the hull of its vertices."""
+    """Bounded rational polytope, canonically the hull of its vertices.
 
-    __slots__ = ("ambient_dim", "vertices", "_dim", "_hrep")
+    `_hull` caches the frame and integer hull of the vertices (see
+    `_frame_hull`); `hull` fills it from the hull it computes anyway, and
+    the other constructors leave it to be filled on first use.
+    """
 
-    def __init__(self, ambient_dim: int, vertices, _dim=None, _trusted=False):
+    __slots__ = ("ambient_dim", "vertices", "_dim", "_hrep", "_hull")
+
+    def __init__(self, ambient_dim: int, vertices, _dim=None, _trusted=False,
+                 _hull=None):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         if not _trusted:
@@ -59,6 +72,7 @@ class Polytope:
         self.vertices = tuple(vertices)
         self._dim = _dim
         self._hrep = None
+        self._hull = _hull
 
     # -- constructors ------------------------------------------------------
 
@@ -72,13 +86,13 @@ class Polytope:
         if any(len(p) != n for p in pts):
             raise ValueError("points of mixed ambient dimension")
         pts = sorted(set(pts))
-        extreme, d = _extreme_points(pts)
-        return Polytope(n, [pts[i] for i in sorted(extreme)], _dim=d,
-                        _trusted=True)
+        extreme, fh = _frame_hull(pts)
+        return Polytope(n, [pts[i] for i in extreme], _dim=fh[0],
+                        _trusted=True, _hull=fh)
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(ambient_dim, (), _dim=None, _trusted=True)
+        return Polytope(ambient_dim, (), _dim=-1, _trusted=True)
 
     @staticmethod
     def point(coords) -> "Polytope":
@@ -108,13 +122,12 @@ class Polytope:
 
     def dim(self) -> int:
         """Dimension of the affine hull; 0 for a point, -1 for empty."""
-        if self._dim is None:
-            if self.is_empty:
-                self._dim = -1
-            else:
-                diffs = [vec_sub(v, self.vertices[0]) for v in self.vertices[1:]]
-                self._dim = rank(diffs) if diffs else 0
         return self._dim
+
+    def _cached_hull(self):
+        if self._hull is None:
+            self._hull = _frame_hull(self.vertices)[1]
+        return self._hull
 
     def __eq__(self, other):
         return (isinstance(other, Polytope)
@@ -137,6 +150,7 @@ class Polytope:
 
         Lower-dimensional bodies carry their affine hull as equality pairs;
         the empty polytope is encoded by a canonical contradictory pair.
+        The facets are those of the cached hull, mapped back to R^n.
         """
         if self._hrep is None:
             self._hrep = self._compute_hrep()
@@ -150,7 +164,7 @@ class Polytope:
             return tuple(sorted(
                 [HalfSpace(e1, Fraction(-1)), HalfSpace(me1, Fraction(0))],
                 key=_hs_key))
-        out = list(_facet_halfspaces(list(self.vertices)))
+        out = _facet_halfspaces(self.vertices[0], self._cached_hull())
         return tuple(sorted((h.normalized() for h in out), key=_hs_key))
 
     # -- spec operations ---------------------------------------------------
@@ -190,7 +204,7 @@ class Polytope:
         Requires k >= dim; returns 0 when dim < k.  For k == dim <
         ambient_dim the affine hull must be an axis-aligned (coordinate)
         subspace, possibly translated; skew lower-dimensional bodies are
-        rejected.
+        rejected.  The volume is summed over the facets of the cached hull.
         """
         if self.is_empty:
             return Fraction(0)
@@ -201,16 +215,14 @@ class Polytope:
             return Fraction(0)
         if d == 0:
             return Fraction(1)
-        pts = list(self.vertices)
-        if d < self.ambient_dim:
-            keep = [c for c in range(self.ambient_dim)
-                    if any(p[c] != pts[0][c] for p in pts)]
-            if len(keep) != d:
-                raise ValueError(
-                    "volume_in_dim needs an axis-aligned affine hull; "
-                    "got a skew %d-dimensional body in R^%d" % (d, self.ambient_dim))
-            pts = [tuple(p[c] for c in keep) for p in pts]
-        return _volume_full(pts, d)
+        _d, pivots, _rows, ints, mults, facets = self._cached_hull()
+        p0 = self.vertices[0]
+        fixed = [c for c in range(self.ambient_dim) if c not in pivots]
+        if any(p[c] != p0[c] for p in self.vertices for c in fixed):
+            raise ValueError(
+                "volume_in_dim needs an axis-aligned affine hull; "
+                "got a skew %d-dimensional body in R^%d" % (d, self.ambient_dim))
+        return _int_volume(ints, d, facets) / prod(mults)
 
     def scale(self, lam) -> "Polytope":
         """Dilation {lam * x : x in P} about the origin, lam >= 0."""
@@ -293,20 +305,25 @@ def _hs_key(h: HalfSpace):
     return (tuple(h.normal), h.offset)
 
 
-# -- extreme points ---------------------------------------------------------
+# -- frame and hull ----------------------------------------------------------
 
 
-def _affine_frame(pts):
-    """(d, basis row vectors, pivot columns) for the affine hull of pts."""
+def _frame(pts):
+    """(d, sorted pivot columns, echelon rows) of the affine hull of pts.
+
+    The rows span the direction space of the hull, and each row's leading
+    nonzero entry sits at its own pivot column.  Restricted to the pivot
+    columns the rows thus form a unit triangular matrix, so projecting onto
+    the pivot columns is injective on the affine hull: the projected
+    points, scaled per axis to integers, are exact hull coordinates.
+    """
     p0 = pts[0]
     n = len(p0)
-    basis = []
     echelon = []
     for p in pts[1:]:
-        if len(basis) == n:
+        if len(echelon) == n:
             break
-        v = list(vec_sub(p, p0))
-        w = list(v)
+        w = list(vec_sub(p, p0))
         for row, piv in echelon:
             if w[piv] != 0:
                 f = w[piv]
@@ -315,38 +332,28 @@ def _affine_frame(pts):
         if piv is not None:
             inv = Fraction(1) / w[piv]
             echelon.append(([a * inv for a in w], piv))
-            basis.append(tuple(v))
-    pivcols = [piv for _, piv in echelon]
-    return len(basis), basis, pivcols
+    return (len(echelon), sorted(piv for _, piv in echelon),
+            [row for row, _ in echelon])
 
 
-def _coords_map(pts, basis, pivcols):
-    """Affine coordinates y(p) with y(p) . basis = p - p0, as rational tuples."""
-    p0 = pts[0]
-    d = len(basis)
-    bjt = [[basis[i][c] for i in range(d)] for c in pivcols]  # rows indexed by pivcols
-    out = []
-    for p in pts:
-        rhs = [p[c] - p0[c] for c in pivcols]
-        y = solve(bjt, rhs)
-        out.append(tuple(y))
-    return out
+def _frame_hull(pts):
+    """Extreme indices among distinct rational points, and their hull.
 
-
-def _extreme_points(pts):
-    """Indices of extreme points among distinct rational points, plus dim."""
-    if len(pts) == 1:
-        return [0], 0
-    d, basis, pivcols = _affine_frame(pts)
+    The hull is (d, pivots, rows, ints, mults, facets) as in `_frame`,
+    with ints[k] = mults * (pivot coordinates of the k-th extreme point)
+    and facets as in `_int_hull`, re-indexed onto the extreme points.
+    """
+    d, pivots, rows = _frame(pts)
     if d == 0:
-        return [0], 0
-    if d == len(pts[0]):
-        coords = pts  # full-dimensional: the points are their own coordinates
-    else:
-        coords = _coords_map(pts, basis, pivcols)
-    ints, _ = clear_denominators_columns(coords)
-    extreme, _facets = _int_hull(ints, d)
-    return sorted(extreme), d
+        return [0], (0, pivots, rows, [()], (), [])
+    ints, mults = clear_denominators_columns(
+        [tuple(p[c] for c in pivots) for p in pts])
+    extreme, facets = _int_hull(ints, d)
+    extreme = sorted(extreme)
+    new = {i: k for k, i in enumerate(extreme)}
+    facets = [(nrm, off, [new[i] for i in members if i in new])
+              for nrm, off, members in facets]
+    return extreme, (d, pivots, rows, [ints[i] for i in extreme], mults, facets)
 
 
 def _int_hull(ints, d):
@@ -424,20 +431,18 @@ def _brute_facets(ints, d):
 # -- facet enumeration (H-description) --------------------------------------
 
 
-def _facet_halfspaces(pts):
-    """Half-spaces of conv(pts): facet inequalities plus affine-hull
-    equality pairs for lower-dimensional bodies."""
-    n = len(pts[0])
-    p0 = pts[0]
-    if len(pts) == 1:
-        d, basis, pivcols = 0, [], []
-    else:
-        d, basis, pivcols = _affine_frame(pts)
+def _facet_halfspaces(p0, frame_hull):
+    """Half-spaces of a polytope with vertex p0 and the given frame and
+    hull: facet inequalities plus affine-hull equality pairs for
+    lower-dimensional bodies.  A facet g . y <= c of the integer
+    coordinates y = mults * x[pivots] is the ambient half-space with
+    normal g * mults on the pivot columns, zero elsewhere."""
+    n = len(p0)
+    d, pivots, rows, _ints, mults, facets = frame_hull
     out = []
-    # equalities cutting out the affine hull
     if d < n:
-        if basis:
-            hullspace = nullspace(basis)
+        if rows:
+            hullspace = nullspace(rows)
         else:
             hullspace = [tuple(Fraction(1) if j == i else Fraction(0)
                                for j in range(n)) for i in range(n)]
@@ -445,44 +450,12 @@ def _facet_halfspaces(pts):
             c = dot(w, p0)
             out.append(HalfSpace(qvec(w), c))
             out.append(HalfSpace(tuple(-x for x in w), -c))
-    if d == 0:
-        return out
-    if d == n:
-        coords = [vec_sub(p, p0) for p in pts]
-        mrows = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-                 for i in range(n)]
-    else:
-        coords = _coords_map(pts, basis, pivcols)
-        # inverse coordinate map: y = M (x - p0), rows of M in ambient space
-        dd = len(basis)
-        bjt = [[basis[i][c] for i in range(dd)] for c in pivcols]
-        minv = _invert_small(bjt)
-        mrows = []
-        for i in range(dd):
-            row = [Fraction(0)] * n
-            for k, c in enumerate(pivcols):
-                row[c] = minv[i][k]
-            mrows.append(tuple(row))
-    ints, mults = clear_denominators_columns(coords)
-
-    for g, c, _members in _int_hull(ints, d)[1]:
-        gy = [frac(g[i]) * mults[i] for i in range(d)]
-        normal = tuple(sum(gy[i] * mrows[i][col] for i in range(d))
-                       for col in range(n))
-        offset = frac(c) + dot(normal, p0)
-        out.append(HalfSpace(normal, offset))
+    for g, c, _members in facets:
+        normal = [Fraction(0)] * n
+        for gi, mi, col in zip(g, mults, pivots):
+            normal[col] = gi * mi
+        out.append(HalfSpace(tuple(normal), Fraction(c)))
     return out
-
-
-def _invert_small(rows):
-    """Inverse of a small square rational matrix (rows independent)."""
-    d = len(rows)
-    cols = []
-    for i in range(d):
-        rhs = [Fraction(1) if j == i else Fraction(0) for j in range(d)]
-        cols.append(solve(rows, rhs))
-    # cols[i] is the i-th column of the inverse
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
 # -- vertex enumeration (H -> V) ---------------------------------------------
@@ -510,30 +483,21 @@ def _vertex_enum(halfspaces, n):
 # -- exact volume ------------------------------------------------------------
 
 
-def _volume_full(pts, d):
-    """Volume of a full-dimensional rational point set in R^d."""
-    ints, mults = clear_denominators_columns(pts)
-    denom = Fraction(1)
-    for mx in mults:
-        denom *= mx
-    return _int_volume(ints, d) / denom
-
-
 # d! times the signed volume of the simplex (p0, a, ...)
 _SIMPLEX_ORIENT = {1: lambda p0, a: a[0] - p0[0],
                    2: kernel.orient2d,
                    3: kernel.orient3d}
 
 
-def _int_volume(ints, d):
-    """Volume of a full-dimensional integer point set in R^d, d <= 3: the
-    cones from the lex-min vertex over the facets that miss it, each facet
-    fanned into simplices from its first corner."""
+def _int_volume(ints, d, facets):
+    """Volume of the full-dimensional hull of integer vertices in R^d with
+    the given facets, d <= 3: the cones from the lex-min vertex over the
+    facets that miss it, each facet fanned into simplices from its first
+    corner."""
     if d > 3:
         raise NotImplementedError("exact volume is implemented up to dimension 3")
     orient = _SIMPLEX_ORIENT[d]
-    extreme, facets = _int_hull(ints, d)
-    v0 = min(extreme, key=lambda i: ints[i])
+    v0 = min(range(len(ints)), key=lambda i: ints[i])
     p0 = ints[v0]
     total = 0
     for _nrm, _off, poly in facets:

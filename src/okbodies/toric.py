@@ -430,9 +430,6 @@ class ToricFibration:
     def restrict_to_fiber(self, D: ToricDivisor) -> ToricDivisor:
         return ToricDivisor(self.fiber, tuple(D.coeffs[self.base_ray_count:]))
 
-    def vertical_part(self, D: ToricDivisor) -> ToricDivisor:
-        return ToricDivisor(self.base, tuple(D.coeffs[:self.base_ray_count]))
-
 
 def product_fibration(Y: ToricVariety, F: ToricVariety) -> ToricFibration:
     ny, nf = Y.dim, F.dim

@@ -125,6 +125,66 @@ class TestEpsLimitVerbs:
         assert rep["dim"] == 0
 
 
+class TestFlagInput:
+    """`body` and `limbody` need a flag on toric and surface models, and a
+    surface flag names one of the effective generators."""
+
+    MODELS = {"toric": ("models/plane.json", "models/d2.json"),
+              "surface": ("models/blown_up_plane_surface.json",
+                          "models/d_2h_plus_e.json")}
+
+    @pytest.mark.parametrize("verb", ["body", "limbody"])
+    @pytest.mark.parametrize("kind", ["toric", "surface"])
+    def test_missing_flag_is_input_error(self, corpus, capsys, verb, kind):
+        model, divisor = self.MODELS[kind]
+        code, out, err = run(capsys, verb, "--model", corpus / model,
+                             "--divisor", corpus / divisor)
+        assert code == 2
+        assert err.startswith("input error: ") and "--flag" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("verb", ["body", "limbody"])
+    def test_curve_needs_no_flag(self, capsys, tmp_path, verb):
+        (tmp_path / "model.json").write_text(
+            canonical_dumps({"kind": "curve", "genus": 1}))
+        (tmp_path / "divisor.json").write_text(canonical_dumps({"coeffs": ["3"]}))
+        code, out, err = run(capsys, verb, "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json")
+        assert code == 0, err
+        assert json.loads(out)["body"]["vertices"] == [["0"], ["3"]]
+
+    @pytest.mark.parametrize("index", [99, 2, -1])
+    def test_surface_flag_out_of_range(self, corpus, capsys, tmp_path, index):
+        model, divisor = self.MODELS["surface"]
+        flag = tmp_path / "flag.json"
+        flag.write_text(canonical_dumps({"curve": index}))
+        code, out, err = run(capsys, "body", "--model", corpus / model,
+                             "--divisor", corpus / divisor, "--flag", flag)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "out of range" in err
+        code, _, err = run(capsys, "validate", "--model", corpus / model,
+                           "--flag", flag)
+        assert code == 2 and "out of range" in err
+
+    def test_surface_flag_in_range(self, corpus, capsys):
+        model, divisor = self.MODELS["surface"]
+        code, _, err = run(capsys, "body", "--model", corpus / model,
+                           "--divisor", corpus / divisor,
+                           "--flag", corpus / "models/curve_flag.json")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_surface_total_flag_out_of_range(self, corpus, capsys, tmp_path,
+                                             index):
+        obj = load_json(corpus / "instances/ex41.json")
+        obj["total_flag"] = index
+        bad = tmp_path / "instance.json"
+        bad.write_text(canonical_dumps(obj))
+        code, _, err = run(capsys, "validate", "--instance", bad)
+        assert code == 2
+        assert "total_flag" in err and "out of range" in err
+
+
 class TestCheckVerb:
     def test_exit_codes(self, corpus, capsys):
         cases = [

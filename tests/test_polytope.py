@@ -1,10 +1,14 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okbodies.polytope import Polytope, hull
+from okbodies import polytope
+from okbodies.linalg import (clear_denominators_columns, dot, nullspace,
+                             qvec, solve, vec_sub)
+from okbodies.polytope import HalfSpace, Polytope, hull
 
 
 def tri():
@@ -281,3 +285,189 @@ def test_containment_monotonicity(pts):
     k = P.dim()
     if sub.dim() == k and k == P.ambient_dim:
         assert P.volume_in_dim(k) >= sub.volume_in_dim(k)
+
+
+# -- oracle: the per-point affine-coordinate path ------------------------------
+#
+# A test-local copy of the frame each polytope operation used to build on
+# its own: affine coordinates solved point by point in a basis of the
+# direction space, facet normals mapped back through the inverse basis
+# matrix, and volumes on a separate projection onto the varying columns.
+
+
+def _old_affine_frame(pts):
+    p0 = pts[0]
+    n = len(p0)
+    basis, echelon = [], []
+    for p in pts[1:]:
+        if len(basis) == n:
+            break
+        v = list(vec_sub(p, p0))
+        w = list(v)
+        for row, piv in echelon:
+            if w[piv] != 0:
+                f = w[piv]
+                w = [a - f * b for a, b in zip(w, row)]
+        piv = next((i for i, a in enumerate(w) if a != 0), None)
+        if piv is not None:
+            echelon.append(([a / w[piv] for a in w], piv))
+            basis.append(tuple(v))
+    return len(basis), basis, [piv for _, piv in echelon]
+
+
+def _old_coords_map(pts, basis, pivcols):
+    d = len(basis)
+    bjt = [[basis[i][c] for i in range(d)] for c in pivcols]
+    return [tuple(solve(bjt, [p[c] - pts[0][c] for c in pivcols]))
+            for p in pts]
+
+
+def _old_invert_small(rows):
+    d = len(rows)
+    cols = [solve(rows, [F(int(j == i)) for j in range(d)]) for i in range(d)]
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def _old_vertices(pts):
+    pts = sorted(set(qvec(p) for p in pts))
+    if len(pts) == 1:
+        return pts, 0
+    d, basis, pivcols = _old_affine_frame(pts)
+    coords = pts if d == len(pts[0]) else _old_coords_map(pts, basis, pivcols)
+    ints, _ = clear_denominators_columns(coords)
+    extreme, _ = polytope._int_hull(ints, d)
+    return [pts[i] for i in sorted(extreme)], d
+
+
+def _old_hrep(verts):
+    n, p0 = len(verts[0]), verts[0]
+    if len(verts) == 1:
+        d, basis, pivcols = 0, [], []
+    else:
+        d, basis, pivcols = _old_affine_frame(verts)
+    out = []
+    if d < n:
+        eqs = nullspace(basis) if basis else [
+            tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
+        for w in eqs:
+            out += [HalfSpace(qvec(w), dot(w, p0)),
+                    HalfSpace(tuple(-x for x in w), -dot(w, p0))]
+    if d > 0:
+        if d == n:
+            coords = [vec_sub(p, p0) for p in verts]
+            mrows = [tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
+        else:
+            coords = _old_coords_map(verts, basis, pivcols)
+            minv = _old_invert_small(
+                [[basis[i][c] for i in range(d)] for c in pivcols])
+            mrows = []
+            for i in range(d):
+                row = [F(0)] * n
+                for k, c in enumerate(pivcols):
+                    row[c] = minv[i][k]
+                mrows.append(tuple(row))
+        ints, mults = clear_denominators_columns(coords)
+        for g, c, _ in polytope._int_hull(ints, d)[1]:
+            gy = [g[i] * mults[i] for i in range(d)]
+            normal = tuple(sum(gy[i] * mrows[i][col] for i in range(d))
+                           for col in range(n))
+            out.append(HalfSpace(normal, c + dot(normal, p0)))
+    key = lambda h: (tuple(h.normal), h.offset)
+    return tuple(sorted((h.normalized() for h in out), key=key))
+
+
+def _old_volume(verts, d, k):
+    if k < d:
+        raise ValueError("body exceeds requested dimension")
+    if k > d:
+        return F(0)
+    if d == 0:
+        return F(1)
+    pts = verts
+    if d < len(verts[0]):
+        keep = [c for c in range(len(verts[0]))
+                if any(p[c] != verts[0][c] for p in verts)]
+        if len(keep) != d:
+            raise ValueError(
+                "volume_in_dim needs an axis-aligned affine hull; "
+                "got a skew %d-dimensional body in R^%d" % (d, len(verts[0])))
+        pts = [tuple(p[c] for c in keep) for p in verts]
+    if d > 3:
+        raise NotImplementedError("exact volume is implemented up to dimension 3")
+    ints, mults = clear_denominators_columns(pts)
+    extreme, facets = polytope._int_hull(ints, d)
+    v0 = min(extreme, key=lambda i: ints[i])
+    orient = {1: lambda p0, a: a[0] - p0[0], 2: polytope.kernel.orient2d,
+              3: polytope.kernel.orient3d}[d]
+    total = 0
+    for _, _, poly in facets:
+        if v0 in poly:
+            continue
+        for i in range(1, len(poly) - d + 2):
+            total += orient(ints[v0], *(ints[j] for j in poly[:1] + poly[i:i + d - 1]))
+    denom = F(1)
+    for mx in mults:
+        denom *= mx
+    return F(total, factorial(d)) / denom
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, NotImplementedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def flat_bodies(draw):
+    """Point sets spanning a d-dimensional affine subspace of R^n, n <= 4,
+    along coordinate axes or along random (skew) directions."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, n))
+    p0 = draw(st.tuples(*[coord] * n))
+    if draw(st.booleans()):
+        axes = draw(st.permutations(range(n)))[:d]
+        dirs = [tuple(F(int(c == a)) for c in range(n)) for a in axes]
+    else:
+        dirs = draw(st.lists(st.tuples(*[coord] * n), min_size=d, max_size=d))
+    cs = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                       max_size=8 if d == 4 else 10))
+    return [tuple(p0[i] + sum(c * v[i] for c, v in zip(cc, dirs))
+                  for i in range(n)) for cc in cs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_bodies())
+def test_one_frame_matches_affine_coordinate_oracle(pts):
+    P = hull(pts)
+    verts, d = _old_vertices(pts)
+    assert P.vertices == tuple(verts)
+    assert P.dim() == d
+    assert P.to_hrep() == _old_hrep(verts)
+    for k in range(P.ambient_dim + 1):
+        assert (_outcome(lambda: P.volume_in_dim(k))
+                == _outcome(lambda: _old_volume(verts, d, k)))
+
+
+def test_one_hull_per_polytope(monkeypatch):
+    calls = []
+    real = polytope._int_hull
+
+    def counting(ints, d):
+        calls.append(d)
+        return real(ints, d)
+
+    monkeypatch.setattr(polytope, "_int_hull", counting)
+    solid = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (F(1, 2), 1, F(1, 5))]
+    flat = [(0, 1, 0), (2, 1, 0), (0, 1, F(3, 2)), (1, 1, F(1, 3))]
+    for pts in (solid, flat):
+        calls.clear()
+        P = hull(pts)
+        P.to_hrep()
+        P.volume_in_dim(P.dim())
+        assert len(calls) == 1
+        # a dilate has no cached hull yet and builds exactly one on demand
+        Q = P.scale(3)
+        Q.to_hrep()
+        assert Q.volume_in_dim(Q.dim()) == 3 ** P.dim() * P.volume_in_dim(P.dim())
+        assert len(calls) == 2
