@@ -1,8 +1,9 @@
 """Exact rational Newton-Okounkov body computations on desk-scale models.
 
 Modules by layer: `polytope` (exact convex bodies), `toric` / `surface` /
-`curve` (variety models), `invariants` (bodies, volumes and numerical
-dimensions), `fiberspace` (fiber-space subadditivity checks), `cli`
+`curve` (variety models), `invariants` (one backend per kind of model, with
+its bodies, volumes, dimensions, canonical class and flag strata),
+`fiberspace` (subadditivity checks that ask only the backends), `cli`
 (command-line front end).  `kernel` holds the exact integer-geometry
 inner loops the polytope layer runs on.
 """

@@ -1,20 +1,11 @@
 """One-dimensional models: a smooth projective curve of a given genus.
-
-Divisor classes on a curve are tracked by degree alone (length-1 class
-vectors, for uniformity with the other models).  Degree-zero classes are
-taken to be the trivial class, which matches every model shipped here
-(canonical classes of elliptic curves); a nontrivial degree-zero bundle
-would have no sections, and such fixtures are not representable.
+Its divisor classes, tracked by degree, live in `invariants.CurveBackend`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .linalg import frac
-from .polytope import Polytope
-from .toric import NEG_INF
 
 
 @dataclass(frozen=True)
@@ -26,82 +17,8 @@ class CurveModel:
             raise ValueError("genus must be >= 0")
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def canonical_degree(self) -> Fraction:
         return Fraction(2 * self.genus - 2)
 
     def to_obj(self):
         return {"kind": "curve", "genus": self.genus}
-
-
-def degree_of(cls) -> Fraction:
-    """Degree of a length-1 class vector."""
-    if len(cls) != 1:
-        raise ValueError("curve classes are length-1 vectors")
-    return frac(cls[0])
-
-
-def body_val(C: CurveModel, deg) -> Polytope:
-    """Body of a degree-d class for a flag at a general point: [0, d].
-
-    Multiples of a positive-degree divisor are eventually base-point free,
-    so the vanishing orders at a general point fill [0, d]; the trivial
-    class gives the origin.
-    """
-    deg = frac(deg)
-    if deg < 0:
-        raise ValueError("divisor has no sections")
-    if deg == 0:
-        return Polytope.point([0])
-    return Polytope.hull([(Fraction(0),), (deg,)])
-
-
-def body_lim(C: CurveModel, deg) -> Polytope:
-    deg = frac(deg)
-    if deg < 0:
-        raise ValueError("divisor is not pseudoeffective")
-    return body_val(C, deg)
-
-
-def volume(C: CurveModel, deg) -> Fraction:
-    deg = frac(deg)
-    return deg if deg > 0 else Fraction(0)
-
-
-def kappa(C: CurveModel, deg):
-    deg = frac(deg)
-    if deg > 0:
-        return 1
-    if deg == 0:
-        return 0
-    return NEG_INF
-
-
-def dims(C: CurveModel, deg):
-    """(kappa, nu, kappa_vol) of a pseudoeffective degree-d class."""
-    deg = frac(deg)
-    if deg < 0:
-        raise ValueError("divisor is not pseudoeffective")
-    k = 1 if deg > 0 else 0
-    return k, k, k
-
-
-def nakayama_verdict(C: CurveModel, deg, stratum_dim: int):
-    """Stratum is the curve itself (dim 1) or the flag point (dim 0)."""
-    k = kappa(C, deg)
-    if k == NEG_INF or stratum_dim != k:
-        return "false", None
-    # positive degree restricted to the curve is the identity; the trivial
-    # class restricted to a general point keeps its one section
-    return "certified", None
-
-
-def is_positive_volume_subvariety(C: CurveModel, deg, stratum_dim: int) -> bool:
-    deg = frac(deg)
-    if deg < 0:
-        raise ValueError("divisor is not pseudoeffective")
-    nu = 1 if deg > 0 else 0
-    return stratum_dim == nu

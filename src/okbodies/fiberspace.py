@@ -6,7 +6,8 @@ restriction map to the fiber, a decomposition D ~ f*D_Y + R, and declared
 hypotheses (weak positivity, isotriviality) that are deep theorems outside
 numerical reach.  The checks verify everything that is decidable from the
 models, compute the three bodies for the fiber-type flag (base coordinates
-first, then fiber coordinates), and report machine-readable verdicts:
+first, then fiber coordinates), and report machine-readable verdicts; every
+model-specific rule (canonical classes, flag strata) is a backend's:
 
   holds   containment with margin 0 and equal bodies
   strict  containment with margin 0 and lhs strictly larger
@@ -23,10 +24,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import curve as curvemod
 from . import surface as surfmod
 from . import toric as toricmod
-from .invariants import ToricBackend, backend_for
+from .invariants import backend_for
 from .linalg import frac, mat_vec, qvec, solve_rect
 from .polytope import Polytope
 from .toric import NEG_INF
@@ -41,6 +41,10 @@ class UnsupportedCheck(ValueError):
     pass
 
 
+def _flag_obj(flag):
+    return flag.to_obj() if hasattr(flag, "to_obj") else flag
+
+
 @dataclass(frozen=True)
 class FiberTypeFlag:
     """Composite flag: base strata pulled back, then fiber strata.
@@ -53,8 +57,8 @@ class FiberTypeFlag:
     fiber_flag: object
 
     def to_obj(self):
-        enc = lambda f: f.to_obj() if hasattr(f, "to_obj") else None
-        return {"base": enc(self.base_flag), "fiber": enc(self.fiber_flag)}
+        return {"base": _flag_obj(self.base_flag),
+                "fiber": _flag_obj(self.fiber_flag)}
 
 
 @dataclass
@@ -106,6 +110,14 @@ class FiberSpaceInstance:
         return self.restrict(self.R)
 
     def _validate(self):
+        total, base, fiber = (self.total_backend, self.base_backend,
+                              self.fiber_backend)
+        if total.dim != base.dim + fiber.dim:
+            raise ValueError(f"total dimension {total.dim} is not base + "
+                             f"fiber dimension {base.dim} + {fiber.dim}")
+        if total.kind == "toric" and not base.kind == fiber.kind == "toric":
+            raise ValueError("a toric total space needs a toric base and a "
+                             "toric fiber")
         diff = tuple(d - p - r for d, p, r in
                      zip(self.D, self.pull(self.D_Y), self.R))
         if isinstance(self.total, toricmod.ToricVariety):
@@ -175,11 +187,8 @@ class FiberSpaceInstance:
                               "R": [str(x) for x in self.R]},
             "hypotheses": dict(sorted(self.hypotheses.items())),
             "flags": self.flag.to_obj(),
+            "total_flag": _flag_obj(self.total_flag),
         }
-        if isinstance(self.total_flag, toricmod.ToricFlag):
-            obj["total_flag"] = self.total_flag.to_obj()
-        else:
-            obj["total_flag"] = self.total_flag
         if self.ample:
             obj["ample"] = {k: [str(x) for x in v]
                             for k, v in sorted(self.ample.items())}
@@ -200,19 +209,13 @@ def _flag_has_nakayama(backend, cls, flag):
         return False, "kappa undeclared; Nakayama stratum unknown"
     if k == NEG_INF:
         return False, "class has no sections"
-    if isinstance(backend, ToricBackend):
-        verdict, _level = backend.nakayama(cls, flag.stratum(backend.dim - k))
-    else:
-        verdict, _level = backend.nakayama(cls, k)
+    verdict, _level = backend.nakayama(cls, backend.stratum(flag, k))
     return verdict != "false", f"Nakayama stratum verdict: {verdict}"
 
 
 def _flag_has_pvs(backend, cls, flag) -> bool:
     nu = backend.dims(cls).nu_bdpp
-    if isinstance(backend, ToricBackend):
-        stratum = flag.stratum(backend.dim - nu)
-        return backend.is_pvs(cls, stratum, backend.some_ample())
-    return backend.is_pvs(cls, nu)
+    return backend.is_pvs(cls, backend.stratum(flag, nu))
 
 
 # -- reports ------------------------------------------------------------------
@@ -285,16 +288,14 @@ def _check_hypotheses(pairs):
 # -- individual checks --------------------------------------------------------
 
 
-def check_thm_1_3(fs: FiberSpaceInstance, A_Y=None) -> CheckReport:
+def check_thm_1_3(fs: FiberSpaceInstance) -> CheckReport:
     """Valuative subadditivity with an ample pad pulled back from the base:
     body(D + f*A_Y) must contain the Minkowski sum of the base body of D_Y
     and the fiber body of R|_F."""
     name = "thm1_3"
-    if A_Y is None:
-        if "A_Y" not in fs.ample:
-            return _gated(name, fs, ["no base ample class A_Y supplied"])
-        A_Y = fs.ample["A_Y"]
-    A_Y = qvec(A_Y)
+    if "A_Y" not in fs.ample:
+        return _gated(name, fs, ["no base ample class A_Y supplied"])
+    A_Y = qvec(fs.ample["A_Y"])
     rf = fs.R_fiber
     nak_base, note_b = fs.base_nakayama_ok(fs.D_Y)
     nak_fiber, note_f = fs.fiber_nakayama_ok(rf)
@@ -370,19 +371,9 @@ def check_cor_3_5(fs: FiberSpaceInstance) -> CheckReport:
 
 def _canonical_classes(fs: FiberSpaceInstance):
     """K_X, K_Y, K_F in the three class groups, from the models."""
-    if isinstance(fs.total, toricmod.ToricVariety):
-        kx = tuple(Fraction(-1) for _ in fs.total.rays)
-    else:
-        kx = qvec(fs.total.canonical_class)
-    ky = (fs.base.canonical_degree,) if isinstance(fs.base, curvemod.CurveModel) \
-        else None
-    kf = (fs.fiber.canonical_degree,) if isinstance(fs.fiber, curvemod.CurveModel) \
-        else None
-    if isinstance(fs.base, toricmod.ToricVariety):
-        ky = tuple(Fraction(-1) for _ in fs.base.rays)
-    if isinstance(fs.fiber, toricmod.ToricVariety):
-        kf = tuple(Fraction(-1) for _ in fs.fiber.rays)
-    return kx, ky, kf
+    return (fs.total_backend.canonical_class(),
+            fs.base_backend.canonical_class(),
+            fs.fiber_backend.canonical_class())
 
 
 def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
@@ -493,23 +484,21 @@ def check_thm_1_2(fs: FiberSpaceInstance) -> CheckReport:
         notes=notes)
 
 
-def check_lemma_3_1(fs: FiberSpaceInstance, fiber_stratum=None) -> CheckReport:
+def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
     """Restricted-volume transfer: the volume of D restricted from the
     total space to a Nakayama subvariety N of R|_F inside the fiber equals
     the volume of R|_F restricted from the fiber.  Both sides are computed
     independently by lattice enumeration.
 
-    N defaults to the fiber-flag stratum of dimension kappa(R|_F)."""
+    N is the fiber-flag stratum of dimension kappa(R|_F)."""
     name = "lemma3_1"
     if not isinstance(fs.total, toricmod.ToricVariety):
         raise UnsupportedCheck("lemma3_1 requires a toric instance")
     rf = fs.R_fiber
-    if fiber_stratum is None:
-        k = fs.fiber_backend.kappa(rf)
-        if k == NEG_INF:
-            return _gated(name, fs, ["R|_F has no sections"])
-        fiber_stratum = fs.flag.fiber_flag.stratum(fs.fiber_backend.dim - k)
-    fiber_stratum = tuple(fiber_stratum)
+    k = fs.fiber_backend.kappa(rf)
+    if k == NEG_INF:
+        return _gated(name, fs, ["R|_F has no sections"])
+    fiber_stratum = fs.fiber_backend.stratum(fs.flag.fiber_flag, k)
     verdict_n, _ = fs.fiber_backend.nakayama(rf, fiber_stratum)
     failures = _check_hypotheses([
         ("f_* O(mR) weakly positive (declared)",
@@ -576,6 +565,8 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     """
     grid_step = frac(grid_step)
     bound = frac(bound)
+    if grid_step <= 0:
+        raise ValueError(f"grid step must be positive, got {grid_step}")
     lhs0 = fs.total_val_body(fs.D)
     base0 = fs.embed_base(fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag))
     fiber0 = fs.embed_fiber(

@@ -2,10 +2,10 @@
 volumes, and the subvariety predicates, dispatching to the toric, surface,
 or curve backend.
 
-A backend wraps one variety model and exposes the capabilities the
-fiber-space checks need; flags and strata are backend-specific (an ordered
-invariant flag for toric models, a flag-curve index for surfaces, nothing
-for curves, where the flag is always (curve, general point)).
+A backend wraps one variety model and owns every rule that depends on its
+kind, among them the canonical class and `stratum(flag, dim)`, the flag
+stratum of dimension dim (ray indices of a toric flag; the dimension itself
+on surfaces and on curves, whose flag is always (curve, general point)).
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import curve as curvemod
 from . import surface as surfmod
 from . import toric as toricmod
+from .curve import CurveModel
 from .linalg import frac, qvec, solve
 from .polytope import Polytope
 from .toric import NEG_INF
@@ -74,6 +74,13 @@ class ToricBackend:
     @property
     def dim(self):
         return self.X.dim
+
+    def canonical_class(self):
+        return tuple(Fraction(-1) for _ in self.X.rays)
+
+    def stratum(self, flag, dim):
+        """Ray indices cutting out the flag stratum of dimension `dim`."""
+        return flag.ray_order[:self.dim - dim]
 
     def _div(self, cls) -> toricmod.ToricDivisor:
         return toricmod.ToricDivisor(self.X, qvec(cls))
@@ -167,10 +174,12 @@ class ToricBackend:
         ys = [f(tuple(c + x * a for c, a in zip(cls, A))) for x in xs]
         return _poly_fit(xs, ys)
 
-    def nakayama(self, cls, stratum, m_max=10):
-        return toricmod.nakayama_verdict(self.X, self._div(cls), stratum, m_max)
+    def nakayama(self, cls, stratum):
+        return toricmod.nakayama_verdict(self.X, self._div(cls), stratum)
 
-    def is_pvs(self, cls, stratum, A) -> bool:
+    def is_pvs(self, cls, stratum, A=None) -> bool:
+        if A is None:
+            A = self.some_ample()
         nu = self.dims(cls, A).nu_bdpp
         if self.X.dim - len(tuple(stratum)) != nu:
             return False
@@ -195,12 +204,17 @@ class SurfaceBackend:
     def dim(self):
         return 2
 
+    def canonical_class(self):
+        return qvec(self.S.canonical_class)
+
+    def stratum(self, flag_curve, dim):
+        return dim
+
     def is_psef(self, cls):
         return surfmod.is_psef(self.S, cls)
 
-    def is_effective(self, cls):
-        # numerical data cannot separate effective from psef; psef stands in
-        return surfmod.is_psef(self.S, cls)
+    # numerical data cannot separate effective from psef; psef stands in
+    is_effective = is_psef
 
     def is_big(self, cls):
         return surfmod.cone_tests(self.S, cls)["is_big"]
@@ -242,7 +256,7 @@ class SurfaceBackend:
         return surfmod.restricted_volume_plus(self.S, cls, stratum_dim,
                                               flag_curve)
 
-    def nakayama(self, cls, stratum_dim, m_max=10, flag_curve=None):
+    def nakayama(self, cls, stratum_dim):
         """Surfaces cannot enumerate sections; only the trivial cases are
         certified, the rest stay bounded-level declarations."""
         k = self.kappa(cls)
@@ -252,31 +266,43 @@ class SurfaceBackend:
             return "certified", None  # restriction to X is the identity
         return "checked_up_to", 0
 
-    def is_pvs(self, cls, stratum_dim, A=None, flag_curve=None) -> bool:
+    def is_pvs(self, cls, stratum_dim, A=None) -> bool:
         if A is None:
             A = surfmod.some_ample(self.S)
         nu = surfmod.numerical_dims_surface(self.S, cls, A)["nu_bdpp"]
         if stratum_dim != nu:
             return False
-        return self.restricted_volume_plus(cls, stratum_dim, A, flag_curve) > 0
+        return self.restricted_volume_plus(cls, stratum_dim, A) > 0
 
 
 # -- curve backend ------------------------------------------------------------
 
 
 class CurveBackend:
+    """Divisor classes are tracked by degree (length-1 class vectors).
+    Degree zero is taken to be the trivial class, as in every model shipped
+    here; a nontrivial degree-zero bundle would have no sections."""
+
     kind = "curve"
 
-    def __init__(self, C: curvemod.CurveModel):
+    def __init__(self, C: CurveModel):
         self.C = C
 
     @property
     def dim(self):
         return 1
 
+    def canonical_class(self):
+        return (self.C.canonical_degree,)
+
+    def stratum(self, flag, dim):
+        return dim
+
     @staticmethod
     def _deg(cls):
-        return curvemod.degree_of(cls)
+        if len(cls) != 1:
+            raise ValueError("curve classes are length-1 vectors")
+        return frac(cls[0])
 
     def is_effective(self, cls):
         return self._deg(cls) >= 0
@@ -286,24 +312,42 @@ class CurveBackend:
     def is_big(self, cls):
         return self._deg(cls) > 0
 
-    def is_ample(self, cls):
-        return self._deg(cls) > 0
+    is_ample = is_big
 
     def body_val(self, cls, flag=None) -> Polytope:
-        return curvemod.body_val(self.C, self._deg(cls))
+        """Body for the flag at a general point: [0, d].
+
+        Multiples of a positive-degree divisor are eventually base-point
+        free, so the vanishing orders at a general point fill [0, d]; the
+        trivial class gives the origin.
+        """
+        return self._segment(cls, "divisor has no sections")
 
     def body_lim(self, cls, flag=None, A=None) -> Polytope:
-        return curvemod.body_lim(self.C, self._deg(cls))
+        return self._segment(cls, "divisor is not pseudoeffective")
+
+    def _segment(self, cls, negative_degree_error) -> Polytope:
+        deg = self._deg(cls)
+        if deg < 0:
+            raise ValueError(negative_degree_error)
+        if deg == 0:
+            return Polytope.point([0])
+        return Polytope.hull([(Fraction(0),), (deg,)])
 
     def volume(self, cls) -> Fraction:
-        return curvemod.volume(self.C, self._deg(cls))
+        return max(self._deg(cls), Fraction(0))
 
     def kappa(self, cls):
-        return curvemod.kappa(self.C, self._deg(cls))
+        deg = self._deg(cls)
+        if deg < 0:
+            return NEG_INF
+        return 1 if deg > 0 else 0
 
     def dims(self, cls, A=None) -> DimsReport:
-        k, nu, kv = curvemod.dims(self.C, self._deg(cls))
-        return DimsReport(kappa=k, nu_bdpp=nu, kappa_vol=kv, kappa_sigma=kv)
+        if not self.is_psef(cls):
+            raise ValueError("divisor is not pseudoeffective")
+        k = self.kappa(cls)
+        return DimsReport(kappa=k, nu_bdpp=k, kappa_vol=k, kappa_sigma=k)
 
     def restricted_volume_plus(self, cls, stratum_dim, A=None) -> Fraction:
         deg = self._deg(cls)
@@ -313,12 +357,19 @@ class CurveBackend:
             return Fraction(1)
         raise ValueError("stratum dimension out of range")
 
-    def nakayama(self, cls, stratum_dim, m_max=10):
-        return curvemod.nakayama_verdict(self.C, self._deg(cls), stratum_dim)
+    def nakayama(self, cls, stratum_dim):
+        """Stratum is the curve itself (dim 1) or the flag point (dim 0)."""
+        k = self.kappa(cls)
+        if k == NEG_INF or stratum_dim != k:
+            return "false", None
+        # positive degree restricted to the curve is the identity; the
+        # trivial class restricted to a general point keeps its one section
+        return "certified", None
 
     def is_pvs(self, cls, stratum_dim, A=None) -> bool:
-        return curvemod.is_positive_volume_subvariety(self.C, self._deg(cls),
-                                                      stratum_dim)
+        if not self.is_psef(cls):
+            raise ValueError("divisor is not pseudoeffective")
+        return stratum_dim == self.kappa(cls)
 
 
 def backend_for(model):
@@ -326,7 +377,7 @@ def backend_for(model):
         return ToricBackend(model)
     if isinstance(model, surfmod.SurfaceLattice):
         return SurfaceBackend(model)
-    if isinstance(model, curvemod.CurveModel):
+    if isinstance(model, CurveModel):
         return CurveBackend(model)
     raise TypeError("unsupported model type: %r" % type(model))
 

@@ -119,10 +119,6 @@ class ToricFlag:
         if sorted(self.ray_order) != sorted(X.max_cones[self.cone]):
             raise ValueError("flag ray_order must permute the cone's rays")
 
-    def stratum(self, i: int) -> tuple[int, ...]:
-        """Ray indices cutting out the codimension-i flag stratum."""
-        return self.ray_order[:i]
-
     def to_obj(self):
         return {"cone": self.cone, "ray_order": list(self.ray_order)}
 

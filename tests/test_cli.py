@@ -250,6 +250,55 @@ class TestScalingSearchVerb:
         assert ["1", "1", "1"] not in rep["feasible"]
 
 
+    @pytest.mark.parametrize("step", ["0", "-1/4"])
+    def test_nonpositive_step_is_input_error(self, corpus, capsys,
+                                             monkeypatch, step):
+        def no_body(self, cls):
+            raise AssertionError("body computed for a bad grid step")
+
+        monkeypatch.setattr(fsmod.FiberSpaceInstance, "total_val_body",
+                            no_body)
+        code, out, err = run(capsys, "scaling-search", "--instance",
+                             corpus / "instances/ex42.json",
+                             f"--grid-step={step}")
+        assert code == 2 and out == ""
+        assert "grid step must be positive" in err
+
+
+class TestInstanceShape:
+    """Instances whose models cannot form a fibration are input errors."""
+
+    def _write(self, tmp_path, obj):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("part", ["base", "fiber"])
+    def test_toric_total_over_curve(self, capsys, tmp_path, part):
+        obj = FX.prod_line_line().to_obj()
+        obj[part] = {"kind": "curve", "genus": 0}
+        path = self._write(tmp_path, obj)
+        code, _, err = run(capsys, "validate", "--instance", path)
+        assert code == 2
+        assert "toric total space needs a toric base and a toric fiber" in err
+
+    @pytest.mark.parametrize("argv", [("validate",), ("check", "thm1_1"),
+                                      ("check", "thm1_2")])
+    def test_dimensions_must_add(self, capsys, tmp_path, argv):
+        obj = {"name": "curve_over_curves",
+               "base": {"kind": "curve", "genus": 1},
+               "fiber": {"kind": "curve", "genus": 1},
+               "total": {"kind": "curve", "genus": 2},
+               "pullback": [["1"]], "restriction": [["0"]],
+               "decomposition": {"D": ["0"], "D_Y": ["0"], "R": ["0"]},
+               "hypotheses": {"weakly_positive": True},
+               "flags": {"base": None, "fiber": None}, "total_flag": 0}
+        path = self._write(tmp_path, obj)
+        code, _, err = run(capsys, *argv, "--instance", path)
+        assert code == 2
+        assert "total dimension 1 is not base + fiber dimension 1 + 1" in err
+
+
 class TestPlots:
     def test_csv_and_svg(self, corpus, capsys, tmp_path):
         body_file = tmp_path / "body.json"
@@ -307,15 +356,20 @@ class TestValidateVerb:
 class TestCorpusOnDisk:
     """The committed fixture corpus must match the builders byte for byte."""
 
-    @pytest.mark.skipif(not REPO_FIXTURES.exists(),
-                        reason="fixture corpus not present")
+    def test_tree_matches_write_corpus(self, tmp_path):
+        FX.write_corpus(tmp_path)
+
+        def tree(root):
+            return {p.relative_to(root).as_posix(): p.read_text()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert tree(REPO_FIXTURES) == tree(tmp_path)
+
     def test_instances_match_builders(self):
         for name, builder in FX.ALL_INSTANCES.items():
             path = REPO_FIXTURES / "instances" / f"{name}.json"
             assert path.read_text() == canonical_dumps(builder().to_obj())
 
-    @pytest.mark.skipif(not REPO_FIXTURES.exists(),
-                        reason="fixture corpus not present")
     def test_instances_parse_and_roundtrip(self):
         for path in sorted((REPO_FIXTURES / "instances").glob("*.json")):
             obj = load_json(str(path))
