@@ -7,11 +7,15 @@ hypotheses (weak positivity, isotriviality) that are deep theorems outside
 numerical reach.  The checks verify everything that is decidable from the
 models, compute the three bodies for the fiber-type flag (base coordinates
 first, then fiber coordinates), and report machine-readable verdicts; every
-model-specific rule (canonical classes, flag strata) is a backend's:
+model-specific rule (canonical classes, flag strata) is a backend's.
+
+Each body check compares the total-space body with the product
+Delta_Y(D_Y) x Delta_F(R|_F) (`Polytope.product`): its vertices are the
+pairs of vertices, its dimensions add and its volumes multiply.
 
   holds   containment with margin 0 and equal bodies
   strict  containment with margin 0 and lhs strictly larger
-  fails   some vertex of the sum escapes the total-space body
+  fails   some vertex of the product escapes the total-space body
   hypotheses-not-met  a precondition failed; nothing is asserted
 
 Exit semantics for the CLI: holds/strict -> 0, fails -> 1, gated -> 2.
@@ -37,10 +41,6 @@ FAILS = "fails"
 GATED = "hypotheses-not-met"
 
 
-class UnsupportedCheck(ValueError):
-    pass
-
-
 def _flag_obj(flag):
     return flag.to_obj() if hasattr(flag, "to_obj") else flag
 
@@ -49,8 +49,8 @@ def _flag_obj(flag):
 class FiberTypeFlag:
     """Composite flag: base strata pulled back, then fiber strata.
 
-    Valuation vectors concatenate base coordinates first, so the base body
-    embeds as Delta_Y x {0} and the fiber body as {0} x Delta_F.
+    Valuation vectors concatenate base coordinates first, so the
+    right-hand side of subadditivity is the product Delta_Y x Delta_F.
     """
 
     base_flag: object   # ToricFlag or None (curves have a unique flag shape)
@@ -83,21 +83,12 @@ class FiberSpaceInstance:
         self.R = qvec(self.R)
         self.pullback = tuple(qvec(row) for row in self.pullback)
         self.restriction = tuple(qvec(row) for row in self.restriction)
+        self.total_backend = backend_for(self.total)
+        self.base_backend = backend_for(self.base)
+        self.fiber_backend = backend_for(self.fiber)
         self._validate()
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def base_backend(self):
-        return backend_for(self.base)
-
-    @property
-    def fiber_backend(self):
-        return backend_for(self.fiber)
-
-    @property
-    def total_backend(self):
-        return backend_for(self.total)
 
     def pull(self, base_cls):
         return mat_vec(self.pullback, qvec(base_cls))
@@ -151,12 +142,6 @@ class FiberSpaceInstance:
     def total_lim_body(self, cls) -> Polytope:
         A = self.ample.get("A")
         return self.total_backend.body_lim(cls, self.total_flag, A)
-
-    def embed_base(self, body: Polytope) -> Polytope:
-        return body.embed(0, self.fiber_backend.dim)
-
-    def embed_fiber(self, body: Polytope) -> Polytope:
-        return body.embed(self.base_backend.dim, 0)
 
     # -- flag strata --------------------------------------------------------
 
@@ -267,11 +252,18 @@ def _body_summary(body: Polytope) -> dict:
             "dim": d, "volume": str(vol)}
 
 
-def _inclusion_verdict(lhs: Polytope, rhs: Polytope):
+def _subadditivity_report(name, fs, lhs: Polytope, base_body: Polytope,
+                          fiber_body: Polytope, **fields) -> CheckReport:
+    """Report on lhs containing base_body x fiber_body: holds, strict or
+    fails with its margin, and both bodies summarized; `fields` are the
+    check's own dims, volumes and notes."""
+    rhs = base_body.product(fiber_body)
     contained, margin = lhs.contains(rhs)
-    if not contained:
-        return FAILS, margin
-    return (HOLDS if lhs == rhs else STRICT), Fraction(0)
+    verdict = (HOLDS if lhs == rhs else STRICT) if contained else FAILS
+    return CheckReport(check_name=name, instance=fs.name, digest=fs.digest(),
+                       verdict=verdict, margin=margin,
+                       lhs=_body_summary(lhs), rhs=_body_summary(rhs),
+                       **fields)
 
 
 def _gated(name, fs, failures, notes=()):
@@ -290,8 +282,8 @@ def _check_hypotheses(pairs):
 
 def check_thm_1_3(fs: FiberSpaceInstance) -> CheckReport:
     """Valuative subadditivity with an ample pad pulled back from the base:
-    body(D + f*A_Y) must contain the Minkowski sum of the base body of D_Y
-    and the fiber body of R|_F."""
+    body(D + f*A_Y) must contain the product of the base body of D_Y and
+    the fiber body of R|_F."""
     name = "thm1_3"
     if "A_Y" not in fs.ample:
         return _gated(name, fs, ["no base ample class A_Y supplied"])
@@ -317,12 +309,8 @@ def check_thm_1_3(fs: FiberSpaceInstance) -> CheckReport:
         return _gated(name, fs, [f"valuative body unavailable: {exc}"])
     base_body = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_val(rf, fs.flag.fiber_flag)
-    rhs = fs.embed_base(base_body) + fs.embed_fiber(fiber_body)
-    verdict, margin = _inclusion_verdict(lhs, rhs)
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=verdict, margin=margin,
-        lhs=_body_summary(lhs), rhs=_body_summary(rhs),
+    return _subadditivity_report(
+        name, fs, lhs, base_body, fiber_body,
         dims={"lhs": lhs.dim(), "base": base_body.dim(),
               "fiber": fiber_body.dim()},
         volumes={"lhs": lhs.volume_in_dim(lhs.dim()),
@@ -355,15 +343,11 @@ def check_cor_3_5(fs: FiberSpaceInstance) -> CheckReport:
         return _gated(name, fs, [f"valuative body unavailable: {exc}"])
     base_body = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_val(rf, fs.flag.fiber_flag)
-    rhs = fs.embed_base(base_body) + fs.embed_fiber(fiber_body)
-    verdict, margin = _inclusion_verdict(lhs, rhs)
     kd, kb, kf = lhs.dim(), base_body.dim(), fiber_body.dim()
     notes = [f"kappa superadditivity: {kd} >= {kb} + {kf}: "
              f"{'ok' if kd >= kb + kf else 'VIOLATED'}"]
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=verdict, margin=margin,
-        lhs=_body_summary(lhs), rhs=_body_summary(rhs),
+    return _subadditivity_report(
+        name, fs, lhs, base_body, fiber_body,
         dims={"lhs": kd, "base": kb, "fiber": kf},
         volumes={"lhs": lhs.volume_in_dim(kd)},
         notes=notes)
@@ -404,15 +388,14 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
     lhs = fs.total_lim_body(kx)
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_lim(kf, fs.flag.fiber_flag)
-    rhs = fs.embed_base(base_body) + fs.embed_fiber(fiber_body)
-    verdict, margin = _inclusion_verdict(lhs, rhs)
     nu_x = fs.total_backend.dims(kx, fs.ample.get("A")).nu_bdpp
     nu_y = fs.base_backend.dims(ky).nu_bdpp
     nu_f = fs.fiber_backend.dims(kf).nu_bdpp
     notes = [f"nu inequality: {nu_x} >= {nu_y} + {nu_f}: "
              f"{'ok' if nu_x >= nu_y + nu_f else 'VIOLATED'}"]
     volumes = {}
-    if nu_x == nu_y + nu_f and fs.fiber_backend.is_big(kf):
+    product_formula = nu_x == nu_y + nu_f and fs.fiber_backend.is_big(kf)
+    if product_formula:
         vx = lhs.volume_in_dim(nu_x)
         vy = base_body.volume_in_dim(nu_y)
         vf = fiber_body.volume_in_dim(nu_f)
@@ -423,16 +406,15 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
         notes.append(f"canonical volume product formula: {vx} >= {vy} * {vf}: "
                      f"{'ok' if ok else 'VIOLATED'}"
                      + (" (equality)" if eq else ""))
-        if verdict == HOLDS:
-            notes.append("body equality implies birational isotriviality; "
-                         "instance declares isotrivial="
-                         + str(fs.hypotheses.get("isotrivial")))
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=verdict, margin=margin,
-        lhs=_body_summary(lhs), rhs=_body_summary(rhs),
+    report = _subadditivity_report(
+        name, fs, lhs, base_body, fiber_body,
         dims={"nu_X": nu_x, "nu_Y": nu_y, "nu_F": nu_f},
         volumes=volumes, notes=notes)
+    if product_formula and report.verdict == HOLDS:
+        report.notes.append("body equality implies birational isotriviality; "
+                            "instance declares isotrivial="
+                            + str(fs.hypotheses.get("isotrivial")))
+    return report
 
 
 def check_thm_1_2(fs: FiberSpaceInstance) -> CheckReport:
@@ -464,8 +446,6 @@ def check_thm_1_2(fs: FiberSpaceInstance) -> CheckReport:
         return _gated(name, fs, [f"valuative body unavailable: {exc}"])
     base_body = fs.base_backend.body_val(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_val(kf, fs.flag.fiber_flag)
-    rhs = fs.embed_base(base_body) + fs.embed_fiber(fiber_body)
-    verdict, margin = _inclusion_verdict(lhs, rhs)
     ky_dim = fs.base_backend.kappa(ky)
     kf_dim = fs.fiber_backend.kappa(kf)
     addition = kappa_x == ky_dim + kf_dim
@@ -474,14 +454,13 @@ def check_thm_1_2(fs: FiberSpaceInstance) -> CheckReport:
              f"{'ok' if addition else 'VIOLATED'}",
              f"easy addition bound kappa(K_X) <= dim Y + kappa(K_F): "
              f"{'ok' if easy else 'VIOLATED'}"]
-    if not addition or not easy:
-        verdict = FAILS
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=verdict, margin=margin,
-        lhs=_body_summary(lhs), rhs=_body_summary(rhs),
+    report = _subadditivity_report(
+        name, fs, lhs, base_body, fiber_body,
         dims={"kappa_X": kappa_x, "kappa_Y": ky_dim, "kappa_F": kf_dim},
         notes=notes)
+    if not addition or not easy:
+        report.verdict = FAILS
+    return report
 
 
 def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
@@ -493,7 +472,8 @@ def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
     N is the fiber-flag stratum of dimension kappa(R|_F)."""
     name = "lemma3_1"
     if not isinstance(fs.total, toricmod.ToricVariety):
-        raise UnsupportedCheck("lemma3_1 requires a toric instance")
+        return _gated(name, fs, [],
+                      notes=["lemma3_1 requires a toric instance"])
     rf = fs.R_fiber
     k = fs.fiber_backend.kappa(rf)
     if k == NEG_INF:
@@ -557,7 +537,7 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
 def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
                    bound=Fraction(4)) -> dict:
     """Grid scan for dilation factors with
-    alpha * body(D) containing beta * body(D_Y) + gamma * body(R|_F).
+    alpha * body(D) containing beta * body(D_Y) x gamma * body(R|_F).
 
     Reports every feasible positive triple on the grid and the minimal
     feasible alpha for beta = gamma = 1 (a bound on the grid, not an
@@ -568,9 +548,8 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     if grid_step <= 0:
         raise ValueError(f"grid step must be positive, got {grid_step}")
     lhs0 = fs.total_val_body(fs.D)
-    base0 = fs.embed_base(fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag))
-    fiber0 = fs.embed_fiber(
-        fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag))
+    base0 = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
+    fiber0 = fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag)
     values = []
     v = grid_step
     while v <= bound:
@@ -582,7 +561,7 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
         for be in values:
             b = base0.scale(be)
             for ga in values:
-                if lhs.contains(b + fiber0.scale(ga))[0]:
+                if lhs.contains(b.product(fiber0.scale(ga)))[0]:
                     feasible.append((al, be, ga))
     minimal_alpha = next((al for (al, be, ga) in feasible
                           if be == 1 and ga == 1), None)

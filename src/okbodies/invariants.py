@@ -4,8 +4,9 @@ or curve backend.
 
 A backend wraps one variety model and owns every rule that depends on its
 kind, among them the canonical class and `stratum(flag, dim)`, the flag
-stratum of dimension dim (ray indices of a toric flag; the dimension itself
-on surfaces and on curves, whose flag is always (curve, general point)).
+stratum of dimension dim (ray indices of a toric flag; the pair (dim, flag
+curve) on surfaces; the dimension itself on curves, whose flag is always
+(curve, general point)).
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ class SurfaceBackend:
         return qvec(self.S.canonical_class)
 
     def stratum(self, flag_curve, dim):
-        return dim
+        """(dim, flag curve): the surface, the flag curve or the flag point."""
+        return dim, flag_curve
 
     def is_psef(self, cls):
         return surfmod.is_psef(self.S, cls)
@@ -251,14 +253,15 @@ class SurfaceBackend:
                           kappa_vol=nd["kappa_vol"],
                           kappa_sigma=self.S.kappa_sigma_declared(cls))
 
-    def restricted_volume_plus(self, cls, stratum_dim, A=None,
-                               flag_curve=None) -> Fraction:
+    def restricted_volume_plus(self, cls, stratum, A=None) -> Fraction:
+        stratum_dim, flag_curve = stratum
         return surfmod.restricted_volume_plus(self.S, cls, stratum_dim,
                                               flag_curve)
 
-    def nakayama(self, cls, stratum_dim):
+    def nakayama(self, cls, stratum):
         """Surfaces cannot enumerate sections; only the trivial cases are
         certified, the rest stay bounded-level declarations."""
+        stratum_dim, _flag_curve = stratum
         k = self.kappa(cls)
         if k is not None and stratum_dim != k:
             return "false", None
@@ -266,13 +269,13 @@ class SurfaceBackend:
             return "certified", None  # restriction to X is the identity
         return "checked_up_to", 0
 
-    def is_pvs(self, cls, stratum_dim, A=None) -> bool:
+    def is_pvs(self, cls, stratum, A=None) -> bool:
         if A is None:
             A = surfmod.some_ample(self.S)
         nu = surfmod.numerical_dims_surface(self.S, cls, A)["nu_bdpp"]
-        if stratum_dim != nu:
+        if stratum[0] != nu:
             return False
-        return self.restricted_volume_plus(cls, stratum_dim, A) > 0
+        return self.restricted_volume_plus(cls, stratum, A) > 0
 
 
 # -- curve backend ------------------------------------------------------------

@@ -180,6 +180,20 @@ class Polytope:
 
     __add__ = minkowski_sum
 
+    def product(self, other: "Polytope") -> "Polytope":
+        """Cartesian product of self in R^m and other in R^n, in R^(m+n).
+
+        Every pair of vertices is a vertex, and pairs drawn from two sorted
+        vertex lists come out sorted, so no hull is computed; dimensions
+        add and volumes multiply.  Equals self.embed(0, n) + other.embed(m, 0).
+        """
+        ambient = self.ambient_dim + other.ambient_dim
+        if self.is_empty or other.is_empty:
+            return Polytope.empty(ambient)
+        pairs = [p + q for p in self.vertices for q in other.vertices]
+        return Polytope(ambient, pairs, _dim=self._dim + other._dim,
+                        _trusted=True)
+
     def contains(self, other: "Polytope") -> tuple[bool, Fraction]:
         """(containment verdict, worst constraint violation).
 

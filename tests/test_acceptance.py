@@ -173,8 +173,8 @@ def test_criterion_07_example_42():
     fs = INSTANCES["ex42"]
     val = fs.total_val_body(fs.D)
     assert val == hull([(0, 0), (0, 1)])
-    rhs = fs.embed_base(fs.base_backend.body_val(fs.D_Y, None)) + \
-        fs.embed_fiber(fs.fiber_backend.body_val(fs.R_fiber, None))
+    rhs = fs.base_backend.body_val(fs.D_Y, None).product(
+        fs.fiber_backend.body_val(fs.R_fiber, None))
     ok, margin = rhs.contains(val)
     assert ok and margin == 0 and rhs != val
     res = FS.scaling_search(fs)

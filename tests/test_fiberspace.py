@@ -117,8 +117,10 @@ class TestVerdicts:
             assert report.margin == 0
 
     def test_lemma31_unsupported_on_surfaces(self):
-        with pytest.raises(FS.UnsupportedCheck):
-            FS.check_lemma_3_1(INSTANCES["g2xg2"])
+        rep = FS.check_lemma_3_1(INSTANCES["g2xg2"])
+        assert rep.verdict == FS.GATED
+        assert rep.notes == ["lemma3_1 requires a toric instance"]
+        assert rep.margin is None and rep.volumes == {}
 
     def test_never_holds_when_hypothesis_fails(self):
         # flipping the weak-positivity declaration gates every affected check
@@ -162,8 +164,8 @@ class TestCoordinateConvention:
         total_body = fs.total_val_body(fs.D)
         dim_y = fs.base_backend.dim
         sliced = total_body.slice_prefix_zero(dim_y)
-        emb = fs.embed_fiber(
-            fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag))
+        emb = fs.fiber_backend.body_val(
+            fs.R_fiber, fs.flag.fiber_flag).embed(dim_y, 0)
         assert sliced.contains(emb) == (True, 0)
         # equality on instances satisfying the pad-free hypotheses
         if fs.base_backend.is_big(fs.D_Y):
@@ -205,6 +207,31 @@ class TestScalingSearch:
                     fiber.scale(j * step))[0]
 
 
+def _hulled_scaling_search(fs, step=F(1, 4), bound=F(4)):
+    """Reference feasible triples: each right-hand side is the hulled
+    Minkowski sum of the two embedded, dilated bodies."""
+    n_b, n_f = fs.base_backend.dim, fs.fiber_backend.dim
+    lhs0 = fs.total_val_body(fs.D)
+    base0 = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag).embed(0, n_f)
+    fiber0 = fs.fiber_backend.body_val(
+        fs.R_fiber, fs.flag.fiber_flag).embed(n_b, 0)
+    values = [step * k for k in range(1, int(bound / step) + 1)]
+    sums = {(be, ga): base0.scale(be) + fiber0.scale(ga)
+            for be in values for ga in values}
+    feasible = []
+    for al in values:
+        lhs = lhs0.scale(al)
+        feasible += [(al, be, ga) for be in values for ga in values
+                     if lhs.contains(sums[be, ga])[0]]
+    return feasible
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_scaling_search_matches_hulled_sums(name):
+    fs = INSTANCES[name]
+    assert FS.scaling_search(fs)["feasible"] == _hulled_scaling_search(fs)
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self):
         a = FS.check_thm_1_3(FX.prod_line_line()).to_json()
@@ -226,7 +253,7 @@ class TestExample42Reproduction:
     def test_reverse_strict_inclusion(self):
         fs = FX.example_4_2_fixture()
         val = fs.total_val_body(fs.D)
-        rhs = fs.embed_base(fs.base_backend.body_val(fs.D_Y, None)) + \
-            fs.embed_fiber(fs.fiber_backend.body_val(fs.R_fiber, None))
+        rhs = fs.base_backend.body_val(fs.D_Y, None).product(
+            fs.fiber_backend.body_val(fs.R_fiber, None))
         ok, margin = rhs.contains(val)
         assert ok and margin == 0 and rhs != val

@@ -75,7 +75,7 @@ class TestNuViaBody:
 class TestRestrictedVolumePlus:
     def test_big_surface_is_volume(self):
         sb = I.SurfaceBackend(blown_up_plane_lattice())
-        assert sb.restricted_volume_plus([2, 1], 2) == 4
+        assert sb.restricted_volume_plus([2, 1], sb.stratum(0, 2)) == 4
 
     def test_canonical_along_fiber(self):
         import okbodies.surface as S
@@ -86,11 +86,11 @@ class TestRestrictedVolumePlus:
             nef_generators=(qvec([1, 0]), qvec([0, 1])),
             negative_curves=(), canonical_class=qvec([2, 2]))
         sb = I.SurfaceBackend(G)
-        assert sb.restricted_volume_plus([2, 2], 1, flag_curve=0) == 2
+        assert sb.restricted_volume_plus([2, 2], sb.stratum(0, 1)) == 2
 
     def test_rigid_along_surface_is_zero(self):
         sb = I.SurfaceBackend(blown_up_plane_lattice())
-        assert sb.restricted_volume_plus([0, 1], 2) == 0
+        assert sb.restricted_volume_plus([0, 1], sb.stratum(0, 2)) == 0
 
     def test_via_body_matches_toric_direct(self):
         fib = T.product_fibration(P1, P1)
@@ -126,8 +126,8 @@ class TestNakayama:
 
     def test_surface_bounded_verdict(self):
         sb = I.SurfaceBackend(blown_up_plane_lattice())
-        assert sb.nakayama([2, 1], 2)[0] == "certified"
-        assert sb.nakayama([2, 1], 1)[0] == "checked_up_to"
+        assert sb.nakayama([2, 1], sb.stratum(0, 2))[0] == "certified"
+        assert sb.nakayama([2, 1], sb.stratum(0, 1))[0] == "checked_up_to"
 
     def test_curve(self):
         cb = I.CurveBackend(CurveModel(genus=2))
@@ -153,6 +153,15 @@ class TestPositiveVolumeSubvariety:
         tb = I.ToricBackend(fib.total)
         assert tb.is_pvs([0, 2, 0, 0], (2,), [1, 1, 1, 1])
         assert not tb.is_pvs([0, 2, 0, 0], (0,), [1, 1, 1, 1])
+
+    def test_surface_curve_stratum_keeps_flag_curve(self):
+        # H - E has nu = 1 and (H - E).E = 1, so the flag curve E is a
+        # positive volume subvariety; the stratum must name it
+        from okbodies import fiberspace as FS
+
+        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        assert sb.is_pvs([1, -1], sb.stratum(0, 1))
+        assert FS._flag_has_pvs(sb, [1, -1], 0)
 
 
 class TestBackendAgreement:

@@ -287,6 +287,48 @@ def test_containment_monotonicity(pts):
         assert P.volume_in_dim(k) >= sub.volume_in_dim(k)
 
 
+@st.composite
+def body_pairs(draw):
+    """Bodies in R^m and R^n with m + n <= 3, either of them possibly empty
+    or a single point; 0/1 coordinates make flat and degenerate bodies
+    common."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3 - m))
+
+    def body(k):
+        if draw(st.integers(0, 5)) == 0:
+            return Polytope.empty(k)
+        c = draw(st.sampled_from([coord, st.integers(0, 1).map(F)]))
+        return hull(draw(st.lists(st.tuples(*[c] * k), min_size=1,
+                                  max_size=6)))
+
+    return body(m), body(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body_pairs())
+def test_product_is_sum_of_embeddings(pair):
+    B, G = pair
+    m, n = B.ambient_dim, G.ambient_dim
+    P = B.product(G)
+    S = B.embed(0, n) + G.embed(m, 0)
+    assert P.ambient_dim == S.ambient_dim == m + n
+    assert P.vertices == S.vertices
+    d = P.dim()
+    assert d == S.dim()
+    assert P.to_hrep() == S.to_hrep()
+    vol = _outcome(lambda: P.volume_in_dim(d))
+    assert vol == _outcome(lambda: S.volume_in_dim(d))
+    if B.is_empty or G.is_empty:
+        assert P.is_empty and d == -1
+        return
+    assert d == B.dim() + G.dim()
+    vb = _outcome(lambda: B.volume_in_dim(B.dim()))
+    vg = _outcome(lambda: G.volume_in_dim(G.dim()))
+    if isinstance(vb, F) and isinstance(vg, F):
+        assert vol == vb * vg
+
+
 # -- oracle: the per-point affine-coordinate path ------------------------------
 #
 # A test-local copy of the frame each polytope operation used to build on
