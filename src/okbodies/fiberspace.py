@@ -11,7 +11,12 @@ model-specific rule (canonical classes, flag strata) is a backend's.
 
 Each body check compares the total-space body with the product
 Delta_Y(D_Y) x Delta_F(R|_F) (`Polytope.product`): its vertices are the
-pairs of vertices, its dimensions add and its volumes multiply.
+pairs of vertices, its dimensions add and its volumes multiply.  The
+inclusion is decided by support functions, with no hull: P contains
+Q = B x F iff h_Q(a) <= c for every half-space a . x <= c of P (equality
+pairs included), and h_Q(a) = h_B(a_B) + h_F(a_F), where a_B and a_F are
+the base and fiber coordinates of a.  The margin max(0, h_Q(a) - c) over
+the half-spaces is the worst violation of a vertex of Q.
 
   holds   containment with margin 0 and equal bodies
   strict  containment with margin 0 and lhs strictly larger
@@ -27,6 +32,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import surface as surfmod
 from . import toric as toricmod
@@ -245,25 +251,55 @@ class CheckReport:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2)
 
 
-def _body_summary(body: Polytope) -> dict:
-    d = body.dim()
-    vol = body.volume_in_dim(d) if not body.is_empty else Fraction(0)
+def _volume(body: Polytope) -> Fraction:
+    return body.volume_in_dim(body.dim()) if not body.is_empty else Fraction(0)
+
+
+def _body_summary(body: Polytope, volume: Fraction) -> dict:
     return {"vertices": [[str(c) for c in v] for v in body.vertices],
-            "dim": d, "volume": str(vol)}
+            "dim": body.dim(), "volume": str(volume)}
+
+
+def _support_rows(lhs: Polytope, base: Polytope, fiber: Polytope):
+    """One integer row (c, h_B, h_F, q) per half-space a . x <= c of lhs,
+    equality pairs included: h_B and h_F are the support functions of base
+    and fiber at the base and fiber parts of a, and q is the least common
+    denominator by which all three were multiplied.  For beta, gamma > 0,
+    lhs contains beta * base x gamma * fiber iff
+    beta * h_B + gamma * h_F <= c on every row.  With an empty factor the
+    product is empty, every body contains it, and there are no rows."""
+    if lhs.ambient_dim != base.ambient_dim + fiber.ambient_dim:
+        raise ValueError("ambient dimension mismatch in containment test")
+    if base.is_empty or fiber.is_empty:
+        return []
+    m = base.ambient_dim
+    rows = []
+    for h in lhs.to_hrep():
+        c = h.offset
+        hb = base.support(h.normal[:m])
+        hf = fiber.support(h.normal[m:])
+        q = lcm(c.denominator, hb.denominator, hf.denominator)
+        rows.append((int(c * q), int(hb * q), int(hf * q), q))
+    return rows
 
 
 def _subadditivity_report(name, fs, lhs: Polytope, base_body: Polytope,
                           fiber_body: Polytope, **fields) -> CheckReport:
     """Report on lhs containing base_body x fiber_body: holds, strict or
-    fails with its margin, and both bodies summarized; `fields` are the
+    fails with its support-function margin, and both bodies summarized;
+    the product's volume is vol(base) * vol(fiber).  `fields` are the
     check's own dims, volumes and notes."""
     rhs = base_body.product(fiber_body)
-    contained, margin = lhs.contains(rhs)
-    verdict = (HOLDS if lhs == rhs else STRICT) if contained else FAILS
+    margin = max([Fraction(0)] + [
+        Fraction(hb + hf - c, q)
+        for c, hb, hf, q in _support_rows(lhs, base_body, fiber_body)])
+    verdict = (HOLDS if lhs == rhs else STRICT) if margin == 0 else FAILS
+    rhs_volume = (Fraction(0) if rhs.is_empty
+                  else _volume(base_body) * _volume(fiber_body))
     return CheckReport(check_name=name, instance=fs.name, digest=fs.digest(),
                        verdict=verdict, margin=margin,
-                       lhs=_body_summary(lhs), rhs=_body_summary(rhs),
-                       **fields)
+                       lhs=_body_summary(lhs, _volume(lhs)),
+                       rhs=_body_summary(rhs, rhs_volume), **fields)
 
 
 def _gated(name, fs, failures, notes=()):
@@ -542,6 +578,14 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     Reports every feasible positive triple on the grid and the minimal
     feasible alpha for beta = gamma = 1 (a bound on the grid, not an
     optimum).
+
+    Certificate: the support function of beta * B x gamma * F at a is
+    beta * h_B(a_B) + gamma * h_F(a_F), so the triple is feasible iff
+    beta * h_B(a_B) + gamma * h_F(a_F) <= alpha * c for every half-space
+    a . x <= c of body(D), equality pairs included (`_support_rows`).
+    With alpha, beta, gamma = k * grid_step the positive step cancels, and
+    each triple is decided on integer rows, with no dilation, product or
+    hull.
     """
     grid_step = frac(grid_step)
     bound = frac(bound)
@@ -550,19 +594,11 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     lhs0 = fs.total_val_body(fs.D)
     base0 = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
     fiber0 = fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag)
-    values = []
-    v = grid_step
-    while v <= bound:
-        values.append(v)
-        v += grid_step
-    feasible = []
-    for al in values:
-        lhs = lhs0.scale(al)
-        for be in values:
-            b = base0.scale(be)
-            for ga in values:
-                if lhs.contains(b.product(fiber0.scale(ga)))[0]:
-                    feasible.append((al, be, ga))
+    rows = _support_rows(lhs0, base0, fiber0)
+    grid = [(k, k * grid_step) for k in range(1, bound // grid_step + 1)]
+    feasible = [(al, be, ga)
+                for ka, al in grid for kb, be in grid for kg, ga in grid
+                if all(kb * hb + kg * hf <= ka * c for c, hb, hf, _q in rows)]
     minimal_alpha = next((al for (al, be, ga) in feasible
                           if be == 1 and ga == 1), None)
     return {"feasible": feasible, "minimal_alpha_for_unit": minimal_alpha,

@@ -212,6 +212,11 @@ class Polytope:
                     margin = viol
         return margin == 0, margin
 
+    def support(self, normal) -> Fraction:
+        """Support function h(normal) = max of normal . v over the vertices
+        (nonempty polytopes only)."""
+        return max(dot(normal, v) for v in self.vertices)
+
     def volume_in_dim(self, k: int) -> Fraction:
         """Exact k-dimensional Lebesgue volume.
 

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbodies import fiberspace as FS
 from okbodies import fixtures as FX
+from okbodies import polytope
 from okbodies import toric as T
-from okbodies.polytope import hull
+from okbodies.polytope import Polytope, hull
 
 INSTANCES = {name: builder() for name, builder in FX.ALL_INSTANCES.items()}
 
@@ -230,6 +233,89 @@ def _hulled_scaling_search(fs, step=F(1, 4), bound=F(4)):
 def test_scaling_search_matches_hulled_sums(name):
     fs = INSTANCES[name]
     assert FS.scaling_search(fs)["feasible"] == _hulled_scaling_search(fs)
+
+
+# -- support-function inclusion rule ------------------------------------------
+
+coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+factor = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+
+
+@st.composite
+def scaled_inclusions(draw):
+    """A nonempty body in R^(m+n), bodies in R^m and R^n (either possibly
+    empty or a point) and positive dilations alpha, beta, gamma; few points
+    or 0/1 coordinates make flat bodies, and so equality pairs, common."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3 - m))
+
+    def body(k, may_be_empty):
+        if may_be_empty and draw(st.integers(0, 5)) == 0:
+            return Polytope.empty(k)
+        c = draw(st.sampled_from([coord, st.integers(0, 1).map(F)]))
+        return hull(draw(st.lists(st.tuples(*[c] * k), min_size=1,
+                                  max_size=6)))
+
+    return (body(m + n, False), body(m, True), body(n, True),
+            draw(factor), draw(factor), draw(factor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_inclusions())
+def test_support_rows_match_contains_on_hulled_sum(case):
+    lhs, B, G, al, be, ga = case
+    m, n = B.ambient_dim, G.ambient_dim
+    rows = FS._support_rows(lhs, B, G)
+    verdict = all(be * hb + ga * hf <= al * c for c, hb, hf, _q in rows)
+    margin = max([F(0)] + [(be * hb + ga * hf - al * c) / q
+                           for c, hb, hf, q in rows])
+    assert all(isinstance(x, int) for row in rows for x in row)
+    expected = lhs.scale(al).contains(B.scale(be).embed(0, n)
+                                      + G.scale(ga).embed(m, 0))
+    assert (verdict, margin) == expected
+
+
+def test_report_hulls_no_right_hand_side(monkeypatch):
+    # the lhs, base and fiber bodies arrive hulled; the product's margin
+    # comes from support functions and its volume from vol(B) * vol(F)
+    fs = INSTANCES["prod_plane_line"]
+    expected = FS.check_cor_3_5(fs)
+    lhs = fs.total_val_body(fs.D)
+    base = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
+    fiber = fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag)
+    lhs, base, fiber = (hull(b.vertices) for b in (lhs, base, fiber))
+    calls = []
+    real = polytope._int_hull
+
+    def counting(ints, d):
+        calls.append(d)
+        return real(ints, d)
+
+    monkeypatch.setattr(polytope, "_int_hull", counting)
+    rep = FS._subadditivity_report("cor3_5", fs, lhs, base, fiber)
+    assert calls == []
+    monkeypatch.undo()
+    rhs = base.product(fiber)
+    assert (rep.margin == 0, rep.margin) == lhs.contains(rhs)
+    assert rep.rhs["volume"] == str(rhs.volume_in_dim(rhs.dim()))
+    assert (rep.verdict, rep.lhs, rep.rhs) == (
+        expected.verdict, expected.lhs, expected.rhs)
+
+
+@pytest.mark.parametrize("base,verdict,margin", [
+    ([(1,), (2,)], FS.STRICT, 0),     # product strictly inside: margin 0
+    ([(1,), (4,)], FS.FAILS, 1),      # (4, y) escapes x <= 3 by 1
+    ([], FS.STRICT, 0),               # an empty product is contained
+])
+def test_report_margin_is_worst_violation(base, verdict, margin):
+    square = hull([(0, 0), (3, 0), (0, 3), (3, 3)])
+    base = hull(base) if base else Polytope.empty(1)
+    fiber = hull([(1,), (2,)])
+    rep = FS._subadditivity_report("p", INSTANCES["ex42"], square, base,
+                                   fiber)
+    assert (rep.verdict, rep.margin) == (verdict, margin)
+    assert rep.rhs["volume"] == ("0" if base.is_empty
+                                 else str(base.volume_in_dim(1)))
 
 
 class TestDeterminism:

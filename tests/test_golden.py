@@ -22,6 +22,13 @@ GOLDEN = {
     "scaling_ex42": (
         ["scaling-search", "--instance", "fixtures/instances/ex42.json"],
         "c985d06426f197a7fadeac36c05e81f57d3f747c6b9905c8794edbd9c0b9e13f"),
+    "scaling_prod_plane_line": (
+        ["scaling-search", "--instance",
+         "fixtures/instances/prod_plane_line.json"],
+        "1e359a62b28d1b516bfc5fc001d70405e24bcbf5ff3a54ecb4cfcf1292df7484"),
+    "scaling_g2xg2": (
+        ["scaling-search", "--instance", "fixtures/instances/g2xg2.json"],
+        "fb76579fcec9cb8c6c73e670d6cbf9cc223158c0b53e7b873cdad5636e249f76"),
     "dims_surface": (
         ["dims", "--model", "fixtures/models/blown_up_plane_surface.json",
          "--divisor", "fixtures/models/d_2h_plus_e.json"],
