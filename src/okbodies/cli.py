@@ -188,8 +188,9 @@ def cmd_oracle_compare(args):
     exact = toricmod.okounkov_body_toric(model, D, flag)
     brute = toricmod.okounkov_body_bruteforce(model, D, flag, args.m)
     contained, margin = exact.contains(brute)
-    missing = [v for v in exact.vertices if v not in set(brute.vertices)]
-    extra = [v for v in brute.vertices if v not in set(exact.vertices)]
+    exact_set, brute_set = set(exact.vertices), set(brute.vertices)
+    missing = [v for v in exact.vertices if v not in brute_set]
+    extra = [v for v in brute.vertices if v not in exact_set]
     _emit({"exact": exact.to_obj(), "bruteforce": brute.to_obj(),
            "m": args.m, "contained": contained, "margin": str(margin),
            "vertex_diff": {

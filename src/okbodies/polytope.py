@@ -10,7 +10,10 @@ frame projects the affine hull injectively onto its pivot coordinates,
 which scaled per axis become integer points, and `_int_hull` gives their
 extreme points and facets.  `hull` keeps the extreme points, `to_hrep`
 maps the facets back to ambient half-spaces, and `volume_in_dim` sums
-simplices over the same facets.
+simplices over the same facets.  Integer point sets over one common
+denominator m (finite-level bodies) enter through `lattice_hull`, which
+runs the frame and the hull on the integers and makes `Fraction`s only
+of the extreme points, divided by m.
 
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
@@ -79,16 +82,31 @@ class Polytope:
     @staticmethod
     def hull(points) -> "Polytope":
         """Convex hull; removes redundant points, idempotent."""
-        pts = [qvec(p) for p in points]
-        if not pts:
-            raise ValueError("empty point set")
-        n = len(pts[0])
-        if any(len(p) != n for p in pts):
-            raise ValueError("points of mixed ambient dimension")
-        pts = sorted(set(pts))
+        n, pts = _distinct_points([qvec(p) for p in points])
         extreme, fh = _frame_hull(pts)
         return Polytope(n, [pts[i] for i in extreme], _dim=fh[0],
                         _trusted=True, _hull=fh)
+
+    @staticmethod
+    def lattice_hull(points, m=1) -> "Polytope":
+        """Convex hull of {p/m} for integer tuples p and an integer m >= 1.
+
+        Equals `hull([p/m for p in points])`, but the frame and the hull run
+        on the integer points themselves, whose pivot coordinates are
+        already integer hull coordinates; only the extreme points become
+        Fractions.  Like `scale`, it leaves the hull to be cached on first
+        use.
+        """
+        if m < 1:
+            raise ValueError("lattice hull denominator must be >= 1")
+        n, pts = _distinct_points([tuple(p) for p in points])
+        d, pivots, _rows = _frame(pts)
+        extreme = [0]
+        if d:
+            ints = [tuple(p[c] for c in pivots) for p in pts]
+            extreme = sorted(_int_hull(ints, d)[0])
+        verts = [tuple(Fraction(c, m) for c in pts[i]) for i in extreme]
+        return Polytope(n, verts, _dim=d, _trusted=True)
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
@@ -325,6 +343,17 @@ def _hs_key(h: HalfSpace):
 
 
 # -- frame and hull ----------------------------------------------------------
+
+
+def _distinct_points(pts):
+    """(ambient dimension, sorted distinct points) of a list of tuples;
+    raises ValueError on an empty list or on mixed lengths."""
+    if not pts:
+        raise ValueError("empty point set")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("points of mixed ambient dimension")
+    return n, sorted(set(pts))
 
 
 def _frame(pts):

@@ -78,12 +78,14 @@ class ToricVariety:
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """Invariant divisor sum(coeffs[i] * D_rays[i])."""
+    """Invariant divisor sum(coeffs[i] * D_rays[i]); coeffs may be any
+    sequence of exact numbers and is stored as a tuple of Fractions."""
 
     variety: ToricVariety
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", qvec(self.coeffs))
         if len(self.coeffs) != len(self.variety.rays):
             raise ValueError("divisor needs one coefficient per ray")
 
@@ -99,7 +101,7 @@ class ToricDivisor:
 
 
 def divisor(X: ToricVariety, coeffs) -> ToricDivisor:
-    return ToricDivisor(X, qvec(coeffs))
+    return ToricDivisor(X, coeffs)
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,11 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
 
 
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
-    """(1/m) * hull of the valuation vectors of all level-m sections."""
+    """(1/m) * hull of the valuation vectors of all level-m sections.
+
+    The valuation vectors of level-m sections are integer vectors, so they
+    are hulled as integers by `Polytope.lattice_hull` and divided by m only
+    at the extreme points."""
     flag.validate(X)
     pts = sections(X, D, m)
     if not pts:
@@ -270,7 +276,7 @@ def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Pol
     shift = [macoeffs[i] for i in flag.ray_order]
     vals = [tuple(sum(r[c] * u[c] for c in range(X.dim)) + s
                   for r, s in zip(rows, shift)) for u in pts]
-    return Polytope.hull(vals).scale(Fraction(1, m))
+    return Polytope.lattice_hull(vals, m)
 
 
 # -- restriction to invariant strata ------------------------------------------

@@ -2,15 +2,18 @@
 
 The digests pin the canonical JSON that `check --all` and `scaling-search`
 print for the files under fixtures/instances, and that `dims` and
-`limbody` print for the model files under fixtures/models; any change to
-a verdict, a vertex or a formatting detail shows up here.
+`limbody` and `oracle-compare` print for the model files under
+fixtures/models; any change to a verdict, a vertex or a formatting detail
+shows up here.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from okbodies import toric
 from okbodies.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -42,6 +45,11 @@ GOLDEN = {
         ["dims", "--model", "fixtures/models/plane.json",
          "--divisor", "fixtures/models/d2.json"],
         "301533c67140538d689cf9c84edb47efeb1ff8aeeb5dc37d9eea379621e53c56"),
+    "oracle_plane_m20": (
+        ["oracle-compare", "--model", "fixtures/models/plane.json",
+         "--divisor", "fixtures/models/d2.json",
+         "--flag", "fixtures/models/std_flag.json", "--m", "20"],
+        "3efb9a47063eb9bd52e3b0fee189951fa2c73a5d0dbbfd96321d24413d1bb9df"),
 }
 
 
@@ -53,3 +61,21 @@ def test_stdout_digest(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_compare_vertex_diff_digest(tmp_path, capsys):
+    # F_2 with D = D_0 + D_1 at m = 1: the level-1 body is a segment that
+    # misses the exact body's vertex (0, 1/2), so vertex_diff is nonempty
+    files = {"model.json": toric.hirzebruch(2).to_obj(),
+             "divisor.json": {"coeffs": ["1", "1", "0", "0"]},
+             "flag.json": {"cone": 0, "ray_order": [0, 1]}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    code = main(["oracle-compare", "--model", str(tmp_path / "model.json"),
+                 "--divisor", str(tmp_path / "divisor.json"),
+                 "--flag", str(tmp_path / "flag.json"), "--m", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["vertex_diff"]["exact_only"] == [["0", "1/2"]]
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "fcd78e5ab8d1d97e568af2f6675dd94f1b3d0759d3565e2b6b6c97e26b2cda1c")

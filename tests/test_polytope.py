@@ -513,3 +513,54 @@ def test_one_hull_per_polytope(monkeypatch):
         Q.to_hrep()
         assert Q.volume_in_dim(Q.dim()) == 3 ** P.dim() * P.volume_in_dim(P.dim())
         assert len(calls) == 2
+
+
+# -- lattice hull ----------------------------------------------------------------
+
+
+@st.composite
+def lattice_sets(draw):
+    """(integer points, m): points spanning a d-dimensional affine subspace
+    of R^n, n <= 4, along coordinate axes or skew integer directions, with
+    repeated points.  At most 48 points in R^4, and at most 10 when they
+    may span it (the facet search in dimension 4 is exponential)."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, n))
+    small = st.integers(-3, 3)
+    p0 = draw(st.tuples(*[small] * n))
+    if draw(st.booleans()):
+        axes = draw(st.permutations(range(n)))[:d]
+        dirs = [tuple(int(c == a) for c in range(n)) for a in axes]
+    else:
+        dirs = draw(st.lists(st.tuples(*[small] * n), min_size=d, max_size=d))
+    cap = 10 if d == 4 else 48 if n == 4 else 80
+    cs = draw(st.lists(st.tuples(*[small] * d), min_size=1, max_size=cap))
+    pts = [tuple(p0[i] + sum(c * v[i] for c, v in zip(cc, dirs))
+                 for i in range(n)) for cc in cs]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts, draw(st.integers(1, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_sets())
+def test_lattice_hull_matches_rational_hull(case):
+    pts, m = case
+    P = Polytope.lattice_hull(pts, m)
+    Q = hull([tuple(F(c, m) for c in p) for p in pts])
+    assert P.ambient_dim == Q.ambient_dim
+    assert P.vertices == Q.vertices
+    d = P.dim()
+    assert d == Q.dim()
+    assert P.to_hrep() == Q.to_hrep()
+    if d <= 3:
+        assert (_outcome(lambda: P.volume_in_dim(d))
+                == _outcome(lambda: Q.volume_in_dim(d)))
+
+
+def test_lattice_hull_errors():
+    with pytest.raises(ValueError, match="empty point set"):
+        Polytope.lattice_hull([], 2)
+    with pytest.raises(ValueError, match="mixed"):
+        Polytope.lattice_hull([(0, 0), (1, 1, 1)], 2)
+    with pytest.raises(ValueError, match=">= 1"):
+        Polytope.lattice_hull([(0, 0)], 0)

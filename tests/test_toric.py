@@ -35,6 +35,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="complete"):
             T.ToricVariety(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
 
+    def test_divisor_accepts_any_exact_sequence(self):
+        # lists used to reach the memoized section polytope unhashed
+        listed = T.ToricDivisor(P2, [0, 0, 1])
+        tupled = T.ToricDivisor(P2, (0, 0, 1))
+        assert listed == tupled == d(P2, [0, 0, 1])
+        assert listed.coeffs == (F(0), F(0), F(1))
+        assert T.sections(P2, listed, 2) == T.sections(P2, tupled, 2)
+        assert (T.okounkov_body_toric(P2, listed, STD_FLAG)
+                == T.okounkov_body_toric(P2, tupled, STD_FLAG))
+        assert (T.okounkov_body_bruteforce(P2, listed, STD_FLAG, 3)
+                == T.okounkov_body_bruteforce(P2, tupled, STD_FLAG, 3))
+        with pytest.raises(TypeError, match="floats"):
+            T.ToricDivisor(P2, [0.0, 0, 1])
+
     def test_coefficient_count(self):
         with pytest.raises(ValueError):
             T.ToricDivisor(P2, (F(1),))
@@ -326,6 +340,24 @@ class TestInvariants:
             vals = {tuple(sum(r[c] * u[c] for c in range(X.dim))
                           for r in rows) for u in pts}
             assert len(vals) == len(pts)
+
+    def test_bruteforce_hulls_integer_valuations(self, monkeypatch):
+        X, coeffs, flag = FIXTURE_BODIES[-1]
+        D = d(X, coeffs)
+        rows, shift = T._flag_affine_map(X, flag, D)
+        vals = [tuple(sum(r[c] * u[c] for c in range(X.dim)) + 3 * s
+                      for r, s in zip(rows, shift)) for u in T.sections(X, D, 3)]
+        expected = hull(vals).scale(F(1, 3))
+
+        def forbidden(*args):
+            raise AssertionError("rational hull or dilation on the oracle path")
+
+        # the memoized section polytope is the one hull the oracle needs
+        T.section_polytope(X, D)
+        monkeypatch.setattr(Polytope, "hull", staticmethod(forbidden))
+        monkeypatch.setattr(Polytope, "scale", forbidden)
+        body = T.okounkov_body_bruteforce(X, D, flag, 3)
+        assert body == expected and body.dim() == 3
 
     def test_flag_independence_of_volume(self):
         D = d(BL, [0, 0, 2, 1])
