@@ -15,6 +15,11 @@ denominator m (finite-level bodies) enter through `lattice_hull`, which
 runs the frame and the hull on the integers and makes `Fraction`s only
 of the extreme points, divided by m.
 
+Half-space systems enter through `from_halfspaces` as primitive integer
+rows.  Each vertex comes from the integer minors of n rows (Cramer's
+rule), is tested against every row in integers, and becomes a `Fraction`
+only once it is feasible and distinct.
+
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
 """
@@ -25,12 +30,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, gcd, prod
+from operator import mul
 
 from . import kernel
-from .linalg import (clear_denominators_columns, dot, frac,
-                     nullspace, primitive_int_vector, qvec, rank, solve,
-                     vec_sub)
+from .linalg import (clear_denominators_columns, dot, frac, int_det,
+                     nullspace, primitive_int_vector, qvec, rank, vec_sub)
+# unused here, but perfbench's tracer rebinds polytope.solve and needs the name
+from .linalg import solve  # noqa: F401
 from .lp import recession_is_trivial
 
 QVec = tuple[Fraction, ...]
@@ -122,11 +129,18 @@ class Polytope:
         """Vertex enumeration of an intersection of half-spaces.
 
         The system must be bounded (raises otherwise); an infeasible system
-        yields the empty polytope.  Boundedness is decided without LP, by
-        `recession_is_trivial` on the integer normals; the vertices are the
-        feasible solutions of the n-row subsystems.
+        yields the empty polytope.  Each half-space becomes one primitive
+        integer row.  Boundedness is decided without LP, by
+        `recession_is_trivial` on those rows' normals; the vertices are
+        the feasible solutions of the n-row subsystems, found from integer
+        minors by Cramer's rule and made `Fraction`s only once they are
+        feasible and distinct.
         """
+        if ambient_dim < 1:
+            raise ValueError("ambient dimension must be >= 1")
         hs = list(halfspaces)
+        if any(len(h.normal) != ambient_dim for h in hs):
+            raise ValueError("half-space normal length does not match ambient_dim")
         verts = _vertex_enum(hs, ambient_dim)
         if not verts:
             return Polytope.empty(ambient_dim)
@@ -510,21 +524,38 @@ def _facet_halfspaces(p0, frame_hull):
 
 
 def _vertex_enum(halfspaces, n):
-    """Vertices of the intersection of half-spaces (must be bounded)."""
-    rows = [list(h.normal) for h in halfspaces]
-    offs = [h.offset for h in halfspaces]
-    if not recession_is_trivial(rows, n):
+    """Sorted vertices of the intersection of half-spaces (must be bounded).
+
+    Each half-space a . x <= c becomes one primitive integer row (a, c).
+    An n-subset S of rows with D = det(A_S) != 0 meets in the point num / D,
+    where num_j is the minor of A_S with column j replaced by c_S (Cramer's
+    rule).  With D > 0 and gcd(num, D) = 1 that pair is an exact key, and
+    the point is feasible iff a . num <= c * D on every row.  Only the
+    distinct feasible keys become Fractions.
+    """
+    rows = list(dict.fromkeys(
+        primitive_int_vector(tuple(h.normal) + (h.offset,))[0]
+        for h in halfspaces))
+    if not recession_is_trivial([r[:n] for r in rows], n):
         raise ValueError("half-space system is unbounded")
-    verts = set()
-    m = len(rows)
-    for sub in combinations(range(m), n):
-        mat = [rows[i] for i in sub]
-        rhs = [offs[i] for i in sub]
-        x = solve(mat, rhs)
-        if x is None:
+    seen = set()
+    verts = []
+    for sub in combinations(rows, n):
+        den = int_det([r[:n] for r in sub])
+        if den == 0:
             continue
-        if all(dot(rows[i], x) <= offs[i] for i in range(m)):
-            verts.add(tuple(x))
+        num = [int_det([r[:j] + r[n:] + r[j + 1:n] for r in sub])
+               for j in range(n)]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        g = gcd(den, *num)
+        key = (tuple(x // g for x in num), den // g)
+        if key in seen:
+            continue
+        seen.add(key)
+        num, den = key
+        if all(sum(map(mul, r, num)) <= r[n] * den for r in rows):
+            verts.append(tuple(Fraction(x, den) for x in num))
     return sorted(verts)
 
 

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import kernel
 from .linalg import det, dot, frac, qvec, solve
@@ -274,8 +275,8 @@ def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Pol
     macoeffs = _integral_multiple(D, m)
     rows = [X.rays[i] for i in flag.ray_order]
     shift = [macoeffs[i] for i in flag.ray_order]
-    vals = [tuple(sum(r[c] * u[c] for c in range(X.dim)) + s
-                  for r, s in zip(rows, shift)) for u in pts]
+    vals = [tuple(sum(map(mul, r, u)) + s for r, s in zip(rows, shift))
+            for u in pts]
     return Polytope.lattice_hull(vals, m)
 
 

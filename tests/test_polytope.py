@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okbodies import polytope
+from okbodies import polytope, toric
 from okbodies.linalg import (clear_denominators_columns, dot, nullspace,
                              qvec, solve, vec_sub)
+from okbodies.lp import recession_is_trivial
 from okbodies.polytope import HalfSpace, Polytope, hull
 
 
@@ -88,6 +90,15 @@ class TestHRep:
         half_plane = [HalfSpace((F(1), F(0)), F(0))]
         with pytest.raises(ValueError, match="unbounded"):
             Polytope.from_halfspaces(half_plane, 2)
+
+    @pytest.mark.parametrize("n,message", [
+        (1, "normal length does not match ambient_dim"),
+        (3, "normal length does not match ambient_dim"),
+        (0, "ambient dimension must be >= 1"),
+    ])
+    def test_normal_length_must_match_ambient_dim(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            Polytope.from_halfspaces(square().to_hrep(), n)
 
 
 class TestMinkowski:
@@ -564,3 +575,94 @@ def test_lattice_hull_errors():
         Polytope.lattice_hull([(0, 0), (1, 1, 1)], 2)
     with pytest.raises(ValueError, match=">= 1"):
         Polytope.lattice_hull([(0, 0)], 0)
+
+
+# -- vertex enumeration (H -> V) ---------------------------------------------------
+
+
+def _old_vertex_enum(halfspaces, n):
+    """The former H -> V path: one Fraction solve and one Fraction
+    feasibility sweep per n-subset of half-spaces."""
+    rows = [list(h.normal) for h in halfspaces]
+    offs = [h.offset for h in halfspaces]
+    if not recession_is_trivial(rows, n):
+        raise ValueError("half-space system is unbounded")
+    verts = set()
+    for sub in combinations(range(len(rows)), n):
+        x = solve([rows[i] for i in sub], [offs[i] for i in sub])
+        if x is not None and all(dot(r, x) <= c for r, c in zip(rows, offs)):
+            verts.add(tuple(x))
+    return sorted(verts)
+
+
+qcoord = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """(half-spaces, n) in R^n, n <= 4: a box [lo, lo + width] (flat where a
+    width is 0, left out for unbounded systems) cut by random half-spaces
+    near the corner lo,
+    plus up to two of: duplicates and positively scaled duplicates, cuts
+    through the corner lo (a degenerate apex), an equality pair, a
+    contradictory pair (infeasible).  Rational data, denominators <= 7."""
+    n = draw(st.integers(1, 4))
+
+    def normal():
+        return draw(st.tuples(*[qcoord] * n).filter(any))
+
+    def unit(i, sign):
+        return tuple(F(sign) if j == i else F(0) for j in range(n))
+
+    lo = draw(st.tuples(*[qcoord] * n))
+    hs = []
+    if draw(st.integers(0, 4)):
+        widths = draw(st.tuples(*[st.fractions(0, 3, max_denominator=7)] * n))
+        for i in range(n):
+            hs.append(HalfSpace(unit(i, -1), -lo[i]))
+            hs.append(HalfSpace(unit(i, 1), lo[i] + widths[i]))
+    for _ in range(draw(st.integers(0, 3 if n < 4 else 1))):
+        a = normal()  # keeps lo unless the slack is negative
+        slack = draw(st.fractions(min_value=-1, max_value=3, max_denominator=7))
+        hs.append(HalfSpace(a, dot(a, lo) + slack))
+    flavours = draw(st.sets(st.sampled_from(
+        ["duplicate", "apex", "equality", "infeasible"]), max_size=2))
+    if "duplicate" in flavours and hs:
+        for h in draw(st.lists(st.sampled_from(hs), min_size=1, max_size=2)):
+            lam = draw(st.sampled_from([F(1), F(1, 7), F(2, 3), F(5)]))
+            hs.append(HalfSpace(tuple(lam * c for c in h.normal), lam * h.offset))
+    if "apex" in flavours:
+        for _ in range(draw(st.integers(1, 2))):
+            a = normal()
+            hs.append(HalfSpace(a, dot(a, lo)))
+    if "equality" in flavours:
+        a, c = normal(), draw(qcoord)
+        hs += [HalfSpace(a, c), HalfSpace(tuple(-x for x in a), -c)]
+    if "infeasible" in flavours:
+        a, c = normal(), draw(qcoord)
+        gap = draw(st.fractions(min_value=F(1, 7), max_value=2, max_denominator=7))
+        hs += [HalfSpace(a, c), HalfSpace(tuple(-x for x in a), -c - gap)]
+    return draw(st.permutations(hs)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems())
+def test_vertex_enum_matches_fraction_solve_oracle(system):
+    hs, n = system
+    assert (_outcome(lambda: polytope._vertex_enum(hs, n))
+            == _outcome(lambda: _old_vertex_enum(hs, n)))
+
+
+def test_from_halfspaces_solves_nothing(monkeypatch):
+    def no_solve(rows, rhs):
+        raise AssertionError("H -> V ran a Fraction solve")
+
+    monkeypatch.setattr(polytope, "solve", no_solve)
+    cube = hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
+    assert Polytope.from_halfspaces(cube.to_hrep(), 3) == cube
+    P2 = toric.projective_plane()
+    D = toric.ToricDivisor(P2, (0, 0, 3))
+    assert (toric.section_polytope.__wrapped__(P2, D)
+            == hull([(0, 0), (3, 0), (0, 3)]))
+    assert cube.slice_prefix_zero(1) == hull([(0, y, z) for y in (0, 2)
+                                                for z in (0, 2)])
