@@ -28,7 +28,6 @@ from . import toric as toricmod
 from .curve import CurveModel
 from .invariants import backend_for
 from .linalg import frac
-from .polytope import Polytope
 
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -205,8 +204,7 @@ def cmd_oracle_compare(args):
 
 
 def cmd_emit_plot(args):
-    obj = io.load_json(args.body)
-    body = Polytope.from_obj(obj["body"] if "body" in obj else obj)
+    body = io.body_from_obj(io.load_json(args.body), args.body)
     text = plotting.emit_plot(body, args.format)
     if args.out:
         Path(args.out).write_text(text)

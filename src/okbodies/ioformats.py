@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .curve import CurveModel
 from .fiberspace import FiberSpaceInstance, FiberTypeFlag
+from .polytope import Polytope
 from .surface import SurfaceLattice
 from .toric import ToricFlag, ToricVariety
 
@@ -134,6 +135,25 @@ def flag_from_obj(obj, model, path="flag"):
     if isinstance(model, SurfaceLattice):
         return _curve_index(obj.get("curve"), model, f"{path}.curve")
     raise InputError(path, "flag for unsupported model type")
+
+
+def body_from_obj(obj, path="body"):
+    """A body object {"ambient_dim": n, "vertices": [[...], ...]}, or a
+    report that holds one under "body", as the hull of its vertices."""
+    if isinstance(obj, dict) and "body" in obj:
+        obj, path = obj["body"], f"{path}.body"
+    if not isinstance(obj, dict):
+        raise InputError(path, "expected an object")
+    n = _int(obj.get("ambient_dim"), f"{path}.ambient_dim")
+    if n < 1:
+        raise InputError(f"{path}.ambient_dim", "must be >= 1")
+    verts = obj.get("vertices")
+    if not isinstance(verts, list):
+        raise InputError(f"{path}.vertices", "expected a list of vertices")
+    pts = [_rat_vec(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts)]
+    if any(len(p) != n for p in pts):
+        raise InputError(f"{path}.vertices", f"every vertex needs {n} coordinates")
+    return Polytope.hull(pts) if pts else Polytope.empty(n)
 
 
 # -- fiber-space instances -----------------------------------------------------

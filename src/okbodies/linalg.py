@@ -9,7 +9,7 @@ with first-nonzero pivoting is all we need.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -157,39 +157,20 @@ def primitive_int_vector(v):
     Returns (int tuple, multiplier) with multiplier > 0 rational such that
     multiplier * v = int tuple.
     """
-    denoms = [x.denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    (ints,), q = clear_denominators([v])
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    return tuple(ints), Fraction(lcm, g)
+    return tuple(x // g for x in ints), Fraction(q, g)
 
 
-def clear_denominators_columns(points):
-    """Scale each coordinate axis of a point set to integers.
-
-    Per-axis positive scaling is an invertible diagonal map, so convexity
-    data (extreme points, face lattice) is unchanged.  Returns (int point
-    tuples, per-axis multipliers).
-    """
-    if not points:
-        return [], ()
-    dim = len(points[0])
-    mults = []
-    for c in range(dim):
-        lcm = 1
-        for p in points:
-            d = p[c].denominator
-            lcm = lcm // gcd(lcm, d) * d
-        mults.append(lcm)
-    ints = [tuple(int(p[c] * mults[c]) for c in range(dim)) for p in points]
-    return ints, tuple(Fraction(m) for m in mults)
+def clear_denominators(points):
+    """(integer points, q) for rational points: q >= 1 is the least common
+    denominator of all their coordinates, and each integer point is q
+    times its rational point."""
+    q = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (q // x.denominator) for x in p)
+            for p in points], q
 
 
 def signature(sym_rows) -> tuple[int, int, int]:

@@ -4,6 +4,7 @@ projections.  Deterministic output; floats only in the SVG coordinates."""
 from __future__ import annotations
 
 from . import kernel
+from .linalg import clear_denominators
 from .polytope import Polytope
 
 
@@ -37,9 +38,7 @@ def emit_svg(body: Polytope, size: int = 400) -> str:
     ax, ay = _projection_axes(body)
     pts = sorted({(v[ax], v[ay]) for v in body.vertices})
     if len(pts) > 2:
-        from .linalg import clear_denominators_columns
-
-        ints, _ = clear_denominators_columns(pts)
+        ints, _ = clear_denominators(pts)
         cyc = kernel.hull2d_indices(ints)
         poly = [pts[i] for i in cyc]
     else:

@@ -1,24 +1,21 @@
 """Exact rational convex polytopes with dual V/H descriptions.
 
-The vertex description is canonical (sorted tuple of coordinate tuples of
-``Fraction``); the half-space description is a normalized cache computed on
-demand (primitive integer normals, lexicographically sorted).  All
-operations are pure and exact; floats never appear.
+Inside this module a polytope is integers: a sorted tuple of integer
+vertex rows over one least common denominator q (gcd(q, every entry) ==
+1), a canonical form that equality and hashing compare.  `Fraction`s
+appear only at the API edge: `vertices` is the `Fraction` view, made on
+first use, and `to_hrep` a cache of `HalfSpace`s with primitive integer
+normals, lexicographically sorted.  Floats never appear.
 
 Each polytope has one frame and one hull, computed once and cached: the
-frame projects the affine hull injectively onto its pivot coordinates,
-which scaled per axis become integer points, and `_int_hull` gives their
-extreme points and facets.  `hull` keeps the extreme points, `to_hrep`
-maps the facets back to ambient half-spaces, and `volume_in_dim` sums
-simplices over the same facets.  Integer point sets over one common
-denominator m (finite-level bodies) enter through `lattice_hull`, which
-runs the frame and the hull on the integers and makes `Fraction`s only
-of the extreme points, divided by m.
-
-Half-space systems enter through `from_halfspaces` as primitive integer
-rows.  Each vertex comes from the integer minors of n rows (Cramer's
-rule), is tested against every row in integers, and becomes a `Fraction`
-only once it is feasible and distinct.
+frame is a fraction-free echelon of the affine hull, whose pivot
+coordinates are exact integer hull coordinates, and `_int_hull` gives
+their extreme points and facets, which `to_hrep` maps back to R^n and
+`volume_in_dim` sums simplices over.  Every constructor that hulls ends
+in `_int_polytope`: `hull` clears one common denominator, `lattice_hull`
+passes its integer points over m, and `from_halfspaces` passes the
+(numerator, denominator) vertex keys that `_vertex_enum` finds from
+integer minors (Cramer's rule).
 
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
@@ -26,16 +23,15 @@ first-class values with an explicit flag rather than a sentinel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd, prod
+from itertools import chain, combinations
+from math import factorial, gcd, lcm
 from operator import mul
 
 from . import kernel
-from .linalg import (clear_denominators_columns, dot, frac, int_det,
-                     nullspace, primitive_int_vector, qvec, rank, vec_sub)
+from .linalg import (clear_denominators, dot, frac, int_det, nullspace,
+                     primitive_int_vector, qvec, rank, vec_sub)
 # unused here, but perfbench's tracer rebinds polytope.solve and needs the name
 from .linalg import solve  # noqa: F401
 from .lp import recession_is_trivial
@@ -63,23 +59,27 @@ class HalfSpace:
 
 
 class Polytope:
-    """Bounded rational polytope, canonically the hull of its vertices.
+    """Bounded rational polytope, canonically the hull of its vertices
+    `_rows` / `_q`.
 
     `_hull` caches the frame and integer hull of the vertices (see
-    `_frame_hull`); `hull` fills it from the hull it computes anyway, and
-    the other constructors leave it to be filled on first use.
+    `_frame_hull`); `_int_polytope` fills it from the hull it computes
+    anyway, and the other constructors leave it to be filled on first use.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_dim", "_hrep", "_hull")
+    __slots__ = ("ambient_dim", "_rows", "_q", "_vertices", "_dim", "_hrep",
+                 "_hull")
 
-    def __init__(self, ambient_dim: int, vertices, _dim=None, _trusted=False,
+    def __init__(self, ambient_dim: int, rows, q, _dim=None, _trusted=False,
                  _hull=None):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         if not _trusted:
             raise ValueError("use Polytope.hull / from_halfspaces / empty")
         self.ambient_dim = ambient_dim
-        self.vertices = tuple(vertices)
+        self._rows = tuple(rows)
+        self._q = q
+        self._vertices = None
         self._dim = _dim
         self._hrep = None
         self._hull = _hull
@@ -89,68 +89,66 @@ class Polytope:
     @staticmethod
     def hull(points) -> "Polytope":
         """Convex hull; removes redundant points, idempotent."""
-        n, pts = _distinct_points([qvec(p) for p in points])
-        extreme, fh = _frame_hull(pts)
-        return Polytope(n, [pts[i] for i in extreme], _dim=fh[0],
-                        _trusted=True, _hull=fh)
+        pts = [qvec(p) for p in points]
+        n = _ambient_dim(pts)
+        ints, q = clear_denominators(pts)
+        return _int_polytope(n, ints, q)
 
     @staticmethod
     def lattice_hull(points, m=1) -> "Polytope":
         """Convex hull of {p/m} for integer tuples p and an integer m >= 1.
 
-        Equals `hull([p/m for p in points])`, but the frame and the hull run
-        on the integer points themselves, whose pivot coordinates are
-        already integer hull coordinates; only the extreme points become
-        Fractions.  Like `scale`, it leaves the hull to be cached on first
-        use.
-        """
+        Equals `hull([p/m for p in points])`, with no `Fraction` made."""
         if m < 1:
             raise ValueError("lattice hull denominator must be >= 1")
-        n, pts = _distinct_points([tuple(p) for p in points])
-        d, pivots, _rows = _frame(pts)
-        extreme = [0]
-        if d:
-            ints = [tuple(p[c] for c in pivots) for p in pts]
-            extreme = sorted(_int_hull(ints, d)[0])
-        verts = [tuple(Fraction(c, m) for c in pts[i]) for i in extreme]
-        return Polytope(n, verts, _dim=d, _trusted=True)
+        pts = [tuple(p) for p in points]
+        return _int_polytope(_ambient_dim(pts), pts, m)
 
     @staticmethod
     def empty(ambient_dim: int) -> "Polytope":
-        return Polytope(ambient_dim, (), _dim=-1, _trusted=True)
+        return Polytope(ambient_dim, (), 1, _dim=-1, _trusted=True)
 
     @staticmethod
     def point(coords) -> "Polytope":
         v = qvec(coords)
-        return Polytope(len(v), (v,), _dim=0, _trusted=True)
+        ints, q = clear_denominators([v])
+        return Polytope(len(v), ints, q, _dim=0, _trusted=True)
 
     @staticmethod
     def from_halfspaces(halfspaces, ambient_dim: int) -> "Polytope":
         """Vertex enumeration of an intersection of half-spaces.
 
         The system must be bounded (raises otherwise); an infeasible system
-        yields the empty polytope.  Each half-space becomes one primitive
-        integer row.  Boundedness is decided without LP, by
-        `recession_is_trivial` on those rows' normals; the vertices are
-        the feasible solutions of the n-row subsystems, found from integer
-        minors by Cramer's rule and made `Fraction`s only once they are
-        feasible and distinct.
+        yields the empty polytope.  Boundedness is decided without LP, by
+        `recession_is_trivial`; the vertices are the feasible solutions of
+        the n-row subsystems, as exact keys from `_vertex_enum`.
         """
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         hs = list(halfspaces)
         if any(len(h.normal) != ambient_dim for h in hs):
             raise ValueError("half-space normal length does not match ambient_dim")
-        verts = _vertex_enum(hs, ambient_dim)
-        if not verts:
+        keys = _vertex_enum(hs, ambient_dim)
+        if not keys:
             return Polytope.empty(ambient_dim)
-        return Polytope.hull(verts)
+        q = lcm(*(den for _num, den in keys))
+        return _int_polytope(ambient_dim, [tuple(x * (q // den) for x in num)
+                                           for num, den in keys], q)
 
     # -- basic structure ---------------------------------------------------
 
     @property
+    def vertices(self) -> tuple[QVec, ...]:
+        """The vertices as sorted tuples of `Fraction`s."""
+        if self._vertices is None:
+            q = self._q
+            self._vertices = tuple(tuple(Fraction(x, q) for x in r)
+                                   for r in self._rows)
+        return self._vertices
+
+    @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self._rows
 
     def dim(self) -> int:
         """Dimension of the affine hull; 0 for a point, -1 for empty."""
@@ -158,22 +156,22 @@ class Polytope:
 
     def _cached_hull(self):
         if self._hull is None:
-            self._hull = _frame_hull(self.vertices)[1]
+            self._hull = _frame_hull(self._rows, self._q)[1]
         return self._hull
 
     def __eq__(self, other):
         return (isinstance(other, Polytope)
                 and self.ambient_dim == other.ambient_dim
-                and self.vertices == other.vertices)
+                and self._q == other._q and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vertices))
+        return hash((self.ambient_dim, self._q, self._rows))
 
     def __repr__(self):
         if self.is_empty:
             return f"Polytope.empty({self.ambient_dim})"
         return (f"<Polytope dim {self.dim()} in R^{self.ambient_dim}, "
-                f"{len(self.vertices)} vertices>")
+                f"{len(self._rows)} vertices>")
 
     # -- H-description -----------------------------------------------------
 
@@ -196,7 +194,7 @@ class Polytope:
             return tuple(sorted(
                 [HalfSpace(e1, Fraction(-1)), HalfSpace(me1, Fraction(0))],
                 key=_hs_key))
-        out = _facet_halfspaces(self.vertices[0], self._cached_hull())
+        out = _facet_halfspaces(self._rows[0], self._q, self._cached_hull())
         return tuple(sorted((h.normalized() for h in out), key=_hs_key))
 
     # -- spec operations ---------------------------------------------------
@@ -206,9 +204,11 @@ class Polytope:
             raise ValueError("ambient dimension mismatch in Minkowski sum")
         if self.is_empty or other.is_empty:
             return Polytope.empty(self.ambient_dim)
-        sums = [tuple(a + b for a, b in zip(p, q))
-                for p in self.vertices for q in other.vertices]
-        return Polytope.hull(sums)
+        q = lcm(self._q, other._q)
+        a, b = q // self._q, q // other._q
+        sums = [tuple(a * x + b * y for x, y in zip(p, r))
+                for p in self._rows for r in other._rows]
+        return _int_polytope(self.ambient_dim, sums, q)
 
     __add__ = minkowski_sum
 
@@ -222,8 +222,11 @@ class Polytope:
         ambient = self.ambient_dim + other.ambient_dim
         if self.is_empty or other.is_empty:
             return Polytope.empty(ambient)
-        pairs = [p + q for p in self.vertices for q in other.vertices]
-        return Polytope(ambient, pairs, _dim=self._dim + other._dim,
+        q = lcm(self._q, other._q)
+        a, b = q // self._q, q // other._q
+        right = [tuple(b * y for y in r) for r in other._rows]
+        pairs = [tuple(a * x for x in p) + r for p in self._rows for r in right]
+        return Polytope(ambient, pairs, q, _dim=self._dim + other._dim,
                         _trusted=True)
 
     def contains(self, other: "Polytope") -> tuple[bool, Fraction]:
@@ -238,16 +241,19 @@ class Polytope:
             return True, Fraction(0)
         margin = Fraction(0)
         for h in self.to_hrep():
-            for v in other.vertices:
-                viol = h.violation(v)
-                if viol > margin:
-                    margin = viol
+            a = [c.numerator for c in h.normal]  # primitive integer normal
+            top = max(sum(map(mul, a, r)) for r in other._rows)
+            viol = Fraction(top, other._q) - h.offset
+            if viol > margin:
+                margin = viol
         return margin == 0, margin
 
     def support(self, normal) -> Fraction:
         """Support function h(normal) = max of normal . v over the vertices
         (nonempty polytopes only)."""
-        return max(dot(normal, v) for v in self.vertices)
+        (a,), s = clear_denominators([normal])
+        return Fraction(max(sum(map(mul, a, r)) for r in self._rows),
+                        s * self._q)
 
     def volume_in_dim(self, k: int) -> Fraction:
         """Exact k-dimensional Lebesgue volume.
@@ -266,14 +272,14 @@ class Polytope:
             return Fraction(0)
         if d == 0:
             return Fraction(1)
-        _d, pivots, _rows, ints, mults, facets = self._cached_hull()
-        p0 = self.vertices[0]
+        _d, pivots, _frame_rows, ints, q, facets = self._cached_hull()
+        r0 = self._rows[0]
         fixed = [c for c in range(self.ambient_dim) if c not in pivots]
-        if any(p[c] != p0[c] for p in self.vertices for c in fixed):
+        if any(r[c] != r0[c] for r in self._rows for c in fixed):
             raise ValueError(
                 "volume_in_dim needs an axis-aligned affine hull; "
                 "got a skew %d-dimensional body in R^%d" % (d, self.ambient_dim))
-        return _int_volume(ints, d, facets) / prod(mults)
+        return _int_volume(ints, d, facets) / q ** d
 
     def scale(self, lam) -> "Polytope":
         """Dilation {lam * x : x in P} about the origin, lam >= 0."""
@@ -284,29 +290,33 @@ class Polytope:
             return self
         if lam == 0:
             return Polytope.point([0] * self.ambient_dim)
-        return Polytope(self.ambient_dim,
-                        sorted(tuple(lam * c for c in v) for v in self.vertices),
-                        _dim=self._dim, _trusted=True)
+        a = lam.numerator
+        rows, q = _lowest([tuple(a * x for x in r) for r in self._rows],
+                          self._q * lam.denominator)
+        return Polytope(self.ambient_dim, rows, q, _dim=self._dim,
+                        _trusted=True)
 
     def translate(self, vec) -> "Polytope":
         v = qvec(vec)
         if self.is_empty:
             return self
-        return Polytope(self.ambient_dim,
-                        sorted(tuple(a + b for a, b in zip(p, v))
-                               for p in self.vertices),
-                        _dim=self._dim, _trusted=True)
+        (t,), s = clear_denominators([v])
+        q = lcm(self._q, s)
+        a, b = q // self._q, q // s
+        rows, q = _lowest([tuple(a * x + b * y for x, y in zip(r, t))
+                           for r in self._rows], q)
+        return Polytope(self.ambient_dim, rows, q, _dim=self._dim,
+                        _trusted=True)
 
     def embed(self, zeros_before: int, zeros_after: int) -> "Polytope":
         """Pad vertices with zero coordinates before/after."""
         if zeros_before < 0 or zeros_after < 0:
             raise ValueError("padding counts must be >= 0")
-        zb = (Fraction(0),) * zeros_before
-        za = (Fraction(0),) * zeros_after
+        zb, za = (0,) * zeros_before, (0,) * zeros_after
         n = self.ambient_dim + zeros_before + zeros_after
         if self.is_empty:
             return Polytope.empty(n)
-        return Polytope(n, sorted(zb + v + za for v in self.vertices),
+        return Polytope(n, [zb + r + za for r in self._rows], self._q,
                         _dim=self._dim, _trusted=True)
 
     def slice_prefix_zero(self, k: int) -> "Polytope":
@@ -329,24 +339,6 @@ class Polytope:
         return {"ambient_dim": self.ambient_dim,
                 "vertices": [[str(c) for c in v] for v in self.vertices]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_obj(obj) -> "Polytope":
-        n = int(obj["ambient_dim"])
-        verts = obj["vertices"]
-        if not verts:
-            return Polytope.empty(n)
-        pts = [qvec(v) for v in verts]
-        if any(len(p) != n for p in pts):
-            raise ValueError("vertex length does not match ambient_dim")
-        return Polytope.hull(pts)
-
-    @staticmethod
-    def from_json(s: str) -> "Polytope":
-        return Polytope.from_obj(json.loads(s))
-
 
 def hull(points) -> Polytope:
     return Polytope.hull(points)
@@ -359,25 +351,43 @@ def _hs_key(h: HalfSpace):
 # -- frame and hull ----------------------------------------------------------
 
 
-def _distinct_points(pts):
-    """(ambient dimension, sorted distinct points) of a list of tuples;
-    raises ValueError on an empty list or on mixed lengths."""
+def _ambient_dim(pts):
+    """The common length of a list of points; raises ValueError on an
+    empty list or on mixed lengths."""
     if not pts:
         raise ValueError("empty point set")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed ambient dimension")
-    return n, sorted(set(pts))
+    return n
+
+
+def _lowest(rows, q):
+    """(rows, q) with their common factor divided out."""
+    g = gcd(q, *chain.from_iterable(rows))
+    return [tuple(x // g for x in r) for r in rows], q // g
+
+
+def _int_polytope(n, pts, q):
+    """The hull of {p / q} for integer points p in Z^n and an integer
+    q >= 1: the one body every constructor that hulls ends in."""
+    pts = sorted(set(pts))
+    extreme, fh = _frame_hull(pts, q)
+    rows, q = _lowest([pts[i] for i in extreme], q)
+    return Polytope(n, rows, q, _dim=fh[0], _trusted=True, _hull=fh)
 
 
 def _frame(pts):
-    """(d, sorted pivot columns, echelon rows) of the affine hull of pts.
+    """(d, sorted pivot columns, echelon rows) of the affine hull of
+    integer points.
 
     The rows span the direction space of the hull, and each row's leading
-    nonzero entry sits at its own pivot column.  Restricted to the pivot
-    columns the rows thus form a unit triangular matrix, so projecting onto
-    the pivot columns is injective on the affine hull: the projected
-    points, scaled per axis to integers, are exact hull coordinates.
+    nonzero entry sits at its own pivot column, where every later row is
+    zero.  Restricted to the pivot columns the rows thus form a triangular
+    matrix with a nonzero diagonal, so projecting onto the pivot columns
+    is injective on the affine hull: the projected integer points are
+    exact hull coordinates.  The elimination is fraction-free: each step
+    cross-multiplies, and each new row is divided by its content.
     """
     p0 = pts[0]
     n = len(p0)
@@ -385,37 +395,40 @@ def _frame(pts):
     for p in pts[1:]:
         if len(echelon) == n:
             break
-        w = list(vec_sub(p, p0))
+        w = [a - b for a, b in zip(p, p0)]
         for row, piv in echelon:
-            if w[piv] != 0:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        piv = next((i for i, a in enumerate(w) if a != 0), None)
+            f = w[piv]
+            if f:
+                r = row[piv]
+                w = [r * a - f * b for a, b in zip(w, row)]
+        piv = next((i for i, a in enumerate(w) if a), None)
         if piv is not None:
-            inv = Fraction(1) / w[piv]
-            echelon.append(([a * inv for a in w], piv))
+            g = gcd(*w)
+            echelon.append(([a // g for a in w], piv))
     return (len(echelon), sorted(piv for _, piv in echelon),
             [row for row, _ in echelon])
 
 
-def _frame_hull(pts):
-    """Extreme indices among distinct rational points, and their hull.
+def _frame_hull(pts, q):
+    """Extreme indices among sorted distinct integer points, and the hull
+    of those points over the denominator q.
 
-    The hull is (d, pivots, rows, ints, mults, facets) as in `_frame`,
-    with ints[k] = mults * (pivot coordinates of the k-th extreme point)
-    and facets as in `_int_hull`, re-indexed onto the extreme points.
+    The hull is (d, pivots, rows, ints, q, facets) as in `_frame`, with
+    ints[k] = the pivot coordinates of the k-th extreme point, which is
+    q times a point of the body, and facets as in `_int_hull`, re-indexed
+    onto the extreme points.
     """
     d, pivots, rows = _frame(pts)
     if d == 0:
-        return [0], (0, pivots, rows, [()], (), [])
-    ints, mults = clear_denominators_columns(
-        [tuple(p[c] for c in pivots) for p in pts])
+        return [0], (0, pivots, rows, [()], q, [])
+    ints = pts if d == len(pts[0]) else [tuple(p[c] for c in pivots)
+                                         for p in pts]
     extreme, facets = _int_hull(ints, d)
     extreme = sorted(extreme)
     new = {i: k for k, i in enumerate(extreme)}
     facets = [(nrm, off, [new[i] for i in members if i in new])
               for nrm, off, members in facets]
-    return extreme, (d, pivots, rows, [ints[i] for i in extreme], mults, facets)
+    return extreme, (d, pivots, rows, [ints[i] for i in extreme], q, facets)
 
 
 def _int_hull(ints, d):
@@ -468,7 +481,7 @@ def _brute_facets(ints, d):
     facets = {}
     npts = len(ints)
     for sub in combinations(range(npts), d):
-        diffs = [vec_sub(qvec(ints[i]), qvec(ints[sub[0]])) for i in sub[1:]]
+        diffs = [vec_sub(ints[i], ints[sub[0]]) for i in sub[1:]]
         if rank(diffs) != d - 1:
             continue
         ns = nullspace(diffs)
@@ -493,14 +506,15 @@ def _brute_facets(ints, d):
 # -- facet enumeration (H-description) --------------------------------------
 
 
-def _facet_halfspaces(p0, frame_hull):
-    """Half-spaces of a polytope with vertex p0 and the given frame and
-    hull: facet inequalities plus affine-hull equality pairs for
+def _facet_halfspaces(r0, q0, frame_hull):
+    """Half-spaces of a polytope with vertex r0 / q0 and the given frame
+    and hull: facet inequalities plus affine-hull equality pairs for
     lower-dimensional bodies.  A facet g . y <= c of the integer
-    coordinates y = mults * x[pivots] is the ambient half-space with
-    normal g * mults on the pivot columns, zero elsewhere."""
-    n = len(p0)
-    d, pivots, rows, _ints, mults, facets = frame_hull
+    coordinates y = q * x[pivots] (q the hull's own denominator, which
+    q0 divides) is the ambient half-space with normal g on the pivot
+    columns, zero elsewhere, and offset c / q."""
+    n = len(r0)
+    d, pivots, rows, _ints, q, facets = frame_hull
     out = []
     if d < n:
         if rows:
@@ -509,14 +523,14 @@ def _facet_halfspaces(p0, frame_hull):
             hullspace = [tuple(Fraction(1) if j == i else Fraction(0)
                                for j in range(n)) for i in range(n)]
         for w in hullspace:
-            c = dot(w, p0)
+            c = dot(w, r0) / q0
             out.append(HalfSpace(qvec(w), c))
             out.append(HalfSpace(tuple(-x for x in w), -c))
     for g, c, _members in facets:
         normal = [Fraction(0)] * n
-        for gi, mi, col in zip(g, mults, pivots):
-            normal[col] = gi * mi
-        out.append(HalfSpace(tuple(normal), Fraction(c)))
+        for gi, col in zip(g, pivots):
+            normal[col] = Fraction(gi)
+        out.append(HalfSpace(tuple(normal), Fraction(c, q)))
     return out
 
 
@@ -524,14 +538,14 @@ def _facet_halfspaces(p0, frame_hull):
 
 
 def _vertex_enum(halfspaces, n):
-    """Sorted vertices of the intersection of half-spaces (must be bounded).
+    """Vertex keys of the intersection of half-spaces (must be bounded).
 
     Each half-space a . x <= c becomes one primitive integer row (a, c).
     An n-subset S of rows with D = det(A_S) != 0 meets in the point num / D,
     where num_j is the minor of A_S with column j replaced by c_S (Cramer's
     rule).  With D > 0 and gcd(num, D) = 1 that pair is an exact key, and
-    the point is feasible iff a . num <= c * D on every row.  Only the
-    distinct feasible keys become Fractions.
+    the point is feasible iff a . num <= c * D on every row.  Returns the
+    distinct feasible keys (num, D), in the order found.
     """
     rows = list(dict.fromkeys(
         primitive_int_vector(tuple(h.normal) + (h.offset,))[0]
@@ -539,7 +553,7 @@ def _vertex_enum(halfspaces, n):
     if not recession_is_trivial([r[:n] for r in rows], n):
         raise ValueError("half-space system is unbounded")
     seen = set()
-    verts = []
+    keys = []
     for sub in combinations(rows, n):
         den = int_det([r[:n] for r in sub])
         if den == 0:
@@ -555,8 +569,8 @@ def _vertex_enum(halfspaces, n):
         seen.add(key)
         num, den = key
         if all(sum(map(mul, r, num)) <= r[n] * den for r in rows):
-            verts.append(tuple(Fraction(x, den) for x in num))
-    return sorted(verts)
+            keys.append(key)
+    return keys
 
 
 # -- exact volume ------------------------------------------------------------
@@ -587,4 +601,3 @@ def _int_volume(ints, d, facets):
     if total < 0:
         raise AssertionError("inconsistent facet orientation in volume")
     return Fraction(total, factorial(d))
-

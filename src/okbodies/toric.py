@@ -265,9 +265,9 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
     """(1/m) * hull of the valuation vectors of all level-m sections.
 
-    The valuation vectors of level-m sections are integer vectors, so they
-    are hulled as integers by `Polytope.lattice_hull` and divided by m only
-    at the extreme points."""
+    The valuation vectors of level-m sections are integer vectors, so
+    `Polytope.lattice_hull` hulls them as they are, over the denominator
+    m, and no `Fraction` is made."""
     flag.validate(X)
     pts = sections(X, D, m)
     if not pts:
@@ -379,36 +379,25 @@ def restricted_volume_toric(X, D: ToricDivisor, stratum) -> Fraction:
     return Fraction(math.factorial(v)) * image.volume_in_dim(v)
 
 
-def nakayama_verdict(X, D: ToricDivisor, stratum, m_max: int = 10):
-    """('certified' | 'checked_up_to' | 'false', level or None).
+def nakayama_verdict(X, D: ToricDivisor, stratum):
+    """('certified' | 'false', witness level or None).
 
-    Certified when the whole section polytope sits on the stratum's face
-    (restriction then injects at every level) and the stratum dimension
-    matches the Iitaka dimension; refuted by any off-face lattice point at
-    a level <= m_max.
-    """
+    Restriction to the stratum injects at every level iff the section
+    polytope P lies on the stratum's face F.  Certified when it does and
+    the stratum dimension is the Iitaka dimension.  Otherwise, for a
+    vertex v of P off F, m * v is a section off F at m = lcm(den(D),
+    den(v)); the witness is the least such m."""
     stratum, _rest = _stratum_frame(X, stratum)
     P = section_polytope(X, D)
-    if P.is_empty:
+    if X.dim - len(stratum) != P.dim():  # P.dim() is -1 when P is empty
         return "false", None
-    if X.dim - len(stratum) != P.dim():
-        return "false", None
-    on_face = all(dot(qvec(X.rays[i]), v) == -D.coeffs[i]
-                  for i in stratum for v in P.vertices)
-    if on_face:
+    off_face = [v for v in P.vertices
+                if any(dot(qvec(X.rays[i]), v) != -D.coeffs[i] for i in stratum)]
+    if not off_face:
         return "certified", None
-    denom = 1
-    for a in D.coeffs:
-        denom = denom * a.denominator // math.gcd(denom, a.denominator)
-    for m in range(1, m_max + 1):
-        if m % denom:
-            continue
-        offsets = [-a for a in _integral_multiple(D, m)]
-        for u in sections(X, D, m):
-            if any(sum(X.rays[i][c] * u[c] for c in range(X.dim)) != offsets[i]
-                   for i in stratum):
-                return "false", m
-    return "checked_up_to", m_max
+    den = math.lcm(*(a.denominator for a in D.coeffs))
+    return "false", min(math.lcm(den, *(c.denominator for c in v))
+                        for v in off_face)
 
 
 # -- product fibrations -------------------------------------------------------

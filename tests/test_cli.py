@@ -325,6 +325,24 @@ class TestPlots:
                            "--format", "csv")
         assert code == 0 and out.strip().splitlines()[1:] == ["1,0"]
 
+    @pytest.mark.parametrize("obj,where", [
+        ({"ambient_dim": 2, "vertices": [[0.5, "1"]]}, "vertices[0][0]"),
+        ({"ambient_dim": 2, "vertices": [["1/0", "1"]]}, "vertices[0][0]"),
+        ([["0", "1"]], "expected an object"),
+        ({"ambient_dim": True, "vertices": [["1"]]}, "ambient_dim"),
+        ({"ambient_dim": 0, "vertices": []}, "ambient_dim"),
+        ({"ambient_dim": 2, "vertices": [["1"]]}, "2 coordinates"),
+        ({"ambient_dim": 2}, "vertices"),
+        ({"body": [1, 2]}, "body"),
+    ])
+    def test_malformed_body_is_an_input_error(self, capsys, tmp_path, obj,
+                                              where):
+        body_file = tmp_path / "bad.json"
+        body_file.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "emit-plot", "--body", body_file)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and where in err
+
 
 class TestValidateVerb:
     def test_ok(self, corpus, capsys):

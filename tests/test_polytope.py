@@ -1,14 +1,15 @@
+import json
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import polytope, toric
-from okbodies.linalg import (clear_denominators_columns, dot, nullspace,
-                             qvec, solve, vec_sub)
+from okbodies.ioformats import body_from_obj
+from okbodies.linalg import dot, nullspace, qvec, solve, vec_sub
 from okbodies.lp import recession_is_trivial
 from okbodies.polytope import HalfSpace, Polytope, hull
 
@@ -229,10 +230,10 @@ class TestScaleEmbed:
 class TestSerialization:
     def test_roundtrip(self):
         for P in (tri(), Polytope.empty(3), hull([(F(1, 2), F(-2, 3))])):
-            assert Polytope.from_json(P.to_json()) == P
+            assert body_from_obj(json.loads(json.dumps(P.to_obj()))) == P
 
     def test_rational_strings(self):
-        blob = hull([(F(1, 2),)]).to_json()
+        blob = json.dumps(hull([(F(1, 2),)]).to_obj())
         assert '"1/2"' in blob
 
 
@@ -346,6 +347,17 @@ def test_product_is_sum_of_embeddings(pair):
 # its own: affine coordinates solved point by point in a basis of the
 # direction space, facet normals mapped back through the inverse basis
 # matrix, and volumes on a separate projection onto the varying columns.
+
+
+def clear_denominators_columns(points):
+    """Scale each coordinate axis of a rational point set to integers:
+    (integer points, per-axis multipliers)."""
+    if not points:
+        return [], ()
+    mults = [lcm(*(p[c].denominator for p in points))
+             for c in range(len(points[0]))]
+    ints = [tuple(int(x * m) for x, m in zip(p, mults)) for p in points]
+    return ints, tuple(F(m) for m in mults)
 
 
 def _old_affine_frame(pts):
@@ -472,10 +484,11 @@ def _outcome(fn):
 
 
 @st.composite
-def flat_bodies(draw):
+def flat_bodies(draw, n=None):
     """Point sets spanning a d-dimensional affine subspace of R^n, n <= 4,
-    along coordinate axes or along random (skew) directions."""
-    n = draw(st.integers(1, 4))
+    along coordinate axes or along random (skew) directions; n is drawn
+    unless given."""
+    n = n or draw(st.integers(1, 4))
     d = draw(st.integers(0, n))
     p0 = draw(st.tuples(*[coord] * n))
     if draw(st.booleans()):
@@ -530,12 +543,13 @@ def test_one_hull_per_polytope(monkeypatch):
 
 
 @st.composite
-def lattice_sets(draw):
+def lattice_sets(draw, n=None):
     """(integer points, m): points spanning a d-dimensional affine subspace
     of R^n, n <= 4, along coordinate axes or skew integer directions, with
     repeated points.  At most 48 points in R^4, and at most 10 when they
-    may span it (the facet search in dimension 4 is exponential)."""
-    n = draw(st.integers(1, 4))
+    may span it (the facet search in dimension 4 is exponential).  n is
+    drawn unless given."""
+    n = n or draw(st.integers(1, 4))
     d = draw(st.integers(0, n))
     small = st.integers(-3, 3)
     p0 = draw(st.tuples(*[small] * n))
@@ -599,14 +613,14 @@ qcoord = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
 @st.composite
-def halfspace_systems(draw):
+def halfspace_systems(draw, n=None):
     """(half-spaces, n) in R^n, n <= 4: a box [lo, lo + width] (flat where a
     width is 0, left out for unbounded systems) cut by random half-spaces
     near the corner lo,
     plus up to two of: duplicates and positively scaled duplicates, cuts
     through the corner lo (a degenerate apex), an equality pair, a
     contradictory pair (infeasible).  Rational data, denominators <= 7."""
-    n = draw(st.integers(1, 4))
+    n = n or draw(st.integers(1, 4))
 
     def normal():
         return draw(st.tuples(*[qcoord] * n).filter(any))
@@ -649,7 +663,11 @@ def halfspace_systems(draw):
 @given(halfspace_systems())
 def test_vertex_enum_matches_fraction_solve_oracle(system):
     hs, n = system
-    assert (_outcome(lambda: polytope._vertex_enum(hs, n))
+    def keys_as_fractions():
+        return sorted(tuple(F(x, den) for x in num)
+                      for num, den in polytope._vertex_enum(hs, n))
+
+    assert (_outcome(keys_as_fractions)
             == _outcome(lambda: _old_vertex_enum(hs, n)))
 
 
@@ -666,3 +684,213 @@ def test_from_halfspaces_solves_nothing(monkeypatch):
             == hull([(0, 0), (3, 0), (0, 3)]))
     assert cube.slice_prefix_zero(1) == hull([(0, y, z) for y in (0, 2)
                                                 for z in (0, 2)])
+
+
+# -- oracle: the Fraction-vertex paths -----------------------------------------
+#
+# A test-local copy of the paths a polytope took while its vertices were
+# tuples of Fractions: a Fraction echelon for the frame, denominators
+# cleared per axis for the integer hull, and every other operation on the
+# Fraction vertices.  The integer hull engine `_int_hull` is shared.
+
+
+def _frac_frame(pts):
+    p0 = pts[0]
+    n = len(p0)
+    echelon = []
+    for p in pts[1:]:
+        if len(echelon) == n:
+            break
+        w = list(vec_sub(p, p0))
+        for row, piv in echelon:
+            if w[piv] != 0:
+                f = w[piv]
+                w = [a - f * b for a, b in zip(w, row)]
+        piv = next((i for i, a in enumerate(w) if a != 0), None)
+        if piv is not None:
+            echelon.append(([a / w[piv] for a in w], piv))
+    return (len(echelon), sorted(piv for _, piv in echelon),
+            [row for row, _ in echelon])
+
+
+def _frac_frame_hull(pts):
+    d, pivots, rows = _frac_frame(pts)
+    if d == 0:
+        return [0], (0, pivots, rows, [()], (), [])
+    ints, mults = clear_denominators_columns(
+        [tuple(p[c] for c in pivots) for p in pts])
+    extreme, facets = polytope._int_hull(ints, d)
+    extreme = sorted(extreme)
+    new = {i: k for k, i in enumerate(extreme)}
+    facets = [(nrm, off, [new[i] for i in members if i in new])
+              for nrm, off, members in facets]
+    return extreme, (d, pivots, rows, [ints[i] for i in extreme], mults, facets)
+
+
+class _FracBody:
+    """Sorted Fraction vertices, dimension and (lazily) the frame and hull."""
+
+    def __init__(self, n, verts, d, fh=None):
+        self.n, self.vertices, self.d, self._fh = n, tuple(verts), d, fh
+
+    @staticmethod
+    def hull(points):
+        pts = sorted(set(qvec(p) for p in points))
+        extreme, fh = _frac_frame_hull(pts)
+        return _FracBody(len(pts[0]), [pts[i] for i in extreme], fh[0], fh)
+
+    @staticmethod
+    def from_halfspaces(hs, n):
+        verts = _old_vertex_enum(hs, n)
+        return _FracBody.hull(verts) if verts else _FracBody(n, (), -1)
+
+    def frame_hull(self):
+        if self._fh is None:
+            self._fh = _frac_frame_hull(list(self.vertices))[1]
+        return self._fh
+
+    def hrep(self):
+        n = self.n
+        if not self.vertices:
+            e1 = qvec([1] + [0] * (n - 1))
+            return tuple(sorted([HalfSpace(e1, F(-1)),
+                                 HalfSpace(tuple(-c for c in e1), F(0))],
+                                key=lambda h: (h.normal, h.offset)))
+        p0 = self.vertices[0]
+        d, pivots, rows, _ints, mults, facets = self.frame_hull()
+        out = []
+        if d < n:
+            eqs = nullspace(rows) if rows else [
+                tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
+            for w in eqs:
+                out += [HalfSpace(qvec(w), dot(w, p0)),
+                        HalfSpace(tuple(-x for x in w), -dot(w, p0))]
+        for g, c, _members in facets:
+            normal = [F(0)] * n
+            for gi, mi, col in zip(g, mults, pivots):
+                normal[col] = gi * mi
+            out.append(HalfSpace(tuple(normal), F(c)))
+        return tuple(sorted((h.normalized() for h in out),
+                            key=lambda h: (h.normal, h.offset)))
+
+    def contains(self, other):
+        if not other.vertices:
+            return True, F(0)
+        margin = F(0)
+        for h in self.hrep():
+            for v in other.vertices:
+                margin = max(margin, h.violation(v))
+        return margin == 0, margin
+
+    def support(self, normal):
+        return max(dot(normal, v) for v in self.vertices)
+
+    def volume(self, k):
+        if not self.vertices:
+            return F(0)
+        d = self.d
+        if k < d:
+            raise ValueError("body exceeds requested dimension")
+        if k > d:
+            return F(0)
+        if d == 0:
+            return F(1)
+        _d, pivots, _rows, ints, mults, facets = self.frame_hull()
+        p0 = self.vertices[0]
+        fixed = [c for c in range(self.n) if c not in pivots]
+        if any(p[c] != p0[c] for p in self.vertices for c in fixed):
+            raise ValueError(
+                "volume_in_dim needs an axis-aligned affine hull; "
+                "got a skew %d-dimensional body in R^%d" % (d, self.n))
+        vol = polytope._int_volume(ints, d, facets)
+        for m in mults:
+            vol /= m
+        return vol
+
+    def scale(self, lam):
+        if lam == 0:
+            return _FracBody(self.n, [(F(0),) * self.n], 0)
+        return _FracBody(self.n, sorted(tuple(lam * c for c in v)
+                                        for v in self.vertices), self.d)
+
+    def translate(self, t):
+        return _FracBody(self.n, sorted(tuple(a + b for a, b in zip(v, t))
+                                        for v in self.vertices), self.d)
+
+    def embed(self, before, after):
+        zb, za = (F(0),) * before, (F(0),) * after
+        return _FracBody(self.n + before + after,
+                         sorted(zb + v + za for v in self.vertices), self.d)
+
+    def product(self, other):
+        if not (self.vertices and other.vertices):
+            return _FracBody(self.n + other.n, (), -1)
+        return _FracBody(self.n + other.n,
+                         [p + q for p in self.vertices for q in other.vertices],
+                         self.d + other.d)
+
+
+def _same_body(P, R):
+    """P matches the reference body R: vertices, dimension, H-description
+    and every volume (value or error)."""
+    assert (P.ambient_dim, P.vertices, P.dim()) == (R.n, R.vertices, R.d)
+    assert P.to_hrep() == R.hrep()
+    for k in range(max(P.dim(), 0), P.ambient_dim + 1):
+        assert (_outcome(lambda: P.volume_in_dim(k))
+                == _outcome(lambda: R.volume(k)))
+
+
+@st.composite
+def reference_bodies(draw, n):
+    """(Polytope, reference body) in R^n from every constructor: `hull` on
+    flat or full point sets, `lattice_hull` on integer points over m,
+    `from_halfspaces` on boxes cut by half-spaces, and the empty body."""
+    kind = draw(st.sampled_from(["hull", "lattice", "halfspaces", "empty"]))
+    if kind == "hull":
+        pts = draw(flat_bodies(n))
+        return hull(pts), _FracBody.hull(pts)
+    if kind == "lattice":
+        pts, m = draw(lattice_sets(n))
+        return (Polytope.lattice_hull(pts, m),
+                _FracBody.hull([tuple(F(c, m) for c in p) for p in pts]))
+    if kind == "halfspaces":
+        hs, _ = draw(halfspace_systems(n))
+        R = _outcome(lambda: _FracBody.from_halfspaces(hs, n))
+        if isinstance(R, _FracBody):
+            return Polytope.from_halfspaces(hs, n), R
+    return Polytope.empty(n), _FracBody(n, (), -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(reference_bodies(n), reference_bodies(n),
+                        st.tuples(*[qcoord] * n))),
+    reference_bodies(1),
+    st.fractions(min_value=0, max_value=3, max_denominator=5))
+def test_integer_rows_match_fraction_reference(bodies, segment, lam):
+    """Every constructor and operation against the Fraction-vertex copy,
+    and equality as equality of vertices across constructors.  Products
+    are compared in full up to R^3 (facets in R^4 are a brute-force
+    search)."""
+    (P, R), (Q, S), vec = bodies
+    _same_body(P, R)
+    assert P.contains(Q) == R.contains(S)
+    assert Q.contains(P) == S.contains(R)
+    G, T = segment
+    PG, RT = P.product(G), R.product(T)
+    if PG.ambient_dim <= 3:
+        _same_body(PG, RT)
+    assert (PG.vertices, PG.dim()) == (RT.vertices, RT.d)
+    E = P.embed(1, 0)
+    assert (E.vertices, E.dim()) == (R.embed(1, 0).vertices, R.d)
+    others = [Q]
+    if not P.is_empty:
+        assert P.support(vec) == R.support(vec)
+        _same_body(P.scale(lam), R.scale(lam))
+        _same_body(P.translate(vec), R.translate(vec))
+        others += [hull(P.vertices), P.scale(lam), P.translate(vec),
+                   P.scale(2).scale(F(1, 2)), P.translate(vec).translate(
+                       tuple(-c for c in vec))]
+    for B in others:
+        assert (P == B) == (P.vertices == B.vertices)
+        assert P != B or hash(P) == hash(B)

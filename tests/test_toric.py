@@ -397,10 +397,17 @@ class TestPredicates:
 
     def test_nakayama_bounded_level(self):
         # a half-integral vertical class only has integral multiples at
-        # even levels; with m_max=1 nothing is checkable, at level 2 the
-        # off-face lattice point refutes injectivity
+        # even levels; at level 2 the off-face lattice point refutes
+        # injectivity
         fib = T.product_fibration(P1, P1)
         Dh = d(fib.total, [0, F(1, 2), 0, 0])
-        assert T.nakayama_verdict(fib.total, Dh, (0,), m_max=1) == \
-            ("checked_up_to", 1)
-        assert T.nakayama_verdict(fib.total, Dh, (0,), m_max=10) == ("false", 2)
+        assert T.nakayama_verdict(fib.total, Dh, (0,)) == ("false", 2)
+
+    def test_nakayama_witness_beyond_level_ten(self):
+        # D_3 / 11 has integral multiples only at levels divisible by 11;
+        # at level 11 the section with exponent (0, 1) is off the face
+        # <u, (0, 1)> = 0, so restriction is not injective
+        X = T.product_fibration(P1, P1).total
+        D = d(X, [0, 0, 0, F(1, 11)])
+        assert T.nakayama_verdict(X, D, (2,)) == ("false", 11)
+        assert (0, 1) in T.sections(X, D, 11)
