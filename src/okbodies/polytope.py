@@ -2,20 +2,23 @@
 
 Inside this module a polytope is integers: a sorted tuple of integer
 vertex rows over one least common denominator q (gcd(q, every entry) ==
-1), a canonical form that equality and hashing compare.  `Fraction`s
-appear only at the API edge: `vertices` is the `Fraction` view, made on
-first use, and `to_hrep` a cache of `HalfSpace`s with primitive integer
-normals, lexicographically sorted.  Floats never appear.
+1), a canonical form that equality and hashing compare, and, made on
+first use, a sorted tuple of integer facet rows (a, c) over one
+denominator qh, each meaning a . x <= c / qh with a primitive (equality
+pairs included).  `Fraction`s appear only at the API edge: `vertices`
+and `to_hrep` are their views, and `from_halfspaces` turns each
+`HalfSpace` into a row once.  Floats never appear.
 
 Each polytope has one frame and one hull, computed once and cached: the
 frame is a fraction-free echelon of the affine hull, whose pivot
 coordinates are exact integer hull coordinates, and `_int_hull` gives
-their extreme points and facets, which `to_hrep` maps back to R^n and
+their extreme points and facets, which `_hull_rows` maps back to R^n and
 `volume_in_dim` sums simplices over.  Every constructor that hulls ends
 in `_int_polytope`: `hull` clears one common denominator, `lattice_hull`
-passes its integer points over m, and `from_halfspaces` passes the
-(numerator, denominator) vertex keys that `_vertex_enum` finds from
-integer minors (Cramer's rule).
+passes its integer points over m, and `from_halfspaces` and
+`slice_prefix_zero` pass the (numerator, denominator) vertex keys that
+`_vertex_enum` finds from integer minors (Cramer's rule).  Inclusions
+of products are decided on the facet rows by `support_rows`.
 
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import factorial, gcd, lcm
 from operator import mul
 
@@ -53,10 +56,6 @@ class HalfSpace:
     def violation(self, point) -> Fraction:
         return dot(self.normal, point) - self.offset
 
-    def normalized(self) -> "HalfSpace":
-        ints, mult = primitive_int_vector(self.normal)
-        return HalfSpace(qvec(ints), self.offset * mult)
-
 
 class Polytope:
     """Bounded rational polytope, canonically the hull of its vertices
@@ -64,10 +63,11 @@ class Polytope:
 
     `_hull` caches the frame and integer hull of the vertices (see
     `_frame_hull`); `_int_polytope` fills it from the hull it computes
-    anyway, and the other constructors leave it to be filled on first use.
+    anyway, and the other constructors leave it to be filled on first use;
+    `_hrows` caches the facet rows made from it (see `_facet_rows`).
     """
 
-    __slots__ = ("ambient_dim", "_rows", "_q", "_vertices", "_dim", "_hrep",
+    __slots__ = ("ambient_dim", "_rows", "_q", "_vertices", "_dim", "_hrows",
                  "_hull")
 
     def __init__(self, ambient_dim: int, rows, q, _dim=None, _trusted=False,
@@ -81,7 +81,7 @@ class Polytope:
         self._q = q
         self._vertices = None
         self._dim = _dim
-        self._hrep = None
+        self._hrows = None
         self._hull = _hull
 
     # -- constructors ------------------------------------------------------
@@ -128,12 +128,8 @@ class Polytope:
         hs = list(halfspaces)
         if any(len(h.normal) != ambient_dim for h in hs):
             raise ValueError("half-space normal length does not match ambient_dim")
-        keys = _vertex_enum(hs, ambient_dim)
-        if not keys:
-            return Polytope.empty(ambient_dim)
-        q = lcm(*(den for _num, den in keys))
-        return _int_polytope(ambient_dim, [tuple(x * (q // den) for x in num)
-                                           for num, den in keys], q)
+        return _from_rows([tuple(h.normal) + (h.offset,) for h in hs],
+                          ambient_dim)
 
     # -- basic structure ---------------------------------------------------
 
@@ -176,26 +172,49 @@ class Polytope:
     # -- H-description -----------------------------------------------------
 
     def to_hrep(self) -> tuple[HalfSpace, ...]:
-        """Minimal normalized half-space description.
+        """Minimal half-space description: the `HalfSpace` view of the
+        facet rows, with primitive integer normals, sorted.
 
         Lower-dimensional bodies carry their affine hull as equality pairs;
         the empty polytope is encoded by a canonical contradictory pair.
-        The facets are those of the cached hull, mapped back to R^n.
         """
-        if self._hrep is None:
-            self._hrep = self._compute_hrep()
-        return self._hrep
+        rows, qh = self._facet_rows()
+        return tuple(HalfSpace(tuple(map(Fraction, a)), Fraction(c, qh))
+                     for a, c in rows)
 
-    def _compute_hrep(self):
-        n = self.ambient_dim
-        if self.is_empty:
-            e1 = qvec([1] + [0] * (n - 1))
-            me1 = qvec([-1] + [0] * (n - 1))
-            return tuple(sorted(
-                [HalfSpace(e1, Fraction(-1)), HalfSpace(me1, Fraction(0))],
-                key=_hs_key))
-        out = _facet_halfspaces(self._rows[0], self._q, self._cached_hull())
-        return tuple(sorted((h.normalized() for h in out), key=_hs_key))
+    def _facet_rows(self):
+        """(rows, qh): the sorted integer rows (a, c), each meaning
+        a . x <= c / qh with a primitive, that `to_hrep` shows."""
+        if self._hrows is None:
+            if self.is_empty:
+                e1 = (1,) + (0,) * (self.ambient_dim - 1)
+                self._hrows = ((tuple(-x for x in e1), 0), (e1, -1)), 1
+            else:
+                self._hrows = _hull_rows(self._rows[0], self._q,
+                                         self._cached_hull())
+        return self._hrows
+
+    def support_rows(self, *factors):
+        """(rows, q): one integer row (c, h_1, ..., h_k) per facet row
+        a . x <= c / q of self, where h_i / q is the support function of
+        factors[i] at the i-th block of a.  For all beta_i > 0, self holds
+        beta_1 * factors[0] x ... x beta_k * factors[-1] iff
+        sum(beta_i * h_i) <= c on every row; an empty factor gives no rows.
+        """
+        if self.ambient_dim != sum(f.ambient_dim for f in factors):
+            raise ValueError("ambient dimension mismatch in containment test")
+        if any(f.is_empty for f in factors):
+            return [], 1
+        rows, qh = self._facet_rows()
+        q = lcm(qh, *(f._q for f in factors))
+        ends = accumulate(f.ambient_dim for f in factors)
+        blocks = [(end - f.ambient_dim, end, f._rows, q // f._q)
+                  for f, end in zip(factors, ends)]
+        k = q // qh
+        return [(k * c,) + tuple(
+                    s * max(sum(map(mul, a[lo:hi], r)) for r in vrows)
+                    for lo, hi, vrows, s in blocks)
+                for a, c in rows], q
 
     # -- spec operations ---------------------------------------------------
 
@@ -235,22 +254,15 @@ class Polytope:
         Margin is 0 exactly when every vertex of `other` satisfies every
         half-space of `self`.
         """
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch in containment test")
-        if other.is_empty:
-            return True, Fraction(0)
-        margin = Fraction(0)
-        for h in self.to_hrep():
-            a = [c.numerator for c in h.normal]  # primitive integer normal
-            top = max(sum(map(mul, a, r)) for r in other._rows)
-            viol = Fraction(top, other._q) - h.offset
-            if viol > margin:
-                margin = viol
+        rows, q = self.support_rows(other)
+        margin = Fraction(max([0] + [h - c for c, h in rows]), q)
         return margin == 0, margin
 
     def support(self, normal) -> Fraction:
         """Support function h(normal) = max of normal . v over the vertices
         (nonempty polytopes only)."""
+        if len(normal) != self.ambient_dim:
+            raise ValueError("normal length does not match ambient_dim")
         (a,), s = clear_denominators([normal])
         return Fraction(max(sum(map(mul, a, r)) for r in self._rows),
                         s * self._q)
@@ -298,6 +310,8 @@ class Polytope:
 
     def translate(self, vec) -> "Polytope":
         v = qvec(vec)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient_dim")
         if self.is_empty:
             return self
         (t,), s = clear_denominators([v])
@@ -325,13 +339,13 @@ class Polytope:
             raise ValueError("slice count out of range")
         if k == 0 or self.is_empty:
             return self
-        hs = list(self.to_hrep())
+        n = self.ambient_dim
+        rows, qh = self._facet_rows()
+        rows = [tuple(qh * x for x in a) + (c,) for a, c in rows]
         for i in range(k):
-            e = [Fraction(0)] * self.ambient_dim
-            e[i] = Fraction(1)
-            hs.append(HalfSpace(tuple(e), Fraction(0)))
-            hs.append(HalfSpace(tuple(-c for c in e), Fraction(0)))
-        return Polytope.from_halfspaces(hs, self.ambient_dim)
+            e = (0,) * i + (1,) + (0,) * (n - i)  # x_i <= 0, offset last
+            rows += [e, tuple(-x for x in e)]
+        return _from_rows(rows, n)
 
     # -- serialization -----------------------------------------------------
 
@@ -342,10 +356,6 @@ class Polytope:
 
 def hull(points) -> Polytope:
     return Polytope.hull(points)
-
-
-def _hs_key(h: HalfSpace):
-    return (tuple(h.normal), h.offset)
 
 
 # -- frame and hull ----------------------------------------------------------
@@ -506,50 +516,57 @@ def _brute_facets(ints, d):
 # -- facet enumeration (H-description) --------------------------------------
 
 
-def _facet_halfspaces(r0, q0, frame_hull):
-    """Half-spaces of a polytope with vertex r0 / q0 and the given frame
-    and hull: facet inequalities plus affine-hull equality pairs for
-    lower-dimensional bodies.  A facet g . y <= c of the integer
-    coordinates y = q * x[pivots] (q the hull's own denominator, which
-    q0 divides) is the ambient half-space with normal g on the pivot
-    columns, zero elsewhere, and offset c / q."""
+def _hull_rows(r0, q0, frame_hull):
+    """(sorted facet rows (a, c), qh) of a polytope with vertex r0 / q0 and
+    the given frame and hull, plus affine-hull equality pairs when it is
+    flat.  A facet g . y <= c of y = qh * x[pivots] (qh the hull's own
+    denominator, which q0 divides) is the row g / gcd(g) on the pivot
+    columns, c / gcd(g), exact since the facet holds integer points."""
     n = len(r0)
-    d, pivots, rows, _ints, q, facets = frame_hull
+    d, pivots, rows, _ints, qh, facets = frame_hull
     out = []
     if d < n:
-        if rows:
-            hullspace = nullspace(rows)
-        else:
-            hullspace = [tuple(Fraction(1) if j == i else Fraction(0)
-                               for j in range(n)) for i in range(n)]
+        hullspace = (nullspace(rows) if rows else
+                     [tuple(int(j == i) for j in range(n)) for i in range(n)])
+        k = qh // q0
         for w in hullspace:
-            c = dot(w, r0) / q0
-            out.append(HalfSpace(qvec(w), c))
-            out.append(HalfSpace(tuple(-x for x in w), -c))
+            a, _ = primitive_int_vector(w)
+            c = k * sum(map(mul, a, r0))
+            out += [(a, c), (tuple(-x for x in a), -c)]
     for g, c, _members in facets:
-        normal = [Fraction(0)] * n
+        k = gcd(*g)
+        a = [0] * n
         for gi, col in zip(g, pivots):
-            normal[col] = Fraction(gi)
-        out.append(HalfSpace(tuple(normal), Fraction(c, q)))
-    return out
+            a[col] = gi // k
+        out.append((tuple(a), c // k))
+    return tuple(sorted(out)), qh
 
 
 # -- vertex enumeration (H -> V) ---------------------------------------------
 
 
-def _vertex_enum(halfspaces, n):
-    """Vertex keys of the intersection of half-spaces (must be bounded).
+def _from_rows(rows, n):
+    """The polytope {x in R^n : a . x <= c on every row (a_1..a_n, c)}."""
+    keys = _vertex_enum(rows, n)
+    if not keys:
+        return Polytope.empty(n)
+    q = lcm(*(den for _num, den in keys))
+    return _int_polytope(n, [tuple(x * (q // den) for x in num)
+                             for num, den in keys], q)
 
-    Each half-space a . x <= c becomes one primitive integer row (a, c).
-    An n-subset S of rows with D = det(A_S) != 0 meets in the point num / D,
-    where num_j is the minor of A_S with column j replaced by c_S (Cramer's
+
+def _vertex_enum(rows, n):
+    """Vertex keys of the intersection of the half-spaces a . x <= c given
+    as rational or integer rows (a_1, ..., a_n, c) (must be bounded).
+
+    Each row is scaled to one primitive integer row (a, c).  An n-subset
+    S of rows with D = det(A_S) != 0 meets in the point num / D, where
+    num_j is the minor of A_S with column j replaced by c_S (Cramer's
     rule).  With D > 0 and gcd(num, D) = 1 that pair is an exact key, and
     the point is feasible iff a . num <= c * D on every row.  Returns the
     distinct feasible keys (num, D), in the order found.
     """
-    rows = list(dict.fromkeys(
-        primitive_int_vector(tuple(h.normal) + (h.offset,))[0]
-        for h in halfspaces))
+    rows = list(dict.fromkeys(primitive_int_vector(r)[0] for r in rows))
     if not recession_is_trivial([r[:n] for r in rows], n):
         raise ValueError("half-space system is unbounded")
     seen = set()

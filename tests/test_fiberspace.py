@@ -265,11 +265,11 @@ def scaled_inclusions(draw):
 def test_support_rows_match_contains_on_hulled_sum(case):
     lhs, B, G, al, be, ga = case
     m, n = B.ambient_dim, G.ambient_dim
-    rows = FS._support_rows(lhs, B, G)
-    verdict = all(be * hb + ga * hf <= al * c for c, hb, hf, _q in rows)
+    rows, q = lhs.support_rows(B, G)
+    verdict = all(be * hb + ga * hf <= al * c for c, hb, hf in rows)
     margin = max([F(0)] + [(be * hb + ga * hf - al * c) / q
-                           for c, hb, hf, q in rows])
-    assert all(isinstance(x, int) for row in rows for x in row)
+                           for c, hb, hf in rows])
+    assert all(isinstance(x, int) for row in rows for x in row + (q,))
     expected = lhs.scale(al).contains(B.scale(be).embed(0, n)
                                       + G.scale(ga).embed(m, 0))
     assert (verdict, margin) == expected

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from okbodies import polytope, toric
 from okbodies.ioformats import body_from_obj
-from okbodies.linalg import dot, nullspace, qvec, solve, vec_sub
+from okbodies.linalg import (dot, nullspace, primitive_int_vector, qvec,
+                             solve, vec_sub)
 from okbodies.lp import recession_is_trivial
 from okbodies.polytope import HalfSpace, Polytope, hull
 
@@ -185,6 +186,18 @@ class TestContains:
         ok, margin = e.contains(square())
         assert not ok and margin > 0
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch in containment"):
+            square().contains(hull([(0,), (1,)]))
+        with pytest.raises(ValueError, match="mismatch in containment"):
+            square().support_rows(hull([(0,)]), tri())
+
+    def test_support_length_must_match_ambient_dim(self):
+        # a short normal used to be zipped against the vertex rows
+        P = hull([(0, 0, 0), (1, 2, 3)])
+        with pytest.raises(ValueError, match="does not match ambient_dim"):
+            P.support((1,))
+
 
 class TestSlice:
     def test_square(self):
@@ -225,6 +238,12 @@ class TestScaleEmbed:
         assert seg.embed(0, 1) == hull([(0, 0), (2, 0)])
         assert seg.embed(1, 0) == hull([(0, 0), (0, 2)])
         assert hull([(0,)]).embed(0, 2) == hull([(0, 0, 0)])
+
+    def test_translate_length_must_match_ambient_dim(self):
+        # a short vector used to truncate the rows below ambient_dim
+        P = hull([(0, 0, 0), (1, 2, 3)])
+        with pytest.raises(ValueError, match="does not match ambient_dim"):
+            P.translate((5,))
 
 
 class TestSerialization:
@@ -360,6 +379,13 @@ def clear_denominators_columns(points):
     return ints, tuple(F(m) for m in mults)
 
 
+def _normalized(h):
+    """The half-space h with its normal scaled to a primitive integer
+    vector, as `HalfSpace.normalized` used to give it."""
+    ints, mult = primitive_int_vector(h.normal)
+    return HalfSpace(qvec(ints), h.offset * mult)
+
+
 def _old_affine_frame(pts):
     p0 = pts[0]
     n = len(p0)
@@ -438,7 +464,7 @@ def _old_hrep(verts):
                            for col in range(n))
             out.append(HalfSpace(normal, c + dot(normal, p0)))
     key = lambda h: (tuple(h.normal), h.offset)
-    return tuple(sorted((h.normalized() for h in out), key=key))
+    return tuple(sorted((_normalized(h) for h in out), key=key))
 
 
 def _old_volume(verts, d, k):
@@ -664,8 +690,9 @@ def halfspace_systems(draw, n=None):
 def test_vertex_enum_matches_fraction_solve_oracle(system):
     hs, n = system
     def keys_as_fractions():
+        rows = [h.normal + (h.offset,) for h in hs]
         return sorted(tuple(F(x, den) for x in num)
-                      for num, den in polytope._vertex_enum(hs, n))
+                      for num, den in polytope._vertex_enum(rows, n))
 
     assert (_outcome(keys_as_fractions)
             == _outcome(lambda: _old_vertex_enum(hs, n)))
@@ -770,7 +797,7 @@ class _FracBody:
             for gi, mi, col in zip(g, mults, pivots):
                 normal[col] = gi * mi
             out.append(HalfSpace(tuple(normal), F(c)))
-        return tuple(sorted((h.normalized() for h in out),
+        return tuple(sorted((_normalized(h) for h in out),
                             key=lambda h: (h.normal, h.offset)))
 
     def contains(self, other):
@@ -864,30 +891,44 @@ def reference_bodies(draw, n):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(reference_bodies(n), reference_bodies(n),
-                        st.tuples(*[qcoord] * n))),
+                        st.tuples(*[qcoord] * n), st.integers(1, n))),
     reference_bodies(1),
     st.fractions(min_value=0, max_value=3, max_denominator=5))
 def test_integer_rows_match_fraction_reference(bodies, segment, lam):
     """Every constructor and operation against the Fraction-vertex copy,
     and equality as equality of vertices across constructors.  Products
     are compared in full up to R^3 (facets in R^4 are a brute-force
-    search)."""
-    (P, R), (Q, S), vec = bodies
+    search); product inclusions by `support_rows` on two factors, and
+    slices by the reference H -> V path on the half-spaces plus the unit
+    equality pairs."""
+    (P, R), (Q, S), vec, k = bodies
+    n = P.ambient_dim
     _same_body(P, R)
     assert P.contains(Q) == R.contains(S)
     assert Q.contains(P) == S.contains(R)
     G, T = segment
     PG, RT = P.product(G), R.product(T)
+    E = P.embed(1, 0)
+    # (lhs, reference lhs, factors, reference factors)
+    inclusions = [(E, R.embed(1, 0), (G, Q), (T, S))]
     if PG.ambient_dim <= 3:
         _same_body(PG, RT)
+        inclusions.append((PG, RT, (Q, G), (S, T)))
     assert (PG.vertices, PG.dim()) == (RT.vertices, RT.d)
-    E = P.embed(1, 0)
     assert (E.vertices, E.dim()) == (R.embed(1, 0).vertices, R.d)
+    for lhs, ref, (B, C), (U, V) in inclusions:
+        rows, q = lhs.support_rows(B, C)
+        margin = F(max([0] + [hb + hc - c for c, hb, hc in rows]), q)
+        assert (margin == 0, margin) == ref.contains(U.product(V))
     others = [Q]
     if not P.is_empty:
         assert P.support(vec) == R.support(vec)
         _same_body(P.scale(lam), R.scale(lam))
         _same_body(P.translate(vec), R.translate(vec))
+        units = [HalfSpace(tuple(F(s * (j == i)) for j in range(n)), F(0))
+                 for i in range(k) for s in (1, -1)]
+        _same_body(P.slice_prefix_zero(k),
+                   _FracBody.from_halfspaces(list(R.hrep()) + units, n))
         others += [hull(P.vertices), P.scale(lam), P.translate(vec),
                    P.scale(2).scale(F(1, 2)), P.translate(vec).translate(
                        tuple(-c for c in vec))]

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbodies import toric as T
 from okbodies.polytope import Polytope, hull
@@ -411,3 +413,47 @@ class TestPredicates:
         D = d(X, [0, 0, 0, F(1, 11)])
         assert T.nakayama_verdict(X, D, (2,)) == ("false", 11)
         assert (0, 1) in T.sections(X, D, 11)
+
+
+# -- Nakayama verdicts against section enumeration ------------------------------
+
+NAKAYAMA_MODELS = (P2, T.product_fibration(P1, P1).total, T.hirzebruch(1),
+                   F2, T.hirzebruch(3), BL)
+
+
+@st.composite
+def nakayama_cases(draw):
+    """(model, q, D): a model among P^2, P^1 x P^1, F_1, F_2, F_3 and
+    Bl P^2, and a Q-divisor with coefficients in [-1/2, 1] over one common
+    denominator q <= 13.  Zero coefficients are drawn often, so that
+    divisors that are not big, whose verdicts need a witness, are common."""
+    X = draw(st.sampled_from(NAKAYAMA_MODELS))
+    q = draw(st.integers(1, 13))
+    coeff = st.one_of(st.just(0), st.integers(-(q // 2), q))
+    nums = draw(st.lists(coeff, min_size=len(X.rays), max_size=len(X.rays)))
+    return X, q, d(X, [F(a, q) for a in nums])
+
+
+@settings(max_examples=200, deadline=None)
+@given(nakayama_cases())
+def test_nakayama_verdict_matches_sections(case):
+    """On every stratum: a witness level holds a section off the stratum's
+    face, and a certified verdict has none at any integral level <= 2q."""
+    X, q, D = case
+    levels = [m for m in range(1, 2 * q + 1)
+              if all((m * a).denominator == 1 for a in D.coeffs)]
+    found = {}
+
+    def off_face(m, stratum):
+        if m not in found:
+            found[m] = T.sections(X, D, m)
+        return any(sum(r * x for r, x in zip(X.rays[i], u)) != -m * D.coeffs[i]
+                   for u in found[m] for i in stratum)
+
+    strata = [()] + [(i,) for i in range(len(X.rays))] + list(X.max_cones)
+    for stratum in strata:
+        verdict, m = T.nakayama_verdict(X, D, stratum)
+        if verdict == "certified":
+            assert not any(off_face(level, stratum) for level in levels)
+        elif m is not None:
+            assert verdict == "false" and off_face(m, stratum)
