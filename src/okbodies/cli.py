@@ -6,11 +6,10 @@ and emit plot data.  JSON reports go to stdout, a one-line human summary
 to stderr.
 
 Exit codes: 0 = computed (checks: verdict holds/strict); 1 = a check
-verdict is "fails"; 2 = hypotheses not met, malformed/inconsistent input
-(a missing or out-of-range flag included), or a computation beyond the
-implemented capability (e.g. exact volume above dimension 3); 3 =
-internal error (an unexpected exception, reported as a one-line summary
-instead of a traceback).
+verdict is "fails"; 2 = hypotheses not met, or malformed/inconsistent
+input (a missing or out-of-range flag included); 3 = internal error (an
+unexpected exception, reported as a one-line summary instead of a
+traceback).
 """
 
 from __future__ import annotations
@@ -308,9 +307,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ValueError, OSError, KeyError) as exc:
         _summary(f"error: {exc}")
-        return EXIT_INPUT
-    except NotImplementedError as exc:
-        _summary(f"unsupported: {exc}")
         return EXIT_INPUT
     except Exception as exc:
         _summary(f"internal error: {type(exc).__name__}: {exc}")

@@ -10,10 +10,13 @@ and `to_hrep` are their views, and `from_halfspaces` turns each
 `HalfSpace` into a row once.  Floats never appear.
 
 Each polytope has one frame and one hull, computed once and cached: the
-frame is a fraction-free echelon of the affine hull, whose pivot
-coordinates are exact integer hull coordinates, and `_int_hull` gives
-their extreme points and facets, which `_hull_rows` maps back to R^n and
-`volume_in_dim` sums simplices over.  Every constructor that hulls ends
+frame (`kernel.affine_frame`) is a fraction-free echelon of the affine
+hull, whose pivot coordinates are exact integer hull coordinates, and
+`_int_hull` gives their extreme points, their facets, which `_hull_rows`
+maps back to R^n, and d! times their volume, which `volume_in_dim`
+divides out.  A segment and a polygon are hulled directly; every higher
+dimension runs the one beneath-beyond engine `kernel.hull_facets`, whose
+placing triangulation gives the volume.  Every constructor that hulls ends
 in `_int_polytope`: `hull` clears one common denominator, `lattice_hull`
 passes its integer points over m, and `from_halfspaces` and
 `slice_prefix_zero` pass the (numerator, denominator) vertex keys that
@@ -34,7 +37,7 @@ from operator import mul
 
 from . import kernel
 from .linalg import (clear_denominators, dot, frac, int_det, nullspace,
-                     primitive_int_vector, qvec, rank, vec_sub)
+                     primitive_int_vector, qvec)
 # unused here, but perfbench's tracer rebinds polytope.solve and needs the name
 from .linalg import solve  # noqa: F401
 from .lp import recession_is_trivial
@@ -258,22 +261,13 @@ class Polytope:
         margin = Fraction(max([0] + [h - c for c, h in rows]), q)
         return margin == 0, margin
 
-    def support(self, normal) -> Fraction:
-        """Support function h(normal) = max of normal . v over the vertices
-        (nonempty polytopes only)."""
-        if len(normal) != self.ambient_dim:
-            raise ValueError("normal length does not match ambient_dim")
-        (a,), s = clear_denominators([normal])
-        return Fraction(max(sum(map(mul, a, r)) for r in self._rows),
-                        s * self._q)
-
     def volume_in_dim(self, k: int) -> Fraction:
         """Exact k-dimensional Lebesgue volume.
 
         Requires k >= dim; returns 0 when dim < k.  For k == dim <
         ambient_dim the affine hull must be an axis-aligned (coordinate)
         subspace, possibly translated; skew lower-dimensional bodies are
-        rejected.  The volume is summed over the facets of the cached hull.
+        rejected.  d! times the volume comes with the cached hull.
         """
         if self.is_empty:
             return Fraction(0)
@@ -284,14 +278,14 @@ class Polytope:
             return Fraction(0)
         if d == 0:
             return Fraction(1)
-        _d, pivots, _frame_rows, ints, q, facets = self._cached_hull()
+        _d, pivots, _frame_rows, q, _facets, dvol = self._cached_hull()
         r0 = self._rows[0]
         fixed = [c for c in range(self.ambient_dim) if c not in pivots]
         if any(r[c] != r0[c] for r in self._rows for c in fixed):
             raise ValueError(
                 "volume_in_dim needs an axis-aligned affine hull; "
                 "got a skew %d-dimensional body in R^%d" % (d, self.ambient_dim))
-        return _int_volume(ints, d, facets) / q ** d
+        return Fraction(dvol, factorial(d) * q ** d)
 
     def scale(self, lam) -> "Polytope":
         """Dilation {lam * x : x in P} about the origin, lam >= 0."""
@@ -387,130 +381,53 @@ def _int_polytope(n, pts, q):
     return Polytope(n, rows, q, _dim=fh[0], _trusted=True, _hull=fh)
 
 
-def _frame(pts):
-    """(d, sorted pivot columns, echelon rows) of the affine hull of
-    integer points.
-
-    The rows span the direction space of the hull, and each row's leading
-    nonzero entry sits at its own pivot column, where every later row is
-    zero.  Restricted to the pivot columns the rows thus form a triangular
-    matrix with a nonzero diagonal, so projecting onto the pivot columns
-    is injective on the affine hull: the projected integer points are
-    exact hull coordinates.  The elimination is fraction-free: each step
-    cross-multiplies, and each new row is divided by its content.
-    """
-    p0 = pts[0]
-    n = len(p0)
-    echelon = []
-    for p in pts[1:]:
-        if len(echelon) == n:
-            break
-        w = [a - b for a, b in zip(p, p0)]
-        for row, piv in echelon:
-            f = w[piv]
-            if f:
-                r = row[piv]
-                w = [r * a - f * b for a, b in zip(w, row)]
-        piv = next((i for i, a in enumerate(w) if a), None)
-        if piv is not None:
-            g = gcd(*w)
-            echelon.append(([a // g for a in w], piv))
-    return (len(echelon), sorted(piv for _, piv in echelon),
-            [row for row, _ in echelon])
-
-
 def _frame_hull(pts, q):
     """Extreme indices among sorted distinct integer points, and the hull
     of those points over the denominator q.
 
-    The hull is (d, pivots, rows, ints, q, facets) as in `_frame`, with
-    ints[k] = the pivot coordinates of the k-th extreme point, which is
-    q times a point of the body, and facets as in `_int_hull`, re-indexed
-    onto the extreme points.
+    The hull is (d, pivots, rows, q, facets, dvol): d, pivots and rows as
+    in `kernel.affine_frame`, and facets and dvol of the points' pivot
+    coordinates, which are q times points of the body, as in `_int_hull`.
     """
-    d, pivots, rows = _frame(pts)
+    d, pivots, rows, _base = kernel.affine_frame(pts)
     if d == 0:
-        return [0], (0, pivots, rows, [()], q, [])
+        return [0], (0, pivots, rows, q, [], 1)
     ints = pts if d == len(pts[0]) else [tuple(p[c] for c in pivots)
                                          for p in pts]
-    extreme, facets = _int_hull(ints, d)
-    extreme = sorted(extreme)
-    new = {i: k for k, i in enumerate(extreme)}
-    facets = [(nrm, off, [new[i] for i in members if i in new])
-              for nrm, off, members in facets]
-    return extreme, (d, pivots, rows, [ints[i] for i in extreme], q, facets)
+    extreme, facets, dvol = _int_hull(ints, d)
+    return sorted(extreme), (d, pivots, rows, q, facets, dvol)
 
 
 def _int_hull(ints, d):
     """Hull of a full-dimensional set of distinct integer points in R^d.
 
-    Returns (extreme indices, facets); each facet is (outward integer
-    normal, offset, member indices) with normal . p <= offset on every
-    point.  Members are the facet's corners in boundary order for d <= 3
-    (CCW seen from outside in R^3), all incident points for d >= 4.
+    Returns (extreme indices, facets, dvol): each facet is (outward
+    integer normal, offset) with normal . p <= offset on every point, and
+    dvol is d! times the volume.  A segment and the 2D chain are direct;
+    above that `kernel.hull_facets` runs, on the points that
+    `kernel.prune_interior` keeps when there are more than 64.
     """
     if d == 1:
         lo = min(range(len(ints)), key=lambda i: ints[i])
         hi = max(range(len(ints)), key=lambda i: ints[i])
-        return [lo, hi], [((1,), ints[hi][0], [hi]),
-                          ((-1,), -ints[lo][0], [lo])]
+        a, b = ints[lo][0], ints[hi][0]
+        return [lo, hi], [((1,), b), ((-1,), -a)], b - a
     if d == 2:
         cyc = kernel.hull2d_indices(ints)
         facets = []
         for i, j in zip(cyc, cyc[1:] + cyc[:1]):
             (ax, ay), (bx, by) = ints[i], ints[j]
             nrm = (by - ay, ax - bx)  # outward for a CCW polygon
-            facets.append((nrm, nrm[0] * ax + nrm[1] * ay, [i, j]))
-        return cyc, facets
-    if d == 3:
-        if len(ints) <= 64:
-            return kernel.hull3d_facets(ints)
-        idxmap = kernel.prune_interior(ints, kernel._DIRS3)
-        extreme, facets = kernel.hull3d_facets([ints[i] for i in idxmap])
-        return ([idxmap[i] for i in extreme],
-                [(nrm, off, [idxmap[i] for i in poly])
-                 for nrm, off, poly in facets])
-    if len(ints) > 48:
-        raise NotImplementedError(
-            "hulls of more than 48 points are only supported up to dimension 3")
-    facets = _brute_facets(ints, d)
-    on = {i: [] for i in range(len(ints))}
-    for nrm, _off, members in facets:
-        for i in members:
-            on[i].append(nrm)
-    extreme = [i for i, nrms in on.items() if nrms and rank(nrms) == d]
-    return extreme, facets
-
-
-def _brute_facets(ints, d):
-    """All facets of a full-dimensional integer point set in R^d.
-
-    Returns (primitive outward normal, offset, member indices) triples.
-    Exponential in the input: reserved for small sets in dimension >= 4.
-    """
-    facets = {}
-    npts = len(ints)
-    for sub in combinations(range(npts), d):
-        diffs = [vec_sub(ints[i], ints[sub[0]]) for i in sub[1:]]
-        if rank(diffs) != d - 1:
-            continue
-        ns = nullspace(diffs)
-        if len(ns) != 1:
-            continue
-        nrm, _ = primitive_int_vector(ns[0])
-        off = sum(a * b for a, b in zip(nrm, ints[sub[0]]))
-        sides = [sum(a * b for a, b in zip(nrm, p)) - off for p in ints]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            nrm = tuple(-a for a in nrm)
-            off = -off
-            sides = [-s for s in sides]
-        else:
-            continue
-        members = tuple(i for i, s in enumerate(sides) if s == 0)
-        facets[(nrm, off)] = members
-    return [(n, o, m) for (n, o), m in sorted(facets.items())]
+            facets.append((nrm, nrm[0] * ax + nrm[1] * ay))
+        p0 = ints[cyc[0]]
+        dvol = sum(kernel.orient2d(p0, ints[i], ints[j])
+                   for i, j in zip(cyc[1:], cyc[2:]))
+        return cyc, facets, dvol
+    if len(ints) <= 64:
+        return kernel.hull_facets(ints)
+    idxmap = kernel.prune_interior(ints, kernel.plus_minus_directions(d))
+    extreme, facets, dvol = kernel.hull_facets([ints[i] for i in idxmap])
+    return [idxmap[i] for i in extreme], facets, dvol
 
 
 # -- facet enumeration (H-description) --------------------------------------
@@ -523,7 +440,7 @@ def _hull_rows(r0, q0, frame_hull):
     denominator, which q0 divides) is the row g / gcd(g) on the pivot
     columns, c / gcd(g), exact since the facet holds integer points."""
     n = len(r0)
-    d, pivots, rows, _ints, qh, facets = frame_hull
+    d, pivots, rows, qh, facets, _dvol = frame_hull
     out = []
     if d < n:
         hullspace = (nullspace(rows) if rows else
@@ -533,7 +450,7 @@ def _hull_rows(r0, q0, frame_hull):
             a, _ = primitive_int_vector(w)
             c = k * sum(map(mul, a, r0))
             out += [(a, c), (tuple(-x for x in a), -c)]
-    for g, c, _members in facets:
+    for g, c in facets:
         k = gcd(*g)
         a = [0] * n
         for gi, col in zip(g, pivots):
@@ -588,33 +505,3 @@ def _vertex_enum(rows, n):
         if all(sum(map(mul, r, num)) <= r[n] * den for r in rows):
             keys.append(key)
     return keys
-
-
-# -- exact volume ------------------------------------------------------------
-
-
-# d! times the signed volume of the simplex (p0, a, ...)
-_SIMPLEX_ORIENT = {1: lambda p0, a: a[0] - p0[0],
-                   2: kernel.orient2d,
-                   3: kernel.orient3d}
-
-
-def _int_volume(ints, d, facets):
-    """Volume of the full-dimensional hull of integer vertices in R^d with
-    the given facets, d <= 3: the cones from the lex-min vertex over the
-    facets that miss it, each facet fanned into simplices from its first
-    corner."""
-    if d > 3:
-        raise NotImplementedError("exact volume is implemented up to dimension 3")
-    orient = _SIMPLEX_ORIENT[d]
-    v0 = min(range(len(ints)), key=lambda i: ints[i])
-    p0 = ints[v0]
-    total = 0
-    for _nrm, _off, poly in facets:
-        if v0 in poly:
-            continue
-        for i in range(1, len(poly) - d + 2):
-            total += orient(p0, *(ints[j] for j in poly[:1] + poly[i:i + d - 1]))
-    if total < 0:
-        raise AssertionError("inconsistent facet orientation in volume")
-    return Fraction(total, factorial(d))

@@ -149,9 +149,7 @@ def section_polytope(X: ToricVariety, D: ToricDivisor) -> Polytope:
 
     Memoized: models and divisors are frozen and compare by value, and the
     returned Polytope is immutable (its lazy caches are deterministic)."""
-    hs = [HalfSpace(qvec([-c for c in ray]), frac(a))
-          for ray, a in zip(X.rays, D.coeffs)]
-    return Polytope.from_halfspaces(hs, X.dim)
+    return Polytope.from_halfspaces(_face_halfspaces(X, D, ()), X.dim)
 
 
 def is_effective(X, D) -> bool:

@@ -73,9 +73,9 @@ class TestComputeVerbs:
         assert rep["contained"] and rep["margin"] == "0"
 
 
-    def test_body_beyond_volume_dimension_is_unsupported(self, capsys, tmp_path):
-        # (P^1)^4: the body is 4-dimensional, beyond exact volume; this must
-        # exit 2 with a summary, never 1 (the exit code of a "fails" verdict)
+    def test_body_and_vol_on_a_fourfold(self, capsys, tmp_path):
+        # (P^1)^4 with all coefficients 1: the body is [0, 2]^4 up to
+        # translation, of volume 16, and vol(D) = 4! * 16
         p1 = toric.projective_line()
         p1xp1 = toric.product_fibration(p1, p1).total
         X = toric.product_fibration(p1xp1, p1xp1).total
@@ -84,13 +84,17 @@ class TestComputeVerbs:
                  "flag": {"cone": 0, "ray_order": [0, 2, 4, 6]}}
         for name, obj in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-        code, out, err = run(capsys, "body",
-                             "--model", tmp_path / "model.json",
-                             "--divisor", tmp_path / "divisor.json",
-                             "--flag", tmp_path / "flag.json")
-        assert code == 2
-        assert err.startswith("unsupported: ") and "dimension 3" in err
-        assert out == ""
+        args = ["--model", tmp_path / "model.json",
+                "--divisor", tmp_path / "divisor.json"]
+        for verb in ("body", "limbody"):
+            code, out, _ = run(capsys, verb, *args,
+                               "--flag", tmp_path / "flag.json")
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["dim"] == 4 and rep["volume"] == "16"
+            assert len(rep["body"]["vertices"]) == 16
+        code, out, _ = run(capsys, "vol", *args)
+        assert code == 0 and json.loads(out)["volume"] == "384"
 
 
 class TestEpsLimitVerbs:

@@ -1,10 +1,15 @@
 """Integer-geometry kernel tests: reference behaviour and brute-force
-oracles for the 2D chain, the 3D hull driver, lattice enumeration and the
-interior-point prefilter."""
+oracles for the 2D chain, the hull engine in R^3 and R^4, lattice
+enumeration and the interior-point prefilter."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
+from operator import mul
+
+import pytest
+from hull_reference import brute_hull, brute_volume
 
 from okbodies import kernel
 from okbodies.polytope import Polytope
@@ -73,74 +78,91 @@ class TestHull2D:
             assert got == brute_hull2d(pts), pts
 
 
-class TestHull3D:
-    def brute_facets(self, pts):
-        planes = set()
-        for a, b, c in combinations(range(len(pts)), 3):
-            sides = [kernel.orient3d(pts[a], pts[b], pts[c], p) for p in pts]
-            if all(s <= 0 for s in sides) or all(s >= 0 for s in sides):
-                if any(s != 0 for s in sides):
-                    members = frozenset(i for i, s in enumerate(sides) if s == 0)
-                    planes.add(members)
-        return planes
+def _full_dim_sets(rng, d, count, size):
+    """Random sets of distinct integer points spanning R^d."""
+    out = []
+    while len(out) < count:
+        pts = list({tuple(rng.randint(-4, 4) for _ in range(d))
+                    for _ in range(rng.randint(d + 1, size))})
+        if kernel.affine_frame(pts)[0] == d:
+            out.append(pts)
+    return out
 
-    def test_cube(self):
-        pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-        pts.append((1, 1, 1))
-        extreme, facets = kernel.hull3d_facets(pts)
-        assert extreme == list(range(8))
-        assert len(facets) == 6
-        for n, off, poly in facets:
-            assert len(poly) == 4
-            assert all(sum(a * b for a, b in zip(n, pts[i])) == off for i in poly)
-            assert all(sum(a * b for a, b in zip(n, p)) <= off for p in pts)
 
-    def test_random_against_brute(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            pts = list({(rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4))
-                        for _ in range(rng.randint(5, 14))})
-            diffs = [tuple(p[i] - pts[0][i] for i in range(3)) for p in pts[1:]]
-            if _rank3(diffs) < 3:  # driver requires full-dimensional input
-                continue
-            _extreme, facets = kernel.hull3d_facets(pts)
-            expected = self.brute_facets(pts)
-            # compare facet planes by their full coplanar membership (the
-            # polygon keeps corners only)
-            got_full = set()
-            for n, off, _poly in facets:
-                got_full.add(frozenset(
-                    i for i, p in enumerate(pts)
-                    if sum(a * b for a, b in zip(n, p)) == off))
-            assert got_full == expected, pts
+def _check_engine(pts):
+    """hull_facets against the brute-force reference: extreme points,
+    facets as (normal, offset) and d! times the volume."""
+    d = len(pts[0])
+    extreme, facets, dvol = kernel.hull_facets(pts)
+    ref_extreme, ref_facets = brute_hull(pts)
+    assert extreme == ref_extreme, pts
+    assert sorted(facets) == sorted(ref_facets), pts
+    assert dvol == factorial(d) * brute_volume(pts), pts
 
-    def test_huge_coordinates_are_exact(self):
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+class TestHullEngine:
+    def test_cube(self, d):
+        pts = list(product((0, 2), repeat=d)) + [(1,) * d, (2,) + (1,) * (d - 1)]
+        extreme, facets, dvol = kernel.hull_facets(pts)
+        assert extreme == list(range(2 ** d))
+        assert len(facets) == 2 * d  # coplanar simplices merge
+        for n, off in facets:
+            assert sum(abs(a) for a in n) == 1
+            assert all(sum(map(mul, n, p)) <= off for p in pts)
+        assert dvol == factorial(d) * 2 ** d
+
+    def test_random_against_brute(self, d):
+        rng = random.Random(23 + d)
+        for pts in _full_dim_sets(rng, d, 40 if d < 4 else 25,
+                                  14 if d < 4 else 10):
+            _check_engine(pts)
+
+    def test_lattice_grid_against_brute(self, d):
+        # many coplanar and collinear points: every facet is triangulated
+        # in pieces, and non-extreme points sit on the boundary
+        rng = random.Random(7 + d)
+        box = list(product(range(3), repeat=d))
+        for _ in range(15):
+            pts = rng.sample(box, rng.randint(d + 1, {2: 9, 3: 13, 4: 20}[d]))
+            if kernel.affine_frame(pts)[0] == d:
+                _check_engine(pts)
+
+    def test_huge_coordinates_are_exact(self, d):
         # far beyond 64-bit range: predicates run on Python ints
         big = 10**20
-        pts = [(x, y, z) for x in (0, 2 * big) for y in (0, 2 * big)
-               for z in (0, 2 * big)]
-        pts += [(big, big, big), (big, 1, big + 3), (big - 7, big, 2 * big - 1)]
-        extreme, facets = kernel.hull3d_facets(pts)
-        assert extreme == list(range(8))
-        assert sorted((n, off) for n, off, _ in facets) == sorted(
-            [((1, 0, 0), 2 * big), ((-1, 0, 0), 0), ((0, 1, 0), 2 * big),
-             ((0, -1, 0), 0), ((0, 0, 1), 2 * big), ((0, 0, -1), 0)])
+        pts = list(product((0, 2 * big), repeat=d))
+        pts += [(big,) * d, (big, 1) + (big + 3,) * (d - 2),
+                (big - 7,) + (big,) * (d - 2) + (2 * big - 1,)]
+        extreme, facets, dvol = kernel.hull_facets(pts)
+        assert extreme == list(range(2 ** d))
+        units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+        assert sorted(facets) == sorted(
+            [(e, 2 * big) for e in units]
+            + [(tuple(-x for x in e), 0) for e in units])
+        assert dvol == factorial(d) * (2 * big) ** d
         P = Polytope.hull(pts)
-        assert len(P.vertices) == 8
-        assert P.volume_in_dim(3) == Fraction(8 * big**3)
+        assert len(P.vertices) == 2 ** d
+        assert P.volume_in_dim(d) == Fraction((2 * big) ** d)
 
-    def test_tetra_volume_path(self):
-        pts = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
-        extreme, facets = kernel.hull3d_facets(pts)
-        assert extreme == [0, 1, 2, 3]
-        assert len(facets) == 4
+    def test_simplex_with_interior_point(self, d):
+        # the interior point sees nothing and is skipped
+        k = d + 1
+        pts = [(0,) * d] + [tuple(k * (j == i) for j in range(d))
+                            for i in range(d)] + [(1,) * d]
+        extreme, facets, dvol = kernel.hull_facets(pts)
+        assert extreme == list(range(d + 1))
+        assert len(facets) == d + 1
+        assert dvol == k ** d
+
+    def test_flat_input_rejected(self, d):
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            kernel.hull_facets([(0,) * d, (0,) + (1,) * (d - 1),
+                                (0, 2) + (0,) * (d - 2)])
 
 
-def _rank3(diffs):
-    from fractions import Fraction
-
-    from okbodies.linalg import rank
-    return rank([tuple(map(Fraction, d)) for d in diffs])
+def test_hull3d_facets_is_the_engine():
+    assert kernel.hull3d_facets is kernel.hull_facets
 
 
 class TestLattice:

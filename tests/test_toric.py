@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import toric as T
+from okbodies.invariants import ToricBackend
 from okbodies.polytope import Polytope, hull
 
 P1 = T.projective_line()
@@ -375,6 +376,35 @@ class TestInvariants:
         for c in (2, 3, F(1, 2)):
             scaled = T.okounkov_body_toric(P2, D.scaled(c), STD_FLAG)
             assert scaled == body.scale(c)
+
+
+def _product(*factors):
+    X = factors[0]
+    for Y in factors[1:]:
+        X = T.product_fibration(X, Y).total
+    return X
+
+
+# Toric 4-folds with the all-ones divisor.  On a product the volume is the
+# multinomial coefficient times the factors' volumes: 2 on P^1 and 9 on P^2.
+FOURFOLDS = [
+    pytest.param(_product(P1, P1, P1, P1), 384, id="P1^4"),  # 24 * 2^4
+    pytest.param(_product(P2, P2), 486, id="P2xP2"),  # 6 * 9 * 9
+    pytest.param(_product(P2, P1, P1), 432, id="P2xP1xP1"),  # 12 * 9 * 2 * 2
+]
+
+
+@pytest.mark.parametrize("X,vol", FOURFOLDS)
+def test_fourfold_volume_and_bruteforce_bodies(X, vol):
+    D = d(X, [1] * len(X.rays))
+    flag = T.ToricFlag(0, X.max_cones[0])
+    assert ToricBackend(X).volume(D.coeffs) == vol
+    body = T.okounkov_body_toric(X, D, flag)
+    assert body.dim() == 4
+    assert math.factorial(4) * body.volume_in_dim(4) == vol
+    for m in (1, 2, 3):
+        brute = T.okounkov_body_bruteforce(X, D, flag, m)
+        assert body.contains(brute) == (True, 0)
 
 
 class TestPredicates:
