@@ -15,7 +15,6 @@ traceback).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -93,6 +93,12 @@ def _normal(f):
     if d == 3:
         (a1, a2, a3), (b1, b2, b3) = u
         return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    if d == 4:  # 3x3 minors along their last row, by the 2x2 minors m_ij
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = u
+        m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        return (c1 * m23 - c2 * m13 + c3 * m12, c2 * m03 - c0 * m23 - c3 * m02,
+                c0 * m13 - c1 * m03 + c3 * m01, c1 * m02 - c0 * m12 - c2 * m01)
     return tuple((-1) ** k * int_det([r[:k] + r[k + 1:] for r in u])
                  for k in range(d))
 
@@ -112,8 +118,11 @@ def hull_facets(pts):
     has d! times its volume equal to h_F(p).  The visible simplices give
     way to p joined to the horizon ridges, those seen once among them;
     a point that sees nothing lies in the hull and is skipped.  Facets
-    are the boundary simplices grouped by primitive (normal, offset), and
-    a boundary vertex is extreme iff the normals of its facets have rank d.
+    are the boundary simplices grouped by primitive (normal, offset).  A
+    boundary vertex v is extreme iff the point sets of its facets meet in
+    {v} alone: the facets meet in the smallest face containing v, and if
+    that face is not v, it has an extreme point w != v, which the
+    triangulation of every facet containing the face must use.
     """
     d = len(pts[0])
     rank, _pivots, _rows, base = affine_frame(pts)
@@ -160,12 +169,12 @@ def hull_facets(pts):
         g = gcd(*nrm)
         key = (tuple(x // g for x in nrm), c // g)
         facets.setdefault(key, set()).update(verts)
-    normals = {}  # per vertex: the origin, then its facet normals
-    for (nrm, _c), verts in facets.items():
+    incident = {}  # per boundary vertex: the point sets of its facets
+    for verts in facets.values():
         for v in verts:
-            normals.setdefault(v, [(0,) * d]).append(nrm)
-    extreme = sorted(v for v, nrms in normals.items()
-                     if len(nrms) > d and affine_frame(nrms)[0] == d)
+            incident.setdefault(v, []).append(verts)
+    extreme = sorted(v for v, sets in incident.items()
+                     if len(set.intersection(*sets)) == 1)
     return extreme, list(facets), dvol
 
 

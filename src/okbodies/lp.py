@@ -8,7 +8,8 @@ variables and constraints.
 
 The boundedness test `recession_is_trivial` uses no simplex: a pointed cone
 {x : Ax <= 0} is nonzero iff one of its extreme rays, each the kernel of
-n-1 independent rows, lies in it; integer minors give those kernels.
+n-1 independent rows, lies in it; integer minors give those kernels.  It is
+off the H -> V path, and is kept because perfbench's tracer binds it.
 """
 
 from __future__ import annotations

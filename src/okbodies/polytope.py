@@ -17,11 +17,11 @@ maps back to R^n, and d! times their volume, which `volume_in_dim`
 divides out.  A segment and a polygon are hulled directly; every higher
 dimension runs the one beneath-beyond engine `kernel.hull_facets`, whose
 placing triangulation gives the volume.  Every constructor that hulls ends
-in `_int_polytope`: `hull` clears one common denominator, `lattice_hull`
-passes its integer points over m, and `from_halfspaces` and
-`slice_prefix_zero` pass the (numerator, denominator) vertex keys that
-`_vertex_enum` finds from integer minors (Cramer's rule).  Inclusions
-of products are decided on the facet rows by `support_rows`.
+in `_int_polytope`: `hull` clears one common denominator, and
+`lattice_hull` passes its integer points over m.  `from_halfspaces` and
+`slice_prefix_zero` hull in R^(n+1) instead: `_vertex_enum` reads exact
+vertex keys off the facets of the cone polar to the homogenised system.
+Inclusions of products are decided on the facet rows by `support_rows`.
 
 Empty polytopes (from infeasible half-space systems or empty slices) are
 first-class values with an explicit flag rather than a sentinel.
@@ -31,16 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from math import factorial, gcd, lcm
 from operator import mul
 
 from . import kernel
-from .linalg import (clear_denominators, dot, frac, int_det, nullspace,
+from .linalg import (clear_denominators, dot, frac, nullspace,
                      primitive_int_vector, qvec)
-# unused here, but perfbench's tracer rebinds polytope.solve and needs the name
+# unused here, but perfbench's tracer rebinds both names and needs them
 from .linalg import solve  # noqa: F401
-from .lp import recession_is_trivial
+from .lp import recession_is_trivial  # noqa: F401
 
 QVec = tuple[Fraction, ...]
 
@@ -121,17 +121,16 @@ class Polytope:
     def from_halfspaces(halfspaces, ambient_dim: int) -> "Polytope":
         """Vertex enumeration of an intersection of half-spaces.
 
-        The system must be bounded (raises otherwise); an infeasible system
-        yields the empty polytope.  Boundedness is decided without LP, by
-        `recession_is_trivial`; the vertices are the feasible solutions of
-        the n-row subsystems, as exact keys from `_vertex_enum`.
+        The system must be bounded (raises ValueError otherwise), and a
+        float raises TypeError; an infeasible system yields the empty
+        polytope.  `_vertex_enum` decides both and finds the vertices.
         """
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         hs = list(halfspaces)
         if any(len(h.normal) != ambient_dim for h in hs):
             raise ValueError("half-space normal length does not match ambient_dim")
-        return _from_rows([tuple(h.normal) + (h.offset,) for h in hs],
+        return _from_rows([qvec((*h.normal, h.offset)) for h in hs],
                           ambient_dim)
 
     # -- basic structure ---------------------------------------------------
@@ -463,45 +462,37 @@ def _hull_rows(r0, q0, frame_hull):
 
 
 def _from_rows(rows, n):
-    """The polytope {x in R^n : a . x <= c on every row (a_1..a_n, c)}."""
+    """The polytope {x in R^n : a . x <= c on every row (a_1..a_n, c)}; its
+    vertex keys are extreme and in lowest terms, so no hull is run."""
     keys = _vertex_enum(rows, n)
     if not keys:
         return Polytope.empty(n)
     q = lcm(*(den for _num, den in keys))
-    return _int_polytope(n, [tuple(x * (q // den) for x in num)
-                             for num, den in keys], q)
+    pts = sorted(tuple(x * (q // den) for x in num) for num, den in keys)
+    return Polytope(n, pts, q, _dim=kernel.affine_frame(pts)[0], _trusted=True)
 
 
 def _vertex_enum(rows, n):
-    """Vertex keys of the intersection of the half-spaces a . x <= c given
-    as rational or integer rows (a_1, ..., a_n, c) (must be bounded).
+    """Vertex keys (num, D), D > 0 and gcd(num, D) = 1, of the half-spaces
+    a . x <= c given as rational or integer rows (a_1, ..., a_n, c): none
+    if they are infeasible, a ValueError if they are unbounded.
 
-    Each row is scaled to one primitive integer row (a, c).  An n-subset
-    S of rows with D = det(A_S) != 0 meets in the point num / D, where
-    num_j is the minor of A_S with column j replaced by c_S (Cramer's
-    rule).  With D > 0 and gcd(num, D) = 1 that pair is an exact key, and
-    the point is feasible iff a . num <= c * D on every row.  Returns the
-    distinct feasible keys (num, D), in the order found.
+    One double-description step: with each row made primitive, the points
+    (a, -c), (0, ..., 0, -1) and the origin generate the cone K polar to
+    C = {(x, t) : a . x <= c t, t >= 0}.  If they do not span R^(n+1), C
+    holds a line of points (y, 0): unbounded.  Else each facet of their
+    hull through the origin is a facet of K, whose primitive outward
+    normal (y, s) spans an extreme ray of C: the vertex y / s if s > 0, a
+    recession direction if s = 0.  No such facet: K = R^(n+1), C = {0}.
     """
     rows = list(dict.fromkeys(primitive_int_vector(r)[0] for r in rows))
-    if not recession_is_trivial([r[:n] for r in rows], n):
+    pts = [(0,) * (n + 1), (0,) * n + (-1,)] + [r[:n] + (-r[n],) for r in rows]
+    if kernel.affine_frame(pts)[0] <= n:
         raise ValueError("half-space system is unbounded")
-    seen = set()
     keys = []
-    for sub in combinations(rows, n):
-        den = int_det([r[:n] for r in sub])
-        if den == 0:
-            continue
-        num = [int_det([r[:j] + r[n:] + r[j + 1:n] for r in sub])
-               for j in range(n)]
-        if den < 0:
-            den, num = -den, [-x for x in num]
-        g = gcd(den, *num)
-        key = (tuple(x // g for x in num), den // g)
-        if key in seen:
-            continue
-        seen.add(key)
-        num, den = key
-        if all(sum(map(mul, r, num)) <= r[n] * den for r in rows):
-            keys.append(key)
+    for nrm, c in kernel.hull_facets(pts)[1]:
+        if c == 0:
+            if nrm[n] == 0:
+                raise ValueError("half-space system is unbounded")
+            keys.append((nrm[:n], nrm[n]))
     return keys

@@ -12,6 +12,7 @@ import pytest
 from hull_reference import brute_hull, brute_volume
 
 from okbodies import kernel
+from okbodies.linalg import int_det
 from okbodies.polytope import Polytope
 
 
@@ -155,10 +156,48 @@ class TestHullEngine:
         assert len(facets) == d + 1
         assert dvol == k ** d
 
+    @pytest.mark.parametrize("body", ["cube", "cross-polytope"])
+    def test_boundary_points_placed_before_corners(self, d, body):
+        # midpoints of edges (and of the cube's facets) start the
+        # triangulation and end up on the boundary, each a vertex of some
+        # boundary simplices without being extreme; an edge of the 4D
+        # cross-polytope lies in four facets, so a facet count cannot tell
+        if body == "cube":
+            edges = [c[:i] + (1,) + c[i:] for i in range(d)
+                     for c in product((0, 2), repeat=d - 1)]
+            centres = [(1,) * i + (c,) + (1,) * (d - 1 - i)
+                       for i in range(d) for c in (0, 2)]
+            mids = list(dict.fromkeys(edges + centres))  # equal for d = 2
+            corners = list(product((0, 2), repeat=d))
+        else:
+            units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+            mids = [tuple(s * x + t * y for x, y in zip(e, f))
+                    for e, f in combinations(units, 2)
+                    for s in (1, -1) for t in (1, -1)]
+            corners = [tuple(2 * s * x for x in e)
+                       for e in units for s in (1, -1)]
+        pts = mids + corners
+        assert kernel.hull_facets(pts)[0] == list(range(len(mids), len(pts)))
+        _check_engine(pts)
+
     def test_flat_input_rejected(self, d):
         with pytest.raises(ValueError, match="not full-dimensional"):
             kernel.hull_facets([(0,) * d, (0,) + (1,) * (d - 1),
                                 (0, 2) + (0,) * (d - 2)])
+
+
+def test_normal_closed_forms_match_minors():
+    # the d = 3 and d = 4 closed forms against signed maximal minors
+    rng = random.Random(17)
+    for d in (3, 4):
+        for scale in (9, 10**20):
+            for _ in range(200):
+                f = [tuple(rng.randint(-scale, scale) for _ in range(d))
+                     for _ in range(d)]
+                u = [[a - b for a, b in zip(p, f[0])] for p in f[1:]]
+                assert kernel._normal(f) == tuple(
+                    (-1) ** k * int_det([r[:k] + r[k + 1:] for r in u])
+                    for k in range(d)), f
 
 
 def test_hull3d_facets_is_the_engine():

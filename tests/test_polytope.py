@@ -8,7 +8,7 @@ from hull_reference import brute_hull, brute_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okbodies import polytope, toric
+from okbodies import lp, polytope, toric
 from okbodies.ioformats import body_from_obj
 from okbodies.linalg import (dot, nullspace, primitive_int_vector, qvec,
                              solve, vec_sub)
@@ -93,6 +93,13 @@ class TestHRep:
         half_plane = [HalfSpace((F(1), F(0)), F(0))]
         with pytest.raises(ValueError, match="unbounded"):
             Polytope.from_halfspaces(half_plane, 2)
+
+    def test_float_data_rejected_like_hull(self):
+        with pytest.raises(TypeError, match="floats"):
+            hull([(0.5, 1)])
+        for h in (HalfSpace((0.5, F(1)), F(2)), HalfSpace((F(1), F(0)), 2.0)):
+            with pytest.raises(TypeError, match="floats"):
+                Polytope.from_halfspaces(square().to_hrep() + (h,), 2)
 
     @pytest.mark.parametrize("n,message", [
         (1, "normal length does not match ambient_dim"),
@@ -701,6 +708,48 @@ def test_from_halfspaces_solves_nothing(monkeypatch):
             == hull([(0, 0), (3, 0), (0, 3)]))
     assert cube.slice_prefix_zero(1) == hull([(0, y, z) for y in (0, 2)
                                                 for z in (0, 2)])
+
+
+def test_from_halfspaces_runs_no_recession_test(monkeypatch):
+    def no_recession(A, dim):
+        raise AssertionError("H -> V ran a separate boundedness test")
+
+    monkeypatch.setattr(polytope, "recession_is_trivial", no_recession)
+    monkeypatch.setattr(lp, "recession_is_trivial", no_recession)
+    cube = hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
+    assert Polytope.from_halfspaces(cube.to_hrep(), 3) == cube
+    assert cube.slice_prefix_zero(2) == hull([(0, 0, 0), (0, 0, 2)])
+    assert cube.translate((3, 0, 0)).slice_prefix_zero(1).is_empty
+    with pytest.raises(ValueError, match="unbounded"):
+        Polytope.from_halfspaces(cube.to_hrep()[1:], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfspace_systems())
+def test_from_rows_equals_hull_of_its_vertices(system):
+    """`_from_rows` keeps the vertex keys as the body without hulling them;
+    the body must be the one `_int_polytope` makes from the same keys."""
+    hs, n = system
+    rows = [h.normal + (h.offset,) for h in hs]
+    keys = _outcome(lambda: polytope._vertex_enum(rows, n))
+    if not isinstance(keys, list):
+        with pytest.raises(ValueError, match="unbounded"):
+            polytope._from_rows(rows, n)
+        return
+    P = polytope._from_rows(rows, n)
+    if not keys:
+        assert P.is_empty and P == Polytope.empty(n) and P.dim() == -1
+        return
+    assert P._hull is None  # filled on first use
+    q = lcm(*(den for _num, den in keys))
+    R = polytope._int_polytope(
+        n, [tuple(x * (q // den) for x in num) for num, den in keys], q)
+    assert P == R
+    assert P.dim() == R.dim()
+    assert P.to_hrep() == R.to_hrep()
+    for k in range(n + 1):
+        assert (_outcome(lambda: P.volume_in_dim(k))
+                == _outcome(lambda: R.volume_in_dim(k)))
 
 
 # -- oracle: the Fraction-vertex paths -----------------------------------------
