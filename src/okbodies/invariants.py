@@ -219,7 +219,7 @@ class SurfaceBackend:
     is_effective = is_psef
 
     def is_big(self, cls):
-        return surfmod.cone_tests(self.S, cls)["is_big"]
+        return surfmod.is_big(self.S, cls)
 
     def is_ample(self, cls):
         return surfmod.is_ample(self.S, cls)

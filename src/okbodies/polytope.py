@@ -487,10 +487,12 @@ def _vertex_enum(rows, n):
     """
     rows = list(dict.fromkeys(primitive_int_vector(r)[0] for r in rows))
     pts = [(0,) * (n + 1), (0,) * n + (-1,)] + [r[:n] + (-r[n],) for r in rows]
-    if kernel.affine_frame(pts)[0] <= n:
-        raise ValueError("half-space system is unbounded")
+    try:
+        facets = kernel.hull_facets(pts)[1]
+    except ValueError:  # the points do not span R^(n+1)
+        raise ValueError("half-space system is unbounded") from None
     keys = []
-    for nrm, c in kernel.hull_facets(pts)[1]:
+    for nrm, c in facets:
         if c == 0:
             if nrm[n] == 0:
                 raise ValueError("half-space system is unbounded")

@@ -10,9 +10,14 @@ Bodies for a flag (C, x) with x general on C come out of the Zariski
 decomposition of D - tC: the lower boundary is 0 (general point), the
 upper boundary is the piecewise-linear t -> P(D - tC).C, and t ranges
 from the multiplicity of C in the negative part of D up to the boundary
-of the pseudoeffective cone.  The chamber sweep is exact: a fixed
-negative-part support is certified on a whole interval by checking its
-finitely many affine validity conditions at the endpoints.
+of the pseudoeffective cone.  The chamber sweep takes one exact step per
+chamber: along D - sC the negative part is piecewise affine and
+nondecreasing (Lazarsfeld-Mustata 2009, section 6.2) across the Zariski
+chambers of Bauer-Kuronya-Szemberg 2004, so Zariski's iteration on the
+affine pairings just above s = t (`_support_after`) gives the support of
+the chamber starting at t, and its affine validity conditions give where
+that chamber ends.  The support only grows, so there are at most one
+more chambers than negative curves.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from fractions import Fraction
 from . import lp
 from .linalg import frac, qvec, signature, solve
 from .polytope import Polytope
-
-_MAX_SWEEP = 256
 
 
 class ConeDataError(ValueError):
@@ -150,15 +153,9 @@ def is_ample(S: SurfaceLattice, D) -> bool:
             and S.pair(D, D) > 0)
 
 
-def cone_tests(S: SurfaceLattice, D) -> dict:
-    D = qvec(D)
-    psef = is_psef(S, D)
-    big = False
-    if psef:
-        zp = zariski_decompose(S, D)
-        big = S.pair(zp.positive, zp.positive) > 0
-    return {"is_psef": psef, "is_nef": is_nef(S, D), "is_big": big,
-            "is_ample": is_ample(S, D)}
+def is_big(S: SurfaceLattice, D) -> bool:
+    """Pseudoeffective with a positive part of positive self-intersection."""
+    return volume_surface(S, D) > 0
 
 
 def some_ample(S: SurfaceLattice):
@@ -179,45 +176,47 @@ def some_ample(S: SurfaceLattice):
 
 
 def zariski_decompose(S: SurfaceLattice, D) -> ZariskiPair:
-    """Iterative negative-part construction.
-
-    Start from the negative curves D meets negatively, solve the exact
-    linear system N.C_i = D.C_i on the support, and enlarge the support
-    with any negative curve the residual still meets negatively.
-    """
+    """Iterative negative-part construction: Zariski's iteration
+    `_support_after` on D itself (C = 0, t = 0), then the checks that the
+    declared cone data support its result."""
     D = qvec(D)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
-    support = sorted(i for i in S.negative_curves
-                     if S.pair(D, S.effective_generators[i]) < 0)
-    while True:
-        coeffs = _support_solve(S, D, support)
-        N = _combo(S, support, coeffs)
-        P = tuple(d - n for d, n in zip(D, N))
-        extra = [i for i in S.negative_curves
-                 if i not in support and S.pair(P, S.effective_generators[i]) < 0]
-        if not extra:
-            break
-        support = sorted(support + extra)
+    support, (coeffs, _), (P, _) = _support_after(
+        S, D, (Fraction(0),) * S.rank, Fraction(0))
     if any(c < 0 for c in coeffs):
         raise ConeDataError("cone data incomplete: negative part has a "
                             "negative coefficient")
     if not is_nef(S, P):
         raise ConeDataError("cone data incomplete: residual part is not nef")
+    N = tuple(d - p for d, p in zip(D, P))
     return ZariskiPair(P, N, tuple(support), tuple(coeffs))
 
 
-def _support_solve(S, D, support):
-    if not support:
-        return []
-    curves = [S.effective_generators[i] for i in support]
-    gram = [[S.pair(a, b) for b in curves] for a in curves]
-    pos, neg, zero = signature(gram)
-    if (pos, zero) != (0, 0):
-        raise ConeDataError("cone data incomplete: support curves are not "
-                            "negative definite")
-    rhs = [S.pair(D, c) for c in curves]
-    return list(solve(gram, rhs))
+def _support_after(S, D, C, t):
+    """Zariski's iteration on D - sC just above s = t (at s = t+).
+
+    Start from the empty support and add every negative curve that the
+    positive part of the current support meets negatively at t+, until
+    none does.  For a fixed support the negative-part coefficients
+    x0 + s*x1 and the positive part p0 + s*p1 are affine in s
+    (`_fixed_support_affine`), so each pairing is some a + b*s: negative
+    at t+ iff a + b*t < 0, or a + b*t = 0 and b < 0.  Returns (support,
+    (x0, x1), (p0, p1)).
+    """
+    support = []
+    while True:
+        x, p = _fixed_support_affine(S, D, C, support)
+        extra = []
+        for i in S.negative_curves:
+            if i not in support:
+                g = S.effective_generators[i]
+                a, b = S.pair(p[0], g), S.pair(p[1], g)
+                if a + b * t < 0 or (a + b * t == 0 and b < 0):
+                    extra.append(i)
+        if not extra:
+            return support, x, p
+        support = sorted(support + extra)
 
 
 def _combo(S, indices, coeffs):
@@ -252,35 +251,49 @@ def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
 
 
 def _fixed_support_affine(S, D, C, support):
-    """Positive part and validity data for a fixed negative-part support.
+    """Negative part and positive part of D - tC for a fixed support.
 
-    Returns ((p0, p1), conds): P(D - tC) = p0 + t*p1 while `support` is
-    the Zariski support; conds is a list of affine (const, slope)
-    functions whose nonnegativity on an interval certifies that it is.
+    Returns ((x0, x1), (p0, p1)): N(D - tC) has coefficients x0 + t*x1 on
+    the support curves and P(D - tC) = p0 + t*p1 while `support` is the
+    Zariski support.  A support that is not negative definite raises.
     """
-    D = qvec(D)
-    C = qvec(C)
     curves = [S.effective_generators[i] for i in support]
+    x0 = x1 = ()
     if support:
         gram = [[S.pair(a, b) for b in curves] for a in curves]
+        pos, _neg, zero = signature(gram)
+        if (pos, zero) != (0, 0):
+            raise ConeDataError("cone data incomplete: support curves are "
+                                "not negative definite")
         x0 = solve(gram, [S.pair(D, c) for c in curves])
         x1 = solve(gram, [-S.pair(C, c) for c in curves])
-    else:
-        x0 = x1 = []
     n0 = _combo(S, support, x0)
     n1 = _combo(S, support, x1)
-    p0 = tuple(d - n for d, n in zip(D, n0))  # P(t) = p0 + t*p1
+    p0 = tuple(d - n for d, n in zip(D, n0))
     p1 = tuple(-c - n for c, n in zip(C, n1))
-    conds = []
-    for a, b in zip(x0, x1):
-        conds.append((a, b))  # support coefficients stay >= 0
-    for g in S.effective_generators:
-        conds.append((S.pair(p0, g), S.pair(p1, g)))  # P stays nef
-    return (p0, p1), conds
+    return (x0, x1), (p0, p1)
 
 
-def _cond_window(conds, probe):
-    """Largest interval [lo, hi] around `probe` where all conditions hold."""
+def _chamber_after(S, D, C, t, hi):
+    """(t_end, (p0, p1)) with P(D - sC) = p0 + s*p1 on the whole closed
+    chamber [t, t_end] that starts at s = t, and t < t_end <= hi.
+
+    `_support_after` gives the support at t+.  It is the Zariski support
+    wherever its affine conditions hold, the support coefficients >= 0
+    and P nef, and `_cond_window` gives where they do.
+    """
+    _support, (x0, x1), (p0, p1) = _support_after(S, D, C, t)
+    conds = list(zip(x0, x1))
+    conds += [(S.pair(p0, g), S.pair(p1, g)) for g in S.effective_generators]
+    win = _cond_window(conds, t)
+    if win is None or (win[1] is not None and win[1] <= t):
+        raise ConeDataError("cone data incomplete: no Zariski chamber "
+                            "starts at t=%s" % t)
+    return (hi if win[1] is None else min(win[1], hi)), (p0, p1)
+
+
+def _cond_window(conds, t):
+    """Largest interval [lo, hi] around `t` where all conditions hold."""
     lo, hi = None, None
     for a, b in conds:
         if b == 0:
@@ -292,7 +305,7 @@ def _cond_window(conds, probe):
             lo = root if lo is None or root > lo else lo
         else:      # holds for t <= root
             hi = root if hi is None or root < hi else hi
-    if (lo is not None and lo > probe) or (hi is not None and hi < probe):
+    if (lo is not None and lo > t) or (hi is not None and hi < t):
         return None
     return lo, hi
 
@@ -301,13 +314,8 @@ def _beta_breakpoints(S, D, C, lo, hi):
     """[(t, beta(t))] at every chamber breakpoint of [lo, hi], exact."""
     pts = []
     t = lo
-    for _ in range(_MAX_SWEEP):
-        sup = zariski_decompose(S, _shift(D, C, t)).support
-        p, conds = _fixed_support_affine(S, D, C, sup)
-        win = _cond_window(conds, t)
-        t_end = hi if win is None or win[1] is None else min(win[1], hi)
-        if win is None or t_end <= t:
-            t_end, p = _probe_forward(S, D, C, t, hi)
+    for _ in range(len(S.negative_curves) + 1):
+        t_end, p = _chamber_after(S, D, C, t, hi)
         beta = (S.pair(p[0], C), S.pair(p[1], C))  # P(D - tC).C
         pts.append((t, beta[0] + beta[1] * t))
         pts.append((t_end, beta[0] + beta[1] * t_end))
@@ -315,22 +323,6 @@ def _beta_breakpoints(S, D, C, lo, hi):
             return pts
         t = t_end
     raise ConeDataError("chamber sweep did not terminate")
-
-
-def _probe_forward(S, D, C, t, hi):
-    """First chamber [t, t_end] of D - sC after s = t: (t_end, (p0, p1))
-    with P(D - sC) = p0 + s*p1 on the whole closed chamber."""
-    probe = (t + hi) / 2
-    for _ in range(_MAX_SWEEP):
-        sup = zariski_decompose(S, _shift(D, C, probe)).support
-        p, conds = _fixed_support_affine(S, D, C, sup)
-        win = _cond_window(conds, probe)
-        if win is not None and (win[0] is None or win[0] <= t):
-            t_end = hi if win[1] is None else min(win[1], hi)
-            if t_end > t:
-                return t_end, p
-        probe = (t + probe) / 2
-    raise ConeDataError("chamber sweep did not terminate near t=%s" % t)
 
 
 def _shift(D, C, t):
@@ -367,7 +359,9 @@ def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A) -> Polytope:
 
     This is exact, not an extrapolation.  For each t, the negative-part
     support of D - tC + eps*A is monotone in eps and takes finitely many
-    values, so it is fixed on a first chamber (0, eps1]; there
+    values, so it is fixed on a first chamber (0, eps1], where it is the
+    support that Zariski's iteration gives at eps = 0+ (`_support_after`
+    along the direction -A).  There
     N(D - tC + eps*A) solves a linear system whose right-hand side is
     affine in eps, so N is affine in eps.  Its limit at eps = 0 still has
     nonnegative coefficients, a negative definite support, a nef residual
@@ -389,8 +383,9 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
     """nu and kappa_vol of a pseudoeffective class.
 
     Classified by the Zariski positive part and cross-checked against the
-    exact growth of vol(D + eps*A).  One chamber probe along the
-    direction A certifies a fixed support on [0, eps1], where
+    exact growth of vol(D + eps*A).  The chamber of D + eps*A that starts
+    at eps = 0 (`_chamber_after` along the direction -A) is [0, eps1],
+    where
     P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) = (p0 + eps*p1)^2 there,
     with constant term p0^2 and linear term 2 p0.p1, exactly.
     """
@@ -408,7 +403,7 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
         k = 1
     else:
         k = 0
-    _, (p0, p1) = _probe_forward(S, D, tuple(-a for a in A),
+    _, (p0, p1) = _chamber_after(S, D, tuple(-a for a in A),
                                  Fraction(0), Fraction(1))
     a0, a1 = S.pair(p0, p0), 2 * S.pair(p0, p1)
     if a0 != p2:

@@ -12,7 +12,6 @@ an independent oracle for that exact path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -310,30 +309,24 @@ def _face_halfspaces(X, D, stratum):
 def first_chamber(X, D: ToricDivisor, A: ToricDivisor, stratum=()) -> Fraction:
     """Right end eps1 of the first chamber of D + eps*A along `stratum`.
 
-    The face half-spaces of D + eps*A have offsets b0 + eps*b1, so the
-    vertex x_S(eps) cut out by a nonsingular n-subset S of them is affine
-    in eps, and so is every slack b_j(eps) - r_j.x_S(eps).  eps1 is the
-    least positive root of those slacks, capped at 1.  On
-    (0, eps1) no slack changes sign, so which candidates are vertices and
-    which half-spaces are tight at them is fixed: the face lattice is
-    constant and every volume of the face is a polynomial in eps.
+    The face half-spaces of D + eps*A read n.u <= b0 + eps*b1, so they
+    lift to one polytope Q = {(u, eps) : n.u - eps*b1 <= b0, 0 <= eps <= 1}
+    whose slice at height eps is the face of D + eps*A.  Between two
+    consecutive vertex heights of Q, every slice crosses the same edges
+    and meets the same faces of Q, so the slices share one face lattice;
+    their vertices are the edge crossings, affine in eps, so every volume
+    of the face is a polynomial in eps there.  eps1 is the least positive
+    vertex height of Q, and 1 when Q is empty.
     """
-    hs0 = _face_halfspaces(X, D, stratum)
-    b1 = [h.offset for h in _face_halfspaces(X, A, stratum)]
-    eps1 = Fraction(1)
-    for subset in itertools.combinations(range(len(hs0)), X.dim):
-        rows = [hs0[i].normal for i in subset]
-        x0 = solve(rows, [hs0[i].offset for i in subset])
-        if x0 is None:
-            continue
-        x1 = solve(rows, [b1[i] for i in subset])
-        for h, c1 in zip(hs0, b1):
-            slope = c1 - dot(h.normal, x1)
-            if slope:
-                root = (dot(h.normal, x0) - h.offset) / slope
-                if 0 < root < eps1:
-                    eps1 = root
-    return eps1
+    n = X.dim
+    lifted = [HalfSpace((*h.normal, -a.offset), h.offset)
+              for h, a in zip(_face_halfspaces(X, D, stratum),
+                              _face_halfspaces(X, A, stratum))]
+    zero = (Fraction(0),) * n
+    lifted += [HalfSpace((*zero, Fraction(-1)), Fraction(0)),
+               HalfSpace((*zero, Fraction(1)), Fraction(1))]
+    Q = Polytope.from_halfspaces(lifted, n + 1)
+    return min((v[n] for v in Q.vertices if v[n] > 0), default=Fraction(1))
 
 
 def restricted_series(X, D: ToricDivisor, stratum, levels) -> GradedSeries:

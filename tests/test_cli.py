@@ -115,6 +115,14 @@ class TestEpsLimitVerbs:
         assert json.loads(out) == {"kappa": 0, "nu_bdpp": 0, "kappa_vol": 0,
                                    "kappa_sigma": "undeclared"}
 
+    def test_dims_of_tiny_surface_class(self, capsys, tmp_path):
+        self._write(tmp_path, model=FX.blown_up_plane_lattice().to_obj(),
+                    divisor={"coeffs": ["0", "1/" + str(10**100)]})
+        code, out, err = run(capsys, "dims", "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json")
+        assert code == 0, err
+        assert json.loads(out)["nu_bdpp"] == 0
+
     def test_limbody_of_tiny_surface_class(self, capsys, tmp_path):
         self._write(tmp_path, model=FX.blown_up_plane_lattice().to_obj(),
                     divisor={"coeffs": ["0", "1/1000000"]},

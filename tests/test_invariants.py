@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,8 @@ from okbodies import invariants as I
 from okbodies import toric as T
 from okbodies.curve import CurveModel
 from okbodies.fixtures import blown_up_plane_lattice
-from okbodies.linalg import qvec
+from okbodies.linalg import dot, qvec, solve
+from okbodies.polytope import Polytope
 from okbodies.toric import NEG_INF
 
 P1 = T.projective_line()
@@ -272,6 +274,28 @@ def toric_eps_cases(draw):
     return tb, cls, A, stratum
 
 
+def subset_loop_first_chamber(X, D, A, stratum=()):
+    """The first chamber as it was computed before the lifted polytope:
+    for every nonsingular n-subset S of the face half-spaces, the least
+    positive root of the slacks at the vertex x_S(eps), capped at 1."""
+    hs0 = T._face_halfspaces(X, D, stratum)
+    b1 = [h.offset for h in T._face_halfspaces(X, A, stratum)]
+    eps1 = F(1)
+    for subset in itertools.combinations(range(len(hs0)), X.dim):
+        rows = [hs0[i].normal for i in subset]
+        x0 = solve(rows, [hs0[i].offset for i in subset])
+        if x0 is None:
+            continue
+        x1 = solve(rows, [b1[i] for i in subset])
+        for h, c1 in zip(hs0, b1):
+            slope = c1 - dot(h.normal, x1)
+            if slope:
+                root = (dot(h.normal, x0) - h.offset) / slope
+                if 0 < root < eps1:
+                    eps1 = root
+    return eps1
+
+
 class TestEpsFitOracle:
     @settings(max_examples=150, deadline=None)
     @given(toric_eps_cases())
@@ -285,9 +309,16 @@ class TestEpsFitOracle:
         else:
             f = tb.volume
         coeffs = tb._eps_fit(f, cls, A, stratum)
-        eps1 = T.first_chamber(tb.X, T.divisor(tb.X, cls), T.divisor(tb.X, A),
-                               stratum)
-        assert 0 < eps1 <= 1
-        for x in (eps1 / 3, 2 * eps1 / 3):
+        D, DA = T.divisor(tb.X, cls), T.divisor(tb.X, A)
+        eps1 = T.first_chamber(tb.X, D, DA, stratum)
+        assert 0 < subset_loop_first_chamber(tb.X, D, DA, stratum) <= eps1 <= 1
+        xs = [eps1 / 3, 2 * eps1 / 3]
+        # the chamber is closed at eps1 when the face of D is not empty;
+        # otherwise the face first appears at eps1, where f may jump
+        face = Polytope.from_halfspaces(T._face_halfspaces(tb.X, D, stratum),
+                                        tb.X.dim)
+        if not face.is_empty:
+            xs.append(eps1)
+        for x in xs:
             shifted = [c + x * a for c, a in zip(cls, A)]
             assert sum(c * x ** k for k, c in enumerate(coeffs)) == f(shifted)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from okbodies import surface as S
 from okbodies.fixtures import blown_up_plane_lattice
-from okbodies.linalg import qvec, solve
+from okbodies.linalg import qvec, signature, solve
 from okbodies.polytope import Polytope, hull
 
 BL = blown_up_plane_lattice()
@@ -80,16 +80,17 @@ class TestIntersection:
 
 class TestConeTests:
     def test_h_minus_e(self):
-        t = S.cone_tests(BL, qvec([1, -1]))
-        assert t == {"is_psef": True, "is_nef": True, "is_big": False,
-                     "is_ample": False}
+        D = qvec([1, -1])
+        assert S.is_psef(BL, D) and S.is_nef(BL, D)
+        assert not S.is_big(BL, D) and not S.is_ample(BL, D)
 
     def test_2h_plus_e(self):
-        t = S.cone_tests(BL, qvec([2, 1]))
-        assert t["is_big"] and t["is_psef"] and not t["is_nef"]
+        D = qvec([2, 1])
+        assert S.is_big(BL, D) and S.is_psef(BL, D) and not S.is_nef(BL, D)
 
     def test_minus_h(self):
-        assert not S.cone_tests(BL, qvec([-1, 0]))["is_psef"]
+        assert not S.is_psef(BL, qvec([-1, 0]))
+        assert not S.is_big(BL, qvec([-1, 0]))
 
 
 class TestZariski:
@@ -173,6 +174,14 @@ class TestBodies:
         with pytest.raises(ValueError, match="pseudoeffective"):
             S.okounkov_body_surface(BL, qvec([-1, 0]), 0)
 
+    def test_chamber_of_length_10_to_the_minus_100(self):
+        # along D - tL the support gains E1 at t = 1 and E2 at
+        # t = 1 + 10^-100: a chamber no halved probe reached
+        L = bl2_lattice()
+        D = qvec([3, -1, -1 - F(1, 10**100)])
+        body = S.okounkov_body_surface(L, D, 2)
+        assert 2 * body.volume_in_dim(2) == S.volume_surface(L, D)
+
 
 class TestLimitingBodies:
     def test_big_equals_direct(self):
@@ -227,11 +236,15 @@ class TestNumericalDims:
         with pytest.raises(ValueError):
             S.numerical_dims_surface(BL, qvec([-1, 0]), A_BL)
 
-    def test_tiny_rigid_class(self):
-        # the first chamber of E/10^6 + eps*A ends near 10^-6, far below
-        # the smallest eps the sampled quadratic fit ever tried
-        nd = S.numerical_dims_surface(BL, qvec([0, F(1, 10**6)]), A_BL)
-        assert nd == {"nu_bdpp": 0, "kappa_vol": 0}
+    @pytest.mark.parametrize("cls,k", [
+        ([0, F(1, 10**6)], 0), ([0, F(1, 10**100)], 0), ([2, F(1, 10**100)], 2),
+    ], ids=["E-over-10^6", "E-over-10^100", "2H-plus-E-over-10^100"])
+    def test_tiny_rigid_class(self, cls, k):
+        # the first chamber of D + eps*A ends near the coefficient of E:
+        # far below the smallest eps the sampled quadratic fit tried, and
+        # below 2^-256 for 10^-100, where a halved probe gave up
+        nd = S.numerical_dims_surface(BL, qvec(cls), A_BL)
+        assert nd == {"nu_bdpp": k, "kappa_vol": k}
 
 
 class TestValuativeAbundant:
@@ -367,3 +380,82 @@ class TestSampledOracle:
         old = sampled_numerical_dims(L, D, A)
         if old is not None:
             assert S.numerical_dims_surface(L, D, A) == old
+
+
+# -- the Zariski loop zariski_decompose ran before `_support_after` ----------
+
+
+def loop_zariski_decompose(L, D):
+    D = qvec(D)
+    if not S.is_psef(L, D):
+        raise ValueError("divisor is not pseudoeffective")
+    support = sorted(i for i in L.negative_curves
+                     if L.pair(D, L.effective_generators[i]) < 0)
+    while True:
+        coeffs = []
+        if support:
+            curves = [L.effective_generators[i] for i in support]
+            gram = [[L.pair(a, b) for b in curves] for a in curves]
+            pos, _neg, zero = signature(gram)
+            if (pos, zero) != (0, 0):
+                raise S.ConeDataError("cone data incomplete: support curves "
+                                      "are not negative definite")
+            coeffs = list(solve(gram, [L.pair(D, c) for c in curves]))
+        N = S._combo(L, support, coeffs)
+        P = tuple(d - n for d, n in zip(D, N))
+        extra = [i for i in L.negative_curves
+                 if i not in support and L.pair(P, L.effective_generators[i]) < 0]
+        if not extra:
+            break
+        support = sorted(support + extra)
+    if any(c < 0 for c in coeffs):
+        raise S.ConeDataError("cone data incomplete: negative part has a "
+                              "negative coefficient")
+    if not S.is_nef(L, P):
+        raise S.ConeDataError("cone data incomplete: residual part is not nef")
+    return S.ZariskiPair(P, N, tuple(support), tuple(coeffs))
+
+
+# declared cones that leave out a negative curve, or declare negative
+# curves whose spans are not negative definite: with X = 2H - 2E1 + E2,
+# X - E2 has square 0 and E1 + X has square 2
+INCOMPLETE_LATTICES = (
+    S.SurfaceLattice(
+        rank=2, gram=((1, 0), (0, -1)),
+        effective_generators=(qvec([0, 1]), qvec([1, -1])),
+        nef_generators=(), negative_curves=(),
+        canonical_class=qvec([-3, 1])),
+    S.SurfaceLattice(
+        rank=3, gram=((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        effective_generators=(qvec([0, 1, 0]), qvec([2, -2, 1]),
+                              qvec([0, 0, 1])),
+        nef_generators=(), negative_curves=(0, 1, 2),
+        canonical_class=qvec([0, 0, 0])),
+)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def any_classes(draw):
+    """Combinations of the effective generators, a few with a negative
+    weight, so that most classes are pseudoeffective."""
+    L = draw(st.sampled_from(ORACLE_LATTICES + INCOMPLETE_LATTICES))
+    gens = L.effective_generators
+    coeff = st.fractions(min_value=-1, max_value=3, max_denominator=4)
+    weights = draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    return L, tuple(sum((w * g[i] for w, g in zip(weights, gens)), F(0))
+                    for i in range(L.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_classes())
+def test_zariski_matches_loop(case):
+    L, D = case
+    assert (_outcome(S.zariski_decompose, L, D)
+            == _outcome(loop_zariski_decompose, L, D))
