@@ -1,10 +1,15 @@
 """Exact rational linear programming (tiny dense simplex).
 
-Cone membership tests and the one-parameter boundary searches in this
-package must be exact, and no pre-installed solver does rational
-arithmetic, so we carry a ~150 line simplex.  Bland's rule, so it
-terminates; everything is Fractions.  Problem sizes here are a handful of
-variables and constraints.
+No pre-installed solver does rational arithmetic, so we carry a ~150 line
+simplex.  Bland's rule, so it terminates; everything is Fractions.  Problem
+sizes here are a handful of variables and constraints.
+
+Nothing in the package runs the simplex any more.  Surface cone tests
+read the integer facet rows of the effective cone
+(`SurfaceLattice.cone_rows`) instead of `nonneg_combination` and
+`max_cone_shift`, and H -> V runs the hull engine.  `simplex_max` and its
+cone and half-space wrappers stay as the tests' independent reference and
+because perfbench's tracer binds them.
 
 The boundedness test `recession_is_trivial` uses no simplex: a pointed cone
 {x : Ax <= 0} is nonzero iff one of its extreme rays, each the kernel of
@@ -132,8 +137,9 @@ def nonneg_combination(generators, target):
 def max_cone_shift(generators, direction, target):
     """max t >= 0 with target - t*direction in cone(generators).
 
-    Returns (status, t).  INFEASIBLE means target itself is outside the
-    cone; UNBOUNDED means target - t*direction stays inside for all t.
+    Returns (status, t).  INFEASIBLE means no t >= 0 puts target -
+    t*direction in the cone (target itself may lie outside it while some
+    t > 0 works); UNBOUNDED means it stays inside for all large t.
     """
     dim = len(target)
     k = len(generators)

@@ -6,6 +6,15 @@ class; the engine validates internal consistency (Hodge index sign
 pattern, nef/effective pairings) but cannot certify the declarations
 against actual geometry.
 
+Classes enter the module through `SurfaceLattice._class`, which checks
+their length, and pairings run on integer numerators over one denominator
+per class.  Cone tests are integer too: the effective cone's facets are
+the facets through the origin of hull(0, g_1, ..., g_k), as in a
+double-description step (Fukuda-Prodon 1996), read once per lattice as
+integer rows (`SurfaceLattice.cone_rows`); D is psef iff every row pairs
+with D to >= 0, and the psef threshold along C is the upper end of the
+interval of t the rows leave for D - tC.
+
 Bodies for a flag (C, x) with x general on C come out of the Zariski
 decomposition of D - tC: the lower boundary is 0 (general point), the
 upper boundary is the piecewise-linear t -> P(D - tC).C, and t ranges
@@ -22,11 +31,11 @@ more chambers than negative curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from . import lp
-from .linalg import frac, qvec, signature, solve
+from .linalg import clear_denominators, frac, qvec, signature, solve
 from .polytope import Polytope
 
 
@@ -49,6 +58,8 @@ class SurfaceLattice:
     abundance: dict | None = None      # {"iitaka_degree_on": {gen index: int}}
     declared_kappa: dict | None = None  # {class_key: int}
     declared_kappa_sigma: dict | None = None
+    _cone: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         r = self.rank
@@ -77,12 +88,41 @@ class SurfaceLattice:
             if self.pair(c, c) >= 0:
                 raise ValueError("declared negative curve has self-intersection >= 0")
 
+    def _class(self, v) -> tuple[Fraction, ...]:
+        """v as a class: a tuple of `rank` Fractions; every class enters
+        the module through here."""
+        v = qvec(v)
+        if len(v) != self.rank:
+            raise ValueError("class vectors must have length rank")
+        return v
+
+    def _ints(self, v) -> tuple[tuple[int, ...], int]:
+        """(numerators, q): the class v as integers over its least common
+        denominator q."""
+        (ints,), q = clear_denominators([self._class(v)])
+        return ints, q
+
     def pair(self, a, b) -> Fraction:
-        a = qvec(a)
-        b = qvec(b)
-        return sum((a[i] * self.gram[i][j] * b[j]
-                    for i in range(self.rank) for j in range(self.rank)),
-                   Fraction(0))
+        (a, qa), (b, qb) = self._ints(a), self._ints(b)
+        return Fraction(sum(x * sum(map(mul, row, b))
+                            for x, row in zip(a, self.gram)), qa * qb)
+
+    def cone_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Inward integer normals w of the effective cone's facets, made on
+        first use: D is pseudoeffective iff w . D >= 0 for every w.
+
+        cone(g_1, ..., g_k) is the tangent cone at 0 of
+        hull(0, g_1, ..., g_k), so its facets are the facet rows of that
+        hull with offset 0, equality pairs included (a cone that does not
+        span, or no generators at all); a cone with a line, or zero and
+        duplicate generators, need nothing extra.
+        """
+        if self._cone is None:
+            body = Polytope.hull([(0,) * self.rank, *self.effective_generators])
+            rows, _qh = body._facet_rows()
+            object.__setattr__(self, "_cone", tuple(
+                tuple(-x for x in a) for a, c in rows if c == 0))
+        return self._cone
 
     def kappa_declared(self, cls):
         if self.declared_kappa is None:
@@ -118,8 +158,6 @@ class SurfaceLattice:
 
 
 def intersect(S: SurfaceLattice, a, b) -> Fraction:
-    if len(a) != S.rank or len(b) != S.rank:
-        raise ValueError("class vectors must have length rank")
     return S.pair(a, b)
 
 
@@ -141,7 +179,8 @@ class ZariskiPair:
 
 
 def is_psef(S: SurfaceLattice, D) -> bool:
-    return lp.nonneg_combination(S.effective_generators, qvec(D)) is not None
+    d, _q = S._ints(D)
+    return all(sum(map(mul, w, d)) >= 0 for w in S.cone_rows())
 
 
 def is_nef(S: SurfaceLattice, D) -> bool:
@@ -179,7 +218,7 @@ def zariski_decompose(S: SurfaceLattice, D) -> ZariskiPair:
     """Iterative negative-part construction: Zariski's iteration
     `_support_after` on D itself (C = 0, t = 0), then the checks that the
     declared cone data support its result."""
-    D = qvec(D)
+    D = S._class(D)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
     support, (coeffs, _), (P, _) = _support_after(
@@ -230,7 +269,7 @@ def _combo(S, indices, coeffs):
 
 def volume_surface(S: SurfaceLattice, D) -> Fraction:
     """Self-intersection of the Zariski positive part (0 off the cone)."""
-    D = qvec(D)
+    D = S._class(D)
     if not is_psef(S, D):
         return Fraction(0)
     zp = zariski_decompose(S, D)
@@ -241,13 +280,30 @@ def volume_surface(S: SurfaceLattice, D) -> Fraction:
 
 
 def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
-    """sup{t >= 0 : D - tC pseudoeffective}, exact."""
-    status, t = lp.max_cone_shift(S.effective_generators, qvec(C), qvec(D))
-    if status == lp.INFEASIBLE:
+    """sup{t >= 0 : D - tC pseudoeffective}, exact.
+
+    With D = d/qd and C = c/qc, each cone row w holds at D - tC iff
+    t * v <= u for the integers u = (w.d) qc and v = (w.c) qd, so the
+    t >= 0 with D - tC in the cone form an interval.  D itself need not
+    lie in it: t is bounded below by the rows with v < 0.  An empty
+    interval raises ValueError, one with no upper end ConeDataError.
+    """
+    (d, qd), (c, qc) = S._ints(D), S._ints(C)
+    lo, hi = Fraction(0), None
+    for w in S.cone_rows():
+        u = sum(map(mul, w, d)) * qc
+        v = sum(map(mul, w, c)) * qd
+        if v > 0:
+            hi = Fraction(u, v) if hi is None else min(hi, Fraction(u, v))
+        elif v < 0:
+            lo = max(lo, Fraction(u, v))
+        elif u < 0:  # v == 0: the row fails for every t
+            raise ValueError("divisor is not pseudoeffective")
+    if hi is not None and hi < lo:
         raise ValueError("divisor is not pseudoeffective")
-    if status == lp.UNBOUNDED:
+    if hi is None:
         raise ConeDataError("D - tC never leaves the declared cone")
-    return t
+    return hi
 
 
 def _fixed_support_affine(S, D, C, support):
@@ -339,7 +395,7 @@ def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     For big D this is the body of the honest sections; for psef non-big D
     it is the limiting body.
     """
-    D = qvec(D)
+    D = S._class(D)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
     C = S.effective_generators[flag_curve]
@@ -371,7 +427,7 @@ def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A) -> Polytope:
     ends), and by continuity of Okounkov bodies the limiting body is
     `okounkov_body_surface(S, D, flag_curve)`.
     """
-    if not is_ample(S, qvec(A)):
+    if not is_ample(S, A):
         raise ValueError("perturbation class must be ample")
     return okounkov_body_surface(S, D, flag_curve)
 
@@ -389,8 +445,8 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
     P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) = (p0 + eps*p1)^2 there,
     with constant term p0^2 and linear term 2 p0.p1, exactly.
     """
-    D = qvec(D)
-    A = qvec(A)
+    D = S._class(D)
+    A = S._class(A)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
     if not is_ample(S, A):
@@ -419,7 +475,7 @@ def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
 def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     """Body of honest sections of a canonical-type class, via the declared
     degree of the Iitaka map on the flag curve: (1/deg) * limiting body."""
-    D = qvec(D)
+    D = S._class(D)
     if S.abundance is None:
         raise ValueError("valuative body undeterminable from numerical data")
     degrees = S.abundance.get("iitaka_degree_on", {})
@@ -459,7 +515,7 @@ def restricted_volume_plus(S: SurfaceLattice, D, stratum_dim: int,
                            flag_curve: int | None = None) -> Fraction:
     """vol+ of D along a flag stratum (the surface, the flag curve, or the
     flag point), via Zariski continuity."""
-    D = qvec(D)
+    D = S._class(D)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
     if stratum_dim == 2:

@@ -62,6 +62,17 @@ class TestComputeVerbs:
         # '-' is not a file; expect a clean input error, not a traceback
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["zariski", "vol"])
+    def test_class_of_wrong_length_is_input_error(self, verb, corpus, capsys,
+                                                  tmp_path):
+        divisor = tmp_path / "divisor.json"
+        divisor.write_text(json.dumps({"coeffs": ["2", "1", "1"]}))
+        code, out, err = run(capsys, verb, "--model",
+                             corpus / "models/blown_up_plane_surface.json",
+                             "--divisor", divisor)
+        assert code == 2 and out == ""
+        assert err == "error: class vectors must have length rank\n"
+
     def test_oracle_compare(self, corpus, capsys):
         code, out, _ = run(capsys, "oracle-compare",
                            "--model", corpus / "models/plane.json",

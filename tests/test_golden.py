@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from okbodies import toric
+from okbodies import lp, surface, toric
 from okbodies.cli import main
+from okbodies.polytope import Polytope
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -61,6 +62,36 @@ def test_stdout_digest(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_check_all_runs_no_cone_simplex(capsys, monkeypatch):
+    # surface cone tests read the integer facet rows of each lattice's
+    # effective cone, built by one hull of the origin and the generators
+    def no_lp(*args):
+        raise AssertionError("simplex cone test called")
+
+    monkeypatch.setattr(lp, "nonneg_combination", no_lp)
+    monkeypatch.setattr(lp, "max_cone_shift", no_lp)
+    lattices, hulls = [], []
+    post_init, hull = surface.SurfaceLattice.__post_init__, Polytope.hull
+
+    def recording_post_init(self):
+        post_init(self)
+        lattices.append(self)
+
+    def recording_hull(points):
+        points = list(points)
+        hulls.append(tuple(map(tuple, points)))
+        return hull(points)
+
+    monkeypatch.setattr(surface.SurfaceLattice, "__post_init__",
+                        recording_post_init)
+    monkeypatch.setattr(Polytope, "hull", staticmethod(recording_hull))
+    test_stdout_digest("check_all", capsys, monkeypatch)
+    cones = {((0,) * L.rank,) + L.effective_generators for L in lattices}
+    built = [L for L in lattices if L._cone is not None]
+    assert built
+    assert sum(h in cones for h in hulls) == len(built)
 
 
 def test_oracle_compare_vertex_diff_digest(tmp_path, capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from okbodies import lp
 from okbodies import surface as S
 from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import qvec, signature, solve
@@ -76,6 +78,21 @@ class TestIntersection:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             S.intersect(BL, (1,), (1, 0))
+
+    @pytest.mark.parametrize("call", [
+        lambda D: BL.pair(D, H),
+        lambda D: S.is_psef(BL, D),
+        lambda D: S.psef_threshold(BL, H, D),
+        lambda D: S.psef_threshold(BL, D, E),
+        lambda D: S.zariski_decompose(BL, D),
+        lambda D: S.volume_surface(BL, D),
+    ])
+    @pytest.mark.parametrize("D", [(1,), (2, 0, 1)])
+    def test_every_entry_checks_class_length(self, call, D):
+        # a short or long class must not be truncated by a zip or an index
+        with pytest.raises(ValueError, match="class vectors must have "
+                                             "length rank"):
+            call(D)
 
 
 class TestConeTests:
@@ -459,3 +476,143 @@ def test_zariski_matches_loop(case):
     L, D = case
     assert (_outcome(S.zariski_decompose, L, D)
             == _outcome(loop_zariski_decompose, L, D))
+
+
+# -- cone tests by facet rows against the simplex ----------------------------
+
+
+def bl3_lattice():
+    """Plane blown up in three general points, basis (H, E1, E2, E3): the
+    six (-1)-curves E_i and H - E_i - E_j span a non-simplicial cone."""
+    curves = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+              (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1))
+    nefs = ((1, 0, 0, 0), (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
+            (2, -1, -1, -1))
+    return S.SurfaceLattice(
+        rank=4, gram=((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0),
+                      (0, 0, 0, -1)),
+        effective_generators=tuple(map(qvec, curves)),
+        nef_generators=tuple(map(qvec, nefs)),
+        negative_curves=tuple(range(6)),
+        canonical_class=qvec([-3, 1, 1, 1]))
+
+
+CONE_LATTICES = ORACLE_LATTICES + INCOMPLETE_LATTICES + (bl3_lattice(),)
+
+
+# strategies are built once here: building them inside each draw costs
+# more than the cone tests themselves
+QUARTERS = st.integers(-12, 12).map(lambda n: F(n, 4))      # in [-3, 3]
+WEIGHTS = st.integers(0, 8).map(lambda n: F(n, 4))          # in [0, 2]
+SHIFTS = st.integers(1, 8).map(lambda n: F(n, 4))           # in [1/4, 2]
+SMALL = st.integers(-2, 2).map(F)
+
+
+@lru_cache(maxsize=None)
+def tuples_of(entry, n):
+    return st.tuples(*[entry] * n)
+
+
+@lru_cache(maxsize=None)
+def generator_lists(r):
+    return st.lists(tuples_of(SMALL, r), max_size=r + 1)
+
+
+@st.composite
+def degenerate_lattices(draw):
+    """An oracle lattice's form with drawn generators: none, too few to
+    span, a line (g and -g), the zero class, a repeated generator."""
+    base = draw(st.sampled_from(CONE_LATTICES))
+    r = base.rank
+    gens = draw(generator_lists(r))
+    if gens and draw(st.booleans()):
+        gens.append(tuple(-x for x in gens[0]))
+    if draw(st.booleans()):
+        gens.append(qvec([0] * r))
+    if gens and draw(st.booleans()):
+        gens.append(gens[-1])
+    return S.SurfaceLattice(
+        rank=r, gram=base.gram, effective_generators=tuple(gens),
+        nef_generators=(), negative_curves=(), canonical_class=qvec([0] * r))
+
+
+LATTICES = st.one_of(st.sampled_from(CONE_LATTICES), degenerate_lattices())
+KINDS = st.sampled_from(("random", "inside", "shifted"))
+
+
+@st.composite
+def cone_cases(draw):
+    """(L, D, C): D drawn at random, inside the cone, or as P + sC with P
+    in the cone, which puts D outside the cone while D - sC enters it."""
+    L = draw(LATTICES)
+    r = L.rank
+    C = draw(tuples_of(QUARTERS, r))
+    gens = L.effective_generators
+    w = draw(tuples_of(WEIGHTS, len(gens)))
+    P = tuple(sum((x * g[i] for x, g in zip(w, gens)), F(0)) for i in range(r))
+    kind = draw(KINDS)
+    if kind == "random":
+        D = draw(tuples_of(QUARTERS, r))
+    elif kind == "inside":
+        D = P
+    else:
+        s = draw(SHIFTS)
+        D = tuple(p + s * c for p, c in zip(P, C))
+    return L, D, C
+
+
+def simplex_threshold(L, D, C):
+    """`psef_threshold` as one `lp.max_cone_shift` solve."""
+    status, t = lp.max_cone_shift(L.effective_generators, qvec(C), qvec(D))
+    if status == lp.INFEASIBLE:
+        raise ValueError("divisor is not pseudoeffective")
+    if status == lp.UNBOUNDED:
+        raise S.ConeDataError("D - tC never leaves the declared cone")
+    return t
+
+
+@settings(max_examples=400, deadline=None)
+@given(cone_cases())
+# D = -H + 2E is not psef, but D - tC = (2t - 1)H + (2 - 3t)E is for
+# 1/2 <= t <= 1; and C = 0 never leaves the cone
+@example((BL, qvec([-1, 2]), qvec([-2, 3])))
+@example((BL, qvec([1, 0]), qvec([0, 0])))
+def test_cone_tests_match_simplex(case):
+    L, D, C = case
+    gens = L.effective_generators
+    assert S.is_psef(L, D) == (lp.nonneg_combination(gens, D) is not None)
+    assert (_outcome(S.psef_threshold, L, D, C)
+            == _outcome(simplex_threshold, L, D, C))
+
+
+# -- the integer pairing against the Fraction double sum ---------------------
+
+
+def fraction_pair(L, a, b):
+    a, b = qvec(a), qvec(b)
+    return sum((a[i] * L.gram[i][j] * b[j]
+                for i in range(L.rank) for j in range(L.rank)), F(0))
+
+
+# ints, and Fractions of mixed denominators up to 12
+ENTRIES = st.one_of(st.integers(-5, 5),
+                    st.builds(F, st.integers(-60, 60), st.integers(1, 12)))
+
+
+@lru_cache(maxsize=None)
+def classes_of_rank(r):
+    return st.one_of(st.just((0,) * r), tuples_of(ENTRIES, r))
+
+
+@st.composite
+def class_pairs(draw):
+    L = draw(st.sampled_from(CONE_LATTICES))
+    return L, draw(classes_of_rank(L.rank)), draw(classes_of_rank(L.rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_pairs())
+def test_pair_matches_fraction_double_sum(case):
+    L, a, b = case
+    got = L.pair(a, b)
+    assert type(got) is F and got == fraction_pair(L, a, b)
