@@ -7,7 +7,8 @@ first use, a sorted tuple of integer facet rows (a, c) over one
 denominator qh, each meaning a . x <= c / qh with a primitive (equality
 pairs included).  `Fraction`s appear only at the API edge: `vertices`
 and `to_hrep` are their views, and `from_halfspaces` turns each
-`HalfSpace` into a row once.  Floats never appear.
+`HalfSpace` into a row once; the toric layer passes its integer face rows
+to `_from_rows` and builds no `HalfSpace`.  Floats never appear.
 
 Each polytope has one frame and one hull, computed once and cached: the
 frame (`kernel.affine_frame`) is a fraction-free echelon of the affine
@@ -18,9 +19,10 @@ divides out.  A segment and a polygon are hulled directly; every higher
 dimension runs the one beneath-beyond engine `kernel.hull_facets`, whose
 placing triangulation gives the volume.  Every constructor that hulls ends
 in `_int_polytope`: `hull` clears one common denominator, and
-`lattice_hull` passes its integer points over m.  `from_halfspaces` and
-`slice_prefix_zero` hull in R^(n+1) instead: `_vertex_enum` reads exact
-vertex keys off the facets of the cone polar to the homogenised system.
+`lattice_hull` passes its integer points over m.  `_from_rows`, behind
+`from_halfspaces` and `slice_prefix_zero`, hulls in R^(n+1) instead:
+`_vertex_enum` reads exact vertex keys off the facets of the cone polar
+to the homogenised system.
 Inclusions of products are decided on the facet rows by `support_rows`.
 
 Empty polytopes (from infeasible half-space systems or empty slices) are

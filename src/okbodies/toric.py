@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import mul
 
 from . import kernel
-from .linalg import det, dot, frac, qvec, solve
-from .polytope import HalfSpace, Polytope
+from .linalg import clear_denominators, dot, frac, int_det, qvec, solve
+from .polytope import Polytope, _from_rows
 
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
 
@@ -41,30 +41,30 @@ class ToricVariety:
         for i, r in enumerate(self.rays):
             if len(r) != n:
                 raise ValueError(f"rays[{i}]: wrong length")
-            g = 0
-            for x in r:
-                g = math.gcd(g, abs(x))
-            if g != 1:
+            if math.gcd(*r) != 1:
                 raise ValueError(f"rays[{i}]: not a primitive vector")
             if r in seen:
                 raise ValueError(f"rays[{i}]: duplicate ray")
             seen.add(r)
+        if not self.max_cones:
+            raise ValueError("fan has no maximal cones")
         walls = {}
         for ci, cone in enumerate(self.max_cones):
             if len(set(cone)) != n:
                 raise ValueError(f"max_cones[{ci}]: need {n} distinct rays")
             if any(not 0 <= i < len(self.rays) for i in cone):
                 raise ValueError(f"max_cones[{ci}]: ray index out of range")
-            mat = [list(map(Fraction, self.rays[i])) for i in cone]
-            if abs(det(mat)) != 1:
+            if abs(int_det([self.rays[i] for i in cone])) != 1:
                 raise ValueError(f"max_cones[{ci}]: cone is not unimodular")
             for drop in range(n):
                 wall = frozenset(cone[:drop] + cone[drop + 1:])
                 walls[wall] = walls.get(wall, 0) + 1
-        bad = [w for w, c in walls.items() if c != 2]
-        if bad:
+        if any(c != 2 for c in walls.values()):
             raise ValueError("fan is not complete: some wall is not shared "
                              "by exactly two maximal cones")
+        unused = set(range(len(self.rays))).difference(*self.max_cones)
+        if unused:
+            raise ValueError(f"rays[{min(unused)}]: not in any maximal cone")
 
     def cones_containing(self, ray_indices) -> list[int]:
         want = set(ray_indices)
@@ -148,7 +148,7 @@ def section_polytope(X: ToricVariety, D: ToricDivisor) -> Polytope:
 
     Memoized: models and divisors are frozen and compare by value, and the
     returned Polytope is immutable (its lazy caches are deterministic)."""
-    return Polytope.from_halfspaces(_face_halfspaces(X, D, ()), X.dim)
+    return _face(X, D, ())
 
 
 def is_effective(X, D) -> bool:
@@ -171,55 +171,54 @@ def _cone_vertex(X, D, cone):
     return solve(rows, rhs)
 
 
-def is_ample(X, D) -> bool:
-    """Strict convexity of the support function over the complete fan."""
+def _slacks(X, D):
+    """<u, ray_j> + a_j at the vertex u of each maximal cone, for each ray j
+    off that cone (on it the slack is 0)."""
     for cone in X.max_cones:
         u = _cone_vertex(X, D, cone)
-        for j, ray in enumerate(X.rays):
-            if j in cone:
-                continue
-            if dot(u, qvec(ray)) <= -D.coeffs[j]:
-                return False
-    return True
+        yield from (dot(u, qvec(ray)) + D.coeffs[j]
+                    for j, ray in enumerate(X.rays) if j not in cone)
+
+
+def is_ample(X, D) -> bool:
+    """Strict convexity of the support function over the complete fan."""
+    return all(s > 0 for s in _slacks(X, D))
 
 
 def is_nef(X, D) -> bool:
-    for cone in X.max_cones:
-        u = _cone_vertex(X, D, cone)
-        for j, ray in enumerate(X.rays):
-            if dot(u, qvec(ray)) < -D.coeffs[j]:
-                return False
-    return True
+    return all(s >= 0 for s in _slacks(X, D))
 
 
 # -- sections and valuations -------------------------------------------------
 
 
 def _integral_multiple(D: ToricDivisor, m: int):
-    coeffs = []
-    for a in D.coeffs:
-        ma = m * a
-        if ma.denominator != 1:
-            raise ValueError("non-integral multiple")
-        coeffs.append(int(ma))
-    return coeffs
+    coeffs = [m * a for a in D.coeffs]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("non-integral multiple")
+    return [int(c) for c in coeffs]
 
 
 def sections(X: ToricVariety, D: ToricDivisor, m: int):
     """Exponent vectors of a monomial basis of the level-m space, in
     lexicographic order (lattice points of m * section_polytope)."""
+    return _face_points(X, D, m, (), section_polytope(X, D))
+
+
+def _face_points(X, D, m, stratum, face):
+    """Lattice points of m * face, in lexicographic order, for D's face
+    along `stratum`: <u, ray_i> >= -m a_i, reversed too on the stratum."""
     if m < 1:
         raise ValueError("level must be >= 1")
     offsets = [-a for a in _integral_multiple(D, m)]
-    P = section_polytope(X, D)
-    if P.is_empty:
+    if face.is_empty:
         return []
-    lo, hi = [], []
-    for c in range(X.dim):
-        vals = [m * v[c] for v in P.vertices]
-        lo.append(math.ceil(min(vals)))
-        hi.append(math.floor(max(vals)))
-    return [tuple(p) for p in kernel.lattice_points(X.rays, offsets, lo, hi)]
+    normals = list(X.rays) + [tuple(-x for x in X.rays[i]) for i in stratum]
+    offsets += [-offsets[i] for i in stratum]
+    cols = list(zip(*face.vertices))
+    lo = [math.ceil(m * min(col)) for col in cols]
+    hi = [math.floor(m * max(col)) for col in cols]
+    return [tuple(p) for p in kernel.lattice_points(normals, offsets, lo, hi)]
 
 
 def _flag_affine_map(X, flag: ToricFlag, D: ToricDivisor):
@@ -297,21 +296,28 @@ def _stratum_frame(X: ToricVariety, stratum):
     return stratum, tuple(rest)
 
 
-def _face_halfspaces(X, D, stratum):
-    hs = [HalfSpace(qvec([-c for c in ray]), frac(a))
-          for ray, a in zip(X.rays, D.coeffs)]
-    for i in stratum:
-        ray = qvec(X.rays[i])
-        hs.append(HalfSpace(ray, -D.coeffs[i]))  # makes <u, ray> == -a_i
-    return hs
+def _face_rows(X, D, stratum):
+    """(rows, q): D's face along `stratum` as integer rows (a_1..a_n, c),
+    each a . u <= c, over D's least common denominator q: -q <u, ray_i> <=
+    q a_i on every ray, and q <u, ray_i> <= -q a_i on the stratum's."""
+    (num,), q = clear_denominators([D.coeffs])
+    rows = [tuple(-q * x for x in ray) + (a,) for ray, a in zip(X.rays, num)]
+    rows += [tuple(q * x for x in X.rays[i]) + (-num[i],) for i in stratum]
+    return rows, q
+
+
+def _face(X, D, stratum):
+    """The face of D's section polytope along `stratum`; section_polytope
+    is the stratum () case."""
+    return _from_rows(_face_rows(X, D, stratum)[0], X.dim)
 
 
 def first_chamber(X, D: ToricDivisor, A: ToricDivisor, stratum=()) -> Fraction:
     """Right end eps1 of the first chamber of D + eps*A along `stratum`.
 
-    The face half-spaces of D + eps*A read n.u <= b0 + eps*b1, so they
-    lift to one polytope Q = {(u, eps) : n.u - eps*b1 <= b0, 0 <= eps <= 1}
-    whose slice at height eps is the face of D + eps*A.  Between two
+    The integer face rows n.u <= b0 of D and n.u <= b1 of A (each over its
+    own denominator) lift to Q = {(u, eps) : n.u - eps*b1 <= b0, 0 <= eps
+    <= 1}, whose slice at height eps is the face of D + eps*A.  Between two
     consecutive vertex heights of Q, every slice crosses the same edges
     and meets the same faces of Q, so the slices share one face lattice;
     their vertices are the edge crossings, affine in eps, so every volume
@@ -319,13 +325,13 @@ def first_chamber(X, D: ToricDivisor, A: ToricDivisor, stratum=()) -> Fraction:
     vertex height of Q, and 1 when Q is empty.
     """
     n = X.dim
-    lifted = [HalfSpace((*h.normal, -a.offset), h.offset)
-              for h, a in zip(_face_halfspaces(X, D, stratum),
-                              _face_halfspaces(X, A, stratum))]
-    zero = (Fraction(0),) * n
-    lifted += [HalfSpace((*zero, Fraction(-1)), Fraction(0)),
-               HalfSpace((*zero, Fraction(1)), Fraction(1))]
-    Q = Polytope.from_halfspaces(lifted, n + 1)
+    rows_d, qd = _face_rows(X, D, stratum)
+    rows_a, qa = _face_rows(X, A, stratum)
+    lifted = [tuple(qa * x for x in rd[:n]) + (-qd * ra[n], qa * rd[n])
+              for rd, ra in zip(rows_d, rows_a)]
+    zero = (0,) * n
+    lifted += [zero + (-1, 0), zero + (1, 1)]
+    Q = _from_rows(lifted, n + 1)
     return min((v[n] for v in Q.vertices if v[n] > 0), default=Fraction(1))
 
 
@@ -333,22 +339,15 @@ def restricted_series(X, D: ToricDivisor, stratum, levels) -> GradedSeries:
     """Images of the level-m monomial bases under restriction to a stratum.
 
     A monomial survives restriction exactly when its exponent is on the
-    stratum's face of the section polytope; surviving exponents inject
-    into the stratum's character lattice via the complementary-ray
-    coordinates.
+    stratum's face of the section polytope, so only the lattice points of
+    m * face are enumerated; they inject into the stratum's character
+    lattice via the complementary-ray coordinates.
     """
     stratum, rest = _stratum_frame(X, stratum)
-    out = {}
-    for m in levels:
-        offsets = [-a for a in _integral_multiple(D, m)]
-        pts = sections(X, D, m)
-        face = [u for u in pts
-                if all(sum(X.rays[i][c] * u[c] for c in range(X.dim)) == offsets[i]
-                       for i in stratum)]
-        proj = sorted({tuple(sum(X.rays[j][c] * u[c] for c in range(X.dim))
-                             for j in rest) for u in face})
-        out[m] = tuple(proj)
-    return GradedSeries(out)
+    face = _face(X, D, stratum)
+    return GradedSeries({m: tuple(sorted(
+        tuple(sum(map(mul, X.rays[j], u)) for j in rest)
+        for u in _face_points(X, D, m, stratum, face))) for m in levels})
 
 
 def restricted_volume_toric(X, D: ToricDivisor, stratum) -> Fraction:
@@ -360,13 +359,13 @@ def restricted_volume_toric(X, D: ToricDivisor, stratum) -> Fraction:
     """
     stratum, rest = _stratum_frame(X, stratum)
     v = X.dim - len(stratum)
-    face = Polytope.from_halfspaces(_face_halfspaces(X, D, stratum), X.dim)
+    face = _face(X, D, stratum)
     if face.is_empty:
         return Fraction(0)
     if v == 0:
         return Fraction(1)
-    imgs = [tuple(dot(qvec(X.rays[j]), u) for j in rest) for u in face.vertices]
-    image = Polytope.hull(imgs)
+    image = Polytope.hull([tuple(dot(qvec(X.rays[j]), u) for j in rest)
+                           for u in face.vertices])
     return Fraction(math.factorial(v)) * image.volume_in_dim(v)
 
 
@@ -374,16 +373,17 @@ def nakayama_verdict(X, D: ToricDivisor, stratum):
     """('certified' | 'false', witness level or None).
 
     Restriction to the stratum injects at every level iff the section
-    polytope P lies on the stratum's face F.  Certified when it does and
-    the stratum dimension is the Iitaka dimension.  Otherwise, for a
-    vertex v of P off F, m * v is a section off F at m = lcm(den(D),
-    den(v)); the witness is the least such m."""
+    polytope P lies on the stratum's face F, a face of P: iff every vertex
+    of P is one of F.  Certified when it is and the stratum dimension is
+    the Iitaka dimension.  Otherwise, for a vertex v of P off F, m * v is
+    a section off F at m = lcm(den(D), den(v)); the witness is the least
+    such m."""
     stratum, _rest = _stratum_frame(X, stratum)
     P = section_polytope(X, D)
     if X.dim - len(stratum) != P.dim():  # P.dim() is -1 when P is empty
         return "false", None
-    off_face = [v for v in P.vertices
-                if any(dot(qvec(X.rays[i]), v) != -D.coeffs[i] for i in stratum)]
+    on_face = set(_face(X, D, stratum).vertices)
+    off_face = [v for v in P.vertices if v not in on_face]
     if not off_face:
         return "certified", None
     den = math.lcm(*(a.denominator for a in D.coeffs))
@@ -434,10 +434,7 @@ def product_flag(fib: ToricFibration, base_flag: ToricFlag,
     fiber_flag.validate(fib.fiber)
     k = fib.base_ray_count
     order = tuple(base_flag.ray_order) + tuple(i + k for i in fiber_flag.ray_order)
-    want = set(order)
-    cone_idx = next(i for i, c in enumerate(fib.total.max_cones)
-                    if set(c) == want)
-    return ToricFlag(cone_idx, order)
+    return ToricFlag(fib.total.cones_containing(order)[0], order)
 
 
 # -- standard models ----------------------------------------------------------

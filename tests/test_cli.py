@@ -387,6 +387,23 @@ class TestValidateVerb:
         code, _, err = run(capsys, "validate", "--model", bad)
         assert code == 2 and "complete" in err
 
+    @pytest.mark.parametrize("model,coeffs,message", [
+        ({"kind": "toric", "dim": 1, "rays": [[1]], "max_cones": []},
+         ["1"], "fan has no maximal cones"),
+        ({"kind": "toric", "dim": 2,
+          "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+          "max_cones": [[0, 1], [1, 2], [2, 0]]},
+         ["0", "0", "1", "-1"], "rays[3]: not in any maximal cone"),
+    ], ids=["no-cones", "unused-ray"])
+    def test_malformed_fan_is_input_error(self, capsys, tmp_path, model,
+                                          coeffs, message):
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        (tmp_path / "divisor.json").write_text(json.dumps({"coeffs": coeffs}))
+        code, out, err = run(capsys, "vol", "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and message in err
+
     def test_float_rejected(self, capsys, tmp_path):
         bad = tmp_path / "div.json"
         bad.write_text(json.dumps({"coeffs": [0.5, 1, 1]}))

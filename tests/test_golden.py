@@ -15,7 +15,7 @@ import pytest
 
 from okbodies import lp, surface, toric
 from okbodies.cli import main
-from okbodies.polytope import Polytope
+from okbodies.polytope import HalfSpace, Polytope
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -92,6 +92,17 @@ def test_check_all_runs_no_cone_simplex(capsys, monkeypatch):
     built = [L for L in lattices if L._cone is not None]
     assert built
     assert sum(h in cones for h in hulls) == len(built)
+
+
+def test_check_all_builds_no_halfspace(capsys, monkeypatch):
+    # the toric layer passes integer face rows to the polytope layer, so
+    # no `HalfSpace` is made and `from_halfspaces` is never entered
+    def no_halfspace(*args):
+        raise AssertionError("half-space built above the polytope layer")
+
+    monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(no_halfspace))
+    monkeypatch.setattr(HalfSpace, "__post_init__", no_halfspace)
+    test_stdout_digest("check_all", capsys, monkeypatch)
 
 
 def test_oracle_compare_vertex_diff_digest(tmp_path, capsys):

@@ -10,7 +10,7 @@ from okbodies import toric as T
 from okbodies.curve import CurveModel
 from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import dot, qvec, solve
-from okbodies.polytope import Polytope
+from okbodies.polytope import HalfSpace, Polytope
 from okbodies.toric import NEG_INF
 
 P1 = T.projective_line()
@@ -274,12 +274,21 @@ def toric_eps_cases(draw):
     return tb, cls, A, stratum
 
 
+def face_halfspaces(X, D, stratum):
+    """The face of D's section polytope along `stratum`, built here from
+    the rays and coefficients alone: <u, ray_i> >= -a_i on every ray, and
+    <u, ray_i> <= -a_i on the stratum's rays."""
+    hs = [HalfSpace(qvec([-c for c in ray]), a)
+          for ray, a in zip(X.rays, D.coeffs)]
+    return hs + [HalfSpace(qvec(X.rays[i]), -D.coeffs[i]) for i in stratum]
+
+
 def subset_loop_first_chamber(X, D, A, stratum=()):
     """The first chamber as it was computed before the lifted polytope:
     for every nonsingular n-subset S of the face half-spaces, the least
     positive root of the slacks at the vertex x_S(eps), capped at 1."""
-    hs0 = T._face_halfspaces(X, D, stratum)
-    b1 = [h.offset for h in T._face_halfspaces(X, A, stratum)]
+    hs0 = face_halfspaces(X, D, stratum)
+    b1 = [h.offset for h in face_halfspaces(X, A, stratum)]
     eps1 = F(1)
     for subset in itertools.combinations(range(len(hs0)), X.dim):
         rows = [hs0[i].normal for i in subset]
@@ -315,7 +324,7 @@ class TestEpsFitOracle:
         xs = [eps1 / 3, 2 * eps1 / 3]
         # the chamber is closed at eps1 when the face of D is not empty;
         # otherwise the face first appears at eps1, where f may jump
-        face = Polytope.from_halfspaces(T._face_halfspaces(tb.X, D, stratum),
+        face = Polytope.from_halfspaces(face_halfspaces(tb.X, D, stratum),
                                         tb.X.dim)
         if not face.is_empty:
             xs.append(eps1)

@@ -362,16 +362,33 @@ def sampled_numerical_dims(L, D, A):
 ORACLE_LATTICES = (BL, bl2_lattice(), g2xg2_lattice())
 
 
+def fractions_in(lo, hi, max_den):
+    """The values of st.fractions(lo, hi, max_denominator=max_den), every
+    fraction in [lo, hi] with denominator <= max_den, as one sampled_from:
+    st.fractions builds new strategies inside each of its draws, which
+    costs more than the code under test."""
+    return st.sampled_from(sorted({F(n, q) for q in range(1, max_den + 1)
+                                   for n in range(lo * q, hi * q + 1)}))
+
+
+# strategies are built once here, not inside each draw
+PSEF_WEIGHTS = fractions_in(0, 3, 8)
+NEF_MULTIPLES = st.integers(1, 3)
+
+
+@lru_cache(maxsize=None)
+def lists_of(entry, n):
+    return st.lists(entry, min_size=n, max_size=n)
+
+
 @st.composite
 def psef_cases(draw):
     L = draw(st.sampled_from(ORACLE_LATTICES))
     gens = L.effective_generators
-    coeff = st.fractions(min_value=0, max_value=3, max_denominator=8)
-    weights = draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    weights = draw(lists_of(PSEF_WEIGHTS, len(gens)))
     D = tuple(sum((w * g[i] for w, g in zip(weights, gens)), F(0))
               for i in range(L.rank))
-    ks = draw(st.lists(st.integers(1, 3), min_size=len(L.nef_generators),
-                       max_size=len(L.nef_generators)))
+    ks = draw(lists_of(NEF_MULTIPLES, len(L.nef_generators)))
     A = tuple(sum((k * g[i] for k, g in zip(ks, L.nef_generators)), F(0))
               for i in range(L.rank))
     flag = draw(st.integers(0, len(gens) - 1))
@@ -458,14 +475,16 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+ANY_WEIGHTS = fractions_in(-1, 3, 4)
+
+
 @st.composite
 def any_classes(draw):
     """Combinations of the effective generators, a few with a negative
     weight, so that most classes are pseudoeffective."""
     L = draw(st.sampled_from(ORACLE_LATTICES + INCOMPLETE_LATTICES))
     gens = L.effective_generators
-    coeff = st.fractions(min_value=-1, max_value=3, max_denominator=4)
-    weights = draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+    weights = draw(lists_of(ANY_WEIGHTS, len(gens)))
     return L, tuple(sum((w * g[i] for w, g in zip(weights, gens)), F(0))
                     for i in range(L.rank))
 
