@@ -115,6 +115,16 @@ class FiberSpaceInstance:
         if total.kind == "toric" and not base.kind == fiber.kind == "toric":
             raise ValueError("a toric total space needs a toric base and a "
                              "toric fiber")
+        nx, ny, nf = (len(b.canonical_class()) for b in (total, base, fiber))
+        for name, cls, n in (("D", self.D, nx), ("R", self.R, nx),
+                             ("D_Y", self.D_Y, ny)):
+            if len(cls) != n:
+                raise ValueError(f"{name} has {len(cls)} coefficients, "
+                                 f"not {n}")
+        for name, rows, m, n in (("pullback", self.pullback, nx, ny),
+                                 ("restriction", self.restriction, nf, nx)):
+            if len(rows) != m or any(len(row) != n for row in rows):
+                raise ValueError(f"{name} must be a {m} x {n} matrix")
         diff = tuple(d - p - r for d, p, r in
                      zip(self.D, self.pull(self.D_Y), self.R))
         if isinstance(self.total, toricmod.ToricVariety):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import surface as surfmod
 from . import toric as toricmod
 from .curve import CurveModel
-from .linalg import frac, qvec, solve
+from .linalg import frac, qvec
 from .polytope import Polytope
 from .toric import NEG_INF
 
@@ -101,11 +101,12 @@ class ToricBackend:
         return toricmod.okounkov_body_toric(self.X, self._div(cls), flag)
 
     def body_lim(self, cls, flag, A=None) -> Polytope:
-        """Equals the valuative body.  On the first chamber (0, eps1) of
-        D + eps*A (`toric.first_chamber`) the vertices of the section
-        polytope are affine in eps, so they tend to those of the section
-        polytope of D, and the intersection over eps > 0 of the bodies is
-        the body of the class itself."""
+        """Equals the valuative body; A plays no part.  For ample A, the
+        section polytope of D + eps*A is the slice at height eps of the
+        compact polytope {(u, eps) : <u, ray_i> >= -a_i - eps*b_i, 0 <= eps
+        <= 1}; near eps = 0 its vertices move affinely in eps, so the slices
+        tend to the section polytope of D in the Hausdorff metric, and the
+        intersection over eps > 0 of the bodies is the body of D itself."""
         return self.body_val(cls, flag)
 
     def volume(self, cls) -> Fraction:
@@ -120,76 +121,44 @@ class ToricBackend:
     def restricted_volume(self, cls, stratum) -> Fraction:
         return toricmod.restricted_volume_toric(self.X, self._div(cls), stratum)
 
-    def restricted_volume_plus(self, cls, stratum, A) -> Fraction:
-        """Limit of vol_{X|V}(D + eps*A) as eps -> 0, exact.
+    def restricted_volume_plus(self, cls, stratum) -> Fraction:
+        """Limit of vol_{X|V}(D + eps*A) as eps -> 0, for any ample A:
+        vol_{X|V}(D) itself.
 
-        On the first chamber (0, eps1) of D + eps*A (`toric.first_chamber`)
-        the face of the section polytope over the stratum keeps its face
-        lattice, so the restricted volume is a polynomial in eps there; its
-        constant term is the limit."""
-        if not self.is_ample(A):
-            raise ValueError("perturbation class must be ample")
-        return self._eps_fit(lambda c: self.restricted_volume(c, stratum),
-                             cls, A, stratum)[0]
+        The face of D + eps*A over the stratum is the slice Q_eps of the
+        compact polytope Q = {(u, eps) : <u, ray_i> >= -a_i - eps*b_i, with
+        equality on the stratum's rays, 0 <= eps <= 1}.  Up to Q's least
+        positive vertex height, each vertex of Q_eps moves affinely, v0 +
+        eps*v1, so Q_eps tends to Q_0, the face of D, in the Hausdorff
+        metric; Q_0 is nonempty whenever Q_eps is for all small eps, since
+        Q is closed.  Volume in the stratum's character lattice is
+        continuous in that metric, so the limit is the restricted volume
+        of D (Ein-Lazarsfeld-Mustata-Nakamaye-Popa 2009: restricted
+        volumes are continuous at invariant strata)."""
+        return self.restricted_volume(cls, stratum)
 
     def dims(self, cls, A=None) -> DimsReport:
+        """kappa = nu = kappa_vol = d = dim P_D; A plays no part.
+
+        For ample A, P_{D+eps*A} contains P_D + eps*P_A, whose volume has
+        the positive mixed-volume term c*eps^(n-d).  It also lies in P_D +
+        eps*B(r), with r the largest speed |v1| of its vertices v0 + eps*v1
+        near eps = 0, and the Steiner polynomial of that sum starts at
+        eps^(n-d).  So vol(D + eps*A) grows like eps^(n-d), and kappa_vol =
+        d = kappa."""
         k = self.kappa(cls)
         if k == NEG_INF:
             raise ValueError("class has no sections; dimensions undefined")
-        if A is None:
-            A = self.some_ample()
-        kv = self._kappa_vol(cls, A)
-        return DimsReport(kappa=k, nu_bdpp=k, kappa_vol=kv, kappa_sigma=None)
-
-    def some_ample(self):
-        ones = [Fraction(1)] * len(self.X.rays)
-        if toricmod.is_ample(self.X, toricmod.ToricDivisor(self.X, tuple(ones))):
-            return tuple(ones)
-        for k in range(2, 6):  # fattening eventually wins for our fans
-            cand = [Fraction(k if any(r[c] < 0 for c in range(self.X.dim)) else 1)
-                    for r in self.X.rays]
-            if toricmod.is_ample(self.X, toricmod.ToricDivisor(self.X, tuple(cand))):
-                return tuple(cand)
-        raise ValueError("no obvious ample class on this fan")
-
-    def _kappa_vol(self, cls, A):
-        """Growth exponent of vol(D + eps*A) as eps -> 0: n minus the order
-        of vanishing at 0 of the volume polynomial of the first chamber."""
-        n = self.X.dim
-        coeffs = self._eps_fit(self.volume, cls, A)
-        low = next((k for k, c in enumerate(coeffs) if c != 0), n)
-        return n - low
-
-    def _eps_fit(self, f, cls, A, stratum=()):
-        """Coefficients (c_0, ..., c_v) of eps -> f(D + eps*A) on the first
-        chamber of D + eps*A along `stratum`; v = the stratum dimension.
-
-        The face lattice is fixed on (0, eps1), so f is a polynomial of
-        degree <= v there and v+1 points inside the chamber determine it.
-        """
-        cls = qvec(cls)
-        A = qvec(A)
-        eps1 = toricmod.first_chamber(self.X, self._div(cls), self._div(A),
-                                      stratum)
-        xs = [eps1 / 2 ** i for i in range(1, self.X.dim - len(stratum) + 2)]
-        ys = [f(tuple(c + x * a for c, a in zip(cls, A))) for x in xs]
-        return _poly_fit(xs, ys)
+        return DimsReport(kappa=k, nu_bdpp=k, kappa_vol=k, kappa_sigma=None)
 
     def nakayama(self, cls, stratum):
         return toricmod.nakayama_verdict(self.X, self._div(cls), stratum)
 
-    def is_pvs(self, cls, stratum, A=None) -> bool:
-        if A is None:
-            A = self.some_ample()
-        nu = self.dims(cls, A).nu_bdpp
+    def is_pvs(self, cls, stratum) -> bool:
+        nu = self.dims(cls).nu_bdpp
         if self.X.dim - len(tuple(stratum)) != nu:
             return False
-        return self.restricted_volume_plus(cls, stratum, A) > 0
-
-
-def _poly_fit(xs, ys):
-    rows = [[x ** k for k in range(len(xs))] for x in xs]
-    return solve(rows, list(ys))
+        return self.restricted_volume_plus(cls, stratum) > 0
 
 
 # -- surface backend ----------------------------------------------------------
@@ -253,7 +222,7 @@ class SurfaceBackend:
                           kappa_vol=nd["kappa_vol"],
                           kappa_sigma=self.S.kappa_sigma_declared(cls))
 
-    def restricted_volume_plus(self, cls, stratum, A=None) -> Fraction:
+    def restricted_volume_plus(self, cls, stratum) -> Fraction:
         stratum_dim, flag_curve = stratum
         return surfmod.restricted_volume_plus(self.S, cls, stratum_dim,
                                               flag_curve)
@@ -269,13 +238,10 @@ class SurfaceBackend:
             return "certified", None  # restriction to X is the identity
         return "checked_up_to", 0
 
-    def is_pvs(self, cls, stratum, A=None) -> bool:
-        if A is None:
-            A = surfmod.some_ample(self.S)
-        nu = surfmod.numerical_dims_surface(self.S, cls, A)["nu_bdpp"]
-        if stratum[0] != nu:
+    def is_pvs(self, cls, stratum) -> bool:
+        if stratum[0] != self.dims(cls).nu_bdpp:
             return False
-        return self.restricted_volume_plus(cls, stratum, A) > 0
+        return self.restricted_volume_plus(cls, stratum) > 0
 
 
 # -- curve backend ------------------------------------------------------------
@@ -352,12 +318,15 @@ class CurveBackend:
         k = self.kappa(cls)
         return DimsReport(kappa=k, nu_bdpp=k, kappa_vol=k, kappa_sigma=k)
 
-    def restricted_volume_plus(self, cls, stratum_dim, A=None) -> Fraction:
+    def restricted_volume_plus(self, cls, stratum_dim) -> Fraction:
+        """Along the curve: the degree, when positive.  At the flag point:
+        1 while D + eps*A has sections for small eps, that is for degree
+        >= 0, and 0 for negative degree."""
         deg = self._deg(cls)
         if stratum_dim == 1:
             return deg if deg > 0 else Fraction(0)
         if stratum_dim == 0:
-            return Fraction(1)
+            return Fraction(1) if deg >= 0 else Fraction(0)
         raise ValueError("stratum dimension out of range")
 
     def nakayama(self, cls, stratum_dim):
@@ -369,7 +338,7 @@ class CurveBackend:
         # trivial class restricted to a general point keeps its one section
         return "certified", None
 
-    def is_pvs(self, cls, stratum_dim, A=None) -> bool:
+    def is_pvs(self, cls, stratum_dim) -> bool:
         if not self.is_psef(cls):
             raise ValueError("divisor is not pseudoeffective")
         return stratum_dim == self.kappa(cls)

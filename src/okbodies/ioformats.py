@@ -40,6 +40,26 @@ def _rat_vec(values, path):
     return tuple(_rat(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
+def _obj(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(path, "expected an object")
+    return value
+
+
+def _int_map(value, path):
+    """An object of integers, or None when absent."""
+    if value is None:
+        return None
+    return {k: _int(v, f"{path}[{k}]") for k, v in _obj(value, path).items()}
+
+
+def _rows(values, path, vec):
+    """A list of rows, each parsed by `vec` (`_rat_vec` or `_int_vec`)."""
+    if not isinstance(values, list):
+        raise InputError(path, "expected a list of rows")
+    return tuple(vec(r, f"{path}[{i}]") for i, r in enumerate(values))
+
+
 def _int(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(path, f"expected an integer, got {value!r}")
@@ -73,34 +93,34 @@ def model_from_obj(obj, path="model"):
         if kind == "toric":
             return ToricVariety(
                 dim=_int(obj.get("dim"), f"{path}.dim"),
-                rays=tuple(_int_vec(r, f"{path}.rays[{i}]")
-                           for i, r in enumerate(obj.get("rays", []))),
-                max_cones=tuple(_int_vec(c, f"{path}.max_cones[{i}]")
-                                for i, c in enumerate(obj.get("max_cones", []))))
+                rays=_rows(obj.get("rays", []), f"{path}.rays", _int_vec),
+                max_cones=_rows(obj.get("max_cones", []), f"{path}.max_cones",
+                                _int_vec))
         if kind == "surface":
             abundance = None
             if "abundance" in obj:
-                deg = obj["abundance"].get("iitaka_degree_on", {})
+                apath = f"{path}.abundance"
+                deg = _obj(obj["abundance"], apath).get("iitaka_degree_on", {})
                 abundance = {"iitaka_degree_on":
-                             {int(k): _int(v, f"{path}.abundance[{k}]")
-                              for k, v in deg.items()}}
+                             {int(k): _int(v, f"{apath}[{k}]") for k, v in
+                              _obj(deg, f"{apath}.iitaka_degree_on").items()}}
             return SurfaceLattice(
                 rank=_int(obj.get("rank"), f"{path}.rank"),
-                gram=tuple(_int_vec(row, f"{path}.gram[{i}]")
-                           for i, row in enumerate(obj.get("gram", []))),
-                effective_generators=tuple(
-                    _rat_vec(g, f"{path}.effective_generators[{i}]")
-                    for i, g in enumerate(obj.get("effective_generators", []))),
-                nef_generators=tuple(
-                    _rat_vec(g, f"{path}.nef_generators[{i}]")
-                    for i, g in enumerate(obj.get("nef_generators", []))),
+                gram=_rows(obj.get("gram", []), f"{path}.gram", _int_vec),
+                effective_generators=_rows(
+                    obj.get("effective_generators", []),
+                    f"{path}.effective_generators", _rat_vec),
+                nef_generators=_rows(obj.get("nef_generators", []),
+                                     f"{path}.nef_generators", _rat_vec),
                 negative_curves=_int_vec(obj.get("negative_curves", []),
                                          f"{path}.negative_curves"),
                 canonical_class=_rat_vec(obj.get("canonical_class", []),
                                          f"{path}.canonical_class"),
                 abundance=abundance,
-                declared_kappa=obj.get("declared_kappa"),
-                declared_kappa_sigma=obj.get("declared_kappa_sigma"))
+                declared_kappa=_int_map(obj.get("declared_kappa"),
+                                        f"{path}.declared_kappa"),
+                declared_kappa_sigma=_int_map(obj.get("declared_kappa_sigma"),
+                                              f"{path}.declared_kappa_sigma"))
         if kind == "curve":
             return CurveModel(genus=_int(obj.get("genus"), f"{path}.genus"))
     except InputError:
@@ -117,8 +137,8 @@ def divisor_from_obj(obj, path="divisor"):
 
 
 def flag_from_obj(obj, model, path="flag"):
-    if obj is None:
-        return None
+    if obj is None and isinstance(model, CurveModel):
+        return None  # curves have a unique flag shape: (curve, point)
     if not isinstance(obj, dict):
         raise InputError(path, "expected an object")
     if isinstance(model, ToricVariety):
@@ -131,7 +151,7 @@ def flag_from_obj(obj, model, path="flag"):
             raise InputError(path, str(exc))
         return flag
     if isinstance(model, CurveModel):
-        return None  # curves have a unique flag shape: (curve, point)
+        return None
     if isinstance(model, SurfaceLattice):
         return _curve_index(obj.get("curve"), model, f"{path}.curve")
     raise InputError(path, "flag for unsupported model type")
@@ -169,11 +189,11 @@ def instance_from_obj(obj, path="instance"):
     base = model_from_obj(obj["base"], f"{path}.base")
     fiber = model_from_obj(obj["fiber"], f"{path}.fiber")
     total = model_from_obj(obj["total"], f"{path}.total")
-    dec = obj["decomposition"]
+    dec = _obj(obj["decomposition"], f"{path}.decomposition")
     for key in ("D", "D_Y", "R"):
         if key not in dec:
             raise InputError(f"{path}.decomposition.{key}", "missing")
-    flags = obj["flags"]
+    flags = _obj(obj["flags"], f"{path}.flags")
     base_flag = flag_from_obj(flags.get("base"), base, f"{path}.flags.base")
     fiber_flag = flag_from_obj(flags.get("fiber"), fiber, f"{path}.flags.fiber")
     if isinstance(total, ToricVariety):
@@ -185,19 +205,21 @@ def instance_from_obj(obj, path="instance"):
     else:
         total_flag = _int(obj.get("total_flag"), f"{path}.total_flag")
     ample = {k: _rat_vec(v, f"{path}.ample.{k}")
-             for k, v in obj.get("ample", {}).items()}
+             for k, v in _obj(obj.get("ample", {}), f"{path}.ample").items()}
+    name = obj.get("name", "instance")
+    if not isinstance(name, str):
+        raise InputError(f"{path}.name", "expected a string")
     try:
         return FiberSpaceInstance(
-            name=obj.get("name", "instance"),
+            name=name,
             base=base, fiber=fiber, total=total,
-            pullback=tuple(_rat_vec(r, f"{path}.pullback[{i}]")
-                           for i, r in enumerate(obj["pullback"])),
-            restriction=tuple(_rat_vec(r, f"{path}.restriction[{i}]")
-                              for i, r in enumerate(obj["restriction"])),
+            pullback=_rows(obj["pullback"], f"{path}.pullback", _rat_vec),
+            restriction=_rows(obj["restriction"], f"{path}.restriction",
+                              _rat_vec),
             D=_rat_vec(dec["D"], f"{path}.decomposition.D"),
             D_Y=_rat_vec(dec["D_Y"], f"{path}.decomposition.D_Y"),
             R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
-            hypotheses=dict(obj["hypotheses"]),
+            hypotheses=dict(_obj(obj["hypotheses"], f"{path}.hypotheses")),
             flag=FiberTypeFlag(base_flag, fiber_flag),
             total_flag=total_flag,
             ample=ample)

@@ -142,12 +142,8 @@ class GradedSeries:
 # -- cone/divisor predicates -------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
 def section_polytope(X: ToricVariety, D: ToricDivisor) -> Polytope:
-    """{u : <u, ray_i> >= -a_i}; empty exactly when D has no sections.
-
-    Memoized: models and divisors are frozen and compare by value, and the
-    returned Polytope is immutable (its lazy caches are deterministic)."""
+    """{u : <u, ray_i> >= -a_i}; empty exactly when D has no sections."""
     return _face(X, D, ())
 
 
@@ -296,43 +292,20 @@ def _stratum_frame(X: ToricVariety, stratum):
     return stratum, tuple(rest)
 
 
-def _face_rows(X, D, stratum):
-    """(rows, q): D's face along `stratum` as integer rows (a_1..a_n, c),
-    each a . u <= c, over D's least common denominator q: -q <u, ray_i> <=
-    q a_i on every ray, and q <u, ray_i> <= -q a_i on the stratum's."""
+@functools.lru_cache(maxsize=256)
+def _face(X, D, stratum):
+    """The face of D's section polytope along the tuple `stratum`;
+    section_polytope is the stratum () case.  It is built from integer rows
+    (a_1..a_n, c), each a . u <= c, over D's least common denominator q:
+    -q <u, ray_i> <= q a_i on every ray, and q <u, ray_i> <= -q a_i on the
+    stratum's.
+
+    Memoized: models and divisors are frozen and compare by value, and the
+    returned Polytope is immutable (its lazy caches are deterministic)."""
     (num,), q = clear_denominators([D.coeffs])
     rows = [tuple(-q * x for x in ray) + (a,) for ray, a in zip(X.rays, num)]
     rows += [tuple(q * x for x in X.rays[i]) + (-num[i],) for i in stratum]
-    return rows, q
-
-
-def _face(X, D, stratum):
-    """The face of D's section polytope along `stratum`; section_polytope
-    is the stratum () case."""
-    return _from_rows(_face_rows(X, D, stratum)[0], X.dim)
-
-
-def first_chamber(X, D: ToricDivisor, A: ToricDivisor, stratum=()) -> Fraction:
-    """Right end eps1 of the first chamber of D + eps*A along `stratum`.
-
-    The integer face rows n.u <= b0 of D and n.u <= b1 of A (each over its
-    own denominator) lift to Q = {(u, eps) : n.u - eps*b1 <= b0, 0 <= eps
-    <= 1}, whose slice at height eps is the face of D + eps*A.  Between two
-    consecutive vertex heights of Q, every slice crosses the same edges
-    and meets the same faces of Q, so the slices share one face lattice;
-    their vertices are the edge crossings, affine in eps, so every volume
-    of the face is a polynomial in eps there.  eps1 is the least positive
-    vertex height of Q, and 1 when Q is empty.
-    """
-    n = X.dim
-    rows_d, qd = _face_rows(X, D, stratum)
-    rows_a, qa = _face_rows(X, A, stratum)
-    lifted = [tuple(qa * x for x in rd[:n]) + (-qd * ra[n], qa * rd[n])
-              for rd, ra in zip(rows_d, rows_a)]
-    zero = (0,) * n
-    lifted += [zero + (-1, 0), zero + (1, 1)]
-    Q = _from_rows(lifted, n + 1)
-    return min((v[n] for v in Q.vertices if v[n] > 0), default=Fraction(1))
+    return _from_rows(rows, X.dim)
 
 
 def restricted_series(X, D: ToricDivisor, stratum, levels) -> GradedSeries:

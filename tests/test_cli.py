@@ -321,6 +321,45 @@ class TestInstanceShape:
         assert code == 2
         assert "total dimension 1 is not base + fiber dimension 1 + 1" in err
 
+    @pytest.mark.parametrize("argv", [("validate",), ("check", "rem3_6")],
+                             ids=["validate", "check"])
+    @pytest.mark.parametrize("name,where,value,message", [
+        pytest.param(name, where, value, message, id=f"{name}-{where}")
+        for name, where, value, message in [
+            ("ex41", "name", ["ex41"], "name: expected a string"),
+            ("ex41", "flags", [], "flags: expected an object"),
+            ("ex41", "ample", [], "ample: expected an object"),
+            ("ex41", "hypotheses", [], "hypotheses: expected an object"),
+            ("ex41", "total.abundance", [], "abundance: expected an object"),
+            ("ex41", "total.declared_kappa", [],
+             "declared_kappa: expected an object"),
+            ("ex41", "decomposition.D", ["1", "0", "0"],
+             "D has 3 coefficients, not 2"),
+            ("ex41", "decomposition.D_Y", ["0", "0"],
+             "D_Y has 2 coefficients, not 1"),
+            ("ex41", "decomposition.R", ["1"], "R has 1 coefficients, not 2"),
+            ("ex41", "pullback", [["0", "0"], ["1", "0"]],
+             "pullback must be a 2 x 1 matrix"),
+            ("ex41", "restriction", [["2", "0"], ["0", "0"]],
+             "restriction must be a 1 x 2 matrix"),
+            ("prod_line_line", "flags.base", None,
+             "flags.base: expected an object"),
+            ("prod_line_line", "total_flag", None,
+             "total_flag: expected an object")]])
+    def test_malformed_field_is_input_error(self, capsys, tmp_path, argv,
+                                            name, where, value, message):
+        path = REPO_FIXTURES / "instances" / f"{name}.json"
+        obj = json.loads(path.read_text())
+        *parents, key = where.split(".")
+        target = obj
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        path = self._write(tmp_path, obj)
+        code, out, err = run(capsys, *argv, "--instance", path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and message in err
+
 
 class TestPlots:
     def test_csv_and_svg(self, corpus, capsys, tmp_path):

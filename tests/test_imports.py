@@ -1,7 +1,9 @@
 """No module of the package imports a name at module level that it never
-uses.  A name re-exported through `__all__` counts as used."""
+uses, and no private helper is left without a caller.  A name re-exported
+through `__all__` counts as used."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,36 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("module,name", sorted(ALLOWED))
 def test_allowed_names_are_still_imported(module, name):
     assert name in module_imports((SRC / f"{module}.py").read_text())
+
+
+def _references(node):
+    """How often each name is read under `node`, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def orphaned_helpers(sources):
+    """Private functions and methods (`_name`, not dunders) that no code in
+    `sources` names outside their own def."""
+    trees = [ast.parse(s) for s in sources]
+    total = sum(map(_references, trees), Counter())
+    return sorted(node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")
+                  and total[node.name] == _references(node)[node.name])
+
+
+def test_orphan_scanner_finds_uncalled_helpers():
+    sources = ["def _fit(xs):\n    return _fit(xs[1:])\n"
+               "def _used():\n    pass\n"
+               "class C:\n    def __init__(self):\n        self._m()\n"
+               "    def _m(self):\n        pass\n",
+               "from x import _used\nprint(_used)\n"]
+    assert orphaned_helpers(sources) == ["_fit"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert orphaned_helpers(sources) == []

@@ -10,7 +10,7 @@ from okbodies import toric as T
 from okbodies.curve import CurveModel
 from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import dot, qvec, solve
-from okbodies.polytope import HalfSpace, Polytope
+from okbodies.polytope import HalfSpace
 from okbodies.toric import NEG_INF
 
 P1 = T.projective_line()
@@ -100,19 +100,18 @@ class TestRestrictedVolumePlus:
         flag = T.product_flag(fib, T.ToricFlag(0, (0,)), T.ToricFlag(0, (0,)))
         D = [0, 2, 0, 0]
         via_body = I.restricted_volume_plus_via_body(tb, D, flag)
-        direct = tb.restricted_volume_plus(D, (2,), [1, 1, 1, 1])
+        direct = tb.restricted_volume_plus(D, (2,))
         assert via_body == direct == 2
 
     def test_vol_plus_ge_vol_toric(self):
         tb = I.ToricBackend(P2)
-        A = [1, 1, 1]
         for coeffs in ([0, 0, 1], [0, 0, 2], [0, 0, 0]):
             rv = tb.restricted_volume(coeffs, (0,))
-            rvp = tb.restricted_volume_plus(coeffs, (0,), A)
+            rvp = tb.restricted_volume_plus(coeffs, (0,))
             assert rvp >= rv
         # equality for big classes
         assert (tb.restricted_volume([0, 0, 2], (0,))
-                == tb.restricted_volume_plus([0, 0, 2], (0,), A))
+                == tb.restricted_volume_plus([0, 0, 2], (0,)))
 
 
 class TestNakayama:
@@ -142,19 +141,19 @@ class TestNakayama:
 class TestPositiveVolumeSubvariety:
     def test_big_whole_space(self):
         tb = I.ToricBackend(P2)
-        assert tb.is_pvs([0, 0, 2], (), [1, 1, 1])
+        assert tb.is_pvs([0, 0, 2], ())
 
     def test_dim_mismatch(self):
         fib = T.product_fibration(P1, P1)
         tb = I.ToricBackend(fib.total)
-        assert not tb.is_pvs([0, 2, 0, 0], (), [1, 1, 1, 1])
+        assert not tb.is_pvs([0, 2, 0, 0], ())
 
     def test_vertical_class_wants_horizontal_stratum(self):
         # the stratum carrying positive volume is the one restriction sees
         fib = T.product_fibration(P1, P1)
         tb = I.ToricBackend(fib.total)
-        assert tb.is_pvs([0, 2, 0, 0], (2,), [1, 1, 1, 1])
-        assert not tb.is_pvs([0, 2, 0, 0], (0,), [1, 1, 1, 1])
+        assert tb.is_pvs([0, 2, 0, 0], (2,))
+        assert not tb.is_pvs([0, 2, 0, 0], (0,))
 
     def test_surface_curve_stratum_keeps_flag_curve(self):
         # H - E has nu = 1 and (H - E).E = 1, so the flag curve E is a
@@ -245,8 +244,8 @@ class TestFirstChamberLimits:
         # and H.(H - E) = 1 along the strict transform of a line (ray 0)
         tb = I.ToricBackend(self.BLT)
         D = [0, 0, 1, F(1, 100)]
-        assert tb.restricted_volume_plus(D, (3,), self.A) == 0
-        assert tb.restricted_volume_plus(D, (0,), self.A) == 1
+        assert tb.restricted_volume_plus(D, (3,)) == 0
+        assert tb.restricted_volume_plus(D, (0,)) == 1
 
     @pytest.mark.parametrize("c", [F(1, 100), F(1, 2), F(1, 10**6)])
     def test_rigid_class_has_kappa_vol_zero(self, c):
@@ -259,19 +258,44 @@ TORIC_MODELS = (P2, T.blown_up_plane(), T.hirzebruch(2), _P1xP1,
                 T.product_fibration(P2, P1).total)
 
 
+def fractions_in(lo, hi, max_den):
+    """Every fraction in [lo, hi] with denominator <= max_den, as one
+    sampled_from: st.fractions builds new strategies inside each draw."""
+    return st.sampled_from(sorted({F(n, q) for q in range(1, max_den + 1)
+                                   for n in range(lo * q, hi * q + 1)}))
+
+
+def _strata(X, k):
+    """Ordered k-tuples of rays of some maximal cone of X."""
+    return st.sampled_from(sorted({p[:k] for cone in X.max_cones
+                                   for p in itertools.permutations(cone)}))
+
+
+# strategies are built once here, not inside each draw; half the
+# coefficients are 0, or classes that are effective but not big (where the
+# two limits have content) would almost never be drawn
+TORIC_COEFFS = st.one_of(st.just(F(0)), fractions_in(-2, 3, 6))
+EPS_CLASSES = {X: st.tuples(*[TORIC_COEFFS] * len(X.rays))
+               for X in TORIC_MODELS}
+EPS_PADS = {X: st.tuples(*[st.integers(0, 3)] * len(X.rays))
+            for X in TORIC_MODELS}
+EPS_DEPTHS = {X: st.integers(0, X.dim) for X in TORIC_MODELS}
+EPS_STRATA = {X: [_strata(X, k) for k in range(X.dim + 1)]
+              for X in TORIC_MODELS}
+# the pad that replaces a drawn one that is not ample
+AMPLE = {X: next(a for a in itertools.product(range(1, 4), repeat=len(X.rays))
+                 if T.is_ample(X, T.divisor(X, a)))
+         for X in TORIC_MODELS}
+
+
 @st.composite
 def toric_eps_cases(draw):
     X = draw(st.sampled_from(TORIC_MODELS))
-    coeff = st.fractions(min_value=-2, max_value=3, max_denominator=6)
-    cls = draw(st.lists(coeff, min_size=len(X.rays), max_size=len(X.rays)))
-    tb = I.ToricBackend(X)
-    A = draw(st.lists(st.integers(0, 3), min_size=len(X.rays),
-                      max_size=len(X.rays)))
-    if not tb.is_ample(A):
-        A = tb.some_ample()
-    order = draw(st.permutations(draw(st.sampled_from(X.max_cones))))
-    stratum = tuple(order[:draw(st.integers(0, X.dim))])
-    return tb, cls, A, stratum
+    A = draw(EPS_PADS[X])
+    if not T.is_ample(X, T.divisor(X, A)):
+        A = AMPLE[X]
+    stratum = draw(EPS_STRATA[X][draw(EPS_DEPTHS[X])])
+    return I.ToricBackend(X), draw(EPS_CLASSES[X]), A, stratum
 
 
 def face_halfspaces(X, D, stratum):
@@ -284,9 +308,10 @@ def face_halfspaces(X, D, stratum):
 
 
 def subset_loop_first_chamber(X, D, A, stratum=()):
-    """The first chamber as it was computed before the lifted polytope:
-    for every nonsingular n-subset S of the face half-spaces, the least
-    positive root of the slacks at the vertex x_S(eps), capped at 1."""
+    """Right end eps1 of the first chamber of D + eps*A along `stratum`,
+    on which the face lattice is fixed: for every nonsingular n-subset S
+    of the face half-spaces, the least positive root of the slacks at the
+    vertex x_S(eps), capped at 1."""
     hs0 = face_halfspaces(X, D, stratum)
     b1 = [h.offset for h in face_halfspaces(X, A, stratum)]
     eps1 = F(1)
@@ -305,29 +330,32 @@ def subset_loop_first_chamber(X, D, A, stratum=()):
     return eps1
 
 
-class TestEpsFitOracle:
+def sampled_eps_fit(tb, f, cls, A, stratum):
+    """Coefficients (c_0, ..., c_v) of eps -> f(D + eps*A) as the sampled
+    fit found them: v + 1 samples eps1/2, ..., eps1/2^(v+1) inside the
+    first chamber (0, eps1) along `stratum`, then a Vandermonde solve;
+    v = the stratum dimension."""
+    X = tb.X
+    eps1 = subset_loop_first_chamber(X, T.divisor(X, cls), T.divisor(X, A),
+                                     stratum)
+    xs = [eps1 / 2 ** i for i in range(1, X.dim - len(stratum) + 2)]
+    ys = [f(tuple(c + x * a for c, a in zip(cls, A))) for x in xs]
+    return solve([[x ** k for k in range(len(xs))] for x in xs], ys)
+
+
+class TestEpsLimitOracle:
     @settings(max_examples=150, deadline=None)
     @given(toric_eps_cases())
-    def test_fit_reproduces_points_inside_the_chamber(self, case):
-        # the fit uses eps1/2, eps1/4, ...; eps1/3 and 2*eps1/3 are not
-        # among them, so a chamber wall inside (0, eps1) would show here
+    def test_limits_match_sampled_fit(self, case):
+        # vol+ is the constant term of the fit, and kappa_vol is n minus
+        # the order of vanishing at eps = 0 of the volume's fit
         tb, cls, A, stratum = case
-        if stratum:
-            def f(c):
-                return tb.restricted_volume(c, stratum)
-        else:
-            f = tb.volume
-        coeffs = tb._eps_fit(f, cls, A, stratum)
-        D, DA = T.divisor(tb.X, cls), T.divisor(tb.X, A)
-        eps1 = T.first_chamber(tb.X, D, DA, stratum)
-        assert 0 < subset_loop_first_chamber(tb.X, D, DA, stratum) <= eps1 <= 1
-        xs = [eps1 / 3, 2 * eps1 / 3]
-        # the chamber is closed at eps1 when the face of D is not empty;
-        # otherwise the face first appears at eps1, where f may jump
-        face = Polytope.from_halfspaces(face_halfspaces(tb.X, D, stratum),
-                                        tb.X.dim)
-        if not face.is_empty:
-            xs.append(eps1)
-        for x in xs:
-            shifted = [c + x * a for c, a in zip(cls, A)]
-            assert sum(c * x ** k for k, c in enumerate(coeffs)) == f(shifted)
+        fit = sampled_eps_fit(tb, lambda c: tb.restricted_volume(c, stratum),
+                              cls, A, stratum)
+        assert tb.restricted_volume_plus(cls, stratum) == fit[0]
+        if tb.kappa(cls) == NEG_INF:
+            return
+        n = tb.X.dim
+        fit = sampled_eps_fit(tb, tb.volume, cls, A, ())
+        low = next((k for k, c in enumerate(fit) if c != 0), n)
+        assert tb.dims(cls).kappa_vol == n - low

@@ -704,7 +704,7 @@ def test_from_halfspaces_solves_nothing(monkeypatch):
     assert Polytope.from_halfspaces(cube.to_hrep(), 3) == cube
     P2 = toric.projective_plane()
     D = toric.ToricDivisor(P2, (0, 0, 3))
-    assert (toric.section_polytope.__wrapped__(P2, D)
+    assert (toric._face.__wrapped__(P2, D, ())
             == hull([(0, 0), (3, 0), (0, 3)]))
     assert cube.slice_prefix_zero(1) == hull([(0, y, z) for y in (0, 2)
                                                 for z in (0, 2)])

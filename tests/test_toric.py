@@ -108,7 +108,7 @@ class TestSectionPolytopeMemo:
                 != T.section_polytope(P2, d(P2, [0, 0, 4])))
 
     def test_cache_is_bounded(self):
-        maxsize = T.section_polytope.cache_info().maxsize
+        maxsize = T._face.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0
 
     def test_predicates_unchanged_when_warm(self):
@@ -119,11 +119,11 @@ class TestSectionPolytopeMemo:
             return [(T.is_effective(X, d(X, c)), T.is_big(X, d(X, c)),
                      T.kappa(X, d(X, c))) for X, c in cases]
 
-        T.section_polytope.cache_clear()
+        T._face.cache_clear()
         cold = answers()
-        hits = T.section_polytope.cache_info().hits
+        hits = T._face.cache_info().hits
         assert answers() == cold
-        assert T.section_polytope.cache_info().hits > hits
+        assert T._face.cache_info().hits > hits
 
 
 class TestSections:
