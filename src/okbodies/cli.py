@@ -87,9 +87,7 @@ def cmd_limbody(args):
     model = _load_model(args.model)
     cls = _load_divisor(args.divisor)
     flag = _body_flag(args, model)
-    backend = backend_for(model)
-    A = _load_divisor(args.ample) if args.ample else None
-    body = backend.body_lim(cls, flag, A)
+    body = backend_for(model).body_lim(cls, flag)
     _emit({"body": body.to_obj(), "dim": body.dim(),
            "volume": str(body.volume_in_dim(body.dim()))}, args.out)
     _summary(f"limiting body: dim {body.dim()}, {len(body.vertices)} vertices")
@@ -123,8 +121,7 @@ def cmd_vol(args):
 def cmd_dims(args):
     model = _load_model(args.model)
     cls = _load_divisor(args.divisor)
-    A = _load_divisor(args.ample) if args.ample else None
-    report = backend_for(model).dims(cls, A)
+    report = backend_for(model).dims(cls)
     _emit(report.to_obj(), args.out)
     _summary(f"dims: {report.to_obj()}")
     return 0
@@ -256,7 +253,6 @@ def build_parser():
     sp.add_argument("--model", required=True)
     sp.add_argument("--divisor", required=True)
     sp.add_argument("--flag")
-    sp.add_argument("--ample", help="ample class file for the perturbation")
     sp = add("zariski", cmd_zariski, help="Zariski decomposition (surface)")
     sp.add_argument("--model", required=True)
     sp.add_argument("--divisor", required=True)
@@ -266,7 +262,6 @@ def build_parser():
     sp = add("dims", cmd_dims, help="kappa/nu/kappa_vol report")
     sp.add_argument("--model", required=True)
     sp.add_argument("--divisor", required=True)
-    sp.add_argument("--ample")
     sp = add("check", cmd_check,
              help="run a fiber-space check on an instance file")
     sp.add_argument("check", nargs="?",

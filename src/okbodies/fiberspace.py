@@ -81,7 +81,10 @@ class FiberSpaceInstance:
     hypotheses: dict
     flag: FiberTypeFlag
     total_flag: object = None  # ToricFlag, or flag-curve index for surfaces
-    ample: dict = field(default_factory=dict)  # optional "A", "A_Y" classes
+    # optional classes: "A_Y", the base pad of thm1_3, and "A", an ample
+    # class on the total space that is checked on input and read by no
+    # computation (every eps-limit is the same for each ample A)
+    ample: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.D = qvec(self.D)
@@ -151,13 +154,14 @@ class FiberSpaceInstance:
             if tuple(gen) != tuple(fiber_cls):
                 raise ValueError("total flag curve must be the fiber class "
                                  "f^{-1}(base flag point)")
+        if "A" in self.ample and not total.is_ample(self.ample["A"]):
+            raise ValueError("ample.A is not ample on the total space")
 
     def total_val_body(self, cls) -> Polytope:
         return self.total_backend.body_val(cls, self.total_flag)
 
     def total_lim_body(self, cls) -> Polytope:
-        A = self.ample.get("A")
-        return self.total_backend.body_lim(cls, self.total_flag, A)
+        return self.total_backend.body_lim(cls, self.total_flag)
 
     # -- flag strata --------------------------------------------------------
 
@@ -410,7 +414,7 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
     lhs = fs.total_lim_body(kx)
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_lim(kf, fs.flag.fiber_flag)
-    nu_x = fs.total_backend.dims(kx, fs.ample.get("A")).nu_bdpp
+    nu_x = fs.total_backend.dims(kx).nu_bdpp
     nu_y = fs.base_backend.dims(ky).nu_bdpp
     nu_f = fs.fiber_backend.dims(kf).nu_bdpp
     notes = [f"nu inequality: {nu_x} >= {nu_y} + {nu_f}: "
@@ -544,7 +548,7 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
     ])
     if failures:
         return _gated(name, fs, failures)
-    kv_x = fs.total_backend.dims(fs.D, fs.ample.get("A")).kappa_vol
+    kv_x = fs.total_backend.dims(fs.D).kappa_vol
     kv_y = fs.base_backend.dims(fs.D_Y).kappa_vol
     kv_f = fs.fiber_backend.dims(rf).kappa_vol
     ok = kv_x >= kv_y + kv_f

@@ -100,12 +100,12 @@ class ToricBackend:
     def body_val(self, cls, flag) -> Polytope:
         return toricmod.okounkov_body_toric(self.X, self._div(cls), flag)
 
-    def body_lim(self, cls, flag, A=None) -> Polytope:
-        """Equals the valuative body; A plays no part.  For ample A, the
-        section polytope of D + eps*A is the slice at height eps of the
-        compact polytope {(u, eps) : <u, ray_i> >= -a_i - eps*b_i, 0 <= eps
-        <= 1}; near eps = 0 its vertices move affinely in eps, so the slices
-        tend to the section polytope of D in the Hausdorff metric, and the
+    def body_lim(self, cls, flag) -> Polytope:
+        """The valuative body.  For any ample A, the section polytope of
+        D + eps*A is the slice at height eps of the compact polytope
+        {(u, eps) : <u, ray_i> >= -a_i - eps*b_i, 0 <= eps <= 1}; near
+        eps = 0 its vertices move affinely in eps, so the slices tend to
+        the section polytope of D in the Hausdorff metric, and the
         intersection over eps > 0 of the bodies is the body of D itself."""
         return self.body_val(cls, flag)
 
@@ -137,10 +137,10 @@ class ToricBackend:
         volumes are continuous at invariant strata)."""
         return self.restricted_volume(cls, stratum)
 
-    def dims(self, cls, A=None) -> DimsReport:
-        """kappa = nu = kappa_vol = d = dim P_D; A plays no part.
+    def dims(self, cls) -> DimsReport:
+        """kappa = nu = kappa_vol = d = dim P_D.
 
-        For ample A, P_{D+eps*A} contains P_D + eps*P_A, whose volume has
+        For any ample A, P_{D+eps*A} contains P_D + eps*P_A, whose volume has
         the positive mixed-volume term c*eps^(n-d).  It also lies in P_D +
         eps*B(r), with r the largest speed |v1| of its vertices v0 + eps*v1
         near eps = 0, and the Steiner polynomial of that sum starts at
@@ -200,13 +200,10 @@ class SurfaceBackend:
             return surfmod.okounkov_body_surface(self.S, cls, flag_curve)
         return surfmod.valuative_body_abundant(self.S, cls, flag_curve)
 
-    def body_lim(self, cls, flag_curve, A=None) -> Polytope:
-        """Limiting body, exact: the negative part of D - tC + eps*A is
-        affine in eps on a first chamber and tends to that of D - tC, so
-        the limit is the body of D itself (`limiting_body_surface`)."""
-        if A is None:
-            A = surfmod.some_ample(self.S)
-        return surfmod.limiting_body_surface(self.S, cls, flag_curve, A)
+    def body_lim(self, cls, flag_curve) -> Polytope:
+        """Limiting body, exact: the body of D itself, for any ample A
+        (`limiting_body_surface`)."""
+        return surfmod.limiting_body_surface(self.S, cls, flag_curve)
 
     def volume(self, cls) -> Fraction:
         return surfmod.volume_surface(self.S, cls)
@@ -214,10 +211,8 @@ class SurfaceBackend:
     def kappa(self, cls):
         return self.S.kappa_declared(cls)  # None = undeclared, never guessed
 
-    def dims(self, cls, A=None) -> DimsReport:
-        if A is None:
-            A = surfmod.some_ample(self.S)
-        nd = surfmod.numerical_dims_surface(self.S, cls, A)
+    def dims(self, cls) -> DimsReport:
+        nd = surfmod.numerical_dims_surface(self.S, cls)
         return DimsReport(kappa=self.kappa(cls), nu_bdpp=nd["nu_bdpp"],
                           kappa_vol=nd["kappa_vol"],
                           kappa_sigma=self.S.kappa_sigma_declared(cls))
@@ -292,7 +287,7 @@ class CurveBackend:
         """
         return self._segment(cls, "divisor has no sections")
 
-    def body_lim(self, cls, flag=None, A=None) -> Polytope:
+    def body_lim(self, cls, flag=None) -> Polytope:
         return self._segment(cls, "divisor is not pseudoeffective")
 
     def _segment(self, cls, negative_degree_error) -> Polytope:
@@ -312,7 +307,7 @@ class CurveBackend:
             return NEG_INF
         return 1 if deg > 0 else 0
 
-    def dims(self, cls, A=None) -> DimsReport:
+    def dims(self, cls) -> DimsReport:
         if not self.is_psef(cls):
             raise ValueError("divisor is not pseudoeffective")
         k = self.kappa(cls)
@@ -352,31 +347,3 @@ def backend_for(model):
     if isinstance(model, CurveModel):
         return CurveBackend(model)
     raise TypeError("unsupported model type: %r" % type(model))
-
-
-# -- flag-level operations ----------------------------------------------------
-
-
-def kappa_via_body(backend, cls, flag):
-    """dim of the body of honest sections (= the Iitaka dimension when the
-    flag contains a Nakayama subvariety at a general point)."""
-    try:
-        body = backend.body_val(cls, flag)
-    except ValueError as exc:
-        if "no sections" in str(exc):
-            return NEG_INF
-        raise
-    return body.dim()
-
-
-def nu_via_body(backend, cls, flag, A=None):
-    """dim of the limiting body (= nu when the flag contains a positive
-    volume subvariety)."""
-    return backend.body_lim(cls, flag, A).dim()
-
-
-def restricted_volume_plus_via_body(backend, cls, flag, A=None) -> Fraction:
-    """nu! times the Euclidean volume of the limiting body."""
-    body = backend.body_lim(cls, flag, A)
-    nu = body.dim()
-    return Fraction(math.factorial(nu)) * body.volume_in_dim(nu)

@@ -209,6 +209,12 @@ def instance_from_obj(obj, path="instance"):
     name = obj.get("name", "instance")
     if not isinstance(name, str):
         raise InputError(f"{path}.name", "expected a string")
+    hypotheses = dict(_obj(obj["hypotheses"], f"{path}.hypotheses"))
+    for key in ("weakly_positive", "isotrivial"):
+        value = hypotheses.get(key, False)
+        if not isinstance(value, bool):
+            raise InputError(f"{path}.hypotheses.{key}",
+                             f"expected true or false, got {value!r}")
     try:
         return FiberSpaceInstance(
             name=name,
@@ -219,7 +225,7 @@ def instance_from_obj(obj, path="instance"):
             D=_rat_vec(dec["D"], f"{path}.decomposition.D"),
             D_Y=_rat_vec(dec["D_Y"], f"{path}.decomposition.D_Y"),
             R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
-            hypotheses=dict(_obj(obj["hypotheses"], f"{path}.hypotheses")),
+            hypotheses=hypotheses,
             flag=FiberTypeFlag(base_flag, fiber_flag),
             total_flag=total_flag,
             ample=ample)

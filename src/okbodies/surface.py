@@ -27,6 +27,11 @@ affine pairings just above s = t (`_support_after`) gives the support of
 the chamber starting at t, and its affine validity conditions give where
 that chamber ends.  The support only grows, so there are at most one
 more chambers than negative curves.
+
+The eps-limits over D + eps*A (the limiting body, nu and kappa_vol) are
+the same for every ample A (`limiting_body_surface`), so no function here
+takes one; only `numerical_dims_surface` picks one, `some_ample`, for its
+cone-data cross-checks.
 """
 
 from __future__ import annotations
@@ -410,8 +415,9 @@ def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     return Polytope.hull(verts)
 
 
-def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A) -> Polytope:
-    """Common limit of the bodies of D + eps*A as eps -> 0: the body of D.
+def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
+    """Common limit of the bodies of D + eps*A as eps -> 0, for any ample
+    A: the body of D, so no A is needed to compute it.
 
     This is exact, not an extrapolation.  For each t, the negative-part
     support of D - tC + eps*A is monotone in eps and takes finitely many
@@ -425,32 +431,30 @@ def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int, A) -> Polytope:
     uniquely.  Hence the boundary functions of the bodies converge to
     those of D (with the psef threshold and the multiplicity of C as the
     ends), and by continuity of Okounkov bodies the limiting body is
-    `okounkov_body_surface(S, D, flag_curve)`.
+    `okounkov_body_surface(S, D, flag_curve)`, whichever A is used.
     """
-    if not is_ample(S, A):
-        raise ValueError("perturbation class must be ample")
     return okounkov_body_surface(S, D, flag_curve)
 
 
 # -- numerical dimensions -----------------------------------------------------
 
 
-def numerical_dims_surface(S: SurfaceLattice, D, A) -> dict:
+def numerical_dims_surface(S: SurfaceLattice, D) -> dict:
     """nu and kappa_vol of a pseudoeffective class.
 
     Classified by the Zariski positive part and cross-checked against the
-    exact growth of vol(D + eps*A).  The chamber of D + eps*A that starts
-    at eps = 0 (`_chamber_after` along the direction -A) is [0, eps1],
-    where
-    P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) = (p0 + eps*p1)^2 there,
-    with constant term p0^2 and linear term 2 p0.p1, exactly.
+    exact growth of vol(D + eps*A) for A = `some_ample(S)`; the order of
+    that growth is the same for every ample A.  The chamber of D + eps*A
+    that starts at eps = 0 (`_chamber_after` along the direction -A) is
+    [0, eps1], where P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) =
+    (p0 + eps*p1)^2 there, with constant term p0^2 and linear term
+    2 p0.p1, exactly.  Declared cone data that admit no visible ample
+    class, or that contradict the classification, raise ConeDataError.
     """
     D = S._class(D)
-    A = S._class(A)
     if not is_psef(S, D):
         raise ValueError("divisor is not pseudoeffective")
-    if not is_ample(S, A):
-        raise ValueError("perturbation class must be ample")
+    A = some_ample(S)
     zp = zariski_decompose(S, D)
     p2 = S.pair(zp.positive, zp.positive)
     if p2 > 0:
@@ -487,7 +491,7 @@ def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     if not _proportional(D, S.canonical_class):
         raise ValueError("abundance declaration only covers canonical-type "
                          "classes")
-    body = limiting_body_surface(S, D, flag_curve, some_ample(S))
+    body = limiting_body_surface(S, D, flag_curve)
     return body.scale(Fraction(1, alpha))
 
 

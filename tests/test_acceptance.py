@@ -202,7 +202,7 @@ def test_criterion_09_dimension_chains():
         if kappa is None or kappa == T.NEG_INF:
             continue
         lim = fs.total_lim_body(fs.D)
-        nu = backend.dims(fs.D, fs.ample.get("A")).nu_bdpp
+        nu = backend.dims(fs.D).nu_bdpp
         assert kappa <= lim.dim() <= nu, name
     for name, fs in INSTANCES.items():
         assert FS.check_remark_3_6(fs).verdict == FS.HOLDS, name

@@ -54,6 +54,18 @@ class TestComputeVerbs:
         assert code == 0
         assert json.loads(out)["kappa"] == 2
 
+    @pytest.mark.parametrize("verb", ["limbody", "dims"])
+    def test_no_ample_option(self, corpus, capsys, verb):
+        # no eps-limit depends on the ample class, so neither verb takes one
+        models = corpus / "models"
+        flag = (["--flag", models / "std_flag.json"] if verb == "limbody"
+                else [])
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, verb, "--model", models / "plane.json", "--divisor",
+                models / "d2.json", *flag, "--ample", models / "d2.json")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ample" in capsys.readouterr().err
+
     def test_limbody(self, corpus, capsys):
         code, out, _ = run(capsys, "limbody",
                            "--model", corpus / "models/blown_up_plane_surface.json",
@@ -321,7 +333,9 @@ class TestInstanceShape:
         assert code == 2
         assert "total dimension 1 is not base + fiber dimension 1 + 1" in err
 
-    @pytest.mark.parametrize("argv", [("validate",), ("check", "rem3_6")],
+    # cor3_5 reads hypotheses.weakly_positive, where the string "false"
+    # would count as true
+    @pytest.mark.parametrize("argv", [("validate",), ("check", "cor3_5")],
                              ids=["validate", "check"])
     @pytest.mark.parametrize("name,where,value,message", [
         pytest.param(name, where, value, message, id=f"{name}-{where}")
@@ -330,6 +344,12 @@ class TestInstanceShape:
             ("ex41", "flags", [], "flags: expected an object"),
             ("ex41", "ample", [], "ample: expected an object"),
             ("ex41", "hypotheses", [], "hypotheses: expected an object"),
+            ("prod_line_line", "hypotheses.weakly_positive", "false",
+             "hypotheses.weakly_positive: expected true or false"),
+            ("prod_line_line", "hypotheses.isotrivial", "false",
+             "hypotheses.isotrivial: expected true or false"),
+            ("g2xg2", "ample.A", ["1", "-1"],
+             "ample.A is not ample on the total space"),
             ("ex41", "total.abundance", [], "abundance: expected an object"),
             ("ex41", "total.declared_kappa", [],
              "declared_kappa: expected an object"),

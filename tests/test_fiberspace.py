@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from exact_strategies import fractions_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,27 +238,31 @@ def test_scaling_search_matches_hulled_sums(name):
 
 # -- support-function inclusion rule ------------------------------------------
 
-coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-factor = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+# strategies are built once here, not inside each draw: few points or 0/1
+# coordinates make flat bodies, and so equality pairs, common
+COORDS = {"any": fractions_in(-3, 3, 4),
+          "binary": st.sampled_from([F(0), F(1)])}
+POINT_LISTS = {(kind, k): st.lists(st.tuples(*[c] * k), min_size=1, max_size=6)
+               for kind, c in COORDS.items() for k in (1, 2, 3)}
+KINDS = st.sampled_from(sorted(COORDS))
+FACTOR = fractions_in(F(1, 4), 3, 4)
+SPLITS = st.sampled_from([(1, 1), (1, 2), (2, 1)])
+EMPTY_ROLL = st.integers(0, 5)
 
 
 @st.composite
 def scaled_inclusions(draw):
     """A nonempty body in R^(m+n), bodies in R^m and R^n (either possibly
-    empty or a point) and positive dilations alpha, beta, gamma; few points
-    or 0/1 coordinates make flat bodies, and so equality pairs, common."""
-    m = draw(st.integers(1, 2))
-    n = draw(st.integers(1, 3 - m))
+    empty or a point) and positive dilations alpha, beta, gamma."""
+    m, n = draw(SPLITS)
 
     def body(k, may_be_empty):
-        if may_be_empty and draw(st.integers(0, 5)) == 0:
+        if may_be_empty and draw(EMPTY_ROLL) == 0:
             return Polytope.empty(k)
-        c = draw(st.sampled_from([coord, st.integers(0, 1).map(F)]))
-        return hull(draw(st.lists(st.tuples(*[c] * k), min_size=1,
-                                  max_size=6)))
+        return hull(draw(POINT_LISTS[draw(KINDS), k]))
 
     return (body(m + n, False), body(m, True), body(n, True),
-            draw(factor), draw(factor), draw(factor))
+            draw(FACTOR), draw(FACTOR), draw(FACTOR))
 
 
 @settings(max_examples=200, deadline=None)

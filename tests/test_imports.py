@@ -1,6 +1,7 @@
 """No module of the package imports a name at module level that it never
-uses, and no private helper is left without a caller.  A name re-exported
-through `__all__` counts as used."""
+uses, no private helper is left without a caller, and no function declares
+a parameter that it never reads.  A name re-exported through `__all__`
+counts as used."""
 
 import ast
 from collections import Counter
@@ -89,3 +90,69 @@ def test_orphan_scanner_finds_uncalled_helpers():
 def test_no_orphaned_private_helpers():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert orphaned_helpers(sources) == []
+
+
+# Every backend is passed a flag; a curve's flag (curve, general point) is
+# implicit, so the curve backend never reads it.
+UNREAD_ALLOWED = {
+    ("invariants", "CurveBackend.stratum", "flag"),
+    ("invariants", "CurveBackend.body_val", "flag"),
+    ("invariants", "CurveBackend.body_lim", "flag"),
+}
+
+
+def unread_parameters(source):
+    """(qualified function name, parameter) for each parameter that its
+    function never reads.  A method's first parameter is exempt unless the
+    method is a staticmethod; a read in a nested function counts."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                          args.vararg, *args.kwonlyargs,
+                                          args.kwarg) if a]
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                if owner and not static:
+                    params = params[1:]
+                reads = {n.id for n in ast.walk(child)
+                         if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Load)}
+                name = f"{owner}.{child.name}" if owner else child.name
+                found.extend((name, p) for p in params if p not in reads)
+                visit(child, None)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_unread_parameter_scanner():
+    source = ("def f(a, b, *args, c, **kw):\n    return a + kw['x']\n"
+              "def g(x):\n    x = 1\n    return x\n"
+              "def h(y):\n    def inner():\n        return y\n"
+              "    return inner\n"
+              "class C:\n    def m(self, z):\n        pass\n"
+              "    @staticmethod\n    def s(w):\n        pass\n"
+              "    @property\n    def p(self):\n        return 0\n")
+    assert unread_parameters(source) == [
+        ("f", "b"), ("f", "args"), ("f", "c"), ("C.m", "z"), ("C.s", "w")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unread_parameters(path):
+    unread = [(path.stem, name, p) for name, p in
+              unread_parameters(path.read_text())]
+    assert [u for u in unread if u not in UNREAD_ALLOWED] == []
+
+
+def test_allowed_unread_parameters_are_still_declared():
+    unread = {(p.stem, name, q) for p in sorted(SRC.glob("*.py"))
+              for name, q in unread_parameters(p.read_text())}
+    assert UNREAD_ALLOWED <= unread

@@ -1,7 +1,9 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+from exact_strategies import fractions_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from okbodies.curve import CurveModel
 from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import dot, qvec, solve
 from okbodies.polytope import HalfSpace
+from okbodies.surface import SurfaceLattice
 from okbodies.toric import NEG_INF
 
 P1 = T.projective_line()
@@ -35,43 +38,52 @@ class TestDimsReport:
 
 
 class TestKappaViaBody:
+    """The body of honest sections has dimension kappa."""
+
     def test_big(self):
         tb = I.ToricBackend(P2)
-        assert I.kappa_via_body(tb, [0, 0, 3], STD) == 2
+        assert tb.body_val([0, 0, 3], STD).dim() == tb.kappa([0, 0, 3]) == 2
 
     def test_zero(self):
         tb = I.ToricBackend(P2)
-        assert I.kappa_via_body(tb, [0, 0, 0], STD) == 0
+        assert tb.body_val([0, 0, 0], STD).dim() == tb.kappa([0, 0, 0]) == 0
 
     def test_vertical(self):
         fib = T.product_fibration(P1, P1)
         flag = T.product_flag(fib, T.ToricFlag(0, (0,)), T.ToricFlag(0, (0,)))
         tb = I.ToricBackend(fib.total)
-        assert I.kappa_via_body(tb, [0, 2, 0, 0], flag) == 1
+        D = [0, 2, 0, 0]
+        assert tb.body_val(D, flag).dim() == tb.kappa(D) == 1
 
     def test_no_sections_sentinel(self):
         tb = I.ToricBackend(P2)
-        assert I.kappa_via_body(tb, [0, 0, -1], STD) == NEG_INF
+        assert tb.kappa([0, 0, -1]) == NEG_INF
+        with pytest.raises(ValueError, match="no sections"):
+            tb.body_val([0, 0, -1], STD)
+
+
+def g2xg2_lattice():
+    return SurfaceLattice(
+        rank=2, gram=((0, 1), (1, 0)),
+        effective_generators=(qvec([1, 0]), qvec([0, 1])),
+        nef_generators=(qvec([1, 0]), qvec([0, 1])),
+        negative_curves=(), canonical_class=qvec([2, 2]))
 
 
 class TestNuViaBody:
+    """The limiting body has dimension nu."""
+
     def test_big_is_ambient(self):
         sb = I.SurfaceBackend(blown_up_plane_lattice())
-        assert I.nu_via_body(sb, [2, 1], 0, [2, -1]) == 2
+        assert sb.body_lim([2, 1], 0).dim() == sb.dims([2, 1]).nu_bdpp == 2
 
     def test_fiber_class_segment(self):
-        from okbodies.surface import SurfaceLattice
-
-        G = SurfaceLattice(
-            rank=2, gram=((0, 1), (1, 0)),
-            effective_generators=(qvec([1, 0]), qvec([0, 1])),
-            nef_generators=(qvec([1, 0]), qvec([0, 1])),
-            negative_curves=(), canonical_class=qvec([2, 2]))
-        assert I.nu_via_body(I.SurfaceBackend(G), [1, 0], 0, [1, 1]) == 1
+        sb = I.SurfaceBackend(g2xg2_lattice())
+        assert sb.body_lim([1, 0], 0).dim() == sb.dims([1, 0]).nu_bdpp == 1
 
     def test_rigid_point(self):
         sb = I.SurfaceBackend(blown_up_plane_lattice())
-        assert I.nu_via_body(sb, [0, 1], 0, [2, -1]) == 0
+        assert sb.body_lim([0, 1], 0).dim() == sb.dims([0, 1]).nu_bdpp == 0
 
 
 class TestRestrictedVolumePlus:
@@ -80,14 +92,7 @@ class TestRestrictedVolumePlus:
         assert sb.restricted_volume_plus([2, 1], sb.stratum(0, 2)) == 4
 
     def test_canonical_along_fiber(self):
-        import okbodies.surface as S
-
-        G = S.SurfaceLattice(
-            rank=2, gram=((0, 1), (1, 0)),
-            effective_generators=(qvec([1, 0]), qvec([0, 1])),
-            nef_generators=(qvec([1, 0]), qvec([0, 1])),
-            negative_curves=(), canonical_class=qvec([2, 2]))
-        sb = I.SurfaceBackend(G)
+        sb = I.SurfaceBackend(g2xg2_lattice())
         assert sb.restricted_volume_plus([2, 2], sb.stratum(0, 1)) == 2
 
     def test_rigid_along_surface_is_zero(self):
@@ -95,13 +100,15 @@ class TestRestrictedVolumePlus:
         assert sb.restricted_volume_plus([0, 1], sb.stratum(0, 2)) == 0
 
     def test_via_body_matches_toric_direct(self):
+        # nu! vol(limiting body) = vol+ along a stratum of dimension nu on
+        # which D has positive volume: the horizontal curve of ray 2
         fib = T.product_fibration(P1, P1)
         tb = I.ToricBackend(fib.total)
         flag = T.product_flag(fib, T.ToricFlag(0, (0,)), T.ToricFlag(0, (0,)))
         D = [0, 2, 0, 0]
-        via_body = I.restricted_volume_plus_via_body(tb, D, flag)
-        direct = tb.restricted_volume_plus(D, (2,))
-        assert via_body == direct == 2
+        nu = tb.dims(D).nu_bdpp
+        via_body = math.factorial(nu) * tb.body_lim(D, flag).volume_in_dim(nu)
+        assert via_body == tb.restricted_volume_plus(D, (2,)) == 2
 
     def test_vol_plus_ge_vol_toric(self):
         tb = I.ToricBackend(P2)
@@ -230,14 +237,14 @@ class TestDimsBackends:
 
 
 class TestFirstChamberLimits:
-    """Limits at eps = 0 along A = (1, 1, 1, 1) on the toric blown-up plane.
+    """Limits at eps = 0 on the toric blown-up plane.
 
-    For H + E/100, E/100 and E/10^6 the first chamber is shorter than the
-    samples 1/8, 1/16, ... that a sampled fit starts from; E/2 is a
-    control whose first chamber such samples do reach."""
+    Along A = (1, 1, 1, 1), for H + E/100, E/100 and E/10^6 the first
+    chamber is shorter than the samples 1/8, 1/16, ... that a sampled fit
+    starts from; E/2 is a control whose first chamber such samples do
+    reach."""
 
     BLT = T.blown_up_plane()
-    A = [1, 1, 1, 1]
 
     def test_vol_plus_of_h_plus_small_e(self):
         # H + E/100: positive part H, so vol+ is H.E = 0 along E (ray 3)
@@ -249,20 +256,13 @@ class TestFirstChamberLimits:
 
     @pytest.mark.parametrize("c", [F(1, 100), F(1, 2), F(1, 10**6)])
     def test_rigid_class_has_kappa_vol_zero(self, c):
-        rep = I.ToricBackend(self.BLT).dims([0, 0, 0, c], self.A)
+        rep = I.ToricBackend(self.BLT).dims([0, 0, 0, c])
         assert (rep.kappa, rep.nu_bdpp, rep.kappa_vol) == (0, 0, 0)
 
 
 _P1xP1 = T.product_fibration(P1, P1).total
 TORIC_MODELS = (P2, T.blown_up_plane(), T.hirzebruch(2), _P1xP1,
                 T.product_fibration(P2, P1).total)
-
-
-def fractions_in(lo, hi, max_den):
-    """Every fraction in [lo, hi] with denominator <= max_den, as one
-    sampled_from: st.fractions builds new strategies inside each draw."""
-    return st.sampled_from(sorted({F(n, q) for q in range(1, max_den + 1)
-                                   for n in range(lo * q, hi * q + 1)}))
 
 
 def _strata(X, k):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from exact_strategies import fractions_in
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,23 +205,18 @@ class TestLimitingBodies:
     def test_big_equals_direct(self):
         for cls in ([1, 0], [2, 1], [1, 1]):
             direct = S.okounkov_body_surface(BL, qvec(cls), 0)
-            lim = S.limiting_body_surface(BL, qvec(cls), 0, A_BL)
+            lim = S.limiting_body_surface(BL, qvec(cls), 0)
             assert lim == direct
 
     def test_exceptional_shrinks_to_point(self):
-        lim = S.limiting_body_surface(BL, E, 0, A_BL)
+        lim = S.limiting_body_surface(BL, E, 0)
         assert lim == hull([(1, 0)])
-
-    def test_requires_ample(self):
-        with pytest.raises(ValueError, match="ample"):
-            S.limiting_body_surface(BL, E, 0, H)
 
     def test_tiny_rigid_class(self):
         # every chamber probe the sampled extrapolation tried crossed a wall
         D = qvec([0, F(1, 10**6)])
-        lim = S.limiting_body_surface(BL, D, 0, A_BL)
+        lim = S.limiting_body_surface(BL, D, 0)
         assert lim == hull([(F(1, 10**6), 0)])
-
 
 
 class TestConeDataErrors:
@@ -237,21 +233,21 @@ class TestConeDataErrors:
 
 class TestNumericalDims:
     def test_big(self):
-        nd = S.numerical_dims_surface(BL, H, A_BL)
+        nd = S.numerical_dims_surface(BL, H)
         assert nd == {"nu_bdpp": 2, "kappa_vol": 2}
 
     def test_fiber_class(self):
         G = g2xg2_lattice()
-        nd = S.numerical_dims_surface(G, qvec([1, 0]), qvec([1, 1]))
+        nd = S.numerical_dims_surface(G, qvec([1, 0]))
         assert nd == {"nu_bdpp": 1, "kappa_vol": 1}
 
     def test_rigid(self):
-        nd = S.numerical_dims_surface(BL, E, A_BL)
+        nd = S.numerical_dims_surface(BL, E)
         assert nd == {"nu_bdpp": 0, "kappa_vol": 0}
 
     def test_not_psef(self):
         with pytest.raises(ValueError):
-            S.numerical_dims_surface(BL, qvec([-1, 0]), A_BL)
+            S.numerical_dims_surface(BL, qvec([-1, 0]))
 
     @pytest.mark.parametrize("cls,k", [
         ([0, F(1, 10**6)], 0), ([0, F(1, 10**100)], 0), ([2, F(1, 10**100)], 2),
@@ -260,7 +256,7 @@ class TestNumericalDims:
         # the first chamber of D + eps*A ends near the coefficient of E:
         # far below the smallest eps the sampled quadratic fit tried, and
         # below 2^-256 for 10^-100, where a halved probe gave up
-        nd = S.numerical_dims_surface(BL, qvec(cls), A_BL)
+        nd = S.numerical_dims_surface(BL, qvec(cls))
         assert nd == {"nu_bdpp": k, "kappa_vol": k}
 
 
@@ -304,8 +300,8 @@ class TestBodyProperties:
 
     def test_dim_equals_nu(self):
         for cls, nu in ((H, 2), (qvec([1, -1]), 1), (E, 0)):
-            lim = S.limiting_body_surface(BL, cls, 0, A_BL)
-            assert lim.dim() == S.numerical_dims_surface(BL, cls, A_BL)["nu_bdpp"]
+            lim = S.limiting_body_surface(BL, cls, 0)
+            assert lim.dim() == S.numerical_dims_surface(BL, cls)["nu_bdpp"]
 
 
 # -- the sampled eps-limits these functions used to compute ------------------
@@ -362,15 +358,6 @@ def sampled_numerical_dims(L, D, A):
 ORACLE_LATTICES = (BL, bl2_lattice(), g2xg2_lattice())
 
 
-def fractions_in(lo, hi, max_den):
-    """The values of st.fractions(lo, hi, max_denominator=max_den), every
-    fraction in [lo, hi] with denominator <= max_den, as one sampled_from:
-    st.fractions builds new strategies inside each of its draws, which
-    costs more than the code under test."""
-    return st.sampled_from(sorted({F(n, q) for q in range(1, max_den + 1)
-                                   for n in range(lo * q, hi * q + 1)}))
-
-
 # strategies are built once here, not inside each draw
 PSEF_WEIGHTS = fractions_in(0, 3, 8)
 NEF_MULTIPLES = st.integers(1, 3)
@@ -396,7 +383,8 @@ def psef_cases(draw):
 
 
 class TestSampledOracle:
-    """Wherever the old sampled code returns, the chamber argument agrees."""
+    """Wherever the old sampled code returns, the chamber argument agrees.
+    The drawn ample A is read only by the sampled reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(psef_cases())
@@ -405,7 +393,7 @@ class TestSampledOracle:
         assert S.is_ample(L, A)
         old = sampled_limiting_body(L, D, flag, A)
         if old is not None:
-            assert S.limiting_body_surface(L, D, flag, A) == old
+            assert S.limiting_body_surface(L, D, flag) == old
 
     @settings(max_examples=60, deadline=None)
     @given(psef_cases())
@@ -413,7 +401,7 @@ class TestSampledOracle:
         L, D, A, _flag = case
         old = sampled_numerical_dims(L, D, A)
         if old is not None:
-            assert S.numerical_dims_surface(L, D, A) == old
+            assert S.numerical_dims_surface(L, D) == old
 
 
 # -- the Zariski loop zariski_decompose ran before `_support_after` ----------
