@@ -1,12 +1,14 @@
 """Fiber-space instances and the subadditivity check harness.
 
 An instance packages a fibration f: X -> Y with general fiber F as three
-models (total, base, fiber), a pullback map on divisor classes, a
-restriction map to the fiber, a decomposition D ~ f*D_Y + R, and declared
+models (total, base, fiber), a decomposition D ~ f*D_Y + R, and declared
 hypotheses (weak positivity, isotriviality) that are deep theorems outside
-numerical reach.  The checks verify everything that is decidable from the
-models, compute the three bodies for the fiber-type flag (base coordinates
-first, then fiber coordinates), and report machine-readable verdicts; every
+numerical reach.  The pullback and restriction maps on divisor classes and
+the fiber-type flag on X (base strata first, then fiber strata) are derived
+from the models: coordinate maps on a toric product, and on a surface over a
+curve the pairing with the fiber class F, whose curve is the flag's.  The
+checks verify everything that is decidable from the models, compute the
+three bodies for that flag, and report machine-readable verdicts; every
 model-specific rule (canonical classes, flag strata) is a backend's.
 
 Each body check compares the total-space body with the product
@@ -34,7 +36,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import surface as surfmod
 from . import toric as toricmod
 from .invariants import backend_for
 from .linalg import frac, mat_vec, qvec, solve_rect
@@ -49,6 +50,10 @@ GATED = "hypotheses-not-met"
 
 def _flag_obj(flag):
     return flag.to_obj() if hasattr(flag, "to_obj") else flag
+
+
+def _matrix_obj(rows):
+    return [[str(x) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -73,25 +78,26 @@ class FiberSpaceInstance:
     base: object
     fiber: object
     total: object
-    pullback: tuple            # matrix: base classes -> total classes
-    restriction: tuple         # matrix: total classes -> fiber classes
     D: tuple
     D_Y: tuple
     R: tuple
     hypotheses: dict
     flag: FiberTypeFlag
-    total_flag: object = None  # ToricFlag, or flag-curve index for surfaces
+    # class maps base -> total -> fiber, derived by `_validate`; a declared
+    # copy must match.  A surface's pullback column is its fiber class F.
+    pullback: tuple = None
+    restriction: tuple = None
     # optional classes: "A_Y", the base pad of thm1_3, and "A", an ample
     # class on the total space that is checked on input and read by no
     # computation (every eps-limit is the same for each ample A)
     ample: dict = field(default_factory=dict)
+    # derived: ToricFlag, or the flag-curve index for surfaces
+    total_flag: object = field(init=False)
 
     def __post_init__(self):
         self.D = qvec(self.D)
         self.D_Y = qvec(self.D_Y)
         self.R = qvec(self.R)
-        self.pullback = tuple(qvec(row) for row in self.pullback)
-        self.restriction = tuple(qvec(row) for row in self.restriction)
         self.total_backend = backend_for(self.total)
         self.base_backend = backend_for(self.base)
         self.fiber_backend = backend_for(self.fiber)
@@ -115,45 +121,62 @@ class FiberSpaceInstance:
         if total.dim != base.dim + fiber.dim:
             raise ValueError(f"total dimension {total.dim} is not base + "
                              f"fiber dimension {base.dim} + {fiber.dim}")
-        if total.kind == "toric" and not base.kind == fiber.kind == "toric":
-            raise ValueError("a toric total space needs a toric base and a "
-                             "toric fiber")
+        part = {"toric": "toric", "surface": "curve"}[total.kind]
+        if not base.kind == fiber.kind == part:
+            raise ValueError(f"a {total.kind} total space needs a {part} base "
+                             f"and a {part} fiber")
         nx, ny, nf = (len(b.canonical_class()) for b in (total, base, fiber))
         for name, cls, n in (("D", self.D, nx), ("R", self.R, nx),
                              ("D_Y", self.D_Y, ny)):
             if len(cls) != n:
                 raise ValueError(f"{name} has {len(cls)} coefficients, "
                                  f"not {n}")
+        declared = {}
         for name, rows, m, n in (("pullback", self.pullback, nx, ny),
                                  ("restriction", self.restriction, nf, nx)):
-            if len(rows) != m or any(len(row) != n for row in rows):
-                raise ValueError(f"{name} must be a {m} x {n} matrix")
+            if rows is not None:
+                rows = declared[name] = tuple(qvec(row) for row in rows)
+                if len(rows) != m or any(len(row) != n for row in rows):
+                    raise ValueError(f"{name} must be a {m} x {n} matrix")
+        if total.kind == "toric":
+            fib = toricmod.product_fibration(self.base, self.fiber)
+            if fib.total != self.total:
+                raise ValueError("total fan is not the product of base and "
+                                 "fiber fans")
+            self.pullback, self.restriction = fib.pullback, fib.restriction
+            self.total_flag = toricmod.product_flag(
+                fib, self.flag.base_flag, self.flag.fiber_flag)
+        else:
+            # a surface over a curve: the pullback's column is the fiber
+            # class F, the flag curve; restriction is the degree on F
+            if "pullback" not in declared:
+                raise ValueError("a surface over a curve needs the pullback: "
+                                 "its column is the fiber class F")
+            S, self.pullback = self.total, declared["pullback"]
+            F = tuple(row[0] for row in self.pullback)
+            if S.pair(F, F) != 0 or F not in S.effective_generators:
+                raise ValueError(f"pullback: the fiber class F = "
+                                 f"({', '.join(map(str, F))}) must be an "
+                                 f"effective generator with F.F = 0")
+            self.restriction = (mat_vec(S.gram, F),)
+            self.total_flag = S.effective_generators.index(F)
+        for name, rows in declared.items():
+            if rows != getattr(self, name):
+                raise ValueError(
+                    f"{name} {json.dumps(_matrix_obj(rows))} differs from the "
+                    f"map derived from the models, "
+                    f"{json.dumps(_matrix_obj(getattr(self, name)))}")
         diff = tuple(d - p - r for d, p, r in
                      zip(self.D, self.pull(self.D_Y), self.R))
-        if isinstance(self.total, toricmod.ToricVariety):
+        if total.kind == "toric":
             # equality in the class group: the difference must be principal
             rays = [qvec(r) for r in self.total.rays]
             if solve_rect(rays, list(diff)) is None:
                 raise ValueError("decomposition fails: D - f*D_Y - R is not "
                                  "principal")
-            fib = toricmod.product_fibration(self.base, self.fiber)
-            if fib.total != self.total:
-                raise ValueError("total fan is not the product of base and "
-                                 "fiber fans")
-        else:
-            if any(x != 0 for x in diff):
-                raise ValueError("decomposition fails: D != f*D_Y + R in the "
-                                 "class group")
-        # vertical classes restrict to zero on the fiber
-        comp = [self.restrict(col) for col in zip(*self.pullback)]
-        if any(x != 0 for row in comp for x in row):
-            raise ValueError("restriction o pullback must vanish")
-        if isinstance(self.total, surfmod.SurfaceLattice):
-            fiber_cls = self.pull([1])
-            gen = self.total.effective_generators[self.total_flag]
-            if tuple(gen) != tuple(fiber_cls):
-                raise ValueError("total flag curve must be the fiber class "
-                                 "f^{-1}(base flag point)")
+        elif any(x != 0 for x in diff):
+            raise ValueError("decomposition fails: D != f*D_Y + R in the "
+                             "class group")
         if "A" in self.ample and not total.is_ample(self.ample["A"]):
             raise ValueError("ample.A is not ample on the total space")
 
@@ -171,11 +194,6 @@ class FiberSpaceInstance:
     def fiber_nakayama_ok(self, cls) -> tuple[bool, str]:
         return _flag_has_nakayama(self.fiber_backend, cls, self.flag.fiber_flag)
 
-    def base_pvs_ok(self, cls) -> bool:
-        return _flag_has_pvs(self.base_backend, cls, self.flag.base_flag)
-
-    def fiber_pvs_ok(self, cls) -> bool:
-        return _flag_has_pvs(self.fiber_backend, cls, self.flag.fiber_flag)
 
     # -- serialization ------------------------------------------------------
 
@@ -185,8 +203,8 @@ class FiberSpaceInstance:
             "base": self.base.to_obj(),
             "fiber": self.fiber.to_obj(),
             "total": self.total.to_obj(),
-            "pullback": [[str(x) for x in row] for row in self.pullback],
-            "restriction": [[str(x) for x in row] for row in self.restriction],
+            "pullback": _matrix_obj(self.pullback),
+            "restriction": _matrix_obj(self.restriction),
             "decomposition": {"D": [str(x) for x in self.D],
                               "D_Y": [str(x) for x in self.D_Y],
                               "R": [str(x) for x in self.R]},
@@ -218,9 +236,10 @@ def _flag_has_nakayama(backend, cls, flag):
     return verdict != "false", f"Nakayama stratum verdict: {verdict}"
 
 
-def _flag_has_pvs(backend, cls, flag) -> bool:
-    nu = backend.dims(cls).nu_bdpp
-    return backend.is_pvs(cls, backend.stratum(flag, nu))
+def _flag_has_pvs(backend, cls, flag, nu) -> bool:
+    """Is vol+ of cls restricted to the flag stratum of dimension
+    nu = nu_bdpp(cls) positive?"""
+    return backend.restricted_volume_plus(cls, backend.stratum(flag, nu)) > 0
 
 
 # -- reports ------------------------------------------------------------------
@@ -401,13 +420,20 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
         failures.append("R|_F is not the fiber canonical class")
     if failures:
         return _gated(name, fs, failures)
+    # nu, which picks the flag stratum to test, needs a psef class
     failures = _check_hypotheses([
         ("K_Y pseudoeffective", fs.base_backend.is_psef(ky)),
         ("K_F pseudoeffective", fs.fiber_backend.is_psef(kf)),
+    ])
+    if failures:
+        return _gated(name, fs, failures)
+    nu_y = fs.base_backend.dims(ky).nu_bdpp
+    nu_f = fs.fiber_backend.dims(kf).nu_bdpp
+    failures = _check_hypotheses([
         ("base flag contains a positive volume subvariety of K_Y",
-         fs.base_pvs_ok(ky)),
+         _flag_has_pvs(fs.base_backend, ky, fs.flag.base_flag, nu_y)),
         ("fiber flag contains a positive volume subvariety of K_F",
-         fs.fiber_pvs_ok(kf)),
+         _flag_has_pvs(fs.fiber_backend, kf, fs.flag.fiber_flag, nu_f)),
     ])
     if failures:
         return _gated(name, fs, failures)
@@ -415,8 +441,6 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_lim(kf, fs.flag.fiber_flag)
     nu_x = fs.total_backend.dims(kx).nu_bdpp
-    nu_y = fs.base_backend.dims(ky).nu_bdpp
-    nu_f = fs.fiber_backend.dims(kf).nu_bdpp
     notes = [f"nu inequality: {nu_x} >= {nu_y} + {nu_f}: "
              f"{'ok' if nu_x >= nu_y + nu_f else 'VIOLATED'}"]
     volumes = {}
@@ -515,9 +539,7 @@ def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
     ])
     if failures:
         return _gated(name, fs, failures)
-    base_cone_rays = tuple(fs.flag.base_flag.ray_order)
-    offset = len(fs.base.rays)
-    total_stratum = base_cone_rays + tuple(i + offset for i in fiber_stratum)
+    total_stratum = fs.total_backend.stratum(fs.total_flag, k)
     lhs = fs.total_backend.restricted_volume(fs.D, total_stratum)
     rhs = fs.fiber_backend.restricted_volume(rf, fiber_stratum)
     verdict = HOLDS if lhs == rhs else FAILS

@@ -20,31 +20,15 @@ from .surface import SurfaceLattice
 
 def _toric_product_instance(name, base, fiber, D_Y, R_total_coeffs,
                             base_flag, fiber_flag, A_Y):
-    fib = T.product_fibration(base, fiber)
-    ny = len(base.rays)
     D_Y = qvec(D_Y)
     R = qvec(R_total_coeffs)
-    fstar = qvec(list(D_Y) + [0] * len(fiber.rays))
-    D = tuple(a + b for a, b in zip(fstar, R))
-    pullback = []
-    for i in range(len(fib.total.rays)):
-        row = [Fraction(0)] * ny
-        if i < ny:
-            row[i] = Fraction(1)
-        pullback.append(tuple(row))
-    restriction = []
-    for j in range(len(fiber.rays)):
-        row = [Fraction(0)] * len(fib.total.rays)
-        row[ny + j] = Fraction(1)
-        restriction.append(tuple(row))
-    total_flag = T.product_flag(fib, base_flag, fiber_flag)
+    D = tuple(a + b for a, b in zip(D_Y + (0,) * len(fiber.rays), R))
     return FiberSpaceInstance(
-        name=name, base=base, fiber=fiber, total=fib.total,
-        pullback=tuple(pullback), restriction=tuple(restriction),
+        name=name, base=base, fiber=fiber,
+        total=T.product_fibration(base, fiber).total,
         D=D, D_Y=D_Y, R=R,
         hypotheses={"weakly_positive": True, "isotrivial": True, "var_f": 0},
-        flag=FiberTypeFlag(base_flag, fiber_flag), total_flag=total_flag,
-        ample={"A_Y": qvec(A_Y)})
+        flag=FiberTypeFlag(base_flag, fiber_flag), ample={"A_Y": qvec(A_Y)})
 
 
 def prod_line_line() -> FiberSpaceInstance:
@@ -111,12 +95,10 @@ def _curve_product_instance(name, g_base, g_fiber, with_base_ample=True):
         ample["A_Y"] = qvec([1])
     return FiberSpaceInstance(
         name=name, base=base, fiber=fiber, total=total,
-        pullback=((Fraction(1),), (Fraction(0),)),
-        restriction=((Fraction(0), Fraction(1)),),
+        pullback=((1,), (0,)),   # point -> fiber class (1, 0)
         D=qvec(K), D_Y=(ky,), R=(Fraction(0), kf),
         hypotheses={"weakly_positive": True, "isotrivial": True, "var_f": 0},
-        flag=FiberTypeFlag(None, None), total_flag=0,
-        ample=ample)
+        flag=FiberTypeFlag(None, None), ample=ample)
 
 
 def g2xg2() -> FiberSpaceInstance:
@@ -164,11 +146,10 @@ def ex41() -> FiberSpaceInstance:
         declared_kappa={"1,0": 2})
     return FiberSpaceInstance(
         name="ex41", base=base, fiber=fiber, total=total,
-        pullback=((Fraction(0),), (Fraction(1),)),   # point -> f = (0, 1)
-        restriction=((Fraction(2), Fraction(0)),),   # c -> c . f
+        pullback=((0,), (1,)),   # point -> f = (0, 1)
         D=qvec([1, 0]), D_Y=(Fraction(0),), R=qvec([1, 0]),
         hypotheses={"weakly_positive": True, "isotrivial": True, "var_f": 0},
-        flag=FiberTypeFlag(None, None), total_flag=0,
+        flag=FiberTypeFlag(None, None),
         ample={"A": qvec([1, 1]), "A_Y": qvec([1])})
 
 
@@ -192,12 +173,11 @@ def ex42() -> FiberSpaceInstance:
         declared_kappa={"1,0": 1})
     return FiberSpaceInstance(
         name="ex42", base=base, fiber=fiber, total=total,
-        pullback=((Fraction(0),), (Fraction(1),)),   # point -> F = (0, 1)
-        restriction=((Fraction(2), Fraction(0)),),   # c -> c . F
+        pullback=((0,), (1,)),   # point -> F = (0, 1)
         D=qvec([1, 0]), D_Y=(Fraction(0),), R=qvec([1, 0]),
         hypotheses={"weakly_positive": True, "isotrivial": True, "var_f": 0,
                     "iitaka_degree_on_fiber": 2},
-        flag=FiberTypeFlag(None, None), total_flag=1,
+        flag=FiberTypeFlag(None, None),
         ample={"A": qvec([1, 1]), "A_Y": qvec([1])})
 
 

@@ -66,16 +66,6 @@ def _int(value, path) -> int:
     return value
 
 
-def _curve_index(value, surface, path) -> int:
-    """A flag-curve index: a position in the surface's effective generators."""
-    i = _int(value, path)
-    count = len(surface.effective_generators)
-    if not 0 <= i < count:
-        raise InputError(path, f"curve index {i} out of range: the surface "
-                               f"has {count} effective generators")
-    return i
-
-
 def _int_vec(values, path):
     if not isinstance(values, list):
         raise InputError(path, "expected a list of integers")
@@ -153,7 +143,12 @@ def flag_from_obj(obj, model, path="flag"):
     if isinstance(model, CurveModel):
         return None
     if isinstance(model, SurfaceLattice):
-        return _curve_index(obj.get("curve"), model, f"{path}.curve")
+        i = _int(obj.get("curve"), f"{path}.curve")
+        count = len(model.effective_generators)
+        if not 0 <= i < count:
+            raise InputError(f"{path}.curve", f"curve index {i} out of range: "
+                             f"the surface has {count} effective generators")
+        return i
     raise InputError(path, "flag for unsupported model type")
 
 
@@ -196,14 +191,6 @@ def instance_from_obj(obj, path="instance"):
     flags = _obj(obj["flags"], f"{path}.flags")
     base_flag = flag_from_obj(flags.get("base"), base, f"{path}.flags.base")
     fiber_flag = flag_from_obj(flags.get("fiber"), fiber, f"{path}.flags.fiber")
-    if isinstance(total, ToricVariety):
-        total_flag = flag_from_obj(obj.get("total_flag"), total,
-                                   f"{path}.total_flag")
-    elif isinstance(total, SurfaceLattice):
-        total_flag = _curve_index(obj.get("total_flag"), total,
-                                  f"{path}.total_flag")
-    else:
-        total_flag = _int(obj.get("total_flag"), f"{path}.total_flag")
     ample = {k: _rat_vec(v, f"{path}.ample.{k}")
              for k, v in _obj(obj.get("ample", {}), f"{path}.ample").items()}
     name = obj.get("name", "instance")
@@ -216,7 +203,7 @@ def instance_from_obj(obj, path="instance"):
             raise InputError(f"{path}.hypotheses.{key}",
                              f"expected true or false, got {value!r}")
     try:
-        return FiberSpaceInstance(
+        fs = FiberSpaceInstance(
             name=name,
             base=base, fiber=fiber, total=total,
             pullback=_rows(obj["pullback"], f"{path}.pullback", _rat_vec),
@@ -227,12 +214,17 @@ def instance_from_obj(obj, path="instance"):
             R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
             hypotheses=hypotheses,
             flag=FiberTypeFlag(base_flag, fiber_flag),
-            total_flag=total_flag,
             ample=ample)
     except ValueError as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(path, str(exc))
+    declared, derived = (json.dumps(flag, sort_keys=True) for flag in
+                         (obj.get("total_flag"), fs.to_obj()["total_flag"]))
+    if declared != derived:
+        raise InputError(f"{path}.total_flag", f"{declared} differs from the "
+                         f"fiber-type flag derived from the models, {derived}")
+    return fs
 
 
 def load_json(path: str):

@@ -369,22 +369,27 @@ def nakayama_verdict(X, D: ToricDivisor, stratum):
 
 @dataclass(frozen=True)
 class ToricFibration:
-    """Projection of a product fan onto its first factor."""
+    """Projection of a product fan onto its first factor.  The total space
+    lists the base rays first, so on invariant divisor classes the pullback
+    and the restriction to a general fiber are coordinate maps."""
 
     base: ToricVariety
     fiber: ToricVariety
     total: ToricVariety
 
+    def _unit_rows(self):
+        n = len(self.total.rays)
+        return tuple(qvec([int(i == j) for j in range(n)]) for i in range(n))
+
     @property
-    def base_ray_count(self):
-        return len(self.base.rays)
+    def pullback(self):
+        """Matrix total rays x base rays: a base class on the base rays."""
+        return tuple(row[:len(self.base.rays)] for row in self._unit_rows())
 
-    def pullback(self, D_Y: ToricDivisor) -> ToricDivisor:
-        coeffs = tuple(D_Y.coeffs) + (Fraction(0),) * len(self.fiber.rays)
-        return ToricDivisor(self.total, coeffs)
-
-    def restrict_to_fiber(self, D: ToricDivisor) -> ToricDivisor:
-        return ToricDivisor(self.fiber, tuple(D.coeffs[self.base_ray_count:]))
+    @property
+    def restriction(self):
+        """Matrix fiber rays x total rays: the fiber-ray coefficients."""
+        return self._unit_rows()[len(self.base.rays):]
 
 
 def product_fibration(Y: ToricVariety, F: ToricVariety) -> ToricFibration:
@@ -405,7 +410,7 @@ def product_flag(fib: ToricFibration, base_flag: ToricFlag,
     """Fiber-type flag on the product: base strata first, then fiber strata."""
     base_flag.validate(fib.base)
     fiber_flag.validate(fib.fiber)
-    k = fib.base_ray_count
+    k = len(fib.base.rays)
     order = tuple(base_flag.ray_order) + tuple(i + k for i in fiber_flag.ray_order)
     return ToricFlag(fib.total.cones_containing(order)[0], order)
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -215,9 +216,10 @@ class TestFlagInput:
         obj["total_flag"] = index
         bad = tmp_path / "instance.json"
         bad.write_text(canonical_dumps(obj))
-        code, _, err = run(capsys, "validate", "--instance", bad)
-        assert code == 2
-        assert "total_flag" in err and "out of range" in err
+        code, out, err = run(capsys, "validate", "--instance", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "total_flag: " in err
+        assert "differs from the fiber-type flag derived" in err
 
 
 class TestCheckVerb:
@@ -272,6 +274,21 @@ class TestCheckVerb:
                            corpus / "instances/g2xg2.json")
         assert code == 2 and "unknown check" in err
 
+    def test_thm1_1_gates_non_psef_canonical_classes(self, capsys, tmp_path):
+        # K_X on P1 x P1 -> P1: neither K_Y nor K_F is psef, so nu and the
+        # flag stratum it picks are undefined; the check must gate on psef
+        obj = load_json(REPO_FIXTURES / "instances/prod_line_line.json")
+        obj["decomposition"] = {"D": ["-1"] * 4, "D_Y": ["-1"] * 2,
+                                "R": ["0", "0", "-1", "-1"]}
+        path = tmp_path / "canonical.json"
+        path.write_text(canonical_dumps(obj))
+        code, out, err = run(capsys, "check", "thm1_1", "--instance", path)
+        assert code == 2, err
+        rep = json.loads(out)
+        assert rep["verdict"] == "hypotheses-not-met"
+        assert rep["notes"] == ["hypothesis failed: K_Y pseudoeffective",
+                                "hypothesis failed: K_F pseudoeffective"]
+
 
 class TestScalingSearchVerb:
     def test_ex42(self, corpus, capsys):
@@ -316,6 +333,17 @@ class TestInstanceShape:
         code, _, err = run(capsys, "validate", "--instance", path)
         assert code == 2
         assert "toric total space needs a toric base and a toric fiber" in err
+
+    def test_surface_total_over_toric_line(self, capsys, tmp_path):
+        # the pullback column and the restriction row name classes of a
+        # curve, whose class group has rank 1
+        obj = FX.ex41().to_obj()
+        obj["base"] = toric.projective_line().to_obj()
+        obj["flags"]["base"] = {"cone": 0, "ray_order": [0]}
+        path = self._write(tmp_path, obj)
+        code, _, err = run(capsys, "validate", "--instance", path)
+        assert code == 2
+        assert "surface total space needs a curve base and a curve fiber" in err
 
     @pytest.mark.parametrize("argv", [("validate",), ("check", "thm1_1"),
                                       ("check", "thm1_2")])
@@ -365,7 +393,21 @@ class TestInstanceShape:
             ("prod_line_line", "flags.base", None,
              "flags.base: expected an object"),
             ("prod_line_line", "total_flag", None,
-             "total_flag: expected an object")]])
+             "total_flag: null differs from the fiber-type flag derived"),
+            # a declared copy that disagrees with the models would turn
+            # thm1_3, cor3_5 and lemma3_1 into a false "fails"
+            ("prod_plane_line", "total_flag.ray_order", [3, 1, 0],
+             "total_flag: {\"cone\": 0, \"ray_order\": [3, 1, 0]} differs "
+             "from the fiber-type flag derived from the models, "
+             "{\"cone\": 0, \"ray_order\": [0, 1, 3]}"),
+            ("prod_plane_line", "restriction",
+             [[0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+             "restriction [[\"0\", \"0\", \"0\", \"1\", \"1\"], "
+             "[\"0\", \"0\", \"0\", \"0\", \"1\"]] differs from the map "
+             "derived from the models"),
+            ("ex42", "restriction", [["3", "0"]],
+             "restriction [[\"3\", \"0\"]] differs from the map derived "
+             "from the models, [[\"2\", \"0\"]]")]])
     def test_malformed_field_is_input_error(self, capsys, tmp_path, argv,
                                             name, where, value, message):
         path = REPO_FIXTURES / "instances" / f"{name}.json"
@@ -379,6 +421,52 @@ class TestInstanceShape:
         code, out, err = run(capsys, *argv, "--instance", path)
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and message in err
+
+
+class TestDerivedFields:
+    """pullback, restriction and total_flag are determined by the models:
+    a declared copy with any one entry off by one is an input error."""
+
+    FIELDS = ("pullback", "restriction", "total_flag")
+
+    @staticmethod
+    def _perturbed(obj):
+        """Every copy of obj with one number of FIELDS moved by +1 or -1,
+        in a fixed order, with the path of the changed entry."""
+        def walk(value, path):
+            if isinstance(value, dict):
+                for key in sorted(value):
+                    for new, where in walk(value[key], f"{path}.{key}"):
+                        yield {**value, key: new}, where
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    for new, where in walk(item, f"{path}[{i}]"):
+                        yield value[:i] + [new] + value[i + 1:], where
+            else:
+                for step in (1, -1):
+                    yield (value + step if isinstance(value, int)
+                           else str(Fraction(value) + step)), path
+
+        for field in TestDerivedFields.FIELDS:
+            for new, where in walk(obj[field], field):
+                yield {**obj, field: new}, where
+
+    @pytest.mark.parametrize("name", sorted(FX.ALL_INSTANCES))
+    def test_one_entry_off_is_input_error(self, capsys, tmp_path, name):
+        obj = load_json(REPO_FIXTURES / f"instances/{name}.json")
+        path = tmp_path / "instance.json"
+        wrong = []
+        for count, (bad, where) in enumerate(self._perturbed(obj), 1):
+            path.write_text(json.dumps(bad))
+            code, out, err = run(capsys, "validate", "--instance", path)
+            if code != 2 or out or not err.startswith("input error: "):
+                wrong.append((where, code, err))
+        assert not wrong
+        # two per number in the three fields: 58 on P2 x P1, 38 on P1 x P1
+        # and 10 on a surface over a curve
+        expected = {"prod_plane_line": 58, "prod_line_line": 38,
+                    "prod_line_line_rf0": 38, "ex42_toric_surrogate": 38}
+        assert count == expected.get(name, 10)
 
 
 class TestPlots:

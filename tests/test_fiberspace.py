@@ -22,8 +22,7 @@ class TestInstanceValidation:
                 name="broken", base=fs.base, fiber=fs.fiber, total=fs.total,
                 pullback=fs.pullback, restriction=fs.restriction,
                 D=(3, 3), D_Y=fs.D_Y, R=fs.R,
-                hypotheses=fs.hypotheses, flag=fs.flag,
-                total_flag=fs.total_flag)
+                hypotheses=fs.hypotheses, flag=fs.flag)
 
     def test_toric_principal_difference_allowed(self):
         # shifting D by a principal class keeps the identity in the class group
@@ -33,28 +32,54 @@ class TestInstanceValidation:
             name="shifted", base=fs.base, fiber=fs.fiber, total=fs.total,
             pullback=fs.pullback, restriction=fs.restriction,
             D=shifted, D_Y=fs.D_Y, R=fs.R,
-            hypotheses=fs.hypotheses, flag=fs.flag, total_flag=fs.total_flag,
-            ample=fs.ample)
+            hypotheses=fs.hypotheses, flag=fs.flag, ample=fs.ample)
 
     def test_restriction_pullback_vanishes(self):
+        # restriction o pullback is F.F: (1, 0) has square 4 on ex41
         fs = FX.ex41()
-        bad_restriction = ((F(1), F(1)),)  # does not kill the fiber class
-        with pytest.raises(ValueError, match="vanish"):
+        with pytest.raises(ValueError, match=r"F\.F = 0"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
-                pullback=fs.pullback, restriction=bad_restriction,
-                D=fs.D, D_Y=fs.D_Y, R=fs.R,
-                hypotheses=fs.hypotheses, flag=fs.flag,
-                total_flag=fs.total_flag)
+                pullback=((1,), (0,)), D=fs.D, D_Y=fs.D_Y, R=fs.R,
+                hypotheses=fs.hypotheses, flag=fs.flag)
 
     def test_flag_curve_must_be_fiber_class(self):
+        # 2F has square 0 but is no effective generator, so no flag curve
         fs = FX.ex42()
-        with pytest.raises(ValueError, match="fiber class"):
+        with pytest.raises(ValueError, match="effective generator"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
-                pullback=fs.pullback, restriction=fs.restriction,
-                D=fs.D, D_Y=fs.D_Y, R=fs.R,
+                pullback=((0,), (2,)), D=fs.D, D_Y=fs.D_Y, R=fs.R,
+                hypotheses=fs.hypotheses, flag=fs.flag)
+
+    def test_total_flag_is_not_an_argument(self):
+        fs = FX.ex42()
+        with pytest.raises(TypeError, match="total_flag"):
+            FS.FiberSpaceInstance(
+                name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
+                pullback=fs.pullback, D=fs.D, D_Y=fs.D_Y, R=fs.R,
                 hypotheses=fs.hypotheses, flag=fs.flag, total_flag=0)
+
+    def test_surface_needs_pullback(self):
+        fs = FX.ex42()
+        with pytest.raises(ValueError, match="needs the pullback"):
+            FS.FiberSpaceInstance(
+                name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
+                D=fs.D, D_Y=fs.D_Y, R=fs.R, hypotheses=fs.hypotheses,
+                flag=fs.flag)
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, fs in INSTANCES.items() if fs.total_backend.kind == "toric"))
+    def test_lemma_3_1_total_stratum(self, name):
+        # the total flag's stratum of dimension k <= dim F is the base
+        # flag's cone rays followed by the fiber stratum, shifted past the
+        # base rays: the tuple lemma3_1 once composed by hand
+        fs = INSTANCES[name]
+        for k in range(fs.fiber_backend.dim + 1):
+            fiber_stratum = fs.fiber_backend.stratum(fs.flag.fiber_flag, k)
+            composed = tuple(fs.flag.base_flag.ray_order) + tuple(
+                i + len(fs.base.rays) for i in fiber_stratum)
+            assert fs.total_backend.stratum(fs.total_flag, k) == composed
 
 
 class TestFiberTypeFlag:

@@ -169,7 +169,7 @@ class TestPositiveVolumeSubvariety:
 
         sb = I.SurfaceBackend(blown_up_plane_lattice())
         assert sb.is_pvs([1, -1], sb.stratum(0, 1))
-        assert FS._flag_has_pvs(sb, [1, -1], 0)
+        assert FS._flag_has_pvs(sb, [1, -1], 0, sb.dims([1, -1]).nu_bdpp)
 
 
 class TestBackendAgreement:

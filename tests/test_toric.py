@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from okbodies import kernel
 from okbodies import toric as T
 from okbodies.invariants import ToricBackend
-from okbodies.linalg import dot, qvec
+from okbodies.linalg import dot, mat_vec, qvec
 from okbodies.polytope import Polytope, hull
 
 P1 = T.projective_line()
@@ -296,15 +296,21 @@ class TestProductFibration:
     def test_pullback_polytope(self):
         fib = T.product_fibration(P1, P1)
         DY = d(P1, [0, 2])
-        fstar = fib.pullback(DY)
+        fstar = d(fib.total, mat_vec(fib.pullback, DY.coeffs))
         P = T.section_polytope(fib.total, fstar)
         base = T.section_polytope(P1, DY)
         assert P == base.embed(0, 1)
 
     def test_restrict_vertical_is_zero(self):
         fib = T.product_fibration(P1, P1)
-        fstar = fib.pullback(d(P1, [1, 2]))
-        assert all(c == 0 for c in fib.restrict_to_fiber(fstar).coeffs)
+        fstar = mat_vec(fib.pullback, [1, 2])
+        assert all(c == 0 for c in mat_vec(fib.restriction, fstar))
+
+    def test_maps_are_coordinate_maps(self):
+        # P2 x P1: base rays 0-2, fiber rays 3-4
+        fib = T.product_fibration(P2, P1)
+        assert mat_vec(fib.pullback, [1, 2, 3]) == (1, 2, 3, 0, 0)
+        assert mat_vec(fib.restriction, [1, 2, 3, 4, 5]) == (4, 5)
 
 
 def _flag_for(X, rays):
