@@ -2,9 +2,11 @@
 
 These are the hot inner loops of the package: the 2D orientation
 predicate and monotone chain, the fraction-free affine frame, the
-beneath-beyond hull engine for any dimension, the interior-point
-prefilter, and lattice-point enumeration.  All inputs are plain Python
-ints, so results are exact for any magnitude.
+beneath-beyond hull engine for any dimension, the prefilter that keeps
+the two ends of each coordinate line and drops midpoints among them, and
+lattice-point enumeration, which prunes coordinate prefixes and solves
+the last coordinate by integer floor division.  All inputs are plain
+Python ints, so results are exact for any magnitude.
 """
 
 from __future__ import annotations
@@ -183,21 +185,35 @@ hull3d_facets = hull_facets
 
 
 def prune_interior(pts, dirs):
-    """Indices of points that are not obvious midpoints of neighbours.
+    """Indices, increasing, of the points that may be extreme.
 
-    A point with both p+d and p-d present (d from `dirs`) is their midpoint,
-    hence not extreme; dropping it is always safe.  This is a prefilter for
-    hulls of dense lattice-point clouds.
+    Points that agree on every coordinate but the last lie on one line,
+    and only that line's least and greatest points can be extreme, so
+    first each line keeps those two; this holds for any point set.  A
+    survivor p with both p+d and p-d among the survivors (d from `dirs`)
+    is their midpoint, hence not extreme either.  Every extreme point is
+    kept.  This is a prefilter for hulls of dense lattice-point clouds.
     """
-    pset = set(pts)
-    keep = []
+    ends = {}
     for i, p in enumerate(pts):
+        e = ends.get(p[:-1])
+        if e is None:
+            ends[p[:-1]] = [i, i]
+        elif p[-1] < pts[e[0]][-1]:
+            e[0] = i
+        elif p[-1] > pts[e[1]][-1]:
+            e[1] = i
+    survivors = sorted({i for e in ends.values() for i in e})
+    pset = {pts[i] for i in survivors}
+    keep = []
+    for i in survivors:
+        p = pts[i]
         interior = False
         for d in dirs:
-            plus = tuple(p[k] + d[k] for k in range(len(p)))
+            plus = tuple(a + b for a, b in zip(p, d))
             if plus not in pset:
                 continue
-            minus = tuple(p[k] - d[k] for k in range(len(p)))
+            minus = tuple(a - b for a, b in zip(p, d))
             if minus in pset:
                 interior = True
                 break
@@ -207,13 +223,24 @@ def prune_interior(pts, dirs):
 
 
 def lattice_points(normals, offsets, lo, hi):
-    """Integer points u in the box [lo, hi] with normals[j].u >= offsets[j].
+    """Integer points u in the box [lo, hi] with normals[j].u >= offsets[j],
+    for a box of dimension >= 1.
 
-    Output is in lexicographic order.  Prunes a coordinate prefix when no
-    completion inside the box can satisfy some constraint.
+    Output is in lexicographic order.  Each outer coordinate prunes its
+    prefix when no completion inside the box can satisfy some constraint.
+    The last coordinate v is solved: with s_j the prefix's part of
+    normals[j].u and n_j the last entry of normals[j], constraint j reads
+    n_j v >= offsets[j] - s_j, a lower bound by ceiling division when
+    n_j > 0, an upper bound by floor division when n_j < 0, and, when
+    n_j = 0, no bound or no point.  The row between the bounds is emitted
+    whole.  Integer floor division keeps every bound exact.
     """
     dim = len(lo)
+    if dim < 1:
+        raise ValueError("lattice box needs dimension >= 1")
     m = len(normals)
+    last = dim - 1
+    lastcol = [nrm[last] for nrm in normals]
     # max contribution of coordinates >= level k, per constraint
     maxrest = [[0] * (dim + 1) for _ in range(m)]
     for j in range(m):
@@ -226,10 +253,19 @@ def lattice_points(normals, offsets, lo, hi):
     partial = [[0] * m for _ in range(dim + 1)]
 
     def rec(k):
-        if k == dim:
-            out.append(tuple(u))
-            return
         base = partial[k]
+        if k == last:
+            a, b = lo[last], hi[last]
+            for n, r, s in zip(lastcol, offsets, base):
+                if n > 0:
+                    a = max(a, -((s - r) // n))
+                elif n < 0:
+                    b = min(b, (r - s) // n)
+                elif s < r:
+                    return
+            head = tuple(u[:last])
+            out.extend([head + (v,) for v in range(a, b + 1)])
+            return
         for v in range(lo[k], hi[k] + 1):
             u[k] = v
             nxt = partial[k + 1]
@@ -249,7 +285,7 @@ def lattice_points(normals, offsets, lo, hi):
 
 
 def plus_minus_directions(dim):
-    """Nonzero {-1,0,1} vectors up to sign, for the interior-point prefilter."""
+    """Nonzero {-1,0,1} vectors up to sign: `prune_interior`'s midpoints."""
     dirs = []
 
     def rec(prefix):

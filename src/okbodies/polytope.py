@@ -406,7 +406,10 @@ def _int_hull(ints, d):
     integer normal, offset) with normal . p <= offset on every point, and
     dvol is d! times the volume.  A segment and the 2D chain are direct;
     above that `kernel.hull_facets` runs, on the points that
-    `kernel.prune_interior` keeps when there are more than 64.
+    `kernel.prune_interior` keeps when there are more than 64: the two
+    ends of each line along the last coordinate that are not midpoints of
+    two other such ends.  Neither kind of dropped point is extreme, so the
+    hull and its volume are those of all the points.
     """
     if d == 1:
         lo = min(range(len(ints)), key=lambda i: ints[i])

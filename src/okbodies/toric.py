@@ -6,7 +6,9 @@ sections of an invariant divisor are lattice points of its section
 polytope, and the flag valuation of a monomial section is an explicit
 unimodular-affine function of its exponent, so bodies come out as exact
 images of section polytopes.  The finite-level brute-force path exists as
-an independent oracle for that exact path.
+an independent oracle for that exact path: it enumerates the level-m
+sections as lattice points, hulls them, and maps the hull's vertices by
+the valuation, which is exact because the valuation is affine.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _face_points(X, D, m, stratum, face):
     cols = list(zip(*face.vertices))
     lo = [math.ceil(m * min(col)) for col in cols]
     hi = [math.floor(m * max(col)) for col in cols]
-    return [tuple(p) for p in kernel.lattice_points(normals, offsets, lo, hi)]
+    return kernel.lattice_points(normals, offsets, lo, hi)
 
 
 def _flag_affine_map(X, flag: ToricFlag, D: ToricDivisor):
@@ -257,18 +259,26 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
     """(1/m) * hull of the valuation vectors of all level-m sections.
 
-    The valuation vectors of level-m sections are integer vectors, so
-    `Polytope.lattice_hull` hulls them as they are, over the denominator
-    m, and no `Fraction` is made."""
+    The valuation u -> (<u, v_i> + m a_i) of a level-m exponent u is
+    affine, and an affine map A sends conv(S) to conv(A S), whose
+    vertices are images of vertices of conv(S).  So the level-m exponents
+    are hulled first, with `Polytope.lattice_hull` over m, and only that
+    hull's vertices, integer exponents over m, are mapped; their integer
+    valuation vectors are hulled over m in turn, and no `Fraction` is made
+    per section.  The oracle stays independent of the exact path: it
+    enumerates and hulls lattice points, where the exact path enumerates
+    the vertices of the section polytope from its half-spaces."""
     flag.validate(X)
     pts = sections(X, D, m)
     if not pts:
         raise ValueError("divisor has no sections")
+    verts = [tuple(int(m * x) for x in v)
+             for v in Polytope.lattice_hull(pts, m).vertices]
     macoeffs = _integral_multiple(D, m)
     rows = [X.rays[i] for i in flag.ray_order]
     shift = [macoeffs[i] for i in flag.ray_order]
     vals = [tuple(sum(map(mul, r, u)) + s for r, s in zip(rows, shift))
-            for u in pts]
+            for u in verts]
     return Polytope.lattice_hull(vals, m)
 
 

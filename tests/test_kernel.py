@@ -1,6 +1,6 @@
 """Integer-geometry kernel tests: reference behaviour and brute-force
 oracles for the 2D chain, the hull engine in R^3 and R^4, lattice
-enumeration and the interior-point prefilter."""
+enumeration and the line-end and midpoint hull prefilter."""
 
 import random
 from fractions import Fraction
@@ -204,6 +204,15 @@ def test_hull3d_facets_is_the_engine():
     assert kernel.hull3d_facets is kernel.hull_facets
 
 
+def _box_filter(normals, offs, lo, hi):
+    """The points of the box [lo, hi], in lexicographic order, that satisfy
+    every constraint normals[j] . u >= offs[j]."""
+    box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return [u for u in box
+            if all(sum(a * b for a, b in zip(n, u)) >= o
+                   for n, o in zip(normals, offs))]
+
+
 class TestLattice:
     def test_simplex_points(self):
         # u1, u2 >= 0, u1 + u2 <= 3
@@ -216,21 +225,38 @@ class TestLattice:
         assert kernel.lattice_points([(1,)], [5], [0], [3]) == []
 
     def test_against_box_filter(self):
-        # the prefix pruning must drop exactly the box points that violate
-        # some constraint, and keep lexicographic order
-        rng = random.Random(41)
-        for _ in range(120):
-            dim = rng.randint(1, 3)
-            normals = [tuple(rng.randint(-3, 3) for _ in range(dim))
-                       for _ in range(rng.randint(1, 5))]
-            offs = [rng.randint(-6, 2) for _ in normals]
-            lo = [rng.randint(-4, 0) for _ in range(dim)]
-            hi = [l + rng.randint(0, 5) for l in lo]
-            box = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-            expected = [u for u in box
-                        if all(sum(a * b for a, b in zip(n, u)) >= o
-                               for n, o in zip(normals, offs))]
-            assert kernel.lattice_points(normals, offs, lo, hi) == expected
+        """The prefix pruning and the solved last coordinate must keep
+        exactly the box points that satisfy every constraint, in
+        lexicographic order.  Dimensions 1 to 4, entries up to +-5 and
+        offsets that are mostly not their multiples, so quotients of either
+        sign round both ways; last entries of 0 with offsets of either
+        sign; boxes with lo == hi in some coordinates; and rows whose
+        solved interval is empty."""
+        rng = random.Random(43)
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            normals = []
+            for _ in range(rng.randint(1, 5)):
+                nrm = [rng.randint(-5, 5) for _ in range(dim)]
+                if rng.random() < 0.3:
+                    nrm[-1] = 0
+                normals.append(tuple(nrm))
+            offs = [rng.randint(-11, 4) for _ in normals]
+            lo = [rng.randint(-4, 1) for _ in range(dim)]
+            hi = [l + rng.choice((0, 0, 1, 2, 3, 4)) for l in lo]
+            assert (kernel.lattice_points(normals, offs, lo, hi)
+                    == _box_filter(normals, offs, lo, hi)), (normals, offs,
+                                                            lo, hi)
+
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            kernel.lattice_points([()], [0], [], [])
+
+
+def _check_prune(pts, extreme, dirs):
+    keep = kernel.prune_interior(pts, dirs)
+    assert keep == sorted(set(keep))
+    assert set(extreme) <= set(keep), pts
 
 
 class TestPrune:
@@ -243,6 +269,63 @@ class TestPrune:
             keep = set(kernel.prune_interior(pts, dirs))
             hull = set(kernel.hull2d_indices(pts))
             assert hull <= keep
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_never_drops_extreme_full(self, d):
+        """Dense clouds (the lattice points of a box cut by random
+        half-spaces) and sparse ones (random points, most lines holding one
+        or two), shuffled, against the engine's extreme points."""
+        rng = random.Random(50 + d)
+        dirs = kernel.plus_minus_directions(d)
+        side = 6 if d == 3 else 4
+        checked = 0
+        while checked < 24:
+            if checked % 2:
+                pts = list({tuple(rng.randint(-5, 5) for _ in range(d))
+                            for _ in range(rng.randint(d + 1, 60))})
+            else:
+                cuts = [tuple(rng.randint(-2, 2) for _ in range(d))
+                        for _ in range(rng.randint(1, 4))]
+                offs = [rng.randint(-2 * side, 0) for _ in cuts]
+                pts = _box_filter(cuts, offs, [0] * d, [side - 1] * d)
+            rng.shuffle(pts)
+            if len(pts) <= d or kernel.affine_frame(pts)[0] < d:
+                continue
+            _check_prune(pts, kernel.hull_facets(pts)[0], dirs)
+            checked += 1
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_keeps_only_the_corners_of_a_cube(self, d):
+        pts = list(product(range(5), repeat=d))
+        keep = kernel.prune_interior(pts, kernel.plus_minus_directions(d))
+        assert [pts[i] for i in keep] == list(product((0, 4), repeat=d))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_never_drops_extreme_flat(self, n):
+        """A cloud on a skew lattice plane in R^3, or a skew 3-flat in R^4,
+        pruned in its pivot coordinates as `polytope._frame_hull` projects
+        it: lines there hold points with gaps."""
+        rng = random.Random(60 + n)
+        d = n - 1
+        checked = 0
+        while checked < 20:
+            basis = [tuple(rng.randint(-3, 3) for _ in range(n))
+                     for _ in range(d)]
+            shift = tuple(rng.randint(-5, 5) for _ in range(n))
+            coeffs = {tuple(rng.randint(-3, 3) for _ in range(d))
+                      for _ in range(rng.randint(d + 1, 50))}
+            pts = list({tuple(s + sum(map(mul, c, col))
+                              for s, col in zip(shift, zip(*basis)))
+                        for c in coeffs})
+            rng.shuffle(pts)
+            rank, pivots, _rows, _base = kernel.affine_frame(pts)
+            if rank != d:
+                continue
+            proj = [tuple(p[c] for c in pivots) for p in pts]
+            extreme = (kernel.hull2d_indices(proj) if d == 2
+                       else kernel.hull_facets(proj)[0])
+            _check_prune(proj, extreme, kernel.plus_minus_directions(d))
+            checked += 1
 
 
 def test_active_lane_reports_python():

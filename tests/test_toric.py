@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -423,6 +425,52 @@ def test_fourfold_volume_and_bruteforce_bodies(X, vol):
     for m in (1, 2, 3):
         brute = T.okounkov_body_bruteforce(X, D, flag, m)
         assert body.contains(brute) == (True, 0)
+
+
+# -- the brute-force body against its section-by-section form -----------------
+
+BRUTEFORCE_MODELS = (P1, P2, BL, T.hirzebruch(1), F2, T.hirzebruch(3),
+                     _product(P1, P1), P2xP1, P1x3, _product(BL, P1))
+
+
+def bruteforce_reference(X, D, flag, m):
+    """okounkov_body_bruteforce as it was before it hulled the exponents
+    first: `lattice_hull` of every level-m valuation vector over m."""
+    pts = T.sections(X, D, m)
+    if not pts:
+        raise ValueError("divisor has no sections")
+    macoeffs = T._integral_multiple(D, m)
+    rows = [X.rays[i] for i in flag.ray_order]
+    shift = [macoeffs[i] for i in flag.ray_order]
+    return Polytope.lattice_hull(
+        [tuple(sum(map(mul, r, u)) + s for r, s in zip(rows, shift))
+         for u in pts], m)
+
+
+def test_bruteforce_matches_valuation_hull_reference():
+    """Seeded cases on ten models: coefficients a / q with a in [-3, 4]
+    and q in 1..3, any maximal cone and ray order, and a level that is a
+    multiple of q (up to 4q on curves and surfaces, 2q on threefolds).
+    The bodies are equal, and "no sections" is raised on the same cases."""
+    rng = random.Random(2021)
+    empty = 0
+    for _ in range(1000):
+        X = rng.choice(BRUTEFORCE_MODELS)
+        q = rng.randint(1, 3)
+        D = d(X, [F(rng.randint(-3, 4), q) for _ in X.rays])
+        cone = rng.randrange(len(X.max_cones))
+        flag = T.ToricFlag(cone, tuple(rng.sample(X.max_cones[cone], X.dim)))
+        m = q * rng.randint(1, 4 if X.dim < 3 else 2)
+        try:
+            expected = bruteforce_reference(X, D, flag, m)
+        except ValueError as exc:
+            empty += 1
+            with pytest.raises(ValueError, match=str(exc)):
+                T.okounkov_body_bruteforce(X, D, flag, m)
+            continue
+        assert (T.okounkov_body_bruteforce(X, D, flag, m)
+                == expected), (X.rays, D.coeffs, flag, m)
+    assert 0 < empty < 1000
 
 
 class TestPredicates:
