@@ -3,10 +3,13 @@
 These are the hot inner loops of the package: the 2D orientation
 predicate and monotone chain, the fraction-free affine frame, the
 beneath-beyond hull engine for any dimension, the prefilter that keeps
-the two ends of each coordinate line and drops midpoints among them, and
-lattice-point enumeration, which prunes coordinate prefixes and solves
-the last coordinate by integer floor division.  All inputs are plain
-Python ints, so results are exact for any magnitude.
+the two ends of each line along every coordinate axis in turn (the
+other points of a line lie between them) and drops midpoints among
+them, and lattice enumeration, which prunes coordinate prefixes and
+solves the last coordinate by integer floor division, so it yields
+whole lines (prefix, least, greatest) that callers expand to points or
+hull by their ends.  All inputs are plain Python ints, so results are
+exact for any magnitude.
 """
 
 from __future__ import annotations
@@ -187,23 +190,32 @@ hull3d_facets = hull_facets
 def prune_interior(pts, dirs):
     """Indices, increasing, of the points that may be extreme.
 
-    Points that agree on every coordinate but the last lie on one line,
-    and only that line's least and greatest points can be extreme, so
-    first each line keeps those two; this holds for any point set.  A
+    Points that agree on every coordinate but the k-th lie on one line
+    along axis k, and only that line's least and greatest points can be
+    extreme: any other lies strictly between those two.  So one pass per
+    axis k, from the last to the first, keeps the two ends of each such
+    line among the previous pass's survivors.  A dropped point lies
+    strictly between two kept ones, so each pass leaves the hull as it
+    was and keeps every extreme point; this holds for any point set,
+    sorted or not, and for pivot projections of a flat one.  A final
     survivor p with both p+d and p-d among the survivors (d from `dirs`)
     is their midpoint, hence not extreme either.  Every extreme point is
     kept.  This is a prefilter for hulls of dense lattice-point clouds.
     """
-    ends = {}
-    for i, p in enumerate(pts):
-        e = ends.get(p[:-1])
-        if e is None:
-            ends[p[:-1]] = [i, i]
-        elif p[-1] < pts[e[0]][-1]:
-            e[0] = i
-        elif p[-1] > pts[e[1]][-1]:
-            e[1] = i
-    survivors = sorted({i for e in ends.values() for i in e})
+    survivors = range(len(pts))
+    for k in reversed(range(len(pts[0]) if pts else 0)):
+        ends = {}
+        for i in survivors:
+            p = pts[i]
+            key = p[:k] + p[k + 1:]
+            e = ends.get(key)
+            if e is None:
+                ends[key] = [i, i]
+            elif p[k] < pts[e[0]][k]:
+                e[0] = i
+            elif p[k] > pts[e[1]][k]:
+                e[1] = i
+        survivors = sorted({i for e in ends.values() for i in e})
     pset = {pts[i] for i in survivors}
     keep = []
     for i in survivors:
@@ -222,18 +234,20 @@ def prune_interior(pts, dirs):
     return keep
 
 
-def lattice_points(normals, offsets, lo, hi):
-    """Integer points u in the box [lo, hi] with normals[j].u >= offsets[j],
-    for a box of dimension >= 1.
+def lattice_lines(normals, offsets, lo, hi):
+    """The integer points u in the box [lo, hi] with normals[j].u >= offsets[j],
+    for a box of dimension >= 1, as lines: rows (head, a, b) with a <= b,
+    one per prefix `head` that has a point, standing for the points
+    head + (v,) with a <= v <= b, in lexicographic order.
 
-    Output is in lexicographic order.  Each outer coordinate prunes its
-    prefix when no completion inside the box can satisfy some constraint.
-    The last coordinate v is solved: with s_j the prefix's part of
-    normals[j].u and n_j the last entry of normals[j], constraint j reads
-    n_j v >= offsets[j] - s_j, a lower bound by ceiling division when
-    n_j > 0, an upper bound by floor division when n_j < 0, and, when
-    n_j = 0, no bound or no point.  The row between the bounds is emitted
-    whole.  Integer floor division keeps every bound exact.
+    Each outer coordinate prunes its prefix when no completion inside the
+    box can satisfy some constraint.  The last coordinate v is solved:
+    with s_j the prefix's part of normals[j].u and n_j the last entry of
+    normals[j], constraint j reads n_j v >= offsets[j] - s_j, a lower bound
+    by ceiling division when n_j > 0, an upper bound by floor division when
+    n_j < 0, and, when n_j = 0, no bound or no point.  Every constraint is
+    linear in v, so the points of a prefix are exactly the integers between
+    the two bounds, and integer floor division keeps each bound exact.
     """
     dim = len(lo)
     if dim < 1:
@@ -263,8 +277,8 @@ def lattice_points(normals, offsets, lo, hi):
                     b = min(b, (r - s) // n)
                 elif s < r:
                     return
-            head = tuple(u[:last])
-            out.extend([head + (v,) for v in range(a, b + 1)])
+            if a <= b:
+                out.append((tuple(u[:last]), a, b))
             return
         for v in range(lo[k], hi[k] + 1):
             u[k] = v
@@ -282,6 +296,14 @@ def lattice_points(normals, offsets, lo, hi):
 
     rec(0)
     return out
+
+
+def lattice_points(normals, offsets, lo, hi):
+    """Every integer point of `lattice_lines(normals, offsets, lo, hi)`, in
+    lexicographic order: each line expanded from its least to its greatest
+    point.  Callers that need only what a line spans use the lines."""
+    return [head + (v,) for head, a, b in lattice_lines(normals, offsets, lo, hi)
+            for v in range(a, b + 1)]
 
 
 def plus_minus_directions(dim):

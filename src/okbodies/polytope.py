@@ -375,8 +375,10 @@ def _lowest(rows, q):
 
 def _int_polytope(n, pts, q):
     """The hull of {p / q} for integer points p in Z^n and an integer
-    q >= 1: the one body every constructor that hulls ends in."""
-    pts = sorted(set(pts))
+    q >= 1: the one body every constructor that hulls ends in.  Duplicates
+    go by `dict.fromkeys`, which keeps the input order, so input that is
+    already sorted (lattice enumerations are) costs `sorted` one pass."""
+    pts = sorted(dict.fromkeys(pts))
     extreme, fh = _frame_hull(pts, q)
     rows, q = _lowest([pts[i] for i in extreme], q)
     return Polytope(n, rows, q, _dim=fh[0], _trusted=True, _hull=fh)
@@ -406,10 +408,11 @@ def _int_hull(ints, d):
     integer normal, offset) with normal . p <= offset on every point, and
     dvol is d! times the volume.  A segment and the 2D chain are direct;
     above that `kernel.hull_facets` runs, on the points that
-    `kernel.prune_interior` keeps when there are more than 64: the two
-    ends of each line along the last coordinate that are not midpoints of
-    two other such ends.  Neither kind of dropped point is extreme, so the
-    hull and its volume are those of all the points.
+    `kernel.prune_interior` keeps when there are more than 64: those that
+    are an end of their line along every coordinate axis in turn and not
+    a midpoint of two other such points.  Each dropped point lies strictly
+    between two kept ones, so none is extreme, and the hull and its volume
+    are those of all the points.
     """
     if d == 1:
         lo = min(range(len(ints)), key=lambda i: ints[i])

@@ -7,8 +7,10 @@ polytope, and the flag valuation of a monomial section is an explicit
 unimodular-affine function of its exponent, so bodies come out as exact
 images of section polytopes.  The finite-level brute-force path exists as
 an independent oracle for that exact path: it enumerates the level-m
-sections as lattice points, hulls them, and maps the hull's vertices by
-the valuation, which is exact because the valuation is affine.
+sections as lattice lines by integer bounds, hulls the two ends of each
+line (the line's other points lie between them), and maps the hull's
+vertices by the valuation, which is exact because the valuation is
+affine.
 """
 
 from __future__ import annotations
@@ -203,20 +205,29 @@ def sections(X: ToricVariety, D: ToricDivisor, m: int):
     return _face_points(X, D, m, (), section_polytope(X, D))
 
 
-def _face_points(X, D, m, stratum, face):
-    """Lattice points of m * face, in lexicographic order, for D's face
-    along `stratum`: <u, ray_i> >= -m a_i, reversed too on the stratum."""
+def _face_box(X, D, m, stratum, face):
+    """`kernel.lattice_lines` arguments (normals, offsets, lo, hi) for the
+    lattice points of m * face, D's face along `stratum`: <u, ray_i> >=
+    -m a_i, reversed too on the stratum, in the bounding box of m * face;
+    None when the face is empty."""
     if m < 1:
         raise ValueError("level must be >= 1")
     offsets = [-a for a in _integral_multiple(D, m)]
     if face.is_empty:
-        return []
+        return None
     normals = list(X.rays) + [tuple(-x for x in X.rays[i]) for i in stratum]
     offsets += [-offsets[i] for i in stratum]
     cols = list(zip(*face.vertices))
     lo = [math.ceil(m * min(col)) for col in cols]
     hi = [math.floor(m * max(col)) for col in cols]
-    return kernel.lattice_points(normals, offsets, lo, hi)
+    return normals, offsets, lo, hi
+
+
+def _face_points(X, D, m, stratum, face):
+    """Lattice points of m * face, in lexicographic order, for D's face
+    along `stratum`."""
+    box = _face_box(X, D, m, stratum, face)
+    return kernel.lattice_points(*box) if box else []
 
 
 def _flag_affine_map(X, flag: ToricFlag, D: ToricDivisor):
@@ -259,21 +270,28 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
     """(1/m) * hull of the valuation vectors of all level-m sections.
 
-    The valuation u -> (<u, v_i> + m a_i) of a level-m exponent u is
-    affine, and an affine map A sends conv(S) to conv(A S), whose
-    vertices are images of vertices of conv(S).  So the level-m exponents
-    are hulled first, with `Polytope.lattice_hull` over m, and only that
-    hull's vertices, integer exponents over m, are mapped; their integer
-    valuation vectors are hulled over m in turn, and no `Fraction` is made
-    per section.  The oracle stays independent of the exact path: it
-    enumerates and hulls lattice points, where the exact path enumerates
-    the vertices of the section polytope from its half-spaces."""
+    The level-m exponents are enumerated as lattice lines of m * P_D
+    (`kernel.lattice_lines`, by integer bounds on each coordinate), and
+    only each line's two ends, one when it holds a single point, are
+    hulled with `Polytope.lattice_hull` over m: every lattice point of a
+    line lies on the segment between its ends, so the two hulls are
+    equal.  The valuation u -> (<u, v_i> + m a_i) is affine, and an
+    affine map A sends conv(S) to conv(A S), whose vertices are images of
+    vertices of conv(S); so only that hull's vertices, integer exponents
+    over m, are mapped, and their integer valuation vectors are hulled
+    over m in turn, with no `Fraction` made per section.  The oracle stays
+    independent of the exact path: it enumerates lattice rows by integer
+    bounds and hulls lattice points, where the exact path enumerates the
+    vertices of the section polytope from its half-spaces."""
     flag.validate(X)
-    pts = sections(X, D, m)
-    if not pts:
+    box = _face_box(X, D, m, (), section_polytope(X, D))
+    lines = kernel.lattice_lines(*box) if box else []
+    if not lines:
         raise ValueError("divisor has no sections")
+    ends = [head + (v,) for head, a, b in lines
+            for v in ((a,) if a == b else (a, b))]
     verts = [tuple(int(m * x) for x in v)
-             for v in Polytope.lattice_hull(pts, m).vertices]
+             for v in Polytope.lattice_hull(ends, m).vertices]
     macoeffs = _integral_multiple(D, m)
     rows = [X.rays[i] for i in flag.ray_order]
     shift = [macoeffs[i] for i in flag.ray_order]

@@ -96,6 +96,15 @@ class TestComputeVerbs:
         rep = json.loads(out)
         assert rep["contained"] and rep["margin"] == "0"
 
+    def test_oracle_compare_rejects_level_zero(self, corpus, capsys):
+        code, out, err = run(capsys, "oracle-compare",
+                             "--model", corpus / "models/plane.json",
+                             "--divisor", corpus / "models/d2.json",
+                             "--flag", corpus / "models/std_flag.json",
+                             "--m", "0")
+        assert code == 2 and out == ""
+        assert err == "error: level must be >= 1\n"
+
 
     def test_body_and_vol_on_a_fourfold(self, capsys, tmp_path):
         # (P^1)^4 with all coefficients 1: the body is [0, 2]^4 up to

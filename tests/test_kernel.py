@@ -213,6 +213,27 @@ def _box_filter(normals, offs, lo, hi):
                    for n, o in zip(normals, offs))]
 
 
+def _lattice_cases():
+    """500 seeded (normals, offsets, lo, hi): dimensions 1 to 4, entries up
+    to +-5 and offsets that are mostly not their multiples, so quotients of
+    either sign round both ways; last entries of 0 with offsets of either
+    sign; boxes with lo == hi in some coordinates; and rows whose solved
+    interval is empty."""
+    rng = random.Random(43)
+    for _ in range(500):
+        dim = rng.randint(1, 4)
+        normals = []
+        for _ in range(rng.randint(1, 5)):
+            nrm = [rng.randint(-5, 5) for _ in range(dim)]
+            if rng.random() < 0.3:
+                nrm[-1] = 0
+            normals.append(tuple(nrm))
+        offs = [rng.randint(-11, 4) for _ in normals]
+        lo = [rng.randint(-4, 1) for _ in range(dim)]
+        hi = [l + rng.choice((0, 0, 1, 2, 3, 4)) for l in lo]
+        yield normals, offs, lo, hi
+
+
 class TestLattice:
     def test_simplex_points(self):
         # u1, u2 >= 0, u1 + u2 <= 3
@@ -227,30 +248,26 @@ class TestLattice:
     def test_against_box_filter(self):
         """The prefix pruning and the solved last coordinate must keep
         exactly the box points that satisfy every constraint, in
-        lexicographic order.  Dimensions 1 to 4, entries up to +-5 and
-        offsets that are mostly not their multiples, so quotients of either
-        sign round both ways; last entries of 0 with offsets of either
-        sign; boxes with lo == hi in some coordinates; and rows whose
-        solved interval is empty."""
-        rng = random.Random(43)
-        for _ in range(500):
-            dim = rng.randint(1, 4)
-            normals = []
-            for _ in range(rng.randint(1, 5)):
-                nrm = [rng.randint(-5, 5) for _ in range(dim)]
-                if rng.random() < 0.3:
-                    nrm[-1] = 0
-                normals.append(tuple(nrm))
-            offs = [rng.randint(-11, 4) for _ in normals]
-            lo = [rng.randint(-4, 1) for _ in range(dim)]
-            hi = [l + rng.choice((0, 0, 1, 2, 3, 4)) for l in lo]
-            assert (kernel.lattice_points(normals, offs, lo, hi)
-                    == _box_filter(normals, offs, lo, hi)), (normals, offs,
-                                                            lo, hi)
+        lexicographic order."""
+        for case in _lattice_cases():
+            assert kernel.lattice_points(*case) == _box_filter(*case), case
+
+    def test_lines_against_box_filter(self):
+        """Each line is a nonempty row a <= b, one per prefix in strictly
+        increasing order, and the lines expand to exactly the box points
+        that satisfy every constraint."""
+        for case in _lattice_cases():
+            lines = kernel.lattice_lines(*case)
+            assert all(a <= b for _head, a, b in lines), case
+            heads = [head for head, _a, _b in lines]
+            assert all(h < k for h, k in zip(heads, heads[1:])), case
+            assert ([head + (v,) for head, a, b in lines
+                     for v in range(a, b + 1)] == _box_filter(*case)), case
 
     def test_rejects_dimension_zero(self):
-        with pytest.raises(ValueError, match="dimension >= 1"):
-            kernel.lattice_points([()], [0], [], [])
+        for enumerate_ in (kernel.lattice_points, kernel.lattice_lines):
+            with pytest.raises(ValueError, match="dimension >= 1"):
+                enumerate_([()], [0], [], [])
 
 
 def _check_prune(pts, extreme, dirs):
@@ -325,6 +342,52 @@ class TestPrune:
             extreme = (kernel.hull2d_indices(proj) if d == 2
                        else kernel.hull_facets(proj)[0])
             _check_prune(proj, extreme, kernel.plus_minus_directions(d))
+            checked += 1
+
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_never_drops_extreme_lattice_and_ends(self, d):
+        """Lattice clouds as the brute-force oracle builds them: m times
+        P^2 x P^1 of bidegree (1, 1), a simplex-prism, and boxes cut by
+        skew half-spaces, translated, at small levels m; each both whole
+        and as the two ends of its lines along the last coordinate, sorted
+        and shuffled.  Every pruned cloud keeps every extreme point of the
+        whole cloud."""
+        rng = random.Random(70 + d)
+        dirs = kernel.plus_minus_directions(d)
+        checked = 0
+        while checked < 24:
+            m = rng.randint(1, 5 if d == 3 else 2)
+            if d == 3 and checked % 3 == 0:
+                normals = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1),
+                           (0, 0, -1)]
+                offs = [0, 0, -m, 0, -m]
+            else:
+                normals = [tuple(rng.choice((-3, -2, -1, 1, 2, 3))
+                                 for _ in range(d))
+                           for _ in range(rng.randint(1, 3))]
+                normals += [tuple(int(i == j) for j in range(d))
+                            for i in range(d)]
+                normals += [tuple(-int(i == j) for j in range(d))
+                            for i in range(d)]
+                offs = ([-rng.randint(m, 3 * m) for _ in normals[:-2 * d]]
+                        + [0] * d + [-m] * d)
+            shift = [rng.randint(-4, 4) for _ in range(d)]
+            offs = [o + sum(map(mul, n, shift)) for n, o in zip(normals, offs)]
+            lo = [s - 3 * m for s in shift]
+            hi = [s + 3 * m for s in shift]
+            lines = kernel.lattice_lines(normals, offs, lo, hi)
+            full = [head + (v,) for head, a, b in lines
+                    for v in range(a, b + 1)]
+            if len(full) <= d or kernel.affine_frame(full)[0] < d:
+                continue
+            extreme = {full[i] for i in kernel.hull_facets(full)[0]}
+            ends = [head + (v,) for head, a, b in lines
+                    for v in dict.fromkeys((a, b))]
+            for cloud in (full, ends, rng.sample(ends, len(ends))):
+                keep = kernel.prune_interior(cloud, dirs)
+                assert keep == sorted(set(keep))
+                assert extreme <= {cloud[i] for i in keep}, (normals, offs)
             checked += 1
 
 

@@ -473,6 +473,21 @@ def test_bruteforce_matches_valuation_hull_reference():
     assert 0 < empty < 1000
 
 
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("coeffs", [[0, 0, 2], [0, 0, -1]],
+                         ids=["sections", "no-sections"])
+def test_level_below_one_is_rejected(m, coeffs):
+    """Every level-m enumeration rejects m < 1 before it looks for
+    sections, so a divisor without sections gives the same error."""
+    D = d(P2, coeffs)
+    flag = T.ToricFlag(0, P2.max_cones[0])
+    for call in (lambda: T.sections(P2, D, m),
+                 lambda: T.restricted_series(P2, D, (0,), [1, m]),
+                 lambda: T.okounkov_body_bruteforce(P2, D, flag, m)):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            call()
+
+
 class TestPredicates:
     def test_ample_nef(self):
         assert T.is_ample(P2, d(P2, [0, 0, 1]))
