@@ -280,9 +280,6 @@ class CheckReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
-
 
 def _volume(body: Polytope) -> Fraction:
     return body.volume_in_dim(body.dim()) if not body.is_empty else Fraction(0)

@@ -25,7 +25,9 @@ class InputError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _rat(value, path) -> Fraction:
+def rational(value, path="value") -> Fraction:
+    """An exact rational from an integer or a 'p/q' string; floats, and
+    anything else that is not a rational, raise InputError."""
     if isinstance(value, bool) or isinstance(value, float):
         raise InputError(path, "rationals must be integers or 'p/q' strings")
     try:
@@ -37,7 +39,7 @@ def _rat(value, path) -> Fraction:
 def _rat_vec(values, path):
     if not isinstance(values, list):
         raise InputError(path, "expected a list of rationals")
-    return tuple(_rat(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return tuple(rational(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def _obj(value, path) -> dict:

@@ -86,12 +86,17 @@ class SurfaceLattice:
                 if self.pair(nf, g) < 0:
                     raise ValueError("a nef generator pairs negatively with "
                                      "an effective generator")
+        classes = set()
         for i in self.negative_curves:
             if not 0 <= i < len(self.effective_generators):
                 raise ValueError("negative curve index out of range")
             c = self.effective_generators[i]
             if self.pair(c, c) >= 0:
                 raise ValueError("declared negative curve has self-intersection >= 0")
+            if c in classes:
+                raise ValueError(f"negative_curves names the class of "
+                                 f"effective generator {i} twice")
+            classes.add(c)
 
     def _class(self, v) -> tuple[Fraction, ...]:
         """v as a class: a tuple of `rank` Fractions; every class enters
@@ -160,10 +165,6 @@ class SurfaceLattice:
             obj["declared_kappa_sigma"] = dict(
                 sorted(self.declared_kappa_sigma.items()))
         return obj
-
-
-def intersect(S: SurfaceLattice, a, b) -> Fraction:
-    return S.pair(a, b)
 
 
 @dataclass(frozen=True)

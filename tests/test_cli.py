@@ -86,6 +86,19 @@ class TestComputeVerbs:
         assert code == 2 and out == ""
         assert err == "error: class vectors must have length rank\n"
 
+    @pytest.mark.parametrize("verb", ["zariski", "vol", "dims"])
+    def test_repeated_negative_curve_is_input_error(self, verb, corpus, capsys,
+                                                    tmp_path):
+        model = load_json(corpus / "models/blown_up_plane_surface.json")
+        model["negative_curves"] = [0, 0]
+        (tmp_path / "model.json").write_text(canonical_dumps(model))
+        (tmp_path / "divisor.json").write_text(
+            canonical_dumps({"coeffs": ["1", "1"]}))
+        code, out, err = run(capsys, verb, "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "negative_curves" in err
+
     def test_oracle_compare(self, corpus, capsys):
         code, out, _ = run(capsys, "oracle-compare",
                            "--model", corpus / "models/plane.json",
@@ -283,6 +296,21 @@ class TestCheckVerb:
                            corpus / "instances/g2xg2.json")
         assert code == 2 and "unknown check" in err
 
+    @pytest.mark.parametrize("extra", ["name", "instance"])
+    def test_all_takes_no_check_name_or_instance(self, corpus, capsys, extra):
+        argv = (["thm1_3"] if extra == "name"
+                else ["--instance", corpus / "instances/g2xg2.json"])
+        code, out, err = run(capsys, "check", *argv, "--all",
+                             corpus / "instances")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: --all: ")
+
+    def test_check_name_or_all_is_required(self, corpus, capsys):
+        code, out, err = run(capsys, "check", "--instance",
+                             corpus / "instances/g2xg2.json")
+        assert code == 2 and out == ""
+        assert err == "input error: check: a check name or --all is required\n"
+
     def test_thm1_1_gates_non_psef_canonical_classes(self, capsys, tmp_path):
         # K_X on P1 x P1 -> P1: neither K_Y nor K_F is psef, so nu and the
         # flag stratum it picks are undefined; the check must gate on psef
@@ -324,6 +352,70 @@ class TestScalingSearchVerb:
                              f"--grid-step={step}")
         assert code == 2 and out == ""
         assert "grid step must be positive" in err
+
+    @pytest.mark.parametrize("option", ["--grid-step", "--bound"])
+    @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3"])
+    def test_malformed_rational_is_usage_error(self, corpus, capsys, option,
+                                               value):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "scaling-search", "--instance",
+                corpus / "instances/ex42.json", option, value)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert (f"argument {option}: invalid rational value: '{value}'"
+                in out.err)
+
+
+class TestOutOption:
+    """Every verb writes to --out exactly what it prints without it."""
+
+    VERBS = {
+        "body": ["body", "--model", "models/plane.json", "--divisor",
+                 "models/d2.json", "--flag", "models/std_flag.json"],
+        "limbody": ["limbody", "--model", "models/plane.json", "--divisor",
+                    "models/d2.json", "--flag", "models/std_flag.json"],
+        "zariski": ["zariski", "--model", "models/blown_up_plane_surface.json",
+                    "--divisor", "models/d_2h_plus_e.json"],
+        "vol": ["vol", "--model", "models/plane.json",
+                "--divisor", "models/d2.json"],
+        "dims": ["dims", "--model", "models/plane.json",
+                 "--divisor", "models/d2.json"],
+        "check": ["check", "thm1_3", "--instance",
+                  "instances/prod_line_line.json"],
+        "check-all": ["check", "--all", "instances"],
+        "scaling-search": ["scaling-search", "--instance",
+                           "instances/ex42.json", "--grid-step", "1/2",
+                           "--bound", "2"],
+        "oracle-compare": ["oracle-compare", "--model", "models/plane.json",
+                           "--divisor", "models/d2.json",
+                           "--flag", "models/std_flag.json", "--m", "3"],
+        "emit-plot": ["emit-plot", "--body", "body.json", "--format", "svg"],
+        "validate": ["validate", "--model", "models/plane.json"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_out_holds_stdout(self, corpus, capsys, tmp_path, verb):
+        (tmp_path / "body.json").write_text(canonical_dumps(
+            {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"]]}))
+        argv = [(tmp_path if a == "body.json" else corpus) / a
+                if a.endswith(".json") or a == "instances" else a
+                for a in self.VERBS[verb]]
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "report"
+        code_out, out_out, err_out = run(capsys, *argv, "--out", target)
+        assert (code_out, out_out) == (code, "") and out
+        assert target.read_text() == out
+        if verb != "emit-plot":  # its summary names the file it wrote
+            assert err_out == err
+
+    def test_unwritable_out_is_input_error(self, corpus, capsys, tmp_path):
+        code, out, err = run(capsys, "vol",
+                             "--model", corpus / "models/plane.json",
+                             "--divisor", corpus / "models/d2.json",
+                             "--out", tmp_path / "missing" / "report.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestInstanceShape:
@@ -559,6 +651,14 @@ class TestValidateVerb:
                              "--divisor", tmp_path / "divisor.json")
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and message in err
+
+    def test_flag_needs_a_model(self, corpus, capsys, tmp_path):
+        # the flag is read against its model, so it cannot be checked alone
+        code, out, err = run(capsys, "validate", "--divisor",
+                             corpus / "models/d2.json",
+                             "--flag", tmp_path / "missing.json")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: --flag: ")
 
     def test_float_rejected(self, capsys, tmp_path):
         bad = tmp_path / "div.json"

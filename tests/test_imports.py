@@ -1,7 +1,8 @@
 """No module of the package imports a name at module level that it never
-uses, no private helper is left without a caller, and no function declares
-a parameter that it never reads.  A name re-exported through `__all__`
-counts as used."""
+uses, no private helper is left without a caller, no function declares
+a parameter that it never reads, and every function is reached from
+`cli.main` or listed in NOT_REACHED with why it stays.  A name re-exported
+through `__all__` counts as used."""
 
 import ast
 from collections import Counter
@@ -156,3 +157,156 @@ def test_allowed_unread_parameters_are_still_declared():
     unread = {(p.stem, name, q) for p in sorted(SRC.glob("*.py"))
               for name, q in unread_parameters(p.read_text())}
     assert UNREAD_ALLOWED <= unread
+
+
+def definitions(tree):
+    """(qualified name, node) of each function defined at module level or
+    in a class body; a nested function is part of the function around it."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((f"{owner}.{node.name}" if owner else node.name,
+                              node))
+            elif isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+
+    visit(tree.body, None)
+    return found
+
+
+def _names(nodes):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached(sources, root=("cli", "main")):
+    """(module, qualified name) of each function in `sources` (module name
+    -> source) that no chain of references reaches from `root`.
+
+    A reference is any name or attribute read, matched by name against
+    every function and method of every module, so a method call reaches
+    the methods of that name on all classes.  The module-level code of each
+    module that importing the root's module runs (class bodies and default
+    values included) is reached, and so are dunder methods, which Python
+    calls implicitly."""
+    trees = {module: ast.parse(s) for module, s in sources.items()}
+    defs = {(module, q): node for module, tree in trees.items()
+            for q, node in definitions(tree)}
+    by_name = {}
+    for module, q in defs:
+        by_name.setdefault(q.rsplit(".", 1)[-1], set()).add((module, q))
+    imported, todo = set(), ["__init__", root[0]]
+    while todo:
+        module = todo.pop()
+        if module in imported or module not in trees:
+            continue
+        imported.add(module)
+        todo.extend(name for n in ast.walk(trees[module])
+                    if isinstance(n, ast.ImportFrom) and n.level == 1
+                    for name in ([n.module] if n.module
+                                 else [a.name for a in n.names]))
+    refs = set()
+    for module in imported:
+        inside = {id(n) for _, node in definitions(trees[module])
+                  for n in ast.walk(node)}
+        refs |= _names(n for n in ast.walk(trees[module])
+                       if id(n) not in inside)
+    reached = {root} | {(module, q) for module, q in defs if module in imported
+                        and q.rsplit(".", 1)[-1].startswith("__")
+                        and q.endswith("__")}
+    todo = list(reached) + [d for r in refs for d in by_name.get(r, ())]
+    while todo:
+        d = todo.pop()
+        reached.add(d)
+        todo.extend(e for r in _names(ast.walk(defs[d]))
+                    for e in by_name.get(r, ()) if e not in reached)
+    return set(defs) - reached
+
+
+def test_reachability_scanner():
+    sources = {
+        "cli": ("from . import lib\nfrom .extra import Box\n"
+                "def main():\n    def inner():\n        return lib.go(1)\n"
+                "    return inner()\n"
+                "def dead():\n    return lib.only_dead()\n"),
+        "lib": ("TABLE = {'t': tabled}\n"
+                "def go(x):\n    return x.size\n"
+                "def only_dead():\n    pass\n"
+                "def tabled():\n    pass\n"
+                "class A:\n    def size(self):\n        return 0\n"
+                "    def __eq__(self, other):\n        return helper()\n"
+                "def helper():\n    pass\n"),
+        "extra": ("class Box:\n    def size(self):\n        return 1\n"
+                  "    def unused(self):\n        pass\n"),
+        "tools": ("HOOK = [unused_elsewhere]\n"
+                  "def unused_elsewhere():\n    pass\n"),
+    }
+    assert unreached(sources) == {
+        ("cli", "dead"), ("lib", "only_dead"), ("extra", "Box.unused"),
+        ("tools", "unused_elsewhere")}
+
+
+# Functions that `cli.main` does not reach, by why each stays.
+NOT_REACHED = {
+    # perfbench/tracer.py wraps these (its BOUNDARIES), or only functions it
+    # wraps call them; they go once the benchmark stops naming them
+    "tracer": {
+        ("invariants", "CurveBackend.is_pvs"),
+        ("invariants", "SurfaceBackend.is_pvs"),
+        ("invariants", "ToricBackend.is_pvs"),
+        ("linalg", "det"),
+        ("lp", "_pivot"), ("lp", "_run"), ("lp", "max_cone_shift"),
+        ("lp", "max_over_ineqs"), ("lp", "nonneg_combination"),
+        ("lp", "recession_is_trivial"), ("lp", "simplex_max"),
+        ("polytope", "Polytope.from_halfspaces"),
+        ("polytope", "Polytope.slice_prefix_zero"),
+        ("polytope", "Polytope.to_hrep"),
+        ("toric", "sections"),
+    },
+    # perfbench/child.py calls these to build or check its workloads
+    "child": {
+        ("kernel", "active_lane"),
+        ("polytope", "HalfSpace.violation"),
+        ("polytope", "Polytope.translate"),
+        ("toric", "projective_line"),
+        ("toric", "projective_plane"),
+    },
+    # public API that the README names: embedding, flag valuations
+    "public": {
+        ("polytope", "Polytope.embed"),
+        ("toric", "flag_valuation"),
+    },
+    # used only by tests; the fixtures builders also by the corpus writer
+    "tests": {
+        ("fixtures", "_curve_product_instance"),
+        ("fixtures", "_toric_product_instance"),
+        ("fixtures", "blown_up_plane_lattice"),
+        ("fixtures", "ellxell"), ("fixtures", "ellxg2"),
+        ("fixtures", "ex41"), ("fixtures", "ex42"),
+        ("fixtures", "ex42_toric_surrogate"),
+        ("fixtures", "g2xell"), ("fixtures", "g2xg2"),
+        ("fixtures", "prod_line_line"), ("fixtures", "prod_line_line_rf0"),
+        ("fixtures", "prod_plane_line"), ("fixtures", "write_corpus"),
+        ("linalg", "vec_sub"),
+        ("toric", "ToricDivisor.scaled"),
+        ("toric", "blown_up_plane"),
+        ("toric", "hirzebruch"),
+    },
+}
+
+
+ALLOWED_UNREACHED = set().union(*NOT_REACHED.values())
+
+
+def _package_unreached():
+    return unreached({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+
+
+def test_every_function_is_reached_or_allowed():
+    assert sorted(_package_unreached() - ALLOWED_UNREACHED) == []
+
+
+def test_allowed_functions_are_still_unreached():
+    assert sorted(ALLOWED_UNREACHED - _package_unreached()) == []

@@ -57,6 +57,18 @@ class TestValidation:
                              negative_curves=(0,),
                              canonical_class=qvec([0, 0]))
 
+    @pytest.mark.parametrize("generators,curves", [
+        ((qvec([0, 1]),), (0, 0)),
+        ((qvec([0, 1]), qvec([0, 1])), (0, 1)),
+    ], ids=["same-index", "same-class"])
+    def test_negative_curve_listed_once(self, generators, curves):
+        # a repeated curve would make Zariski's support Gram singular
+        with pytest.raises(ValueError, match="negative_curves"):
+            S.SurfaceLattice(rank=2, gram=((1, 0), (0, -1)),
+                             effective_generators=generators,
+                             nef_generators=(), negative_curves=curves,
+                             canonical_class=qvec([0, 0]))
+
     def test_negative_curve_must_be_negative(self):
         with pytest.raises(ValueError, match="self-intersection"):
             S.SurfaceLattice(rank=2, gram=((1, 0), (0, -1)),
@@ -67,18 +79,18 @@ class TestValidation:
 
 class TestIntersection:
     def test_blown_up_plane(self):
-        assert S.intersect(BL, H, H) == 1
-        assert S.intersect(BL, H, E) == 0
-        assert S.intersect(BL, E, E) == -1
+        assert BL.pair(H, H) == 1
+        assert BL.pair(H, E) == 0
+        assert BL.pair(E, E) == -1
 
     def test_product_canonical(self):
         G = g2xg2_lattice()
         K = qvec([2, 2])
-        assert S.intersect(G, K, K) == 8
+        assert G.pair(K, K) == 8
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            S.intersect(BL, (1,), (1, 0))
+            BL.pair((1,), (1, 0))
 
     @pytest.mark.parametrize("call", [
         lambda D: BL.pair(D, H),
@@ -128,10 +140,9 @@ class TestZariski:
     def test_orthogonality(self):
         for cls in ([2, 1], [3, 2], [1, 1]):
             zp = S.zariski_decompose(BL, qvec(cls))
-            assert S.intersect(BL, zp.positive, zp.negative) == 0
+            assert BL.pair(zp.positive, zp.negative) == 0
             for i in zp.support:
-                assert S.intersect(BL, zp.positive,
-                                   BL.effective_generators[i]) == 0
+                assert BL.pair(zp.positive, BL.effective_generators[i]) == 0
 
     def test_permutation_invariance(self):
         # same lattice with negative curve listed after a reshuffle of the
