@@ -9,7 +9,8 @@ and one-line human summaries to stderr.  Numeric arguments (`--grid-step`,
 
 Exit codes: 0 = computed (checks: verdict holds/strict); 1 = a check
 verdict is "fails"; 2 = hypotheses not met, or malformed/inconsistent
-input (a missing or out-of-range flag, a malformed numeric argument and an
+input (a missing or out-of-range flag, a malformed numeric argument, a
+`scaling-search` grid of no step or of more than 64 steps per axis, and an
 unwritable `--out` included); 3 = internal error (an unexpected exception,
 reported as a one-line summary instead of a traceback).
 

@@ -579,6 +579,10 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
         notes=[f"kappa_vol superadditivity: {kv_x} >= {kv_y} + {kv_f}"])
 
 
+# the grid has (steps per axis)^3 triples: 64 steps is 262144 triples
+MAX_GRID_STEPS = 64
+
+
 def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
                    bound=Fraction(4)) -> dict:
     """Grid scan for dilation factors with
@@ -586,7 +590,8 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
 
     Reports every feasible positive triple on the grid and the minimal
     feasible alpha for beta = gamma = 1 (a bound on the grid, not an
-    optimum).
+    optimum).  The grid takes bound // grid_step steps per axis, which
+    must be 1 to MAX_GRID_STEPS.
 
     Certificate: the support function of beta * B x gamma * F at a is
     beta * h_B(a_B) + gamma * h_F(a_F), so the triple is feasible iff
@@ -600,11 +605,16 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     bound = frac(bound)
     if grid_step <= 0:
         raise ValueError(f"grid step must be positive, got {grid_step}")
+    steps = bound // grid_step
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise ValueError(f"bound {bound} over grid step {grid_step} gives "
+                         f"{steps} steps per axis; the grid takes 1 to "
+                         f"{MAX_GRID_STEPS}")
     lhs0 = fs.total_val_body(fs.D)
     base0 = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
     fiber0 = fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag)
     rows, _q = lhs0.support_rows(base0, fiber0)
-    grid = [(k, k * grid_step) for k in range(1, bound // grid_step + 1)]
+    grid = [(k, k * grid_step) for k in range(1, steps + 1)]
     feasible = [(al, be, ga)
                 for ka, al in grid for kb, be in grid for kg, ga in grid
                 if all(kb * hb + kg * hf <= ka * c for c, hb, hf in rows)]

@@ -29,10 +29,6 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
 

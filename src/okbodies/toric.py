@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import kernel
-from .linalg import clear_denominators, dot, frac, int_det, qvec, solve
+from .linalg import clear_denominators, dot, int_det, qvec, solve
 from .polytope import Polytope, _from_rows
 
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
@@ -98,10 +98,6 @@ class ToricDivisor:
             raise ValueError("divisors live on different models")
         return ToricDivisor(self.variety,
                             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scaled(self, c) -> "ToricDivisor":
-        c = frac(c)
-        return ToricDivisor(self.variety, tuple(c * a for a in self.coeffs))
 
 
 def divisor(X: ToricVariety, coeffs) -> ToricDivisor:

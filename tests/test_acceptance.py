@@ -8,9 +8,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from corpus import INSTANCE_NAMES, instance, model
 
 from okbodies import fiberspace as FS
-from okbodies import fixtures as FX
 from okbodies import surface as SF
 from okbodies import toric as T
 from okbodies.invariants import ToricBackend
@@ -46,7 +46,7 @@ TORIC_FIXTURES = [
     (P1x3, [0, 1, 0, 2, 0, 1], _flag(P1x3, (0, 2, 4))),
 ]
 
-BLS = FX.blown_up_plane_lattice()
+BLS = model("blown_up_plane_surface")
 
 # (lattice, class, flag curve) with big class
 SURFACE_FIXTURES = [
@@ -60,13 +60,13 @@ SURFACE_FIXTURES = [
 
 def _surface(entry):
     if entry == "g2xg2":
-        return FX.g2xg2().total
+        return instance("g2xg2").total
     if entry == "ex41":
-        return FX.ex41().total
+        return instance("ex41").total
     return entry
 
 
-INSTANCES = {name: builder() for name, builder in FX.ALL_INSTANCES.items()}
+INSTANCES = {name: instance(name) for name in INSTANCE_NAMES}
 
 
 def test_criterion_01_volume_identity():

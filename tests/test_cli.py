@@ -1,23 +1,16 @@
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from corpus import FIXTURES, INSTANCE_NAMES
 
-from okbodies import fixtures as FX
 from okbodies import fiberspace as fsmod
 from okbodies import toric
 from okbodies.cli import EXIT_INTERNAL, main
-from okbodies.ioformats import canonical_dumps, instance_from_obj, load_json
-
-REPO_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("corpus")
-    FX.write_corpus(root)
-    return root
+from okbodies.ioformats import (canonical_dumps, divisor_from_obj,
+                                flag_from_obj, instance_from_obj, load_json,
+                                model_from_obj)
+from okbodies.surface import SurfaceLattice
 
 
 def run(capsys, *argv):
@@ -27,38 +20,38 @@ def run(capsys, *argv):
 
 
 class TestComputeVerbs:
-    def test_body_plane_degree2(self, corpus, capsys):
+    def test_body_plane_degree2(self, capsys):
         code, out, err = run(capsys, "body",
-                             "--model", corpus / "models/plane.json",
-                             "--divisor", corpus / "models/d2.json",
-                             "--flag", corpus / "models/std_flag.json")
+                             "--model", FIXTURES / "models/plane.json",
+                             "--divisor", FIXTURES / "models/d2.json",
+                             "--flag", FIXTURES / "models/std_flag.json")
         assert code == 0
         body = json.loads(out)["body"]
         assert body["vertices"] == [["0", "0"], ["0", "2"], ["2", "0"]]
 
-    def test_zariski_and_vol(self, corpus, capsys):
+    def test_zariski_and_vol(self, capsys):
         code, out, _ = run(capsys, "zariski",
-                           "--model", corpus / "models/blown_up_plane_surface.json",
-                           "--divisor", corpus / "models/d_2h_plus_e.json")
+                           "--model", FIXTURES / "models/blown_up_plane_surface.json",
+                           "--divisor", FIXTURES / "models/d_2h_plus_e.json")
         assert code == 0
         rep = json.loads(out)
         assert rep["positive"] == ["2", "0"] and rep["negative"] == ["0", "1"]
         code, out, _ = run(capsys, "vol",
-                           "--model", corpus / "models/blown_up_plane_surface.json",
-                           "--divisor", corpus / "models/d_2h_plus_e.json")
+                           "--model", FIXTURES / "models/blown_up_plane_surface.json",
+                           "--divisor", FIXTURES / "models/d_2h_plus_e.json")
         assert code == 0 and json.loads(out)["volume"] == "4"
 
-    def test_dims(self, corpus, capsys):
+    def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims",
-                           "--model", corpus / "models/plane.json",
-                           "--divisor", corpus / "models/d2.json")
+                           "--model", FIXTURES / "models/plane.json",
+                           "--divisor", FIXTURES / "models/d2.json")
         assert code == 0
         assert json.loads(out)["kappa"] == 2
 
     @pytest.mark.parametrize("verb", ["limbody", "dims"])
-    def test_no_ample_option(self, corpus, capsys, verb):
+    def test_no_ample_option(self, capsys, verb):
         # no eps-limit depends on the ample class, so neither verb takes one
-        models = corpus / "models"
+        models = FIXTURES / "models"
         flag = (["--flag", models / "std_flag.json"] if verb == "limbody"
                 else [])
         with pytest.raises(SystemExit) as exc:
@@ -67,29 +60,29 @@ class TestComputeVerbs:
         assert exc.value.code == 2
         assert "unrecognized arguments: --ample" in capsys.readouterr().err
 
-    def test_limbody(self, corpus, capsys):
+    def test_limbody(self, capsys):
         code, out, _ = run(capsys, "limbody",
-                           "--model", corpus / "models/blown_up_plane_surface.json",
-                           "--divisor", corpus / "models/d_2h_plus_e.json",
+                           "--model", FIXTURES / "models/blown_up_plane_surface.json",
+                           "--divisor", FIXTURES / "models/d_2h_plus_e.json",
                            "--flag", "-")
         # '-' is not a file; expect a clean input error, not a traceback
         assert code == 2
 
     @pytest.mark.parametrize("verb", ["zariski", "vol"])
-    def test_class_of_wrong_length_is_input_error(self, verb, corpus, capsys,
+    def test_class_of_wrong_length_is_input_error(self, verb, capsys,
                                                   tmp_path):
         divisor = tmp_path / "divisor.json"
         divisor.write_text(json.dumps({"coeffs": ["2", "1", "1"]}))
         code, out, err = run(capsys, verb, "--model",
-                             corpus / "models/blown_up_plane_surface.json",
+                             FIXTURES / "models/blown_up_plane_surface.json",
                              "--divisor", divisor)
         assert code == 2 and out == ""
         assert err == "error: class vectors must have length rank\n"
 
     @pytest.mark.parametrize("verb", ["zariski", "vol", "dims"])
-    def test_repeated_negative_curve_is_input_error(self, verb, corpus, capsys,
+    def test_repeated_negative_curve_is_input_error(self, verb, capsys,
                                                     tmp_path):
-        model = load_json(corpus / "models/blown_up_plane_surface.json")
+        model = load_json(FIXTURES / "models/blown_up_plane_surface.json")
         model["negative_curves"] = [0, 0]
         (tmp_path / "model.json").write_text(canonical_dumps(model))
         (tmp_path / "divisor.json").write_text(
@@ -99,21 +92,21 @@ class TestComputeVerbs:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "negative_curves" in err
 
-    def test_oracle_compare(self, corpus, capsys):
+    def test_oracle_compare(self, capsys):
         code, out, _ = run(capsys, "oracle-compare",
-                           "--model", corpus / "models/plane.json",
-                           "--divisor", corpus / "models/d2.json",
-                           "--flag", corpus / "models/std_flag.json",
+                           "--model", FIXTURES / "models/plane.json",
+                           "--divisor", FIXTURES / "models/d2.json",
+                           "--flag", FIXTURES / "models/std_flag.json",
                            "--m", "7")
         assert code == 0
         rep = json.loads(out)
         assert rep["contained"] and rep["margin"] == "0"
 
-    def test_oracle_compare_rejects_level_zero(self, corpus, capsys):
+    def test_oracle_compare_rejects_level_zero(self, capsys):
         code, out, err = run(capsys, "oracle-compare",
-                             "--model", corpus / "models/plane.json",
-                             "--divisor", corpus / "models/d2.json",
-                             "--flag", corpus / "models/std_flag.json",
+                             "--model", FIXTURES / "models/plane.json",
+                             "--divisor", FIXTURES / "models/d2.json",
+                             "--flag", FIXTURES / "models/std_flag.json",
                              "--m", "0")
         assert code == 2 and out == ""
         assert err == "error: level must be >= 1\n"
@@ -162,7 +155,8 @@ class TestEpsLimitVerbs:
                                    "kappa_sigma": "undeclared"}
 
     def test_dims_of_tiny_surface_class(self, capsys, tmp_path):
-        self._write(tmp_path, model=FX.blown_up_plane_lattice().to_obj(),
+        model = load_json(FIXTURES / "models/blown_up_plane_surface.json")
+        self._write(tmp_path, model=model,
                     divisor={"coeffs": ["0", "1/" + str(10**100)]})
         code, out, err = run(capsys, "dims", "--model", tmp_path / "model.json",
                              "--divisor", tmp_path / "divisor.json")
@@ -170,7 +164,8 @@ class TestEpsLimitVerbs:
         assert json.loads(out)["nu_bdpp"] == 0
 
     def test_limbody_of_tiny_surface_class(self, capsys, tmp_path):
-        self._write(tmp_path, model=FX.blown_up_plane_lattice().to_obj(),
+        model = load_json(FIXTURES / "models/blown_up_plane_surface.json")
+        self._write(tmp_path, model=model,
                     divisor={"coeffs": ["0", "1/1000000"]},
                     flag={"curve": 0})
         code, out, err = run(capsys, "limbody",
@@ -193,10 +188,10 @@ class TestFlagInput:
 
     @pytest.mark.parametrize("verb", ["body", "limbody"])
     @pytest.mark.parametrize("kind", ["toric", "surface"])
-    def test_missing_flag_is_input_error(self, corpus, capsys, verb, kind):
+    def test_missing_flag_is_input_error(self, capsys, verb, kind):
         model, divisor = self.MODELS[kind]
-        code, out, err = run(capsys, verb, "--model", corpus / model,
-                             "--divisor", corpus / divisor)
+        code, out, err = run(capsys, verb, "--model", FIXTURES / model,
+                             "--divisor", FIXTURES / divisor)
         assert code == 2
         assert err.startswith("input error: ") and "--flag" in err
         assert out == ""
@@ -212,29 +207,29 @@ class TestFlagInput:
         assert json.loads(out)["body"]["vertices"] == [["0"], ["3"]]
 
     @pytest.mark.parametrize("index", [99, 2, -1])
-    def test_surface_flag_out_of_range(self, corpus, capsys, tmp_path, index):
+    def test_surface_flag_out_of_range(self, capsys, tmp_path, index):
         model, divisor = self.MODELS["surface"]
         flag = tmp_path / "flag.json"
         flag.write_text(canonical_dumps({"curve": index}))
-        code, out, err = run(capsys, "body", "--model", corpus / model,
-                             "--divisor", corpus / divisor, "--flag", flag)
+        code, out, err = run(capsys, "body", "--model", FIXTURES / model,
+                             "--divisor", FIXTURES / divisor, "--flag", flag)
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "out of range" in err
-        code, _, err = run(capsys, "validate", "--model", corpus / model,
+        code, _, err = run(capsys, "validate", "--model", FIXTURES / model,
                            "--flag", flag)
         assert code == 2 and "out of range" in err
 
-    def test_surface_flag_in_range(self, corpus, capsys):
+    def test_surface_flag_in_range(self, capsys):
         model, divisor = self.MODELS["surface"]
-        code, _, err = run(capsys, "body", "--model", corpus / model,
-                           "--divisor", corpus / divisor,
-                           "--flag", corpus / "models/curve_flag.json")
+        code, _, err = run(capsys, "body", "--model", FIXTURES / model,
+                           "--divisor", FIXTURES / divisor,
+                           "--flag", FIXTURES / "models/curve_flag.json")
         assert code == 0, err
 
     @pytest.mark.parametrize("index", [2, -1])
-    def test_surface_total_flag_out_of_range(self, corpus, capsys, tmp_path,
+    def test_surface_total_flag_out_of_range(self, capsys, tmp_path,
                                              index):
-        obj = load_json(corpus / "instances/ex41.json")
+        obj = load_json(FIXTURES / "instances/ex41.json")
         obj["total_flag"] = index
         bad = tmp_path / "instance.json"
         bad.write_text(canonical_dumps(obj))
@@ -245,7 +240,7 @@ class TestFlagInput:
 
 
 class TestCheckVerb:
-    def test_exit_codes(self, corpus, capsys):
+    def test_exit_codes(self, capsys):
         cases = [
             ("thm1_3", "prod_line_line", 0),
             ("cor3_5", "prod_line_line", 0),
@@ -258,26 +253,26 @@ class TestCheckVerb:
         ]
         for check, inst, expected in cases:
             code, out, err = run(capsys, "check", check, "--instance",
-                                 corpus / f"instances/{inst}.json")
+                                 FIXTURES / f"instances/{inst}.json")
             assert code == expected, (check, inst, err)
 
-    def test_report_fields(self, corpus, capsys):
+    def test_report_fields(self, capsys):
         code, out, _ = run(capsys, "check", "thm1_3", "--instance",
-                           corpus / "instances/prod_line_line.json")
+                           FIXTURES / "instances/prod_line_line.json")
         rep = json.loads(out)
         assert rep["verdict"] == "strict" and rep["margin"] == "0"
         assert rep["lhs"]["vertices"] and rep["rhs"]["vertices"]
         assert rep["digest"]
 
-    def test_check_all(self, corpus, capsys):
-        code, out, err = run(capsys, "check", "--all", corpus / "instances")
+    def test_check_all(self, capsys):
+        code, out, err = run(capsys, "check", "--all", FIXTURES / "instances")
         assert code == 0  # no verdict is "fails" on the shipped corpus
         reports = json.loads(out)
-        assert len(reports) == 6 * len(FX.ALL_INSTANCES)
+        assert len(reports) == 6 * len(INSTANCE_NAMES)
         assert all(r["verdict"] in ("holds", "strict", "hypotheses-not-met")
                    for r in reports)
 
-    def test_unexpected_exception_is_internal_error(self, corpus, capsys,
+    def test_unexpected_exception_is_internal_error(self, capsys,
                                                     monkeypatch):
         # an unexpected exception must not exit 1, the code of a "fails"
         # verdict, nor end in a traceback
@@ -286,35 +281,35 @@ class TestCheckVerb:
 
         monkeypatch.setitem(fsmod.ALL_CHECKS, "thm1_3", broken)
         code, out, err = run(capsys, "check", "thm1_3", "--instance",
-                             corpus / "instances/prod_line_line.json")
+                             FIXTURES / "instances/prod_line_line.json")
         assert code == EXIT_INTERNAL == 3
         assert err == "internal error: RuntimeError: boom\n"
         assert out == ""
 
-    def test_unknown_check(self, corpus, capsys):
+    def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "check", "thm9_9", "--instance",
-                           corpus / "instances/g2xg2.json")
+                           FIXTURES / "instances/g2xg2.json")
         assert code == 2 and "unknown check" in err
 
     @pytest.mark.parametrize("extra", ["name", "instance"])
-    def test_all_takes_no_check_name_or_instance(self, corpus, capsys, extra):
+    def test_all_takes_no_check_name_or_instance(self, capsys, extra):
         argv = (["thm1_3"] if extra == "name"
-                else ["--instance", corpus / "instances/g2xg2.json"])
+                else ["--instance", FIXTURES / "instances/g2xg2.json"])
         code, out, err = run(capsys, "check", *argv, "--all",
-                             corpus / "instances")
+                             FIXTURES / "instances")
         assert code == 2 and out == ""
         assert err.startswith("input error: --all: ")
 
-    def test_check_name_or_all_is_required(self, corpus, capsys):
+    def test_check_name_or_all_is_required(self, capsys):
         code, out, err = run(capsys, "check", "--instance",
-                             corpus / "instances/g2xg2.json")
+                             FIXTURES / "instances/g2xg2.json")
         assert code == 2 and out == ""
         assert err == "input error: check: a check name or --all is required\n"
 
     def test_thm1_1_gates_non_psef_canonical_classes(self, capsys, tmp_path):
         # K_X on P1 x P1 -> P1: neither K_Y nor K_F is psef, so nu and the
         # flag stratum it picks are undefined; the check must gate on psef
-        obj = load_json(REPO_FIXTURES / "instances/prod_line_line.json")
+        obj = load_json(FIXTURES / "instances/prod_line_line.json")
         obj["decomposition"] = {"D": ["-1"] * 4, "D_Y": ["-1"] * 2,
                                 "R": ["0", "0", "-1", "-1"]}
         path = tmp_path / "canonical.json"
@@ -328,9 +323,9 @@ class TestCheckVerb:
 
 
 class TestScalingSearchVerb:
-    def test_ex42(self, corpus, capsys):
+    def test_ex42(self, capsys):
         code, out, _ = run(capsys, "scaling-search", "--instance",
-                           corpus / "instances/ex42.json",
+                           FIXTURES / "instances/ex42.json",
                            "--grid-step", "1/2", "--bound", "2")
         assert code == 0
         rep = json.loads(out)
@@ -338,28 +333,53 @@ class TestScalingSearchVerb:
         assert ["2", "1", "1"] in rep["feasible"]
         assert ["1", "1", "1"] not in rep["feasible"]
 
-
-    @pytest.mark.parametrize("step", ["0", "-1/4"])
-    def test_nonpositive_step_is_input_error(self, corpus, capsys,
-                                             monkeypatch, step):
+    @staticmethod
+    def _rejected(capsys, monkeypatch, *argv):
+        """Run scaling-search on ex42; it must exit 2 with no output and
+        without computing a body.  Returns stderr."""
         def no_body(self, cls):
-            raise AssertionError("body computed for a bad grid step")
+            raise AssertionError("body computed for a bad grid")
 
         monkeypatch.setattr(fsmod.FiberSpaceInstance, "total_val_body",
                             no_body)
         code, out, err = run(capsys, "scaling-search", "--instance",
-                             corpus / "instances/ex42.json",
-                             f"--grid-step={step}")
+                             FIXTURES / "instances/ex42.json", *argv)
         assert code == 2 and out == ""
+        return err
+
+    @pytest.mark.parametrize("step", ["0", "-1/4"])
+    def test_nonpositive_step_is_input_error(self, capsys,
+                                             monkeypatch, step):
+        err = self._rejected(capsys, monkeypatch, f"--grid-step={step}")
         assert "grid step must be positive" in err
+
+    @pytest.mark.parametrize("argv,steps", [
+        (["--bound", "0"], 0), (["--bound", "-1"], -4),
+        (["--bound", "1/8"], 0), (["--grid-step", "1/32"], 128),
+        (["--grid-step", "1/1000"], 4000)])
+    def test_grid_out_of_range_is_input_error(self, capsys, monkeypatch,
+                                              argv, steps):
+        # an empty grid would read as a search result, and nothing else
+        # bounds the (bound/step)^3 triples
+        err = self._rejected(capsys, monkeypatch, *argv)
+        assert f"gives {steps} steps per axis; the grid takes 1 to 64" in err
+
+    @pytest.mark.parametrize("argv,count", [
+        (["--grid-step", "1/16"], 65536), (["--bound", "1/4"], 0)])
+    def test_grid_in_range(self, capsys, argv, count):
+        # the largest grid, 64 steps per axis, and the one-step grid
+        # {(1/4, 1/4, 1/4)}
+        code, out, _ = run(capsys, "scaling-search", "--instance",
+                           FIXTURES / "instances/ex42.json", *argv)
+        assert code == 0 and len(json.loads(out)["feasible"]) == count
 
     @pytest.mark.parametrize("option", ["--grid-step", "--bound"])
     @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3"])
-    def test_malformed_rational_is_usage_error(self, corpus, capsys, option,
+    def test_malformed_rational_is_usage_error(self, capsys, option,
                                                value):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "scaling-search", "--instance",
-                corpus / "instances/ex42.json", option, value)
+                FIXTURES / "instances/ex42.json", option, value)
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -395,10 +415,10 @@ class TestOutOption:
     }
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
-    def test_out_holds_stdout(self, corpus, capsys, tmp_path, verb):
+    def test_out_holds_stdout(self, capsys, tmp_path, verb):
         (tmp_path / "body.json").write_text(canonical_dumps(
             {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "0"]]}))
-        argv = [(tmp_path if a == "body.json" else corpus) / a
+        argv = [(tmp_path if a == "body.json" else FIXTURES) / a
                 if a.endswith(".json") or a == "instances" else a
                 for a in self.VERBS[verb]]
         code, out, err = run(capsys, *argv)
@@ -409,10 +429,10 @@ class TestOutOption:
         if verb != "emit-plot":  # its summary names the file it wrote
             assert err_out == err
 
-    def test_unwritable_out_is_input_error(self, corpus, capsys, tmp_path):
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "vol",
-                             "--model", corpus / "models/plane.json",
-                             "--divisor", corpus / "models/d2.json",
+                             "--model", FIXTURES / "models/plane.json",
+                             "--divisor", FIXTURES / "models/d2.json",
                              "--out", tmp_path / "missing" / "report.json")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
@@ -428,7 +448,7 @@ class TestInstanceShape:
 
     @pytest.mark.parametrize("part", ["base", "fiber"])
     def test_toric_total_over_curve(self, capsys, tmp_path, part):
-        obj = FX.prod_line_line().to_obj()
+        obj = load_json(FIXTURES / "instances/prod_line_line.json")
         obj[part] = {"kind": "curve", "genus": 0}
         path = self._write(tmp_path, obj)
         code, _, err = run(capsys, "validate", "--instance", path)
@@ -438,7 +458,7 @@ class TestInstanceShape:
     def test_surface_total_over_toric_line(self, capsys, tmp_path):
         # the pullback column and the restriction row name classes of a
         # curve, whose class group has rank 1
-        obj = FX.ex41().to_obj()
+        obj = load_json(FIXTURES / "instances/ex41.json")
         obj["base"] = toric.projective_line().to_obj()
         obj["flags"]["base"] = {"cone": 0, "ray_order": [0]}
         path = self._write(tmp_path, obj)
@@ -511,7 +531,7 @@ class TestInstanceShape:
              "from the models, [[\"2\", \"0\"]]")]])
     def test_malformed_field_is_input_error(self, capsys, tmp_path, argv,
                                             name, where, value, message):
-        path = REPO_FIXTURES / "instances" / f"{name}.json"
+        path = FIXTURES / "instances" / f"{name}.json"
         obj = json.loads(path.read_text())
         *parents, key = where.split(".")
         target = obj
@@ -552,9 +572,9 @@ class TestDerivedFields:
             for new, where in walk(obj[field], field):
                 yield {**obj, field: new}, where
 
-    @pytest.mark.parametrize("name", sorted(FX.ALL_INSTANCES))
+    @pytest.mark.parametrize("name", INSTANCE_NAMES)
     def test_one_entry_off_is_input_error(self, capsys, tmp_path, name):
-        obj = load_json(REPO_FIXTURES / f"instances/{name}.json")
+        obj = load_json(FIXTURES / f"instances/{name}.json")
         path = tmp_path / "instance.json"
         wrong = []
         for count, (bad, where) in enumerate(self._perturbed(obj), 1):
@@ -571,12 +591,12 @@ class TestDerivedFields:
 
 
 class TestPlots:
-    def test_csv_and_svg(self, corpus, capsys, tmp_path):
+    def test_csv_and_svg(self, capsys, tmp_path):
         body_file = tmp_path / "body.json"
         code, out, _ = run(capsys, "body",
-                           "--model", corpus / "models/plane.json",
-                           "--divisor", corpus / "models/d2.json",
-                           "--flag", corpus / "models/std_flag.json",
+                           "--model", FIXTURES / "models/plane.json",
+                           "--divisor", FIXTURES / "models/d2.json",
+                           "--flag", FIXTURES / "models/std_flag.json",
                            "--out", body_file)
         assert code == 0
         code, out, _ = run(capsys, "emit-plot", "--body", body_file,
@@ -616,9 +636,9 @@ class TestPlots:
 
 
 class TestValidateVerb:
-    def test_ok(self, corpus, capsys):
+    def test_ok(self, capsys):
         code, _, err = run(capsys, "validate",
-                           "--instance", corpus / "instances/ex41.json")
+                           "--instance", FIXTURES / "instances/ex41.json")
         assert code == 0
 
     def test_malformed_json(self, capsys, tmp_path):
@@ -652,10 +672,10 @@ class TestValidateVerb:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and message in err
 
-    def test_flag_needs_a_model(self, corpus, capsys, tmp_path):
+    def test_flag_needs_a_model(self, capsys, tmp_path):
         # the flag is read against its model, so it cannot be checked alone
         code, out, err = run(capsys, "validate", "--divisor",
-                             corpus / "models/d2.json",
+                             FIXTURES / "models/d2.json",
                              "--flag", tmp_path / "missing.json")
         assert code == 2 and out == ""
         assert err.startswith("input error: --flag: ")
@@ -668,24 +688,39 @@ class TestValidateVerb:
 
 
 class TestCorpusOnDisk:
-    """The committed fixture corpus must match the builders byte for byte."""
-
-    def test_tree_matches_write_corpus(self, tmp_path):
-        FX.write_corpus(tmp_path)
-
-        def tree(root):
-            return {p.relative_to(root).as_posix(): p.read_text()
-                    for p in sorted(root.rglob("*")) if p.is_file()}
-
-        assert tree(REPO_FIXTURES) == tree(tmp_path)
-
-    def test_instances_match_builders(self):
-        for name, builder in FX.ALL_INSTANCES.items():
-            path = REPO_FIXTURES / "instances" / f"{name}.json"
-            assert path.read_text() == canonical_dumps(builder().to_obj())
+    """Each committed fixture file parses and re-serialises byte for byte."""
 
     def test_instances_parse_and_roundtrip(self):
-        for path in sorted((REPO_FIXTURES / "instances").glob("*.json")):
+        for path in sorted((FIXTURES / "instances").glob("*.json")):
             obj = load_json(str(path))
             fs = instance_from_obj(obj, str(path))
             assert canonical_dumps(fs.to_obj()) == path.read_text()
+
+    # each model file with the divisor and the flag read against it
+    MODEL_FILES = {"plane": ("d2", "std_flag"),
+                   "blown_up_plane_surface": ("d_2h_plus_e", "curve_flag")}
+
+    def test_model_files_are_pinned(self):
+        names = {p.stem for p in (FIXTURES / "models").glob("*.json")}
+        assert names == {name for key, value in self.MODEL_FILES.items()
+                         for name in (key, *value)}
+
+    @pytest.mark.parametrize("name", sorted(MODEL_FILES))
+    def test_models_parse_and_roundtrip(self, name):
+        def read(stem):
+            path = FIXTURES / "models" / f"{stem}.json"
+            return load_json(str(path)), path.read_text()
+
+        divisor_name, flag_name = self.MODEL_FILES[name]
+        obj, text = read(name)
+        model = model_from_obj(obj, name)
+        assert canonical_dumps(model.to_obj()) == text
+        obj, text = read(divisor_name)
+        coeffs = divisor_from_obj(obj)
+        assert len(coeffs) == (model.rank if isinstance(model, SurfaceLattice)
+                               else len(model.rays))
+        assert canonical_dumps({"coeffs": [str(c) for c in coeffs]}) == text
+        obj, text = read(flag_name)
+        flag = flag_from_obj(obj, model)
+        assert canonical_dumps({"curve": flag} if isinstance(flag, int)
+                               else flag.to_obj()) == text

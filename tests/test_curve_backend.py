@@ -9,9 +9,9 @@ module, and the model-type branches of the fiber-space harness.
 from fractions import Fraction as F
 
 import pytest
+from corpus import INSTANCE_NAMES, instance
 
 from okbodies import fiberspace as FS
-from okbodies import fixtures as FX
 from okbodies import invariants as I
 from okbodies import toric as T
 from okbodies.curve import CurveModel
@@ -240,9 +240,9 @@ def _old_stratum(backend, flag, dim):
     return dim
 
 
-@pytest.mark.parametrize("name", sorted(FX.ALL_INSTANCES))
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
 def test_canonical_classes_and_strata_match_model_branches(name):
-    fs = FX.ALL_INSTANCES[name]()
+    fs = instance(name)
     old = _old_canonical_classes(fs)
     assert FS._canonical_classes(fs) == old
     assert (fs.total_backend.canonical_class(),

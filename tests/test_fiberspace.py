@@ -1,23 +1,23 @@
 from fractions import Fraction as F
 
 import pytest
+from corpus import INSTANCE_NAMES, instance
 from exact_strategies import fractions_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import fiberspace as FS
-from okbodies import fixtures as FX
 from okbodies import polytope
 from okbodies import toric as T
 from okbodies.ioformats import canonical_dumps
 from okbodies.polytope import Polytope, hull
 
-INSTANCES = {name: builder() for name, builder in FX.ALL_INSTANCES.items()}
+INSTANCES = {name: instance(name) for name in INSTANCE_NAMES}
 
 
 class TestInstanceValidation:
     def test_decomposition_identity_enforced(self):
-        fs = FX.g2xg2()
+        fs = instance("g2xg2")
         with pytest.raises(ValueError, match="class group"):
             FS.FiberSpaceInstance(
                 name="broken", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -27,7 +27,7 @@ class TestInstanceValidation:
 
     def test_toric_principal_difference_allowed(self):
         # shifting D by a principal class keeps the identity in the class group
-        fs = FX.prod_line_line()
+        fs = instance("prod_line_line")
         shifted = tuple(d + s for d, s in zip(fs.D, (1, -1, 0, 0)))
         FS.FiberSpaceInstance(
             name="shifted", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -37,7 +37,7 @@ class TestInstanceValidation:
 
     def test_restriction_pullback_vanishes(self):
         # restriction o pullback is F.F: (1, 0) has square 4 on ex41
-        fs = FX.ex41()
+        fs = instance("ex41")
         with pytest.raises(ValueError, match=r"F\.F = 0"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -46,7 +46,7 @@ class TestInstanceValidation:
 
     def test_flag_curve_must_be_fiber_class(self):
         # 2F has square 0 but is no effective generator, so no flag curve
-        fs = FX.ex42()
+        fs = instance("ex42")
         with pytest.raises(ValueError, match="effective generator"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -54,7 +54,7 @@ class TestInstanceValidation:
                 hypotheses=fs.hypotheses, flag=fs.flag)
 
     def test_total_flag_is_not_an_argument(self):
-        fs = FX.ex42()
+        fs = instance("ex42")
         with pytest.raises(TypeError, match="total_flag"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -62,7 +62,7 @@ class TestInstanceValidation:
                 hypotheses=fs.hypotheses, flag=fs.flag, total_flag=0)
 
     def test_surface_needs_pullback(self):
-        fs = FX.ex42()
+        fs = instance("ex42")
         with pytest.raises(ValueError, match="needs the pullback"):
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
@@ -154,7 +154,7 @@ class TestVerdicts:
 
     def test_never_holds_when_hypothesis_fails(self):
         # flipping the weak-positivity declaration gates every affected check
-        fs = FX.prod_line_line()
+        fs = instance("prod_line_line")
         fs.hypotheses = dict(fs.hypotheses, weakly_positive=False)
         for check in (FS.check_thm_1_3, FS.check_cor_3_5, FS.check_lemma_3_1):
             rep = check(fs)
@@ -351,24 +351,26 @@ def test_report_margin_is_worst_violation(base, verdict, margin):
 
 class TestDeterminism:
     def test_reports_byte_identical(self):
-        a = canonical_dumps(FS.check_thm_1_3(FX.prod_line_line()).to_obj())
-        b = canonical_dumps(FS.check_thm_1_3(FX.prod_line_line()).to_obj())
+        a = canonical_dumps(
+            FS.check_thm_1_3(instance("prod_line_line")).to_obj())
+        b = canonical_dumps(
+            FS.check_thm_1_3(instance("prod_line_line")).to_obj())
         assert a == b
 
     def test_digest_stable_across_builds(self):
-        assert FX.ex41().digest() == FX.ex41().digest()
+        assert instance("ex41").digest() == instance("ex41").digest()
 
 
 class TestExample42Reproduction:
     def test_bodies(self):
-        fs = FX.example_4_2_fixture()
+        fs = instance("ex42")
         val = fs.total_val_body(fs.D)
         lim = fs.total_lim_body(fs.D)
         assert val == hull([(0, 0), (0, 1)])
         assert lim == hull([(0, 0), (0, 2)])
 
     def test_reverse_strict_inclusion(self):
-        fs = FX.example_4_2_fixture()
+        fs = instance("ex42")
         val = fs.total_val_body(fs.D)
         rhs = fs.base_backend.body_val(fs.D_Y, None).product(
             fs.fiber_backend.body_val(fs.R_fiber, None))

@@ -278,19 +278,8 @@ NOT_REACHED = {
         ("polytope", "Polytope.embed"),
         ("toric", "flag_valuation"),
     },
-    # used only by tests; the fixtures builders also by the corpus writer
+    # used only by tests
     "tests": {
-        ("fixtures", "_curve_product_instance"),
-        ("fixtures", "_toric_product_instance"),
-        ("fixtures", "blown_up_plane_lattice"),
-        ("fixtures", "ellxell"), ("fixtures", "ellxg2"),
-        ("fixtures", "ex41"), ("fixtures", "ex42"),
-        ("fixtures", "ex42_toric_surrogate"),
-        ("fixtures", "g2xell"), ("fixtures", "g2xg2"),
-        ("fixtures", "prod_line_line"), ("fixtures", "prod_line_line_rf0"),
-        ("fixtures", "prod_plane_line"), ("fixtures", "write_corpus"),
-        ("linalg", "vec_sub"),
-        ("toric", "ToricDivisor.scaled"),
         ("toric", "blown_up_plane"),
         ("toric", "hirzebruch"),
     },

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from corpus import model
 from exact_strategies import fractions_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from okbodies import invariants as I
 from okbodies import toric as T
 from okbodies.curve import CurveModel
-from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import dot, qvec, solve
 from okbodies.polytope import HalfSpace
 from okbodies.surface import SurfaceLattice
@@ -19,6 +19,7 @@ from okbodies.toric import NEG_INF
 P1 = T.projective_line()
 P2 = T.projective_plane()
 STD = T.ToricFlag(0, (0, 1))
+BL = model("blown_up_plane_surface")
 
 
 class TestDimsReport:
@@ -74,7 +75,7 @@ class TestNuViaBody:
     """The limiting body has dimension nu."""
 
     def test_big_is_ambient(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.body_lim([2, 1], 0).dim() == sb.dims([2, 1]).nu_bdpp == 2
 
     def test_fiber_class_segment(self):
@@ -82,13 +83,13 @@ class TestNuViaBody:
         assert sb.body_lim([1, 0], 0).dim() == sb.dims([1, 0]).nu_bdpp == 1
 
     def test_rigid_point(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.body_lim([0, 1], 0).dim() == sb.dims([0, 1]).nu_bdpp == 0
 
 
 class TestRestrictedVolumePlus:
     def test_big_surface_is_volume(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.restricted_volume_plus([2, 1], sb.stratum(0, 2)) == 4
 
     def test_canonical_along_fiber(self):
@@ -96,7 +97,7 @@ class TestRestrictedVolumePlus:
         assert sb.restricted_volume_plus([2, 2], sb.stratum(0, 1)) == 2
 
     def test_rigid_along_surface_is_zero(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.restricted_volume_plus([0, 1], sb.stratum(0, 2)) == 0
 
     def test_via_body_matches_toric_direct(self):
@@ -133,7 +134,7 @@ class TestNakayama:
         assert tb.nakayama([0, 2, 0, 0], (0,))[0] == "false"
 
     def test_surface_bounded_verdict(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.nakayama([2, 1], sb.stratum(0, 2))[0] == "certified"
         assert sb.nakayama([2, 1], sb.stratum(0, 1))[0] == "checked_up_to"
 
@@ -167,7 +168,7 @@ class TestPositiveVolumeSubvariety:
         # positive volume subvariety; the stratum must name it
         from okbodies import fiberspace as FS
 
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert sb.is_pvs([1, -1], sb.stratum(0, 1))
         assert FS._flag_has_pvs(sb, [1, -1], 0, sb.dims([1, -1]).nu_bdpp)
 
@@ -185,14 +186,14 @@ class TestBackendAgreement:
         blt = T.blown_up_plane()
         flag = T.ToricFlag(0, (3, 0))  # E first, then a line through the point
         tb = I.ToricBackend(blt)
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert tb.body_val(toric_coeffs, flag) == sb.body_val(cls, 0)
 
     @pytest.mark.parametrize("toric_coeffs,cls", CASES)
     def test_volumes_coincide(self, toric_coeffs, cls):
         blt = T.blown_up_plane()
         tb = I.ToricBackend(blt)
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         assert tb.volume(toric_coeffs) == sb.volume(cls)
 
 
@@ -204,7 +205,7 @@ class TestHomogeneity:
             assert tb.body_val([0, 0, c], STD) == body.scale(c)
 
     def test_surface(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         body = sb.body_val([2, 1], 0)
         for c in (2, 3, F(1, 2)):
             scaled = sb.body_val([2 * F(c), F(c)], 0)
@@ -231,7 +232,7 @@ class TestDimsBackends:
         assert tb.dims([0, 0, 1, 0, 0]).nu_bdpp == 2
 
     def test_surface_undeclared_kappa(self):
-        sb = I.SurfaceBackend(blown_up_plane_lattice())
+        sb = I.SurfaceBackend(BL)
         rep = sb.dims([2, 1])
         assert rep.kappa is None and rep.nu_bdpp == 2
 

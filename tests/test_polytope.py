@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from okbodies import lp, polytope, toric
 from okbodies.ioformats import body_from_obj
-from okbodies.linalg import (dot, nullspace, primitive_int_vector, qvec,
-                             solve, vec_sub)
+from okbodies.linalg import dot, nullspace, primitive_int_vector, qvec, solve
 from okbodies.lp import recession_is_trivial
 from okbodies.polytope import HalfSpace, Polytope, hull
 
@@ -405,7 +404,7 @@ def _old_affine_frame(pts):
     for p in pts[1:]:
         if len(basis) == n:
             break
-        v = list(vec_sub(p, p0))
+        v = [x - y for x, y in zip(p, p0)]
         w = list(v)
         for row, piv in echelon:
             if w[piv] != 0:
@@ -457,7 +456,7 @@ def _old_hrep(verts):
                     HalfSpace(tuple(-x for x in w), -dot(w, p0))]
     if d > 0:
         if d == n:
-            coords = [vec_sub(p, p0) for p in verts]
+            coords = [tuple(x - y for x, y in zip(p, p0)) for p in verts]
             mrows = [tuple(F(int(j == i)) for j in range(n)) for i in range(n)]
         else:
             coords = _old_coords_map(verts, basis, pivcols)
@@ -768,7 +767,7 @@ def _frac_frame(pts):
     for p in pts[1:]:
         if len(echelon) == n:
             break
-        w = list(vec_sub(p, p0))
+        w = [x - y for x, y in zip(p, p0)]
         for row, piv in echelon:
             if w[piv] != 0:
                 f = w[piv]

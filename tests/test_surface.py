@@ -2,17 +2,17 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from corpus import model
 from exact_strategies import fractions_in
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okbodies import lp
 from okbodies import surface as S
-from okbodies.fixtures import blown_up_plane_lattice
 from okbodies.linalg import qvec, signature, solve
 from okbodies.polytope import Polytope, hull
 
-BL = blown_up_plane_lattice()
+BL = model("blown_up_plane_surface")
 H = qvec([1, 0])
 E = qvec([0, 1])
 A_BL = qvec([2, -1])  # 2H - E, ample

@@ -394,7 +394,8 @@ class TestInvariants:
         D = d(P2, [0, 0, 1])
         body = T.okounkov_body_toric(P2, D, STD_FLAG)
         for c in (2, 3, F(1, 2)):
-            scaled = T.okounkov_body_toric(P2, D.scaled(c), STD_FLAG)
+            scaled = T.okounkov_body_toric(
+                P2, d(P2, [c * a for a in D.coeffs]), STD_FLAG)
             assert scaled == body.scale(c)
 
 
