@@ -6,10 +6,14 @@ hypotheses (weak positivity, isotriviality) that are deep theorems outside
 numerical reach.  The pullback and restriction maps on divisor classes and
 the fiber-type flag on X (base strata first, then fiber strata) are derived
 from the models: coordinate maps on a toric product, and on a surface over a
-curve the pairing with the fiber class F, whose curve is the flag's.  The
-checks verify everything that is decidable from the models, compute the
-three bodies for that flag, and report machine-readable verdicts; every
-model-specific rule (canonical classes, flag strata) is a backend's.
+curve the pairing with the fiber class F, whose curve is the flag's.  R|_F
+and the digest are derived once, after validation, and the instance is not
+changed after that.  The checks verify everything that is decidable from
+the models, compute the three bodies for that flag, and report
+machine-readable verdicts on one path: each check evaluates all of its
+(label, ok) hypotheses, `_gated` turns any failures into the gated report,
+and `_report` builds every report.  Every model-specific rule (canonical
+classes, flag strata) is a backend's.
 
 Each body check compares the total-space body with the product
 Delta_Y(D_Y) x Delta_F(R|_F) (`Polytope.product`): its vertices are the
@@ -93,6 +97,9 @@ class FiberSpaceInstance:
     ample: dict = field(default_factory=dict)
     # derived: ToricFlag, or the flag-curve index for surfaces
     total_flag: object = field(init=False)
+    # derived after `_validate`: R|_F, and 16 hex digits of sha256(to_obj)
+    R_fiber: tuple = field(init=False)
+    digest: str = field(init=False)
 
     def __post_init__(self):
         self.D = qvec(self.D)
@@ -102,18 +109,14 @@ class FiberSpaceInstance:
         self.base_backend = backend_for(self.base)
         self.fiber_backend = backend_for(self.fiber)
         self._validate()
+        self.R_fiber = mat_vec(self.restriction, self.R)
+        blob = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        self.digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     # -- structure ----------------------------------------------------------
 
     def pull(self, base_cls):
         return mat_vec(self.pullback, qvec(base_cls))
-
-    def restrict(self, total_cls):
-        return mat_vec(self.restriction, qvec(total_cls))
-
-    @property
-    def R_fiber(self):
-        return self.restrict(self.R)
 
     def _validate(self):
         total, base, fiber = (self.total_backend, self.base_backend,
@@ -126,8 +129,10 @@ class FiberSpaceInstance:
             raise ValueError(f"a {total.kind} total space needs a {part} base "
                              f"and a {part} fiber")
         nx, ny, nf = (len(b.canonical_class()) for b in (total, base, fiber))
-        for name, cls, n in (("D", self.D, nx), ("R", self.R, nx),
-                             ("D_Y", self.D_Y, ny)):
+        classes = [("D", self.D, nx), ("R", self.R, nx), ("D_Y", self.D_Y, ny)]
+        classes += [(f"ample.{key}", self.ample[key], n) for key, n in
+                    (("A", nx), ("A_Y", ny)) if key in self.ample]
+        for name, cls, n in classes:
             if len(cls) != n:
                 raise ValueError(f"{name} has {len(cls)} coefficients, "
                                  f"not {n}")
@@ -186,14 +191,10 @@ class FiberSpaceInstance:
     def total_lim_body(self, cls) -> Polytope:
         return self.total_backend.body_lim(cls, self.total_flag)
 
-    # -- flag strata --------------------------------------------------------
-
-    def base_nakayama_ok(self, cls) -> tuple[bool, str]:
-        return _flag_has_nakayama(self.base_backend, cls, self.flag.base_flag)
-
-    def fiber_nakayama_ok(self, cls) -> tuple[bool, str]:
-        return _flag_has_nakayama(self.fiber_backend, cls, self.flag.fiber_flag)
-
+    def factor_val_bodies(self, base_cls, fiber_cls):
+        """The valuative bodies of base_cls and fiber_cls, for their flags."""
+        return (self.base_backend.body_val(base_cls, self.flag.base_flag),
+                self.fiber_backend.body_val(fiber_cls, self.flag.fiber_flag))
 
     # -- serialization ------------------------------------------------------
 
@@ -217,12 +218,8 @@ class FiberSpaceInstance:
                             for k, v in sorted(self.ample.items())}
         return obj
 
-    def digest(self) -> str:
-        blob = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-
-def _flag_has_nakayama(backend, cls, flag):
+def _nakayama(backend, cls, flag):
     """Does the flag contain a Nakayama subvariety of cls?
 
     The candidate stratum is the one whose dimension is the Iitaka
@@ -281,6 +278,31 @@ class CheckReport:
         }
 
 
+def _report(name, fs, verdict, **fields) -> CheckReport:
+    return CheckReport(check_name=name, instance=fs.name, digest=fs.digest,
+                       verdict=verdict, **fields)
+
+
+def _gated(name, fs, hypotheses, notes=()):
+    """The gated report naming each (label, ok) hypothesis that is not ok,
+    then `notes`; None when every hypothesis holds."""
+    failed = [f"hypothesis failed: {label}" for label, ok in hypotheses
+              if not ok]
+    if failed:
+        return _report(name, fs, GATED, notes=failed + list(notes))
+
+
+def _positivity(fs):
+    """The hypotheses on R that thm1_3, cor3_5 and lemma3_1 share."""
+    return [("f_* O(mR) weakly positive (declared)",
+             fs.hypotheses.get("weakly_positive", False)),
+            ("R|_F effective", fs.fiber_backend.is_effective(fs.R_fiber))]
+
+
+def _unavailable(name, fs, exc):
+    return _gated(name, fs, [(f"valuative body unavailable: {exc}", False)])
+
+
 def _volume(body: Polytope) -> Fraction:
     return body.volume_in_dim(body.dim()) if not body.is_empty else Fraction(0)
 
@@ -302,21 +324,9 @@ def _subadditivity_report(name, fs, lhs: Polytope, base_body: Polytope,
     verdict = (HOLDS if lhs == rhs else STRICT) if margin == 0 else FAILS
     rhs_volume = (Fraction(0) if rhs.is_empty
                   else _volume(base_body) * _volume(fiber_body))
-    return CheckReport(check_name=name, instance=fs.name, digest=fs.digest(),
-                       verdict=verdict, margin=margin,
-                       lhs=_body_summary(lhs, _volume(lhs)),
-                       rhs=_body_summary(rhs, rhs_volume), **fields)
-
-
-def _gated(name, fs, failures, notes=()):
-    return CheckReport(check_name=name, instance=fs.name, digest=fs.digest(),
-                       verdict=GATED,
-                       notes=[f"hypothesis failed: {f}" for f in failures]
-                       + list(notes))
-
-
-def _check_hypotheses(pairs):
-    return [name for name, ok in pairs if not ok]
+    return _report(name, fs, verdict, margin=margin,
+                   lhs=_body_summary(lhs, _volume(lhs)),
+                   rhs=_body_summary(rhs, rhs_volume), **fields)
 
 
 # -- individual checks --------------------------------------------------------
@@ -328,36 +338,31 @@ def check_thm_1_3(fs: FiberSpaceInstance) -> CheckReport:
     the fiber body of R|_F."""
     name = "thm1_3"
     if "A_Y" not in fs.ample:
-        return _gated(name, fs, ["no base ample class A_Y supplied"])
+        return _gated(name, fs, [("no base ample class A_Y supplied", False)])
     A_Y = qvec(fs.ample["A_Y"])
-    rf = fs.R_fiber
-    nak_base, note_b = fs.base_nakayama_ok(fs.D_Y)
-    nak_fiber, note_f = fs.fiber_nakayama_ok(rf)
-    failures = _check_hypotheses([
-        ("f_* O(mR) weakly positive (declared)",
-         fs.hypotheses.get("weakly_positive", False)),
-        ("R|_F effective", fs.fiber_backend.is_effective(rf)),
-        ("D_Y effective", fs.base_backend.is_effective(fs.D_Y)),
-        ("A_Y ample", fs.base_backend.is_ample(A_Y)),
-        ("base flag contains a Nakayama subvariety of D_Y", nak_base),
-        ("fiber flag contains a Nakayama subvariety of R|_F", nak_fiber),
-    ])
-    if failures:
-        return _gated(name, fs, failures, notes=[note_b, note_f])
+    nak_base, note_b = _nakayama(fs.base_backend, fs.D_Y, fs.flag.base_flag)
+    nak_fiber, note_f = _nakayama(fs.fiber_backend, fs.R_fiber,
+                                  fs.flag.fiber_flag)
+    if gated := _gated(name, fs, [
+            *_positivity(fs),
+            ("D_Y effective", fs.base_backend.is_effective(fs.D_Y)),
+            ("A_Y ample", fs.base_backend.is_ample(A_Y)),
+            ("base flag contains a Nakayama subvariety of D_Y", nak_base),
+            ("fiber flag contains a Nakayama subvariety of R|_F", nak_fiber),
+        ], notes=[note_b, note_f]):
+        return gated
     padded = tuple(d + p for d, p in zip(fs.D, fs.pull(A_Y)))
     try:
         lhs = fs.total_val_body(padded)
     except ValueError as exc:
-        return _gated(name, fs, [f"valuative body unavailable: {exc}"])
-    base_body = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
-    fiber_body = fs.fiber_backend.body_val(rf, fs.flag.fiber_flag)
+        return _unavailable(name, fs, exc)
+    base_body, fiber_body = fs.factor_val_bodies(fs.D_Y, fs.R_fiber)
+    bodies = {"lhs": lhs, "base": base_body, "fiber": fiber_body}
     return _subadditivity_report(
         name, fs, lhs, base_body, fiber_body,
-        dims={"lhs": lhs.dim(), "base": base_body.dim(),
-              "fiber": fiber_body.dim()},
-        volumes={"lhs": lhs.volume_in_dim(lhs.dim()),
-                 "base": base_body.volume_in_dim(base_body.dim()),
-                 "fiber": fiber_body.volume_in_dim(fiber_body.dim())},
+        dims={k: body.dim() for k, body in bodies.items()},
+        volumes={k: body.volume_in_dim(body.dim())
+                 for k, body in bodies.items()},
         notes=[note_b, note_f])
 
 
@@ -366,40 +371,27 @@ def check_cor_3_5(fs: FiberSpaceInstance) -> CheckReport:
     superadditivity kappa(D) >= kappa(D_Y) + kappa(R|_F) read off the body
     dimensions."""
     name = "cor3_5"
-    rf = fs.R_fiber
-    nak_base, note_b = fs.base_nakayama_ok(fs.D_Y)
-    nak_fiber, note_f = fs.fiber_nakayama_ok(rf)
-    failures = _check_hypotheses([
-        ("f_* O(mR) weakly positive (declared)",
-         fs.hypotheses.get("weakly_positive", False)),
-        ("R|_F effective", fs.fiber_backend.is_effective(rf)),
-        ("D_Y big", fs.base_backend.is_big(fs.D_Y)),
-        ("base flag contains a Nakayama subvariety of D_Y", nak_base),
-        ("fiber flag contains a Nakayama subvariety of R|_F", nak_fiber),
-    ])
-    if failures:
-        return _gated(name, fs, failures)
+    nak_base, _ = _nakayama(fs.base_backend, fs.D_Y, fs.flag.base_flag)
+    nak_fiber, _ = _nakayama(fs.fiber_backend, fs.R_fiber, fs.flag.fiber_flag)
+    if gated := _gated(name, fs, [
+            *_positivity(fs),
+            ("D_Y big", fs.base_backend.is_big(fs.D_Y)),
+            ("base flag contains a Nakayama subvariety of D_Y", nak_base),
+            ("fiber flag contains a Nakayama subvariety of R|_F", nak_fiber),
+        ]):
+        return gated
     try:
         lhs = fs.total_val_body(fs.D)
     except ValueError as exc:
-        return _gated(name, fs, [f"valuative body unavailable: {exc}"])
-    base_body = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
-    fiber_body = fs.fiber_backend.body_val(rf, fs.flag.fiber_flag)
+        return _unavailable(name, fs, exc)
+    base_body, fiber_body = fs.factor_val_bodies(fs.D_Y, fs.R_fiber)
     kd, kb, kf = lhs.dim(), base_body.dim(), fiber_body.dim()
-    notes = [f"kappa superadditivity: {kd} >= {kb} + {kf}: "
-             f"{'ok' if kd >= kb + kf else 'VIOLATED'}"]
     return _subadditivity_report(
         name, fs, lhs, base_body, fiber_body,
         dims={"lhs": kd, "base": kb, "fiber": kf},
         volumes={"lhs": lhs.volume_in_dim(kd)},
-        notes=notes)
-
-
-def _canonical_classes(fs: FiberSpaceInstance):
-    """K_X, K_Y, K_F in the three class groups, from the models."""
-    return (fs.total_backend.canonical_class(),
-            fs.base_backend.canonical_class(),
-            fs.fiber_backend.canonical_class())
+        notes=[f"kappa superadditivity: {kd} >= {kb} + {kf}: "
+               f"{'ok' if kd >= kb + kf else 'VIOLATED'}"])
 
 
 def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
@@ -407,33 +399,25 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
     inequality, and (when the nu's add and K_F is big) the product formula
     for augmented restricted canonical volumes."""
     name = "thm1_1"
-    kx, ky, kf = _canonical_classes(fs)
-    failures = []
-    if tuple(fs.D) != kx:
-        failures.append("instance decomposition is not the canonical class")
-    if tuple(fs.D_Y) != ky:
-        failures.append("D_Y is not the base canonical class")
-    if tuple(fs.R_fiber) != kf:
-        failures.append("R|_F is not the fiber canonical class")
-    if failures:
-        return _gated(name, fs, failures)
-    # nu, which picks the flag stratum to test, needs a psef class
-    failures = _check_hypotheses([
-        ("K_Y pseudoeffective", fs.base_backend.is_psef(ky)),
-        ("K_F pseudoeffective", fs.fiber_backend.is_psef(kf)),
-    ])
-    if failures:
-        return _gated(name, fs, failures)
+    kx, ky, kf = (b.canonical_class() for b in
+                  (fs.total_backend, fs.base_backend, fs.fiber_backend))
+    if gated := _gated(name, fs, [
+            ("instance decomposition is not the canonical class", fs.D == kx),
+            ("D_Y is not the base canonical class", fs.D_Y == ky),
+            ("R|_F is not the fiber canonical class", fs.R_fiber == kf),
+        ]) or _gated(name, fs, [
+            # nu, which picks the flag stratum to test, needs a psef class
+            ("K_Y pseudoeffective", fs.base_backend.is_psef(ky)),
+            ("K_F pseudoeffective", fs.fiber_backend.is_psef(kf))]):
+        return gated
     nu_y = fs.base_backend.dims(ky).nu_bdpp
     nu_f = fs.fiber_backend.dims(kf).nu_bdpp
-    failures = _check_hypotheses([
-        ("base flag contains a positive volume subvariety of K_Y",
-         _flag_has_pvs(fs.base_backend, ky, fs.flag.base_flag, nu_y)),
-        ("fiber flag contains a positive volume subvariety of K_F",
-         _flag_has_pvs(fs.fiber_backend, kf, fs.flag.fiber_flag, nu_f)),
-    ])
-    if failures:
-        return _gated(name, fs, failures)
+    if gated := _gated(name, fs, [
+            ("base flag contains a positive volume subvariety of K_Y",
+             _flag_has_pvs(fs.base_backend, ky, fs.flag.base_flag, nu_y)),
+            ("fiber flag contains a positive volume subvariety of K_F",
+             _flag_has_pvs(fs.fiber_backend, kf, fs.flag.fiber_flag, nu_f))]):
+        return gated
     lhs = fs.total_lim_body(kx)
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_lim(kf, fs.flag.fiber_flag)
@@ -448,11 +432,9 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
         vf = fiber_body.volume_in_dim(nu_f)
         volumes.update({"vol+_X/nu_X!": vx, "vol+_Y/nu_Y!": vy,
                         "vol+_F/nu_F!": vf})
-        ok = vx >= vy * vf
-        eq = vx == vy * vf
         notes.append(f"canonical volume product formula: {vx} >= {vy} * {vf}: "
-                     f"{'ok' if ok else 'VIOLATED'}"
-                     + (" (equality)" if eq else ""))
+                     f"{'ok' if vx >= vy * vf else 'VIOLATED'}"
+                     + (" (equality)" if vx == vy * vf else ""))
     report = _subadditivity_report(
         name, fs, lhs, base_body, fiber_body,
         dims={"nu_X": nu_x, "nu_Y": nu_y, "nu_F": nu_f},
@@ -469,42 +451,40 @@ def check_thm_1_2(fs: FiberSpaceInstance) -> CheckReport:
     canonical class, plus the Iitaka-dimension addition through the easy
     upper bound kappa(K_X) <= dim Y + kappa(K_F)."""
     name = "thm1_2"
-    kx, ky, kf = _canonical_classes(fs)
-    failures = []
-    if tuple(fs.D) != kx or tuple(fs.D_Y) != ky or tuple(fs.R_fiber) != kf:
-        failures.append("instance decomposition is not canonical")
-        return _gated(name, fs, failures)
-    nak_base, note_b = fs.base_nakayama_ok(ky)
-    nak_fiber, note_f = fs.fiber_nakayama_ok(kf)
-    failures = _check_hypotheses([
+    kx, ky, kf = (b.canonical_class() for b in
+                  (fs.total_backend, fs.base_backend, fs.fiber_backend))
+    if gated := _gated(name, fs, [
+            ("instance decomposition is not canonical",
+             (fs.D, fs.D_Y, fs.R_fiber) == (kx, ky, kf))]):
+        return gated
+    nak_base, _ = _nakayama(fs.base_backend, ky, fs.flag.base_flag)
+    nak_fiber, _ = _nakayama(fs.fiber_backend, kf, fs.flag.fiber_flag)
+    hypotheses = [
         ("K_Y big", fs.base_backend.is_big(ky)),
         ("K_F effective", fs.fiber_backend.is_effective(kf)),
         ("base flag contains a Nakayama subvariety of K_Y", nak_base),
-        ("fiber flag contains a Nakayama subvariety of K_F", nak_fiber),
-    ])
+        ("fiber flag contains a Nakayama subvariety of K_F", nak_fiber)]
     kappa_x = fs.total_backend.kappa(kx)
-    if kappa_x is None:
-        failures.append("kappa(K_X) undeclared and not computable")
-    if failures:
-        return _gated(name, fs, failures)
+    if gated := _gated(name, fs, hypotheses + [
+            ("kappa(K_X) undeclared and not computable",
+             kappa_x is not None)]):
+        return gated
     try:
         lhs = fs.total_val_body(kx)
     except ValueError as exc:
-        return _gated(name, fs, [f"valuative body unavailable: {exc}"])
-    base_body = fs.base_backend.body_val(ky, fs.flag.base_flag)
-    fiber_body = fs.fiber_backend.body_val(kf, fs.flag.fiber_flag)
+        return _unavailable(name, fs, exc)
+    base_body, fiber_body = fs.factor_val_bodies(ky, kf)
     ky_dim = fs.base_backend.kappa(ky)
     kf_dim = fs.fiber_backend.kappa(kf)
     addition = kappa_x == ky_dim + kf_dim
     easy = kappa_x <= fs.base_backend.dim + kf_dim
-    notes = [f"kappa addition: {kappa_x} == {ky_dim} + {kf_dim}: "
-             f"{'ok' if addition else 'VIOLATED'}",
-             f"easy addition bound kappa(K_X) <= dim Y + kappa(K_F): "
-             f"{'ok' if easy else 'VIOLATED'}"]
     report = _subadditivity_report(
         name, fs, lhs, base_body, fiber_body,
         dims={"kappa_X": kappa_x, "kappa_Y": ky_dim, "kappa_F": kf_dim},
-        notes=notes)
+        notes=[f"kappa addition: {kappa_x} == {ky_dim} + {kf_dim}: "
+               f"{'ok' if addition else 'VIOLATED'}",
+               f"easy addition bound kappa(K_X) <= dim Y + kappa(K_F): "
+               f"{'ok' if easy else 'VIOLATED'}"])
     if not addition or not easy:
         report.verdict = FAILS
     return report
@@ -519,61 +499,48 @@ def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
     N is the fiber-flag stratum of dimension kappa(R|_F)."""
     name = "lemma3_1"
     if not isinstance(fs.total, toricmod.ToricVariety):
-        return _gated(name, fs, [],
-                      notes=["lemma3_1 requires a toric instance"])
+        return _report(name, fs, GATED,
+                       notes=["lemma3_1 requires a toric instance"])
     rf = fs.R_fiber
     k = fs.fiber_backend.kappa(rf)
     if k == NEG_INF:
-        return _gated(name, fs, ["R|_F has no sections"])
+        return _gated(name, fs, [("R|_F has no sections", False)])
     fiber_stratum = fs.fiber_backend.stratum(fs.flag.fiber_flag, k)
     verdict_n, _ = fs.fiber_backend.nakayama(rf, fiber_stratum)
-    failures = _check_hypotheses([
-        ("f_* O(mR) weakly positive (declared)",
-         fs.hypotheses.get("weakly_positive", False)),
-        ("R|_F effective", fs.fiber_backend.is_effective(rf)),
-        ("D_Y big", fs.base_backend.is_big(fs.D_Y)),
-        ("N is a Nakayama subvariety of R|_F", verdict_n != "false"),
-    ])
-    if failures:
-        return _gated(name, fs, failures)
+    if gated := _gated(name, fs, [
+            *_positivity(fs),
+            ("D_Y big", fs.base_backend.is_big(fs.D_Y)),
+            ("N is a Nakayama subvariety of R|_F", verdict_n != "false")]):
+        return gated
     total_stratum = fs.total_backend.stratum(fs.total_flag, k)
     lhs = fs.total_backend.restricted_volume(fs.D, total_stratum)
     rhs = fs.fiber_backend.restricted_volume(rf, fiber_stratum)
-    verdict = HOLDS if lhs == rhs else FAILS
-    series_total = toricmod.restricted_series(
-        fs.total, toricmod.ToricDivisor(fs.total, fs.D), total_stratum,
-        range(1, 7))
-    series_fiber = toricmod.restricted_series(
-        fs.fiber, toricmod.ToricDivisor(fs.fiber, rf), fiber_stratum,
-        range(1, 7))
-    dims_t = [series_total.dimension(m) for m in range(1, 7)]
-    dims_f = [series_fiber.dimension(m) for m in range(1, 7)]
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=verdict, margin=abs(lhs - rhs),
-        volumes={"vol_{X|N}(D)": lhs, "vol_{F|N}(R|F)": rhs},
-        notes=[f"restricted series dims, total side, m=1..6: {dims_t}",
-               f"restricted series dims, fiber side, m=1..6: {dims_f}"])
+    notes = []
+    for side, X, cls, stratum in (("total", fs.total, fs.D, total_stratum),
+                                  ("fiber", fs.fiber, rf, fiber_stratum)):
+        series = toricmod.restricted_series(
+            X, toricmod.ToricDivisor(X, cls), stratum, range(1, 7))
+        notes.append(f"restricted series dims, {side} side, m=1..6: "
+                     f"{[series.dimension(m) for m in range(1, 7)]}")
+    return _report(
+        name, fs, HOLDS if lhs == rhs else FAILS, margin=abs(lhs - rhs),
+        volumes={"vol_{X|N}(D)": lhs, "vol_{F|N}(R|F)": rhs}, notes=notes)
 
 
 def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
     """Superadditivity of kappa_vol across the fibration."""
     name = "rem3_6"
-    rf = fs.R_fiber
-    failures = _check_hypotheses([
-        ("D pseudoeffective", fs.total_backend.is_psef(fs.D)),
-        ("D_Y pseudoeffective", fs.base_backend.is_psef(fs.D_Y)),
-        ("R|_F pseudoeffective", fs.fiber_backend.is_psef(rf)),
-    ])
-    if failures:
-        return _gated(name, fs, failures)
+    if gated := _gated(name, fs, [
+            ("D pseudoeffective", fs.total_backend.is_psef(fs.D)),
+            ("D_Y pseudoeffective", fs.base_backend.is_psef(fs.D_Y)),
+            ("R|_F pseudoeffective", fs.fiber_backend.is_psef(fs.R_fiber))]):
+        return gated
     kv_x = fs.total_backend.dims(fs.D).kappa_vol
     kv_y = fs.base_backend.dims(fs.D_Y).kappa_vol
-    kv_f = fs.fiber_backend.dims(rf).kappa_vol
+    kv_f = fs.fiber_backend.dims(fs.R_fiber).kappa_vol
     ok = kv_x >= kv_y + kv_f
-    return CheckReport(
-        check_name=name, instance=fs.name, digest=fs.digest(),
-        verdict=HOLDS if ok else FAILS,
+    return _report(
+        name, fs, HOLDS if ok else FAILS,
         margin=Fraction(0) if ok else Fraction(kv_y + kv_f - kv_x),
         dims={"kappa_vol_X": kv_x, "kappa_vol_Y": kv_y, "kappa_vol_F": kv_f},
         notes=[f"kappa_vol superadditivity: {kv_x} >= {kv_y} + {kv_f}"])
@@ -611,9 +578,7 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
                          f"{steps} steps per axis; the grid takes 1 to "
                          f"{MAX_GRID_STEPS}")
     lhs0 = fs.total_val_body(fs.D)
-    base0 = fs.base_backend.body_val(fs.D_Y, fs.flag.base_flag)
-    fiber0 = fs.fiber_backend.body_val(fs.R_fiber, fs.flag.fiber_flag)
-    rows, _q = lhs0.support_rows(base0, fiber0)
+    rows, _q = lhs0.support_rows(*fs.factor_val_bodies(fs.D_Y, fs.R_fiber))
     grid = [(k, k * grid_step) for k in range(1, steps + 1)]
     feasible = [(al, be, ga)
                 for ka, al in grid for kb, be in grid for kg, ga in grid

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .curve import CurveModel
-from .fiberspace import FiberSpaceInstance, FiberTypeFlag
+from .fiberspace import FiberSpaceInstance, FiberTypeFlag, _flag_obj
 from .polytope import Polytope
 from .surface import SurfaceLattice
 from .toric import ToricFlag, ToricVariety
@@ -222,7 +222,7 @@ def instance_from_obj(obj, path="instance"):
             raise
         raise InputError(path, str(exc))
     declared, derived = (json.dumps(flag, sort_keys=True) for flag in
-                         (obj.get("total_flag"), fs.to_obj()["total_flag"]))
+                         (obj.get("total_flag"), _flag_obj(fs.total_flag)))
     if declared != derived:
         raise InputError(f"{path}.total_flag", f"{declared} differs from the "
                          f"fiber-type flag derived from the models, {derived}")

@@ -181,10 +181,6 @@ def is_ample(X, D) -> bool:
     return all(s > 0 for s in _slacks(X, D))
 
 
-def is_nef(X, D) -> bool:
-    return all(s >= 0 for s in _slacks(X, D))
-
-
 # -- sections and valuations -------------------------------------------------
 
 

@@ -499,6 +499,11 @@ class TestInstanceShape:
              "hypotheses.isotrivial: expected true or false"),
             ("g2xg2", "ample.A", ["1", "-1"],
              "ample.A is not ample on the total space"),
+            ("ex41", "ample.A", ["1", "1", "1"],
+             "ample.A has 3 coefficients, not 2"),
+            ("prod_line_line", "ample.A_Y", ["0", "1", "0"],
+             "ample.A_Y has 3 coefficients, not 2"),
+            ("ex41", "ample.A_Y", [], "ample.A_Y has 0 coefficients, not 1"),
             ("ex41", "total.abundance", [], "abundance: expected an object"),
             ("ex41", "total.declared_kappa", [],
              "declared_kappa: expected an object"),

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 import pytest
 from corpus import INSTANCE_NAMES, instance
 
-from okbodies import fiberspace as FS
 from okbodies import invariants as I
 from okbodies import toric as T
 from okbodies.curve import CurveModel
@@ -243,11 +242,9 @@ def _old_stratum(backend, flag, dim):
 @pytest.mark.parametrize("name", INSTANCE_NAMES)
 def test_canonical_classes_and_strata_match_model_branches(name):
     fs = instance(name)
-    old = _old_canonical_classes(fs)
-    assert FS._canonical_classes(fs) == old
     assert (fs.total_backend.canonical_class(),
             fs.base_backend.canonical_class(),
-            fs.fiber_backend.canonical_class()) == old
+            fs.fiber_backend.canonical_class()) == _old_canonical_classes(fs)
     for backend, flag in ((fs.base_backend, fs.flag.base_flag),
                           (fs.fiber_backend, fs.flag.fiber_flag)):
         for k in range(backend.dim + 1):

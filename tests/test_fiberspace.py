@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -154,8 +155,10 @@ class TestVerdicts:
 
     def test_never_holds_when_hypothesis_fails(self):
         # flipping the weak-positivity declaration gates every affected check
-        fs = instance("prod_line_line")
-        fs.hypotheses = dict(fs.hypotheses, weakly_positive=False)
+        shipped = instance("prod_line_line")
+        fs = replace(shipped, hypotheses=dict(shipped.hypotheses,
+                                              weakly_positive=False))
+        assert fs.digest != shipped.digest
         for check in (FS.check_thm_1_3, FS.check_cor_3_5, FS.check_lemma_3_1):
             rep = check(fs)
             assert rep.verdict == FS.GATED
@@ -358,7 +361,7 @@ class TestDeterminism:
         assert a == b
 
     def test_digest_stable_across_builds(self):
-        assert instance("ex41").digest() == instance("ex41").digest()
+        assert instance("ex41").digest == instance("ex41").digest
 
 
 class TestExample42Reproduction:

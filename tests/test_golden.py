@@ -4,7 +4,8 @@ The digests pin the canonical JSON that `check --all` and `scaling-search`
 print for the files under fixtures/instances, and that `dims` and
 `limbody` and `oracle-compare` print for the model files under
 fixtures/models; any change to a verdict, a vertex or a formatting detail
-shows up here.
+shows up here.  Edited copies of the instances pin the gated reports that
+the shipped corpus never prints.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from okbodies import lp, surface, toric
 from okbodies.cli import main
+from okbodies.fiberspace import FiberSpaceInstance
 from okbodies.polytope import HalfSpace, Polytope
 
 REPO = Path(__file__).resolve().parent.parent
@@ -105,6 +107,22 @@ def test_check_all_builds_no_halfspace(capsys, monkeypatch):
     test_stdout_digest("check_all", capsys, monkeypatch)
 
 
+def test_check_all_serialises_each_instance_once(capsys, monkeypatch):
+    # an instance's digest is derived once, when it is built; no loader
+    # and no report serialises it again
+    built = []
+    to_obj = FiberSpaceInstance.to_obj
+
+    def recording_to_obj(self):
+        built.append(self.name)
+        return to_obj(self)
+
+    monkeypatch.setattr(FiberSpaceInstance, "to_obj", recording_to_obj)
+    test_stdout_digest("check_all", capsys, monkeypatch)
+    assert built == sorted(
+        p.stem for p in (REPO / "fixtures" / "instances").glob("*.json"))
+
+
 def test_oracle_compare_vertex_diff_digest(tmp_path, capsys):
     # F_2 with D = D_0 + D_1 at m = 1: the level-1 body is a segment that
     # misses the exact body's vertex (0, 1/2), so vertex_diff is nonempty
@@ -121,3 +139,37 @@ def test_oracle_compare_vertex_diff_digest(tmp_path, capsys):
     assert json.loads(out)["vertex_diff"]["exact_only"] == [["0", "1/2"]]
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "fcd78e5ab8d1d97e568af2f6675dd94f1b3d0759d3565e2b6b6c97e26b2cda1c")
+
+
+def corpus_variants():
+    """Shipped instances edited so that every check's gate is reached: each
+    one without weak positivity, each one without ample classes, and
+    prod_line_line with its canonical decomposition and with a zero base
+    pad A_Y, which is not ample."""
+    corpus = {p.stem: json.loads(p.read_text())
+              for p in sorted((REPO / "fixtures" / "instances").glob("*.json"))}
+    variants = {}
+    for stem, obj in corpus.items():
+        variants[f"{stem}_not_wp"] = dict(obj, hypotheses=dict(
+            obj["hypotheses"], weakly_positive=False))
+        variants[f"{stem}_no_ample"] = {k: v for k, v in obj.items()
+                                        if k != "ample"}
+    line_line = corpus["prod_line_line"]
+    variants["prod_line_line_canonical"] = dict(line_line, decomposition={
+        "D": ["-1"] * 4, "D_Y": ["-1"] * 2, "R": ["0", "0", "-1", "-1"]})
+    variants["prod_line_line_zero_pad"] = dict(line_line,
+                                               ample={"A_Y": ["0", "0"]})
+    return {name: dict(obj, name=name) for name, obj in variants.items()}
+
+
+def test_check_all_digest_on_gated_variants(tmp_path, capsys):
+    # the shipped corpus reaches few gates; these variants pin the bytes
+    # of the gated reports of all six checks
+    for name, obj in corpus_variants().items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    code = main(["check", "--all", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(json.loads(out)) == 22 * 6
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "d06b8f7de0408244f87d0688fddf9f0443317cee486ef7c87816c3d98f3b8069")

@@ -176,76 +176,107 @@ def definitions(tree):
     return found
 
 
-def _names(nodes):
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes
-            if isinstance(n, (ast.Name, ast.Attribute))}
-
-
 def unreached(sources, root=("cli", "main")):
     """(module, qualified name) of each function in `sources` (module name
     -> source) that no chain of references reaches from `root`.
 
-    A reference is any name or attribute read, matched by name against
-    every function and method of every module, so a method call reaches
-    the methods of that name on all classes.  The module-level code of each
-    module that importing the root's module runs (class bodies and default
-    values included) is reached, and so are dunder methods, which Python
-    calls implicitly."""
+    A reference resolves per module.  A bare name reaches the functions and
+    methods of that name in its own module (a class body may alias a
+    method) and the function that a relative `from .x import` binds to it.
+    `alias.name`, where `from . import` binds `alias` to a module, reaches
+    that module's function `name`.  Any other attribute read reaches every
+    function and method of that name in every module, so a method call
+    reaches the methods of that name on all classes.  The module-level code
+    of each module that importing the root's module runs (class bodies and
+    default values included) is reached, and so are dunder methods, which
+    Python calls implicitly."""
     trees = {module: ast.parse(s) for module, s in sources.items()}
     defs = {(module, q): node for module, tree in trees.items()
             for q, node in definitions(tree)}
-    by_name = {}
+    own, by_name = {}, {}
     for module, q in defs:
-        by_name.setdefault(q.rsplit(".", 1)[-1], set()).add((module, q))
-    imported, todo = set(), ["__init__", root[0]]
+        name = q.rsplit(".", 1)[-1]
+        own.setdefault((module, name), set()).add((module, q))
+        by_name.setdefault(name, set()).add((module, q))
+    aliases = {module: {} for module in trees}   # alias -> module
+    imported = {module: {} for module in trees}  # name -> (module, name)
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    if n.module is None:
+                        aliases[module][a.asname or a.name] = a.name
+                    else:
+                        imported[module][a.asname or a.name] = (n.module,
+                                                                a.name)
+
+    def resolve(module, nodes):
+        """The functions that the names and attributes in `nodes`, read in
+        `module`, reach."""
+        found = set()
+        for n in nodes:
+            if isinstance(n, ast.Name):
+                found |= own.get((module, n.id), set())
+                found |= {imported[module].get(n.id)} & defs.keys()
+            elif isinstance(n, ast.Attribute):
+                target = (isinstance(n.value, ast.Name)
+                          and aliases[module].get(n.value.id))
+                found |= ({(target, n.attr)} & defs.keys() if target
+                          else by_name.get(n.attr, set()))
+        return found
+
+    loaded, todo = set(), ["__init__", root[0]]
     while todo:
         module = todo.pop()
-        if module in imported or module not in trees:
+        if module in loaded or module not in trees:
             continue
-        imported.add(module)
+        loaded.add(module)
         todo.extend(name for n in ast.walk(trees[module])
                     if isinstance(n, ast.ImportFrom) and n.level == 1
                     for name in ([n.module] if n.module
                                  else [a.name for a in n.names]))
-    refs = set()
-    for module in imported:
-        inside = {id(n) for _, node in definitions(trees[module])
-                  for n in ast.walk(node)}
-        refs |= _names(n for n in ast.walk(trees[module])
-                       if id(n) not in inside)
-    reached = {root} | {(module, q) for module, q in defs if module in imported
+    reached = {root} | {(module, q) for module, q in defs if module in loaded
                         and q.rsplit(".", 1)[-1].startswith("__")
                         and q.endswith("__")}
-    todo = list(reached) + [d for r in refs for d in by_name.get(r, ())]
+    todo = list(reached)
+    for module in loaded:
+        inside = {id(n) for _, node in definitions(trees[module])
+                  for n in ast.walk(node)}
+        todo += resolve(module, (n for n in ast.walk(trees[module])
+                                 if id(n) not in inside))
     while todo:
         d = todo.pop()
         reached.add(d)
-        todo.extend(e for r in _names(ast.walk(defs[d]))
-                    for e in by_name.get(r, ()) if e not in reached)
+        todo.extend(e for e in resolve(d[0], ast.walk(defs[d]))
+                    if e not in reached)
     return set(defs) - reached
 
 
 def test_reachability_scanner():
     sources = {
         "cli": ("from . import lib\nfrom .extra import Box\n"
+                "from .lib import twin\n"
                 "def main():\n    def inner():\n        return lib.go(1)\n"
-                "    return inner()\n"
+                "    return inner() + twin()\n"
                 "def dead():\n    return lib.only_dead()\n"),
         "lib": ("TABLE = {'t': tabled}\n"
                 "def go(x):\n    return x.size\n"
                 "def only_dead():\n    pass\n"
                 "def tabled():\n    pass\n"
+                "def twin():\n    return 0\n"
                 "class A:\n    def size(self):\n        return 0\n"
                 "    def __eq__(self, other):\n        return helper()\n"
                 "def helper():\n    pass\n"),
         "extra": ("class Box:\n    def size(self):\n        return 1\n"
                   "    def unused(self):\n        pass\n"),
+        # `twin` in cli is lib's, so the same name here is not reached
         "tools": ("HOOK = [unused_elsewhere]\n"
-                  "def unused_elsewhere():\n    pass\n"),
+                  "def unused_elsewhere():\n    pass\n"
+                  "def twin():\n    return 1\n"),
     }
     assert unreached(sources) == {
         ("cli", "dead"), ("lib", "only_dead"), ("extra", "Box.unused"),
-        ("tools", "unused_elsewhere")}
+        ("tools", "unused_elsewhere"), ("tools", "twin")}
 
 
 # Functions that `cli.main` does not reach, by why each stays.

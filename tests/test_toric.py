@@ -493,8 +493,6 @@ class TestPredicates:
     def test_ample_nef(self):
         assert T.is_ample(P2, d(P2, [0, 0, 1]))
         assert not T.is_ample(BL, d(BL, [0, 0, 1, 0]))  # H: nef, not ample
-        assert T.is_nef(BL, d(BL, [0, 0, 1, 0]))
-        assert T.is_nef(F2, d(F2, [1, 1, 1, 1]))
         assert not T.is_ample(F2, d(F2, [1, 1, 1, 1]))
 
     def test_kappa(self):
