@@ -3,17 +3,17 @@
 An instance packages a fibration f: X -> Y with general fiber F as three
 models (total, base, fiber), a decomposition D ~ f*D_Y + R, and declared
 hypotheses (weak positivity, isotriviality) that are deep theorems outside
-numerical reach.  The pullback and restriction maps on divisor classes and
-the fiber-type flag on X (base strata first, then fiber strata) are derived
-from the models: coordinate maps on a toric product, and on a surface over a
-curve the pairing with the fiber class F, whose curve is the flag's.  R|_F
-and the digest are derived once, after validation, and the instance is not
-changed after that.  The checks verify everything that is decidable from
-the models, compute the three bodies for that flag, and report
-machine-readable verdicts on one path: each check evaluates all of its
-(label, ok) hypotheses, `_gated` turns any failures into the gated report,
-and `_report` builds every report.  Every model-specific rule (canonical
-classes, flag strata) is a backend's.
+numerical reach.  The total space's backend derives the pullback and
+restriction maps on divisor classes and the fiber-type flag on X (base
+strata first, then fiber strata) from the models (`fibration`) and decides
+D ~ f*D_Y + R in its class group (`same_class`).  R|_F and the digest are
+derived once, after validation, and the instance is not changed after
+that.  The checks verify everything that is decidable from the models,
+compute the three bodies for that flag, and report machine-readable
+verdicts on one path: each check evaluates all of its (label, ok)
+hypotheses, `_gated` turns any failures into the gated report, and
+`_report` builds every report.  Every model-specific rule (canonical
+classes, flag strata, fibration data) is a backend's.
 
 Each body check compares the total-space body with the product
 Delta_Y(D_Y) x Delta_F(R|_F) (`Polytope.product`): its vertices are the
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import toric as toricmod
 from .invariants import backend_for
-from .linalg import frac, mat_vec, qvec, solve_rect
+from .linalg import frac, mat_vec, qvec
 from .polytope import Polytope
 from .toric import NEG_INF
 
@@ -87,8 +87,8 @@ class FiberSpaceInstance:
     R: tuple
     hypotheses: dict
     flag: FiberTypeFlag
-    # class maps base -> total -> fiber, derived by `_validate`; a declared
-    # copy must match.  A surface's pullback column is its fiber class F.
+    # class maps base -> total -> fiber from `total_backend.fibration`; a
+    # declared copy must match.  A surface's pullback column is its fiber F.
     pullback: tuple = None
     restriction: tuple = None
     # optional classes: "A_Y", the base pad of thm1_3, and "A", an ample
@@ -124,10 +124,11 @@ class FiberSpaceInstance:
         if total.dim != base.dim + fiber.dim:
             raise ValueError(f"total dimension {total.dim} is not base + "
                              f"fiber dimension {base.dim} + {fiber.dim}")
-        part = {"toric": "toric", "surface": "curve"}[total.kind]
-        if not base.kind == fiber.kind == part:
-            raise ValueError(f"a {total.kind} total space needs a {part} base "
-                             f"and a {part} fiber")
+        declared = {name: tuple(qvec(row) for row in rows) for name, rows in
+                    (("pullback", self.pullback),
+                     ("restriction", self.restriction)) if rows is not None}
+        self.pullback = declared.get("pullback")  # a surface reads it
+        self.pullback, self.restriction, self.total_flag = total.fibration(self)
         nx, ny, nf = (len(b.canonical_class()) for b in (total, base, fiber))
         classes = [("D", self.D, nx), ("R", self.R, nx), ("D_Y", self.D_Y, ny)]
         classes += [(f"ample.{key}", self.ample[key], n) for key, n in
@@ -136,52 +137,18 @@ class FiberSpaceInstance:
             if len(cls) != n:
                 raise ValueError(f"{name} has {len(cls)} coefficients, "
                                  f"not {n}")
-        declared = {}
-        for name, rows, m, n in (("pullback", self.pullback, nx, ny),
-                                 ("restriction", self.restriction, nf, nx)):
-            if rows is not None:
-                rows = declared[name] = tuple(qvec(row) for row in rows)
-                if len(rows) != m or any(len(row) != n for row in rows):
-                    raise ValueError(f"{name} must be a {m} x {n} matrix")
-        if total.kind == "toric":
-            fib = toricmod.product_fibration(self.base, self.fiber)
-            if fib.total != self.total:
-                raise ValueError("total fan is not the product of base and "
-                                 "fiber fans")
-            self.pullback, self.restriction = fib.pullback, fib.restriction
-            self.total_flag = toricmod.product_flag(
-                fib, self.flag.base_flag, self.flag.fiber_flag)
-        else:
-            # a surface over a curve: the pullback's column is the fiber
-            # class F, the flag curve; restriction is the degree on F
-            if "pullback" not in declared:
-                raise ValueError("a surface over a curve needs the pullback: "
-                                 "its column is the fiber class F")
-            S, self.pullback = self.total, declared["pullback"]
-            F = tuple(row[0] for row in self.pullback)
-            if S.pair(F, F) != 0 or F not in S.effective_generators:
-                raise ValueError(f"pullback: the fiber class F = "
-                                 f"({', '.join(map(str, F))}) must be an "
-                                 f"effective generator with F.F = 0")
-            self.restriction = (mat_vec(S.gram, F),)
-            self.total_flag = S.effective_generators.index(F)
-        for name, rows in declared.items():
+        for name, m, n in (("pullback", nx, ny), ("restriction", nf, nx)):
+            if (rows := declared.get(name)) is None:
+                continue
+            if len(rows) != m or any(len(row) != n for row in rows):
+                raise ValueError(f"{name} must be a {m} x {n} matrix")
             if rows != getattr(self, name):
                 raise ValueError(
                     f"{name} {json.dumps(_matrix_obj(rows))} differs from the "
                     f"map derived from the models, "
                     f"{json.dumps(_matrix_obj(getattr(self, name)))}")
-        diff = tuple(d - p - r for d, p, r in
-                     zip(self.D, self.pull(self.D_Y), self.R))
-        if total.kind == "toric":
-            # equality in the class group: the difference must be principal
-            rays = [qvec(r) for r in self.total.rays]
-            if solve_rect(rays, list(diff)) is None:
-                raise ValueError("decomposition fails: D - f*D_Y - R is not "
-                                 "principal")
-        elif any(x != 0 for x in diff):
-            raise ValueError("decomposition fails: D != f*D_Y + R in the "
-                             "class group")
+        total.same_class(tuple(d - p - r for d, p, r in
+                               zip(self.D, self.pull(self.D_Y), self.R)))
         if "A" in self.ample and not total.is_ample(self.ample["A"]):
             raise ValueError("ample.A is not ample on the total space")
 
@@ -293,7 +260,8 @@ def _gated(name, fs, hypotheses, notes=()):
 
 
 def _positivity(fs):
-    """The hypotheses on R that thm1_3, cor3_5 and lemma3_1 share."""
+    """The hypotheses on R that thm1_3, cor3_5 and lemma3_1 share; rem3_6
+    takes the first, weak positivity."""
     return [("f_* O(mR) weakly positive (declared)",
              fs.hypotheses.get("weakly_positive", False)),
             ("R|_F effective", fs.fiber_backend.is_effective(fs.R_fiber))]
@@ -528,9 +496,12 @@ def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
 
 
 def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
-    """Superadditivity of kappa_vol across the fibration."""
+    """Superadditivity of kappa_vol across the fibration, under the
+    hypotheses "f_* O(mR) weakly positive (declared)", "D
+    pseudoeffective", "D_Y pseudoeffective" and "R|_F pseudoeffective"."""
     name = "rem3_6"
     if gated := _gated(name, fs, [
+            _positivity(fs)[0],
             ("D pseudoeffective", fs.total_backend.is_psef(fs.D)),
             ("D_Y pseudoeffective", fs.base_backend.is_psef(fs.D_Y)),
             ("R|_F pseudoeffective", fs.fiber_backend.is_psef(fs.R_fiber))]):

@@ -6,7 +6,9 @@ A backend wraps one variety model and owns every rule that depends on its
 kind, among them the canonical class and `stratum(flag, dim)`, the flag
 stratum of dimension dim (ray indices of a toric flag; the pair (dim, flag
 curve) on surfaces; the dimension itself on curves, whose flag is always
-(curve, general point)).
+(curve, general point)).  A total space's backend also derives an
+instance's fibration data (`fibration`) and decides its decomposition in
+the class group (`same_class`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from . import surface as surfmod
 from . import toric as toricmod
 from .curve import CurveModel
-from .linalg import frac, qvec
+from .linalg import frac, mat_vec, qvec, solve_rect
 from .polytope import Polytope
 from .toric import NEG_INF
 
@@ -67,8 +69,6 @@ class DimsReport:
 
 
 class ToricBackend:
-    kind = "toric"
-
     def __init__(self, X: toricmod.ToricVariety):
         self.X = X
 
@@ -82,6 +82,25 @@ class ToricBackend:
     def stratum(self, flag, dim):
         """Ray indices cutting out the flag stratum of dimension `dim`."""
         return flag.ray_order[:self.dim - dim]
+
+    def fibration(self, fs):
+        """(pullback, restriction, total flag) of the instance fs: coordinate
+        maps of the product fan and the product flag, base strata first."""
+        if {type(fs.base), type(fs.fiber)} != {toricmod.ToricVariety}:
+            raise ValueError("a toric total space needs a toric base and a "
+                             "toric fiber")
+        fib = toricmod.product_fibration(fs.base, fs.fiber)
+        if fib.total != self.X:
+            raise ValueError("total fan is not the product of base and "
+                             "fiber fans")
+        return fib.pullback, fib.restriction, toricmod.product_flag(
+            fib, fs.flag.base_flag, fs.flag.fiber_flag)
+
+    def same_class(self, diff):
+        """Equality in the class group: diff must be principal."""
+        if solve_rect([qvec(r) for r in self.X.rays], list(diff)) is None:
+            raise ValueError("decomposition fails: D - f*D_Y - R is not "
+                             "principal")
 
     def _div(self, cls) -> toricmod.ToricDivisor:
         return toricmod.ToricDivisor(self.X, qvec(cls))
@@ -165,8 +184,6 @@ class ToricBackend:
 
 
 class SurfaceBackend:
-    kind = "surface"
-
     def __init__(self, S: surfmod.SurfaceLattice):
         self.S = S
 
@@ -180,6 +197,29 @@ class SurfaceBackend:
     def stratum(self, flag_curve, dim):
         """(dim, flag curve): the surface, the flag curve or the flag point."""
         return dim, flag_curve
+
+    def fibration(self, fs):
+        """(pullback, restriction, flag curve) of the instance fs: the declared
+        pullback's column is the fiber class F, restriction the degree on F."""
+        if {type(fs.base), type(fs.fiber)} != {CurveModel}:
+            raise ValueError("a surface total space needs a curve base and "
+                             "a curve fiber")
+        if fs.pullback is None:
+            raise ValueError("a surface over a curve needs the pullback: "
+                             "its column is the fiber class F")
+        F = tuple(row[0] for row in fs.pullback if row)  # shape checked later
+        if F not in self.S.effective_generators or self.S.pair(F, F) != 0:
+            raise ValueError(f"pullback: the fiber class F = "
+                             f"({', '.join(map(str, F))}) must be an "
+                             f"effective generator with F.F = 0")
+        return (fs.pullback, (mat_vec(self.S.gram, F),),
+                self.S.effective_generators.index(F))
+
+    def same_class(self, diff):
+        """Classes are numerical: diff must be zero."""
+        if any(diff):
+            raise ValueError("decomposition fails: D != f*D_Y + R in the "
+                             "class group")
 
     def is_psef(self, cls):
         return surfmod.is_psef(self.S, cls)
@@ -246,8 +286,6 @@ class CurveBackend:
     """Divisor classes are tracked by degree (length-1 class vectors).
     Degree zero is taken to be the trivial class, as in every model shipped
     here; a nontrivial degree-zero bundle would have no sections."""
-
-    kind = "curve"
 
     def __init__(self, C: CurveModel):
         self.C = C

@@ -195,6 +195,9 @@ def instance_from_obj(obj, path="instance"):
     fiber_flag = flag_from_obj(flags.get("fiber"), fiber, f"{path}.flags.fiber")
     ample = {k: _rat_vec(v, f"{path}.ample.{k}")
              for k, v in _obj(obj.get("ample", {}), f"{path}.ample").items()}
+    if unknown := sorted(ample.keys() - {"A", "A_Y"}):
+        raise InputError(f"{path}.ample.{unknown[0]}", "unknown key; the "
+                         "allowed keys are A and A_Y")
     name = obj.get("name", "instance")
     if not isinstance(name, str):
         raise InputError(f"{path}.name", "expected a string")

@@ -7,6 +7,8 @@ from . import kernel
 from .linalg import clear_denominators
 from .polytope import Polytope
 
+SVG_SIZE = 400  # width and height of the SVG canvas
+
 
 def emit_csv(body: Polytope) -> str:
     """Exact rational vertex list, one vertex per row."""
@@ -28,7 +30,7 @@ def _projection_axes(body: Polytope):
     return axes[0], axes[1]
 
 
-def emit_svg(body: Polytope, size: int = 400) -> str:
+def emit_svg(body: Polytope) -> str:
     """Closed-path polygon of the 2D projection onto the first two varying
     coordinate axes; bodies above dimension 3 are rejected."""
     if body.is_empty:
@@ -49,15 +51,15 @@ def emit_svg(body: Polytope, size: int = 400) -> str:
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     pad = 0.05 * span
-    scale = size / (span + 2 * pad)
+    scale = SVG_SIZE / (span + 2 * pad)
 
     def s(p):
         x = (float(p[0]) - lo_x + pad) * scale
-        y = size - (float(p[1]) - lo_y + pad) * scale
+        y = SVG_SIZE - (float(p[1]) - lo_y + pad) * scale
         return f"{_fmt(x)},{_fmt(y)}"
 
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+             f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']
     if len(poly) == 1:
         lines.append(f'<circle cx="{s(poly[0]).split(",")[0]}" '
                      f'cy="{s(poly[0]).split(",")[1]}" r="4" fill="black"/>')

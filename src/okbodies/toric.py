@@ -100,10 +100,6 @@ class ToricDivisor:
                             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-def divisor(X: ToricVariety, coeffs) -> ToricDivisor:
-    return ToricDivisor(X, coeffs)
-
-
 @dataclass(frozen=True)
 class ToricFlag:
     """Invariant full flag: a maximal cone plus an ordering of its rays.

@@ -72,7 +72,7 @@ INSTANCES = {name: instance(name) for name in INSTANCE_NAMES}
 def test_criterion_01_volume_identity():
     """n! * body volume == divisor volume, exactly, on 15 fixtures."""
     for X, coeffs, flag in TORIC_FIXTURES:
-        D = T.divisor(X, coeffs)
+        D = T.ToricDivisor(X, coeffs)
         body = T.okounkov_body_toric(X, D, flag)
         n = X.dim
         vol = ToricBackend(X).volume(coeffs)
@@ -92,7 +92,7 @@ def test_criterion_02_oracle_convergence():
     15 percent (float comparison at 1e-9); equality already at m=1 for the
     degree-1 plane case."""
     for X, coeffs, flag in TORIC_FIXTURES:
-        D = T.divisor(X, coeffs)
+        D = T.ToricDivisor(X, coeffs)
         exact = T.okounkov_body_toric(X, D, flag)
         brute = T.okounkov_body_bruteforce(X, D, flag, 20)
         contained, margin = exact.contains(brute)
@@ -101,7 +101,7 @@ def test_criterion_02_oracle_convergence():
         ve = float(exact.volume_in_dim(n))
         vb = float(brute.volume_in_dim(n))
         assert vb >= 0.85 * ve - 1e-9
-    D1 = T.divisor(P2, [0, 0, 1])
+    D1 = T.ToricDivisor(P2, [0, 0, 1])
     assert (T.okounkov_body_bruteforce(P2, D1, TORIC_FIXTURES[0][2], 1)
             == T.okounkov_body_toric(P2, D1, TORIC_FIXTURES[0][2]))
     print("criterion 02 (oracle convergence at m=20): PASS")
@@ -111,7 +111,7 @@ def test_criterion_03_zariski_oracle():
     """vol(2H+E) = 4 against the section-count oracle on the toric
     realization, h^0(m(2H+E)) = (2m+1)(2m+2)/2 for m <= 10, with the
     growth coefficient fitted from the counts; P = 2H and N = E exactly."""
-    Dt = T.divisor(BL, [0, 0, 2, 1])
+    Dt = T.ToricDivisor(BL, [0, 0, 2, 1])
     counts = {}
     for m in range(1, 11):
         counts[m] = len(T.sections(BL, Dt, m))

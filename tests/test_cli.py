@@ -256,6 +256,21 @@ class TestCheckVerb:
                                  FIXTURES / f"instances/{inst}.json")
             assert code == expected, (check, inst, err)
 
+    def test_rem3_6_gates_on_weak_positivity(self, capsys, tmp_path):
+        # kappa_vol(D) = 0 < kappa_vol(D_Y) + kappa_vol(R|_F) = 1 + 0: with
+        # no weak positivity nothing is asserted, so no "fails"
+        obj = load_json(FIXTURES / "instances/prod_line_line.json")
+        obj["decomposition"] = {"D": ["0"] * 4, "D_Y": ["2", "0"],
+                                "R": ["-2", "0", "0", "0"]}
+        obj["hypotheses"]["weakly_positive"] = False
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "check", "rem3_6", "--instance", path)
+        rep = json.loads(out)
+        assert code == 2 and rep["verdict"] == "hypotheses-not-met"
+        assert rep["notes"] == [
+            "hypothesis failed: f_* O(mR) weakly positive (declared)"]
+
     def test_report_fields(self, capsys):
         code, out, _ = run(capsys, "check", "thm1_3", "--instance",
                            FIXTURES / "instances/prod_line_line.json")
@@ -504,6 +519,9 @@ class TestInstanceShape:
             ("prod_line_line", "ample.A_Y", ["0", "1", "0"],
              "ample.A_Y has 3 coefficients, not 2"),
             ("ex41", "ample.A_Y", [], "ample.A_Y has 0 coefficients, not 1"),
+            # no check reads a misspelt key: thm1_3 would gate on a missing pad
+            ("prod_line_line", "ample.A_y", ["1", "0"],
+             "ample.A_y: unknown key; the allowed keys are A and A_Y"),
             ("ex41", "total.abundance", [], "abundance: expected an object"),
             ("ex41", "total.declared_kappa", [],
              "declared_kappa: expected an object"),

@@ -36,6 +36,26 @@ class TestInstanceValidation:
             D=shifted, D_Y=fs.D_Y, R=fs.R,
             hypotheses=fs.hypotheses, flag=fs.flag, ample=fs.ample)
 
+    def test_toric_total_must_be_product_fan(self):
+        fs = instance("prod_line_line")
+        with pytest.raises(ValueError, match="total fan is not the product "
+                                             "of base and fiber fans"):
+            FS.FiberSpaceInstance(
+                name="bad", base=fs.base, fiber=fs.fiber,
+                total=T.hirzebruch(1), D=fs.D, D_Y=fs.D_Y, R=fs.R,
+                hypotheses=fs.hypotheses, flag=fs.flag)
+
+    def test_toric_non_principal_difference_rejected(self):
+        # (1, 0, 0, 0) is a fiber of f, a nonzero class
+        fs = instance("prod_line_line")
+        shifted = tuple(d + s for d, s in zip(fs.D, (1, 0, 0, 0)))
+        with pytest.raises(ValueError, match="D - f\\*D_Y - R is not "
+                                             "principal"):
+            FS.FiberSpaceInstance(
+                name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
+                D=shifted, D_Y=fs.D_Y, R=fs.R, hypotheses=fs.hypotheses,
+                flag=fs.flag)
+
     def test_restriction_pullback_vanishes(self):
         # restriction o pullback is F.F: (1, 0) has square 4 on ex41
         fs = instance("ex41")
@@ -52,6 +72,16 @@ class TestInstanceValidation:
             FS.FiberSpaceInstance(
                 name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
                 pullback=((0,), (2,)), D=fs.D, D_Y=fs.D_Y, R=fs.R,
+                hypotheses=fs.hypotheses, flag=fs.flag)
+
+    def test_pullback_with_an_empty_row(self):
+        # the empty row has no column entry, so F = (0) is too short
+        fs = instance("ex41")
+        with pytest.raises(ValueError, match=r"F = \(0\) must be an "
+                                             "effective generator"):
+            FS.FiberSpaceInstance(
+                name="bad", base=fs.base, fiber=fs.fiber, total=fs.total,
+                pullback=((0,), ()), D=fs.D, D_Y=fs.D_Y, R=fs.R,
                 hypotheses=fs.hypotheses, flag=fs.flag)
 
     def test_total_flag_is_not_an_argument(self):
@@ -71,7 +101,8 @@ class TestInstanceValidation:
                 flag=fs.flag)
 
     @pytest.mark.parametrize("name", sorted(
-        n for n, fs in INSTANCES.items() if fs.total_backend.kind == "toric"))
+        n for n, fs in INSTANCES.items()
+        if isinstance(fs.total, T.ToricVariety)))
     def test_lemma_3_1_total_stratum(self, name):
         # the total flag's stratum of dimension k <= dim F is the base
         # flag's cone rays followed by the fiber stratum, shifted past the
@@ -89,17 +120,17 @@ class TestFiberTypeFlag:
         fs = INSTANCES["prod_line_line"]
         # the pullback of a base section has zero fiber coordinates
         for m in range(1, 6):
-            DY = T.divisor(fs.base, [F(c) * m for c in fs.D_Y])
-            fstar = T.divisor(fs.total, list(DY.coeffs) + [F(0), F(0)])
-            for u in T.sections(fs.base, T.divisor(fs.base, fs.D_Y), m):
+            DY = T.ToricDivisor(fs.base, [F(c) * m for c in fs.D_Y])
+            fstar = T.ToricDivisor(fs.total, list(DY.coeffs) + [F(0), F(0)])
+            for u in T.sections(fs.base, T.ToricDivisor(fs.base, fs.D_Y), m):
                 val = T.flag_valuation(
                     fs.total, fs.total_flag, (F(u[0], m), F(0)),
-                    T.divisor(fs.total, fs.D_Y + (F(0), F(0))))
+                    T.ToricDivisor(fs.total, fs.D_Y + (F(0), F(0))))
                 assert val[1] == 0
 
     def test_fiber_constant_sections_have_zero_base_coordinates(self):
         fs = INSTANCES["prod_line_line"]
-        R = T.divisor(fs.total, fs.R)
+        R = T.ToricDivisor(fs.total, fs.R)
         for m in range(1, 6):
             for u in T.sections(fs.total, R, m):
                 if u[0] != 0:

@@ -172,4 +172,4 @@ def test_check_all_digest_on_gated_variants(tmp_path, capsys):
     assert code == 0
     assert len(json.loads(out)) == 22 * 6
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "d06b8f7de0408244f87d0688fddf9f0443317cee486ef7c87816c3d98f3b8069")
+            == "c1a599312f0a24034fa0d2d14cad22af86c3edbae60f02388186272023d32917")

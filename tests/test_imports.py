@@ -185,19 +185,20 @@ def unreached(sources, root=("cli", "main")):
     method) and the function that a relative `from .x import` binds to it.
     `alias.name`, where `from . import` binds `alias` to a module, reaches
     that module's function `name`.  Any other attribute read reaches every
-    function and method of that name in every module, so a method call
-    reaches the methods of that name on all classes.  The module-level code
-    of each module that importing the root's module runs (class bodies and
-    default values included) is reached, and so are dunder methods, which
-    Python calls implicitly."""
+    method of that name in every module, so a method call reaches the
+    methods of that name on all classes, and no module-level function.  The
+    module-level code of each module that importing the root's module runs
+    (class bodies and default values included) is reached, and so are
+    dunder methods, which Python calls implicitly."""
     trees = {module: ast.parse(s) for module, s in sources.items()}
     defs = {(module, q): node for module, tree in trees.items()
             for q, node in definitions(tree)}
-    own, by_name = {}, {}
+    own, methods = {}, {}
     for module, q in defs:
         name = q.rsplit(".", 1)[-1]
         own.setdefault((module, name), set()).add((module, q))
-        by_name.setdefault(name, set()).add((module, q))
+        if "." in q:
+            methods.setdefault(name, set()).add((module, q))
     aliases = {module: {} for module in trees}   # alias -> module
     imported = {module: {} for module in trees}  # name -> (module, name)
     for module, tree in trees.items():
@@ -222,7 +223,7 @@ def unreached(sources, root=("cli", "main")):
                 target = (isinstance(n.value, ast.Name)
                           and aliases[module].get(n.value.id))
                 found |= ({(target, n.attr)} & defs.keys() if target
-                          else by_name.get(n.attr, set()))
+                          else methods.get(n.attr, set()))
         return found
 
     loaded, todo = set(), ["__init__", root[0]]
@@ -269,14 +270,16 @@ def test_reachability_scanner():
                 "def helper():\n    pass\n"),
         "extra": ("class Box:\n    def size(self):\n        return 1\n"
                   "    def unused(self):\n        pass\n"),
-        # `twin` in cli is lib's, so the same name here is not reached
+        # `twin` in cli is lib's, so the same name here is not reached, and
+        # `x.size` in lib reaches methods only, not this module's `size`
         "tools": ("HOOK = [unused_elsewhere]\n"
                   "def unused_elsewhere():\n    pass\n"
-                  "def twin():\n    return 1\n"),
+                  "def twin():\n    return 1\n"
+                  "def size():\n    return 2\n"),
     }
     assert unreached(sources) == {
         ("cli", "dead"), ("lib", "only_dead"), ("extra", "Box.unused"),
-        ("tools", "unused_elsewhere"), ("tools", "twin")}
+        ("tools", "unused_elsewhere"), ("tools", "twin"), ("tools", "size")}
 
 
 # Functions that `cli.main` does not reach, by why each stays.
@@ -287,7 +290,7 @@ NOT_REACHED = {
         ("invariants", "CurveBackend.is_pvs"),
         ("invariants", "SurfaceBackend.is_pvs"),
         ("invariants", "ToricBackend.is_pvs"),
-        ("linalg", "det"),
+        ("linalg", "det"), ("linalg", "rank"),
         ("lp", "_pivot"), ("lp", "_run"), ("lp", "max_cone_shift"),
         ("lp", "max_over_ineqs"), ("lp", "nonneg_combination"),
         ("lp", "recession_is_trivial"), ("lp", "simplex_max"),
@@ -304,9 +307,11 @@ NOT_REACHED = {
         ("toric", "projective_line"),
         ("toric", "projective_plane"),
     },
-    # public API that the README names: embedding, flag valuations
+    # public API that the README names: embedding, flag valuations, and
+    # the hull that `okbodies.__all__` exports
     "public": {
         ("polytope", "Polytope.embed"),
+        ("polytope", "hull"),
         ("toric", "flag_valuation"),
     },
     # used only by tests

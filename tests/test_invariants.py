@@ -285,7 +285,7 @@ EPS_STRATA = {X: [_strata(X, k) for k in range(X.dim + 1)]
               for X in TORIC_MODELS}
 # the pad that replaces a drawn one that is not ample
 AMPLE = {X: next(a for a in itertools.product(range(1, 4), repeat=len(X.rays))
-                 if T.is_ample(X, T.divisor(X, a)))
+                 if T.is_ample(X, T.ToricDivisor(X, a)))
          for X in TORIC_MODELS}
 
 
@@ -293,7 +293,7 @@ AMPLE = {X: next(a for a in itertools.product(range(1, 4), repeat=len(X.rays))
 def toric_eps_cases(draw):
     X = draw(st.sampled_from(TORIC_MODELS))
     A = draw(EPS_PADS[X])
-    if not T.is_ample(X, T.divisor(X, A)):
+    if not T.is_ample(X, T.ToricDivisor(X, A)):
         A = AMPLE[X]
     stratum = draw(EPS_STRATA[X][draw(EPS_DEPTHS[X])])
     return I.ToricBackend(X), draw(EPS_CLASSES[X]), A, stratum
@@ -337,8 +337,8 @@ def sampled_eps_fit(tb, f, cls, A, stratum):
     first chamber (0, eps1) along `stratum`, then a Vandermonde solve;
     v = the stratum dimension."""
     X = tb.X
-    eps1 = subset_loop_first_chamber(X, T.divisor(X, cls), T.divisor(X, A),
-                                     stratum)
+    eps1 = subset_loop_first_chamber(X, T.ToricDivisor(X, cls),
+                                     T.ToricDivisor(X, A), stratum)
     xs = [eps1 / 2 ** i for i in range(1, X.dim - len(stratum) + 2)]
     ys = [f(tuple(c + x * a for c, a in zip(cls, A))) for x in xs]
     return solve([[x ** k for k in range(len(xs))] for x in xs], ys)

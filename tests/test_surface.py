@@ -168,7 +168,7 @@ class TestZariski:
 
         blt = T.blown_up_plane()
         for m in range(1, 11):
-            count = len(T.sections(blt, T.divisor(blt, [0, 0, 2, 1]), m))
+            count = len(T.sections(blt, T.ToricDivisor(blt, [0, 0, 2, 1]), m))
             assert count == (2 * m + 1) * (2 * m + 2) // 2
         assert S.volume_surface(BL, qvec([2, 1])) == 4
 

@@ -22,7 +22,7 @@ STD_FLAG = T.ToricFlag(0, (0, 1))
 
 
 def d(X, coeffs):
-    return T.divisor(X, coeffs)
+    return T.ToricDivisor(X, coeffs)
 
 
 class TestValidation:
