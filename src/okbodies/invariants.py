@@ -31,8 +31,9 @@ UNDECLARED = "undeclared"
 class DimsReport:
     """kappa / nu / kappa_vol / kappa_sigma of one divisor class.
 
-    kappa and kappa_sigma may be undeclared (None): they are not numerical
-    invariants and are never guessed on abstract surfaces.
+    kappa may be undeclared (None): it is not a numerical invariant and is
+    never guessed on abstract surfaces.  kappa_sigma is computed on curves
+    and is None, printed "undeclared", on toric and surface models.
     """
 
     kappa: object   # int, NEG_INF, or None for undeclared
@@ -41,16 +42,11 @@ class DimsReport:
     kappa_sigma: object  # int or None
 
     def __post_init__(self):
-        chain = []
-        if self.kappa is not None:
-            chain.append(self.kappa)
-        chain.append(self.nu_bdpp)
-        chain.append(self.kappa_vol)
+        chain = [k for k in (self.kappa, self.nu_bdpp, self.kappa_vol)
+                 if k is not None]
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi:
                 raise ValueError("dimension chain violated: %r" % (self,))
-        if self.kappa_sigma is not None and self.nu_bdpp > self.kappa_sigma:
-            raise ValueError("nu exceeds declared kappa_sigma: %r" % (self,))
 
     def to_obj(self):
         def enc(v):
@@ -254,8 +250,7 @@ class SurfaceBackend:
     def dims(self, cls) -> DimsReport:
         nd = surfmod.numerical_dims_surface(self.S, cls)
         return DimsReport(kappa=self.kappa(cls), nu_bdpp=nd["nu_bdpp"],
-                          kappa_vol=nd["kappa_vol"],
-                          kappa_sigma=self.S.kappa_sigma_declared(cls))
+                          kappa_vol=nd["kappa_vol"], kappa_sigma=None)
 
     def restricted_volume_plus(self, cls, stratum) -> Fraction:
         stratum_dim, flag_curve = stratum

@@ -1,8 +1,14 @@
 """File formats: parsing, validation, canonical serialization.
 
-All rationals travel as "p/q" strings (plain integers are accepted as a
-shorthand); floats are rejected so no precision is ever lost.  Errors are
-tagged with the JSON path that caused them.
+Every object in an input file is read through `_fields` with the keys
+declared for it at its one reader: a missing required key, or any key
+that is not declared, is an InputError at `<path>.<key>` naming the
+allowed keys, and no declared field has a default that hides a malformed
+or absent value.  All rationals travel as "p/q" strings (plain integers
+are accepted as a shorthand); floats are rejected so no precision is ever
+lost.  A map key that names a class or an effective generator must be
+written as `to_obj` writes it, so every accepted file re-serialises to
+itself.  Errors are tagged with the JSON path that caused them.
 """
 
 from __future__ import annotations
@@ -13,15 +19,14 @@ from fractions import Fraction
 from .curve import CurveModel
 from .fiberspace import FiberSpaceInstance, FiberTypeFlag, _flag_obj
 from .polytope import Polytope
-from .surface import SurfaceLattice
+from .surface import SurfaceLattice, class_key
 from .toric import ToricFlag, ToricVariety
 
 
 class InputError(ValueError):
-    """Malformed or inconsistent input file; carries a JSON path."""
+    """Malformed or inconsistent input file, tagged with a JSON path."""
 
     def __init__(self, path, message):
-        self.path = path
         super().__init__(f"{path}: {message}")
 
 
@@ -36,10 +41,15 @@ def rational(value, path="value") -> Fraction:
         raise InputError(path, f"not a rational: {value!r} ({exc})")
 
 
-def _rat_vec(values, path):
+def _list(values, path, item):
+    """A list as a tuple, each entry read by `item(entry, path)`."""
     if not isinstance(values, list):
-        raise InputError(path, "expected a list of rationals")
-    return tuple(rational(v, f"{path}[{i}]") for i, v in enumerate(values))
+        raise InputError(path, "expected a list")
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(values))
+
+
+def _rat_vec(values, path):
+    return _list(values, path, rational)
 
 
 def _obj(value, path) -> dict:
@@ -48,18 +58,20 @@ def _obj(value, path) -> dict:
     return value
 
 
-def _int_map(value, path):
-    """An object of integers, or None when absent."""
-    if value is None:
-        return None
-    return {k: _int(v, f"{path}[{k}]") for k, v in _obj(value, path).items()}
-
-
-def _rows(values, path, vec):
-    """A list of rows, each parsed by `vec` (`_rat_vec` or `_int_vec`)."""
-    if not isinstance(values, list):
-        raise InputError(path, "expected a list of rows")
-    return tuple(vec(r, f"{path}[{i}]") for i, r in enumerate(values))
+def _fields(value, path, required, optional=()) -> dict:
+    """value as an object with every key of `required` and no key outside
+    `required` and `optional`; InputError at `<path>.<key>` otherwise."""
+    obj = _obj(value, path)
+    names = [*required, *optional]
+    allowed = (f"the allowed keys are {', '.join(names[:-1])} and {names[-1]}"
+               if names[1:] else f"the allowed key is {names[0]}")
+    for key in required:
+        if key not in obj:
+            raise InputError(f"{path}.{key}",
+                             f"missing required key; {allowed}")
+    if unknown := sorted(obj.keys() - set(names)):
+        raise InputError(f"{path}.{unknown[0]}", f"unknown key; {allowed}")
+    return obj
 
 
 def _int(value, path) -> int:
@@ -69,89 +81,106 @@ def _int(value, path) -> int:
 
 
 def _int_vec(values, path):
-    if not isinstance(values, list):
-        raise InputError(path, "expected a list of integers")
-    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(values))
+    return _list(values, path, _int)
+
+
+def _checked(path, make, **fields):
+    """make(**fields), with a ValueError it raises as an InputError at
+    path: the models check their own consistency."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise InputError(path, str(exc))
+
+
+def _map(value, path, read_key, write_key):
+    """An object of integers keyed by `read_key(key)`; a key must be
+    written as `write_key` writes what it reads, so that it round-trips."""
+    out = {}
+    for key, v in _obj(value, path).items():
+        where = f"{path}[{key}]"
+        try:
+            parsed = read_key(key)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(where, "malformed key")
+        if write_key(parsed) != key:
+            raise InputError(where, f"write this key as {write_key(parsed)!r}")
+        out[parsed] = _int(v, where)
+    return out
 
 
 # -- models -------------------------------------------------------------------
 
 
 def model_from_obj(obj, path="model"):
-    if not isinstance(obj, dict):
-        raise InputError(path, "expected an object")
-    kind = obj.get("kind")
-    try:
-        if kind == "toric":
-            return ToricVariety(
-                dim=_int(obj.get("dim"), f"{path}.dim"),
-                rays=_rows(obj.get("rays", []), f"{path}.rays", _int_vec),
-                max_cones=_rows(obj.get("max_cones", []), f"{path}.max_cones",
-                                _int_vec))
-        if kind == "surface":
-            abundance = None
-            if "abundance" in obj:
-                apath = f"{path}.abundance"
-                deg = _obj(obj["abundance"], apath).get("iitaka_degree_on", {})
-                abundance = {"iitaka_degree_on":
-                             {int(k): _int(v, f"{apath}[{k}]") for k, v in
-                              _obj(deg, f"{apath}.iitaka_degree_on").items()}}
-            return SurfaceLattice(
-                rank=_int(obj.get("rank"), f"{path}.rank"),
-                gram=_rows(obj.get("gram", []), f"{path}.gram", _int_vec),
-                effective_generators=_rows(
-                    obj.get("effective_generators", []),
-                    f"{path}.effective_generators", _rat_vec),
-                nef_generators=_rows(obj.get("nef_generators", []),
-                                     f"{path}.nef_generators", _rat_vec),
-                negative_curves=_int_vec(obj.get("negative_curves", []),
-                                         f"{path}.negative_curves"),
-                canonical_class=_rat_vec(obj.get("canonical_class", []),
-                                         f"{path}.canonical_class"),
-                abundance=abundance,
-                declared_kappa=_int_map(obj.get("declared_kappa"),
-                                        f"{path}.declared_kappa"),
-                declared_kappa_sigma=_int_map(obj.get("declared_kappa_sigma"),
-                                              f"{path}.declared_kappa_sigma"))
-        if kind == "curve":
-            return CurveModel(genus=_int(obj.get("genus"), f"{path}.genus"))
-    except InputError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise InputError(path, str(exc))
-    raise InputError(f"{path}.kind", f"unknown model kind: {kind!r}")
+    kind = _obj(obj, path).get("kind")
+    if kind == "toric":
+        _fields(obj, path, ("kind", "dim", "rays", "max_cones"))
+        return _checked(path, ToricVariety,
+                        dim=_int(obj["dim"], f"{path}.dim"),
+                        rays=_list(obj["rays"], f"{path}.rays", _int_vec),
+                        max_cones=_list(obj["max_cones"], f"{path}.max_cones",
+                                        _int_vec))
+    if kind == "curve":
+        _fields(obj, path, ("kind", "genus"))
+        return _checked(path, CurveModel,
+                        genus=_int(obj["genus"], f"{path}.genus"))
+    if kind != "surface":
+        raise InputError(f"{path}.kind", f"unknown model kind: {kind!r}")
+    _fields(obj, path, ("kind", "rank", "gram", "effective_generators",
+                        "nef_generators", "negative_curves",
+                        "canonical_class"), ("abundance", "declared_kappa"))
+    degrees, kappas = {}, {}
+    if "abundance" in obj:
+        abundance = _fields(obj["abundance"], f"{path}.abundance",
+                            ("iitaka_degree_on",))
+        degrees = _map(abundance["iitaka_degree_on"],
+                       f"{path}.abundance.iitaka_degree_on", int, str)
+    if "declared_kappa" in obj:
+        kappas = _map(obj["declared_kappa"], f"{path}.declared_kappa",
+                      lambda key: tuple(map(Fraction, key.split(","))),
+                      class_key)
+    return _checked(path, SurfaceLattice,
+                    rank=_int(obj["rank"], f"{path}.rank"),
+                    gram=_list(obj["gram"], f"{path}.gram", _int_vec),
+                    effective_generators=_list(obj["effective_generators"],
+                                               f"{path}.effective_generators",
+                                               _rat_vec),
+                    nef_generators=_list(obj["nef_generators"],
+                                         f"{path}.nef_generators", _rat_vec),
+                    negative_curves=_int_vec(obj["negative_curves"],
+                                             f"{path}.negative_curves"),
+                    canonical_class=_rat_vec(obj["canonical_class"],
+                                             f"{path}.canonical_class"),
+                    iitaka_degrees=degrees, declared_kappa=kappas)
 
 
 def divisor_from_obj(obj, path="divisor"):
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise InputError(path, "expected an object with a 'coeffs' list")
-    return _rat_vec(obj["coeffs"], f"{path}.coeffs")
+    return _rat_vec(_fields(obj, path, ("coeffs",))["coeffs"],
+                    f"{path}.coeffs")
 
 
 def flag_from_obj(obj, model, path="flag"):
-    if obj is None and isinstance(model, CurveModel):
-        return None  # curves have a unique flag shape: (curve, point)
-    if not isinstance(obj, dict):
-        raise InputError(path, "expected an object")
-    if isinstance(model, ToricVariety):
-        flag = ToricFlag(cone=_int(obj.get("cone"), f"{path}.cone"),
-                         ray_order=_int_vec(obj.get("ray_order", []),
-                                            f"{path}.ray_order"))
-        try:
-            flag.validate(model)
-        except ValueError as exc:
-            raise InputError(path, str(exc))
-        return flag
+    """A flag on `model`: a ToricFlag, the flag curve's index on a surface,
+    and None on a curve, whose flag (curve, general point) is implicit."""
     if isinstance(model, CurveModel):
+        if obj is not None:
+            _obj(obj, path)  # not read: a curve flag is implicit
         return None
-    if isinstance(model, SurfaceLattice):
-        i = _int(obj.get("curve"), f"{path}.curve")
-        count = len(model.effective_generators)
-        if not 0 <= i < count:
-            raise InputError(f"{path}.curve", f"curve index {i} out of range: "
-                             f"the surface has {count} effective generators")
-        return i
-    raise InputError(path, "flag for unsupported model type")
+    if isinstance(model, ToricVariety):
+        obj = _fields(obj, path, ("cone", "ray_order"))
+        flag = ToricFlag(cone=_int(obj["cone"], f"{path}.cone"),
+                         ray_order=_int_vec(obj["ray_order"],
+                                            f"{path}.ray_order"))
+        _checked(path, flag.validate, X=model)
+        return flag
+    obj = _fields(obj, path, ("curve",))
+    i = _int(obj["curve"], f"{path}.curve")
+    count = len(model.effective_generators)
+    if not 0 <= i < count:
+        raise InputError(f"{path}.curve", f"curve index {i} out of range: "
+                         f"the surface has {count} effective generators")
+    return i
 
 
 def body_from_obj(obj, path="body"):
@@ -159,15 +188,11 @@ def body_from_obj(obj, path="body"):
     report that holds one under "body", as the hull of its vertices."""
     if isinstance(obj, dict) and "body" in obj:
         obj, path = obj["body"], f"{path}.body"
-    if not isinstance(obj, dict):
-        raise InputError(path, "expected an object")
-    n = _int(obj.get("ambient_dim"), f"{path}.ambient_dim")
+    obj = _fields(obj, path, ("ambient_dim", "vertices"))
+    n = _int(obj["ambient_dim"], f"{path}.ambient_dim")
     if n < 1:
         raise InputError(f"{path}.ambient_dim", "must be >= 1")
-    verts = obj.get("vertices")
-    if not isinstance(verts, list):
-        raise InputError(f"{path}.vertices", "expected a list of vertices")
-    pts = [_rat_vec(v, f"{path}.vertices[{i}]") for i, v in enumerate(verts)]
+    pts = _list(obj["vertices"], f"{path}.vertices", _rat_vec)
     if any(len(p) != n for p in pts):
         raise InputError(f"{path}.vertices", f"every vertex needs {n} coordinates")
     return Polytope.hull(pts) if pts else Polytope.empty(n)
@@ -177,55 +202,43 @@ def body_from_obj(obj, path="body"):
 
 
 def instance_from_obj(obj, path="instance"):
-    if not isinstance(obj, dict):
-        raise InputError(path, "expected an object")
-    for key in ("base", "fiber", "total", "pullback", "restriction",
-                "decomposition", "hypotheses", "flags"):
-        if key not in obj:
-            raise InputError(f"{path}.{key}", "missing required field")
+    _fields(obj, path, ("base", "fiber", "total", "pullback", "restriction",
+                        "decomposition", "hypotheses", "flags", "total_flag"),
+            ("name", "ample"))
     base = model_from_obj(obj["base"], f"{path}.base")
     fiber = model_from_obj(obj["fiber"], f"{path}.fiber")
     total = model_from_obj(obj["total"], f"{path}.total")
-    dec = _obj(obj["decomposition"], f"{path}.decomposition")
-    for key in ("D", "D_Y", "R"):
-        if key not in dec:
-            raise InputError(f"{path}.decomposition.{key}", "missing")
-    flags = _obj(obj["flags"], f"{path}.flags")
-    base_flag = flag_from_obj(flags.get("base"), base, f"{path}.flags.base")
-    fiber_flag = flag_from_obj(flags.get("fiber"), fiber, f"{path}.flags.fiber")
-    ample = {k: _rat_vec(v, f"{path}.ample.{k}")
-             for k, v in _obj(obj.get("ample", {}), f"{path}.ample").items()}
-    if unknown := sorted(ample.keys() - {"A", "A_Y"}):
-        raise InputError(f"{path}.ample.{unknown[0]}", "unknown key; the "
-                         "allowed keys are A and A_Y")
+    dec = _fields(obj["decomposition"], f"{path}.decomposition",
+                  ("D", "D_Y", "R"))
+    flags = _fields(obj["flags"], f"{path}.flags", ("base", "fiber"))
+    ample = (_fields(obj["ample"], f"{path}.ample", (), ("A", "A_Y"))
+             if "ample" in obj else {})
     name = obj.get("name", "instance")
     if not isinstance(name, str):
         raise InputError(f"{path}.name", "expected a string")
-    hypotheses = dict(_obj(obj["hypotheses"], f"{path}.hypotheses"))
+    # var_f and iitaka_degree_on_fiber are informational: read by nothing
+    hypotheses = dict(_fields(obj["hypotheses"], f"{path}.hypotheses", (),
+                              ("weakly_positive", "isotrivial", "var_f",
+                               "iitaka_degree_on_fiber")))
     for key in ("weakly_positive", "isotrivial"):
-        value = hypotheses.get(key, False)
-        if not isinstance(value, bool):
-            raise InputError(f"{path}.hypotheses.{key}",
-                             f"expected true or false, got {value!r}")
-    try:
-        fs = FiberSpaceInstance(
-            name=name,
-            base=base, fiber=fiber, total=total,
-            pullback=_rows(obj["pullback"], f"{path}.pullback", _rat_vec),
-            restriction=_rows(obj["restriction"], f"{path}.restriction",
-                              _rat_vec),
-            D=_rat_vec(dec["D"], f"{path}.decomposition.D"),
-            D_Y=_rat_vec(dec["D_Y"], f"{path}.decomposition.D_Y"),
-            R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
-            hypotheses=hypotheses,
-            flag=FiberTypeFlag(base_flag, fiber_flag),
-            ample=ample)
-    except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(path, str(exc))
+        if not isinstance(hypotheses.get(key, False), bool):
+            raise InputError(f"{path}.hypotheses.{key}", "expected true or "
+                             f"false, got {hypotheses[key]!r}")
+    fs = _checked(
+        path, FiberSpaceInstance, name=name, base=base, fiber=fiber,
+        total=total,
+        pullback=_list(obj["pullback"], f"{path}.pullback", _rat_vec),
+        restriction=_list(obj["restriction"], f"{path}.restriction", _rat_vec),
+        D=_rat_vec(dec["D"], f"{path}.decomposition.D"),
+        D_Y=_rat_vec(dec["D_Y"], f"{path}.decomposition.D_Y"),
+        R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
+        hypotheses=hypotheses,
+        flag=FiberTypeFlag(
+            flag_from_obj(flags["base"], base, f"{path}.flags.base"),
+            flag_from_obj(flags["fiber"], fiber, f"{path}.flags.fiber")),
+        ample={k: _rat_vec(v, f"{path}.ample.{k}") for k, v in ample.items()})
     declared, derived = (json.dumps(flag, sort_keys=True) for flag in
-                         (obj.get("total_flag"), _flag_obj(fs.total_flag)))
+                         (obj["total_flag"], _flag_obj(fs.total_flag)))
     if declared != derived:
         raise InputError(f"{path}.total_flag", f"{declared} differs from the "
                          f"fiber-type flag derived from the models, {derived}")

@@ -60,9 +60,10 @@ class SurfaceLattice:
     nef_generators: tuple[tuple[Fraction, ...], ...]
     negative_curves: tuple[int, ...]  # indices into effective_generators
     canonical_class: tuple[Fraction, ...]
-    abundance: dict | None = None      # {"iitaka_degree_on": {gen index: int}}
-    declared_kappa: dict | None = None  # {class_key: int}
-    declared_kappa_sigma: dict | None = None
+    # declared {effective generator index: degree >= 1 of the Iitaka map on
+    # it} and {class: kappa 0, 1 or 2}; an empty map declares nothing
+    iitaka_degrees: dict = field(default_factory=dict)
+    declared_kappa: dict = field(default_factory=dict)
     _cone: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
 
@@ -86,9 +87,9 @@ class SurfaceLattice:
                 if self.pair(nf, g) < 0:
                     raise ValueError("a nef generator pairs negatively with "
                                      "an effective generator")
-        classes = set()
+        classes, n = set(), len(self.effective_generators)
         for i in self.negative_curves:
-            if not 0 <= i < len(self.effective_generators):
+            if not 0 <= i < n:
                 raise ValueError("negative curve index out of range")
             c = self.effective_generators[i]
             if self.pair(c, c) >= 0:
@@ -97,6 +98,14 @@ class SurfaceLattice:
                 raise ValueError(f"negative_curves names the class of "
                                  f"effective generator {i} twice")
             classes.add(c)
+        for i, deg in self.iitaka_degrees.items():
+            if not (0 <= i < n and deg >= 1):
+                raise ValueError(f"abundance.iitaka_degree_on[{i}] = {deg}: "
+                                 f"needs an index below {n} and a degree >= 1")
+        for cls, k in self.declared_kappa.items():
+            if len(cls) != r or k not in (0, 1, 2):
+                raise ValueError(f"declared_kappa[{class_key(cls)}] = {k}: "
+                                 f"needs a length-{r} class, kappa 0, 1 or 2")
 
     def _class(self, v) -> tuple[Fraction, ...]:
         """v as a class: a tuple of `rank` Fractions; every class enters
@@ -135,14 +144,7 @@ class SurfaceLattice:
         return self._cone
 
     def kappa_declared(self, cls):
-        if self.declared_kappa is None:
-            return None
-        return self.declared_kappa.get(class_key(cls))
-
-    def kappa_sigma_declared(self, cls):
-        if self.declared_kappa_sigma is None:
-            return None
-        return self.declared_kappa_sigma.get(class_key(cls))
+        return self.declared_kappa.get(self._class(cls))
 
     def to_obj(self):
         obj = {
@@ -155,15 +157,12 @@ class SurfaceLattice:
             "negative_curves": list(self.negative_curves),
             "canonical_class": [str(c) for c in self.canonical_class],
         }
-        if self.abundance is not None:
-            deg = self.abundance.get("iitaka_degree_on", {})
-            obj["abundance"] = {"iitaka_degree_on":
-                                {str(k): v for k, v in sorted(deg.items())}}
-        if self.declared_kappa is not None:
-            obj["declared_kappa"] = dict(sorted(self.declared_kappa.items()))
-        if self.declared_kappa_sigma is not None:
-            obj["declared_kappa_sigma"] = dict(
-                sorted(self.declared_kappa_sigma.items()))
+        if self.iitaka_degrees:
+            obj["abundance"] = {"iitaka_degree_on": {
+                str(i): d for i, d in sorted(self.iitaka_degrees.items())}}
+        if self.declared_kappa:
+            obj["declared_kappa"] = {class_key(cls): k for cls, k in
+                                     self.declared_kappa.items()}
         return obj
 
 
@@ -481,19 +480,13 @@ def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     """Body of honest sections of a canonical-type class, via the declared
     degree of the Iitaka map on the flag curve: (1/deg) * limiting body."""
     D = S._class(D)
-    if S.abundance is None:
+    if flag_curve not in S.iitaka_degrees:
         raise ValueError("valuative body undeterminable from numerical data")
-    degrees = S.abundance.get("iitaka_degree_on", {})
-    if flag_curve not in degrees:
-        raise ValueError("valuative body undeterminable from numerical data")
-    alpha = degrees[flag_curve]
-    if alpha < 1:
-        raise ValueError("Iitaka-map degree must be a positive integer")
     if not _proportional(D, S.canonical_class):
         raise ValueError("abundance declaration only covers canonical-type "
                          "classes")
     body = limiting_body_surface(S, D, flag_curve)
-    return body.scale(Fraction(1, alpha))
+    return body.scale(Fraction(1, S.iitaka_degrees[flag_curve]))
 
 
 def _proportional(D, K):

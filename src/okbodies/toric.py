@@ -93,12 +93,6 @@ class ToricDivisor:
         if len(self.coeffs) != len(self.variety.rays):
             raise ValueError("divisor needs one coefficient per ray")
 
-    def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
-        if other.variety is not self.variety and other.variety != self.variety:
-            raise ValueError("divisors live on different models")
-        return ToricDivisor(self.variety,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 @dataclass(frozen=True)
 class ToricFlag:

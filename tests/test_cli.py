@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from corpus import FIXTURES, INSTANCE_NAMES
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from okbodies import fiberspace as fsmod
 from okbodies import toric
@@ -502,56 +506,105 @@ class TestInstanceShape:
     @pytest.mark.parametrize("argv", [("validate",), ("check", "cor3_5")],
                              ids=["validate", "check"])
     @pytest.mark.parametrize("name,where,value,message", [
-        pytest.param(name, where, value, message, id=f"{name}-{where}")
-        for name, where, value, message in [
-            ("ex41", "name", ["ex41"], "name: expected a string"),
-            ("ex41", "flags", [], "flags: expected an object"),
-            ("ex41", "ample", [], "ample: expected an object"),
-            ("ex41", "hypotheses", [], "hypotheses: expected an object"),
-            ("prod_line_line", "hypotheses.weakly_positive", "false",
+        pytest.param(name, where, value, message, id=case)
+        for case, name, where, value, message in [
+            ("ex41-name", "ex41", "name", ["ex41"],
+             "name: expected a string"),
+            ("ex41-flags", "ex41", "flags", [], "flags: expected an object"),
+            ("ex41-ample", "ex41", "ample", [], "ample: expected an object"),
+            ("ex41-hypotheses", "ex41", "hypotheses", [],
+             "hypotheses: expected an object"),
+            ("prod_line_line-hypotheses.weakly_positive", "prod_line_line",
+             "hypotheses.weakly_positive", "false",
              "hypotheses.weakly_positive: expected true or false"),
-            ("prod_line_line", "hypotheses.isotrivial", "false",
+            ("prod_line_line-hypotheses.isotrivial", "prod_line_line",
+             "hypotheses.isotrivial", "false",
              "hypotheses.isotrivial: expected true or false"),
-            ("g2xg2", "ample.A", ["1", "-1"],
+            ("g2xg2-ample.A", "g2xg2", "ample.A", ["1", "-1"],
              "ample.A is not ample on the total space"),
-            ("ex41", "ample.A", ["1", "1", "1"],
+            ("ex41-ample.A", "ex41", "ample.A", ["1", "1", "1"],
              "ample.A has 3 coefficients, not 2"),
-            ("prod_line_line", "ample.A_Y", ["0", "1", "0"],
-             "ample.A_Y has 3 coefficients, not 2"),
-            ("ex41", "ample.A_Y", [], "ample.A_Y has 0 coefficients, not 1"),
+            ("prod_line_line-ample.A_Y", "prod_line_line", "ample.A_Y",
+             ["0", "1", "0"], "ample.A_Y has 3 coefficients, not 2"),
+            ("ex41-ample.A_Y", "ex41", "ample.A_Y", [],
+             "ample.A_Y has 0 coefficients, not 1"),
             # no check reads a misspelt key: thm1_3 would gate on a missing pad
-            ("prod_line_line", "ample.A_y", ["1", "0"],
+            ("prod_line_line-ample.A_y", "prod_line_line", "ample.A_y",
+             ["1", "0"],
              "ample.A_y: unknown key; the allowed keys are A and A_Y"),
-            ("ex41", "total.abundance", [], "abundance: expected an object"),
-            ("ex41", "total.declared_kappa", [],
+            ("ex41-total.abundance", "ex41", "total.abundance", [],
+             "abundance: expected an object"),
+            ("ex41-total.declared_kappa", "ex41", "total.declared_kappa", [],
              "declared_kappa: expected an object"),
-            ("ex41", "decomposition.D", ["1", "0", "0"],
-             "D has 3 coefficients, not 2"),
-            ("ex41", "decomposition.D_Y", ["0", "0"],
-             "D_Y has 2 coefficients, not 1"),
-            ("ex41", "decomposition.R", ["1"], "R has 1 coefficients, not 2"),
-            ("ex41", "pullback", [["0", "0"], ["1", "0"]],
+            ("ex41-decomposition.D", "ex41", "decomposition.D",
+             ["1", "0", "0"], "D has 3 coefficients, not 2"),
+            ("ex41-decomposition.D_Y", "ex41", "decomposition.D_Y",
+             ["0", "0"], "D_Y has 2 coefficients, not 1"),
+            ("ex41-decomposition.R", "ex41", "decomposition.R", ["1"],
+             "R has 1 coefficients, not 2"),
+            ("ex41-pullback", "ex41", "pullback", [["0", "0"], ["1", "0"]],
              "pullback must be a 2 x 1 matrix"),
-            ("ex41", "restriction", [["2", "0"], ["0", "0"]],
-             "restriction must be a 1 x 2 matrix"),
-            ("prod_line_line", "flags.base", None,
-             "flags.base: expected an object"),
-            ("prod_line_line", "total_flag", None,
+            ("ex41-restriction", "ex41", "restriction",
+             [["2", "0"], ["0", "0"]], "restriction must be a 1 x 2 matrix"),
+            ("prod_line_line-flags.base", "prod_line_line", "flags.base",
+             None, "flags.base: expected an object"),
+            ("prod_line_line-total_flag", "prod_line_line", "total_flag",
+             None,
              "total_flag: null differs from the fiber-type flag derived"),
             # a declared copy that disagrees with the models would turn
             # thm1_3, cor3_5 and lemma3_1 into a false "fails"
-            ("prod_plane_line", "total_flag.ray_order", [3, 1, 0],
+            ("prod_plane_line-total_flag.ray_order", "prod_plane_line",
+             "total_flag.ray_order", [3, 1, 0],
              "total_flag: {\"cone\": 0, \"ray_order\": [3, 1, 0]} differs "
              "from the fiber-type flag derived from the models, "
              "{\"cone\": 0, \"ray_order\": [0, 1, 3]}"),
-            ("prod_plane_line", "restriction",
+            ("prod_plane_line-restriction", "prod_plane_line", "restriction",
              [[0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
              "restriction [[\"0\", \"0\", \"0\", \"1\", \"1\"], "
              "[\"0\", \"0\", \"0\", \"0\", \"1\"]] differs from the map "
              "derived from the models"),
-            ("ex42", "restriction", [["3", "0"]],
+            ("ex42-restriction", "ex42", "restriction", [["3", "0"]],
              "restriction [[\"3\", \"0\"]] differs from the map derived "
-             "from the models, [[\"2\", \"0\"]]")]])
+             "from the models, [[\"2\", \"0\"]]"),
+            # a misspelt or extra key is read by nothing: each would turn a
+            # computed verdict into a gate with the wrong reason
+            ("prod_line_line-base.raays", "prod_line_line", "base.raays",
+             [[1], [-1]], "base.raays: unknown key; the allowed keys are "
+             "kind, dim, rays and max_cones"),
+            ("prod_line_line-decomposition.R_F", "prod_line_line",
+             "decomposition.R_F", ["0"],
+             "decomposition.R_F: unknown key; the allowed keys are D, D_Y "
+             "and R"),
+            ("prod_line_line-hypotheses-misspelt", "prod_line_line",
+             "hypotheses", {"isotrivial": True, "weakly_postive": True},
+             "hypotheses.weakly_postive: unknown key"),
+            ("g2xell-total.declared_kappa_sigma", "g2xell",
+             "total.declared_kappa_sigma", {"2,0": 1},
+             "total.declared_kappa_sigma: unknown key"),
+            # declared kappa keys are classes written as class_key writes
+            # them, and kappa on a surface is 0, 1 or 2
+            ("g2xell-total.declared_kappa-spaced", "g2xell",
+             "total.declared_kappa", {"2, 0": 1},
+             "total.declared_kappa[2, 0]: write this key as '2,0'"),
+            ("g2xell-total.declared_kappa-unreduced", "g2xell",
+             "total.declared_kappa", {"4/2,0": 1},
+             "total.declared_kappa[4/2,0]: write this key as '2,0'"),
+            ("ex42-total.declared_kappa.1,0", "ex42",
+             "total.declared_kappa.1,0", 5,
+             "total: declared_kappa[1,0] = 5: needs a length-2 class, "
+             "kappa 0, 1 or 2"),
+            # an Iitaka degree is >= 1, on an effective generator's index
+            ("g2xell-total.abundance.iitaka_degree_on-zero", "g2xell",
+             "total.abundance.iitaka_degree_on", {"0": 0},
+             "total: abundance.iitaka_degree_on[0] = 0: needs an index "
+             "below 2 and a degree >= 1"),
+            ("g2xell-total.abundance.iitaka_degree_on-index", "g2xell",
+             "total.abundance.iitaka_degree_on", {"7": 1},
+             "total: abundance.iitaka_degree_on[7] = 1: needs an index "
+             "below 2"),
+            ("g2xell-total.abundance.iitaka_degree_on-key", "g2xell",
+             "total.abundance.iitaka_degree_on", {"x": 1},
+             "total.abundance.iitaka_degree_on[x]: malformed key")]])
     def test_malformed_field_is_input_error(self, capsys, tmp_path, argv,
                                             name, where, value, message):
         path = FIXTURES / "instances" / f"{name}.json"
@@ -565,6 +618,82 @@ class TestInstanceShape:
         code, out, err = run(capsys, *argv, "--instance", path)
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and message in err
+
+    # a missing key is named as such, not by what fails without it (a
+    # toric model without rays would fail on its cones' ray indices)
+    @pytest.mark.parametrize("where", ["total.rays", "flags.base",
+                                       "total_flag", "decomposition.R"])
+    def test_missing_required_key_is_input_error(self, capsys, tmp_path,
+                                                 where):
+        obj = load_json(FIXTURES / "instances/prod_line_line.json")
+        *parents, key = where.split(".")
+        del _at(obj, parents)[key]
+        code, out, err = run(capsys, "validate", "--instance",
+                             self._write(tmp_path, obj))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ")
+        assert f".{where}: missing required key; the allowed keys are" in err
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _json_paths(value, path=()):
+    """The path, as a tuple of keys and indices, of every value in value."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+SHIPPED = {name: (FIXTURES / f"instances/{name}.json").read_text()
+           for name in INSTANCE_NAMES}
+FUZZ_VALUES = [None, True, -1, 1.5, "x", "1/0", [], {}, 10**40]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validate_reads_every_one_edit_as_a_verdict(tmp_path_factory, data):
+    """Validate a shipped instance after one edit: a value set from a fixed
+    pool, a key deleted, or an unknown key added.  The reader answers 0 or
+    2 with one stderr line, never an internal error; an unknown key is
+    always an input error."""
+    obj = json.loads(SHIPPED[data.draw(st.sampled_from(INSTANCE_NAMES))])
+    paths = list(_json_paths(obj))[1:]
+    edit = data.draw(st.sampled_from(["set", "delete", "add"]))
+    if edit == "add":
+        paths = [p for p in paths if isinstance(_at(obj, p), dict)]
+    elif edit == "delete":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    # a field first, then one of its places: a long list of rays or
+    # coefficients does not crowd out the one-key objects
+    fields = {}
+    for p in paths:
+        fields.setdefault(tuple(k for k in p if isinstance(k, str)),
+                          []).append(p)
+    field = data.draw(st.sampled_from(sorted(fields)))
+    *parents, key = data.draw(st.sampled_from(fields[field]))
+    target = _at(obj, parents)
+    if edit == "set":
+        target[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    elif edit == "delete":
+        del target[key]
+    else:
+        target[key]["unknown_key"] = 0
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", "--instance", str(path)])
+    err = err.getvalue()
+    assert code in (0, 2) and err.count("\n") == 1 and err.endswith("\n")
+    assert "internal error" not in err
+    if edit == "add":
+        assert code == 2 and err.startswith("input error: ")
 
 
 class TestDerivedFields:

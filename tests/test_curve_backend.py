@@ -181,8 +181,8 @@ def test_curve_backend_matches_degree_functions(genus):
 def _kind(fn, *args):
     """Value, or only that a ValueError was raised: the two backends word
     their errors differently.  Bodies compare by vertices, dimension
-    reports by (kappa, nu, kappa_vol): kappa_sigma is a declaration that
-    only the curve makes."""
+    reports by (kappa, nu, kappa_vol): only the curve computes
+    kappa_sigma."""
     try:
         out = fn(*args)
     except ValueError:

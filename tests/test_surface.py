@@ -25,8 +25,7 @@ def g2xg2_lattice():
         nef_generators=(qvec([1, 0]), qvec([0, 1])),
         negative_curves=(),
         canonical_class=qvec([2, 2]),
-        abundance={"iitaka_degree_on": {0: 1}},
-        declared_kappa={"2,2": 2})
+        iitaka_degrees={0: 1}, declared_kappa={(2, 2): 2})
 
 
 def bl2_lattice():
@@ -279,7 +278,7 @@ class TestValuativeAbundant:
             nef_generators=(qvec([1, 0]), qvec([0, 1])),
             negative_curves=(),
             canonical_class=qvec([1, 0]),
-            abundance={"iitaka_degree_on": {1: 2}})
+            iitaka_degrees={1: 2})
         body = S.valuative_body_abundant(G, qvec([1, 0]), 1)
         assert body == hull([(0, 0), (0, 1)])
 
