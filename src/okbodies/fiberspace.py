@@ -532,12 +532,14 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     must be 1 to MAX_GRID_STEPS.
 
     Certificate: the support function of beta * B x gamma * F at a is
-    beta * h_B(a_B) + gamma * h_F(a_F), so the triple is feasible iff
-    beta * h_B(a_B) + gamma * h_F(a_F) <= alpha * c for every half-space
-    a . x <= c of body(D), equality pairs included
-    (`Polytope.support_rows`).  With alpha, beta, gamma = k * grid_step the
-    positive step cancels, and each triple is decided on integer rows, with
-    no dilation, product or hull.
+    beta * h_B(a_B) + gamma * h_F(a_F), so on each integer row (c, h_B, h_F)
+    of body(D) (`Polytope.support_rows`, equality pairs included) the triple
+    (ka, kb, kg) * grid_step is feasible iff ka * c >= kb * h_B + kg * h_F.
+    Each column (kb, kg) thus holds the ka of one interval [lo, hi] in
+    [1, steps]: a row with c > 0 bounds lo by a ceiling, one with c < 0
+    bounds hi by a floor, and one with c = 0 holds for every ka or none.
+    The minimal alpha is the lo of the column kb = kg = 1 / grid_step, and
+    None when 1 is off the grid or that column is empty.
     """
     grid_step = frac(grid_step)
     bound = frac(bound)
@@ -550,12 +552,25 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
                          f"{MAX_GRID_STEPS}")
     lhs0 = fs.total_val_body(fs.D)
     rows, _q = lhs0.support_rows(*fs.factor_val_bodies(fs.D_Y, fs.R_fiber))
-    grid = [(k, k * grid_step) for k in range(1, steps + 1)]
-    feasible = [(al, be, ga)
-                for ka, al in grid for kb, be in grid for kg, ga in grid
-                if all(kb * hb + kg * hf <= ka * c for c, hb, hf in rows)]
-    minimal_alpha = next((al for (al, be, ga) in feasible
-                          if be == 1 and ga == 1), None)
+    grid = [k * grid_step for k in range(steps + 1)]
+    columns = {}
+    for kb in range(1, steps + 1):
+        for kg in range(1, steps + 1):
+            lo, hi = 1, steps
+            for c, hb, hf in rows:
+                s = kb * hb + kg * hf
+                if c > 0:
+                    lo = max(lo, -(-s // c))
+                elif c < 0:
+                    hi = min(hi, s // c)
+                elif s > 0:
+                    hi = 0
+            columns[kb, kg] = lo, hi
+    feasible = [(grid[ka], grid[kb], grid[kg]) for ka in range(1, steps + 1)
+                for (kb, kg), (lo, hi) in columns.items() if lo <= ka <= hi]
+    unit = grid_step.denominator if grid_step.numerator == 1 else 0
+    lo, hi = columns.get((unit, unit), (1, 0))
+    minimal_alpha = grid[lo] if lo <= hi else None
     return {"feasible": feasible, "minimal_alpha_for_unit": minimal_alpha,
             "grid_step": grid_step, "bound": bound}
 

@@ -4,16 +4,19 @@ Every object in an input file is read through `_fields` with the keys
 declared for it at its one reader: a missing required key, or any key
 that is not declared, is an InputError at `<path>.<key>` naming the
 allowed keys, and no declared field has a default that hides a malformed
-or absent value.  All rationals travel as "p/q" strings (plain integers
-are accepted as a shorthand); floats are rejected so no precision is ever
-lost.  A map key that names a class or an effective generator must be
-written as `to_obj` writes it, so every accepted file re-serialises to
-itself.  Errors are tagged with the JSON path that caused them.
+or absent value.  All rationals travel as "p/q" strings, as str(Fraction)
+writes them (plain integers are accepted as a shorthand); floats, decimals
+and exponents are rejected, so no precision is lost and no short exponent
+expands to a huge integer.  A map key that names a class or an effective
+generator must be written as `to_obj` writes it, so every accepted file
+re-serialises to itself.  Errors are tagged with the JSON path that caused
+them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .curve import CurveModel
@@ -30,15 +33,24 @@ class InputError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+# what `str(Fraction)` writes; Fraction itself would also read decimals,
+# exponents, underscores and padding, and "1e999999999" as 10**999999999
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rational(value, path="value") -> Fraction:
-    """An exact rational from an integer or a 'p/q' string; floats, and
-    anything else that is not a rational, raise InputError."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(path, "rationals must be integers or 'p/q' strings")
-    try:
+    """An exact rational from an integer or a 'p/q' string of ASCII
+    digits; floats, decimals, exponents and anything else raise
+    InputError."""
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(path, f"not a rational: {value!r} ({exc})")
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(path, f"not a rational: {value!r} ({exc})")
+    raise InputError(path, "rationals must be integers or 'p/q' strings, "
+                           f"got {value!r}")
 
 
 def _list(values, path, item):
@@ -138,7 +150,7 @@ def model_from_obj(obj, path="model"):
                        f"{path}.abundance.iitaka_degree_on", int, str)
     if "declared_kappa" in obj:
         kappas = _map(obj["declared_kappa"], f"{path}.declared_kappa",
-                      lambda key: tuple(map(Fraction, key.split(","))),
+                      lambda key: tuple(map(rational, key.split(","))),
                       class_key)
     return _checked(path, SurfaceLattice,
                     rank=_int(obj["rank"], f"{path}.rank"),

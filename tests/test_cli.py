@@ -393,7 +393,7 @@ class TestScalingSearchVerb:
         assert code == 0 and len(json.loads(out)["feasible"]) == count
 
     @pytest.mark.parametrize("option", ["--grid-step", "--bound"])
-    @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3"])
+    @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3", "1e3", "0.5"])
     def test_malformed_rational_is_usage_error(self, capsys, option,
                                                value):
         with pytest.raises(SystemExit) as exc:
@@ -585,7 +585,7 @@ class TestInstanceShape:
             # them, and kappa on a surface is 0, 1 or 2
             ("g2xell-total.declared_kappa-spaced", "g2xell",
              "total.declared_kappa", {"2, 0": 1},
-             "total.declared_kappa[2, 0]: write this key as '2,0'"),
+             "total.declared_kappa[2, 0]: malformed key"),
             ("g2xell-total.declared_kappa-unreduced", "g2xell",
              "total.declared_kappa", {"4/2,0": 1},
              "total.declared_kappa[4/2,0]: write this key as '2,0'"),
@@ -604,7 +604,20 @@ class TestInstanceShape:
              "below 2"),
             ("g2xell-total.abundance.iitaka_degree_on-key", "g2xell",
              "total.abundance.iitaka_degree_on", {"x": 1},
-             "total.abundance.iitaka_degree_on[x]: malformed key")]])
+             "total.abundance.iitaka_degree_on[x]: malformed key"),
+            # a rational is written as str(Fraction) writes it: Fraction
+            # alone would read "1e999999999" by computing 10**999999999
+            *[(f"ex41-decomposition.D-{case}", "ex41", "decomposition.D",
+               [value, "0"], f"decomposition.D[0]: rationals must be "
+               f"integers or 'p/q' strings, got {value!r}")
+              for case, value in [
+                  ("decimal", "0.5"), ("exponent", "1e3"),
+                  ("leading-space", " 1/2"), ("underscore", "1_0"),
+                  ("trailing-space", "1/2 "), ("fullwidth-digit", "\uff11"),
+                  ("float", 0.5)]],
+            ("g2xell-total.declared_kappa-exponent", "g2xell",
+             "total.declared_kappa", {"2e0,0": 1},
+             "total.declared_kappa[2e0,0]: malformed key")]])
     def test_malformed_field_is_input_error(self, capsys, tmp_path, argv,
                                             name, where, value, message):
         path = FIXTURES / "instances" / f"{name}.json"

@@ -296,6 +296,54 @@ def test_scaling_search_matches_hulled_sums(name):
     assert FS.scaling_search(fs)["feasible"] == _hulled_scaling_search(fs)
 
 
+class _RowsInstance:
+    """An instance whose total body has the given support rows against its
+    factor bodies: all that `scaling_search` reads of an instance."""
+
+    D = D_Y = R_fiber = None
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def total_val_body(self, cls):
+        return self
+
+    def factor_val_bodies(self, *classes):
+        return None, None
+
+    def support_rows(self, *factors):
+        return self.rows, 1
+
+
+def _triple_scan(rows, grid_step, steps):
+    """Reference: every grid triple tested against every row, in alpha-major
+    order, and the first feasible alpha with beta = gamma = 1."""
+    grid = [(k, k * grid_step) for k in range(1, steps + 1)]
+    feasible = [(al, be, ga)
+                for ka, al in grid for kb, be in grid for kg, ga in grid
+                if all(kb * hb + kg * hf <= ka * c for c, hb, hf in rows)]
+    return feasible, next((al for (al, be, ga) in feasible
+                           if be == 1 and ga == 1), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.just(0) | st.integers(-6, 6),
+                                st.integers(-6, 6), st.integers(-6, 6)),
+                      max_size=6),
+       steps=st.integers(1, 16).flatmap(
+           lambda k: st.integers(1, FS.MAX_GRID_STEPS if k == 1 else 16)),
+       grid_step=st.builds(F, st.integers(1, 3), st.integers(1, 8)))
+def test_scaling_search_matches_triple_scan(rows, steps, grid_step):
+    # rows with c > 0, c < 0 and (drawn more often) c = 0, and no rows at
+    # all; grids with and without 1 among their values.  One grid in 16
+    # may take up to 64 steps, whose reference scan tests 64 times the
+    # triples of a 16-step grid.
+    res = FS.scaling_search(_RowsInstance(rows), grid_step, steps * grid_step)
+    feasible, minimal = _triple_scan(rows, grid_step, steps)
+    assert res["feasible"] == feasible
+    assert res["minimal_alpha_for_unit"] == minimal
+
+
 # -- support-function inclusion rule ------------------------------------------
 
 # strategies are built once here, not inside each draw: few points or 0/1

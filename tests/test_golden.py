@@ -56,6 +56,104 @@ GOLDEN = {
 }
 
 
+# `scaling-search` on every shipped instance over four grids, and on ex42
+# over the largest grid; each run exits 0.  On the 3/8 grid 1 is not a grid
+# value and on the bound-1 grid ex42 has no feasible alpha at beta = gamma
+# = 1, so both print a null minimal alpha.  The digests were recorded from
+# the triple-by-triple scan that the per-column alpha intervals replaced;
+# the default grid on ex42, prod_plane_line and g2xg2 is pinned above.
+SCALING_GRIDS = {
+    "default": [],
+    "step_1/2_bound_2": ["--grid-step", "1/2", "--bound", "2"],
+    "step_3/8_bound_3": ["--grid-step", "3/8", "--bound", "3"],
+    "bound_1": ["--bound", "1"],
+    "step_1/16": ["--grid-step", "1/16"],
+}
+SCALING_DIGESTS = {
+    ("ellxell", "default"):
+        "e6d0139c6d087088f9699136af959e67fca9f29466369a9f77603a48271a3a6e",
+    ("ellxell", "step_1/2_bound_2"):
+        "8164f0106f8a1313612f3834484afc0b91cd5e37e107dc238981da2f57f18a6c",
+    ("ellxell", "step_3/8_bound_3"):
+        "0e45e9f2a0e6697f6a571eeb56ffe0b358f40cc7ee91caefcd4a8c58b1c373fa",
+    ("ellxell", "bound_1"):
+        "4246dd29025492c6396a193ffad28a7341a1bcf8d2f4290e55e98817e3042bc6",
+    ("ellxg2", "default"):
+        "b630e965da9531f124604126d8d8289f9299488dedb7f8b8bea39848a7edae30",
+    ("ellxg2", "step_1/2_bound_2"):
+        "d062d9641433d6f31fdd96edef57990818ebd2f5a4a489883279714d8a6744d6",
+    ("ellxg2", "step_3/8_bound_3"):
+        "497ea464d8f0e04d61f0c4010546f8697c71b78833fb3f478b5fa332cb567a0b",
+    ("ellxg2", "bound_1"):
+        "ee982cf7fb7240a084f73460b5e48f71752b3a012fa371a23e754444598e5000",
+    ("ex41", "default"):
+        "b630e965da9531f124604126d8d8289f9299488dedb7f8b8bea39848a7edae30",
+    ("ex41", "step_1/2_bound_2"):
+        "d062d9641433d6f31fdd96edef57990818ebd2f5a4a489883279714d8a6744d6",
+    ("ex41", "step_3/8_bound_3"):
+        "497ea464d8f0e04d61f0c4010546f8697c71b78833fb3f478b5fa332cb567a0b",
+    ("ex41", "bound_1"):
+        "ee982cf7fb7240a084f73460b5e48f71752b3a012fa371a23e754444598e5000",
+    ("ex42", "step_1/2_bound_2"):
+        "28032b9c9d39dd29fe5fa25aa4983a547d8d38048b7cad93c7d47524f8c0a214",
+    ("ex42", "step_3/8_bound_3"):
+        "f9175b906931e49c9f1b26c9a2342a056d6c66aa6b20302ecaf12476bafeb2e0",
+    ("ex42", "bound_1"):
+        "9be1251b4a029266646f2b5506098de9b46a006f0f6894c7baf9fe58caf6ac3d",
+    ("ex42", "step_1/16"):
+        "818ceaddf5c5217df10e98d844bce33e10d9403ef438d3471f82a6c86cca59f1",
+    ("ex42_toric_surrogate", "default"):
+        "b630e965da9531f124604126d8d8289f9299488dedb7f8b8bea39848a7edae30",
+    ("ex42_toric_surrogate", "step_1/2_bound_2"):
+        "d062d9641433d6f31fdd96edef57990818ebd2f5a4a489883279714d8a6744d6",
+    ("ex42_toric_surrogate", "step_3/8_bound_3"):
+        "497ea464d8f0e04d61f0c4010546f8697c71b78833fb3f478b5fa332cb567a0b",
+    ("ex42_toric_surrogate", "bound_1"):
+        "ee982cf7fb7240a084f73460b5e48f71752b3a012fa371a23e754444598e5000",
+    ("g2xell", "default"):
+        "554da4f9bc9623e279470e134c2a8dae9f16ba9467b4745d8383fdfc69af9156",
+    ("g2xell", "step_1/2_bound_2"):
+        "2d868f25855ee150a5ed68bdba8780af4f6d93423392bda89858f1bd092d1cf9",
+    ("g2xell", "step_3/8_bound_3"):
+        "15ea07beeea7dfcbff024269988088f1b63918aa815a27b3a3e101660296ab92",
+    ("g2xell", "bound_1"):
+        "a503269a537e51f75c6cb25fe8cdc543266e5b0d00db6fc2f781457a6b7d44b3",
+    ("g2xg2", "step_1/2_bound_2"):
+        "dd41ca8bc4e9a22beff343d706e78b63948809fcfe8262cd11aeb05057b40d38",
+    ("g2xg2", "step_3/8_bound_3"):
+        "9438889cc4fb3f8ba5c4c218127b15b8bca48c4256a4547e031174ff2bcea599",
+    ("g2xg2", "bound_1"):
+        "fae65c2216c1dfe90d4259423ebc5df56c2fd60c44224fbc6dc67b935f1586ac",
+    ("prod_line_line", "default"):
+        "fb76579fcec9cb8c6c73e670d6cbf9cc223158c0b53e7b873cdad5636e249f76",
+    ("prod_line_line", "step_1/2_bound_2"):
+        "dd41ca8bc4e9a22beff343d706e78b63948809fcfe8262cd11aeb05057b40d38",
+    ("prod_line_line", "step_3/8_bound_3"):
+        "9438889cc4fb3f8ba5c4c218127b15b8bca48c4256a4547e031174ff2bcea599",
+    ("prod_line_line", "bound_1"):
+        "fae65c2216c1dfe90d4259423ebc5df56c2fd60c44224fbc6dc67b935f1586ac",
+    ("prod_line_line_rf0", "default"):
+        "554da4f9bc9623e279470e134c2a8dae9f16ba9467b4745d8383fdfc69af9156",
+    ("prod_line_line_rf0", "step_1/2_bound_2"):
+        "2d868f25855ee150a5ed68bdba8780af4f6d93423392bda89858f1bd092d1cf9",
+    ("prod_line_line_rf0", "step_3/8_bound_3"):
+        "15ea07beeea7dfcbff024269988088f1b63918aa815a27b3a3e101660296ab92",
+    ("prod_line_line_rf0", "bound_1"):
+        "a503269a537e51f75c6cb25fe8cdc543266e5b0d00db6fc2f781457a6b7d44b3",
+    ("prod_plane_line", "step_1/2_bound_2"):
+        "f38c5af26b2cae2ec7411079debf2a812e0a98ef1b603639dd6a51ed6f364ec5",
+    ("prod_plane_line", "step_3/8_bound_3"):
+        "fc9c107a7ad998a9c88a77b323352360ce4c8d2bbe57a2a37abda228e91e4dcb",
+    ("prod_plane_line", "bound_1"):
+        "42d59c4d700cb0826aecd2d0dbea17a009f42e7f850fa29effef6cf18a000dab",
+}
+GOLDEN.update({
+    f"scaling_{name}_{grid}": (
+        ["scaling-search", "--instance", f"fixtures/instances/{name}.json",
+         *SCALING_GRIDS[grid]], digest)
+    for (name, grid), digest in SCALING_DIGESTS.items()})
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_digest(name, capsys, monkeypatch):
     argv, digest = GOLDEN[name]
