@@ -16,7 +16,8 @@ reported as a one-line summary instead of a traceback).
 
 Each verb's handler takes the parsed arguments, with every input file it
 declares already loaded, and returns (report, summary lines, exit code);
-`main` is the one place that writes them.
+`main` is the one place that writes them.  One table, `VERBS`, declares
+every verb, and a call builds the parser of its own verb only.
 """
 
 from __future__ import annotations
@@ -132,7 +133,9 @@ def cmd_scaling_search(args):
     res = fsmod.scaling_search(args.instance, grid_step=args.grid_step,
                                bound=args.bound)
     alpha = res["minimal_alpha_for_unit"]
-    return ({"feasible": [[str(x) for x in t] for t in res["feasible"]],
+    labels = [str(g) for g in res["grid"]]
+    return ({"feasible": [[labels[ka], labels[kb], labels[kg]]
+                          for ka, kb, kg in res["feasible_indices"]],
              "minimal_alpha_for_unit": None if alpha is None else str(alpha),
              "grid_step": str(res["grid_step"]),
              "bound": str(res["bound"])},
@@ -181,57 +184,71 @@ def cmd_validate(args):
             [f"validate: {checked} file(s) ok"], 0)
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
+# verb -> (handler, one-line help, the JSON input files it reads, its
+# other options as (name, `add_argument` keywords)).  An input name ending
+# in "?" is optional; `_load_files` parses each file given.
+VERBS = {
+    "body": (cmd_body, "valuative body of a divisor", "model divisor flag?",
+             ()),
+    "limbody": (cmd_body, "limiting body of a divisor", "model divisor flag?",
+                ()),
+    "zariski": (cmd_zariski, "Zariski decomposition (surface)",
+                "model divisor", ()),
+    "vol": (cmd_vol, "volume of a divisor", "model divisor", ()),
+    "dims": (cmd_dims, "kappa/nu/kappa_vol report", "model divisor", ()),
+    "check": (cmd_check, "run a fiber-space check on an instance file",
+              "instance?",
+              (("check", {"nargs": "?",
+                          "help": f"one of {sorted(fsmod.ALL_CHECKS)}"}),
+               ("--all", {"metavar": "DIR", "help": "run every check on "
+                          "every instance in DIR"}))),
+    "scaling-search": (cmd_scaling_search,
+                       "grid search for feasible body scalings", "instance",
+                       (("--grid-step", {"type": io.rational,
+                                         "default": "1/4"}),
+                        ("--bound", {"type": io.rational, "default": "4"}))),
+    "oracle-compare": (cmd_oracle_compare, "compare the exact toric body "
+                       "against the finite-level oracle", "model divisor flag",
+                       (("--m", {"type": int, "default": 20}),)),
+    "emit-plot": (cmd_emit_plot, "emit csv/svg plot data of a body", "body",
+                  (("--format", {"choices": ("csv", "svg"),
+                                 "default": "csv"}),)),
+    "validate": (cmd_validate, "validate input files",
+                 "model? divisor? flag? instance?", ()),
+}
+
+
+def _parse_args(argv):
+    """The top-level parser reads only the verb and hands the rest of argv
+    to a parser built from that verb's row of VERBS alone."""
+    top = argparse.ArgumentParser(
         prog="okbodies",
-        description="Exact Newton-Okounkov bodies, volumes, numerical "
-                    "Iitaka dimensions, and fiber-space subadditivity checks.")
-    sub = p.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, about, inputs):
-        """A verb reading the JSON input files named in `inputs`; a name
-        ending in "?" is optional.  `_load_files` parses them."""
-        sp = sub.add_parser(name, help=about)
-        sp.set_defaults(fn=fn)
-        sp.add_argument("--out", help="write the report to this file")
-        for spec in inputs.split():
-            key = spec.rstrip("?")
-            sp.add_argument(f"--{key}", dest=f"{key}_path",
-                            metavar=key.upper(), help=f"{key} JSON file",
-                            required=not spec.endswith("?"))
-        return sp
-
-    add("body", cmd_body, "valuative body of a divisor", "model divisor flag?")
-    add("limbody", cmd_body, "limiting body of a divisor",
-        "model divisor flag?")
-    add("zariski", cmd_zariski, "Zariski decomposition (surface)",
-        "model divisor")
-    add("vol", cmd_vol, "volume of a divisor", "model divisor")
-    add("dims", cmd_dims, "kappa/nu/kappa_vol report", "model divisor")
-    sp = add("check", cmd_check, "run a fiber-space check on an instance file",
-             "instance?")
-    sp.add_argument("check", nargs="?",
-                    help=f"one of {sorted(fsmod.ALL_CHECKS)}")
-    sp.add_argument("--all", metavar="DIR",
-                    help="run every check on every instance in DIR")
-    sp = add("scaling-search", cmd_scaling_search,
-             "grid search for feasible body scalings", "instance")
-    sp.add_argument("--grid-step", type=io.rational, default="1/4")
-    sp.add_argument("--bound", type=io.rational, default="4")
-    sp = add("oracle-compare", cmd_oracle_compare,
-             "compare the exact toric body against the finite-level oracle",
-             "model divisor flag")
-    sp.add_argument("--m", type=int, default=20)
-    sp = add("emit-plot", cmd_emit_plot, "emit csv/svg plot data of a body",
-             "body")
-    sp.add_argument("--format", choices=("csv", "svg"), default="csv")
-    add("validate", cmd_validate, "validate input files",
-        "model? divisor? flag? instance?")
-    return p
+        description="Exact Newton-Okounkov bodies, volumes, numerical Iitaka "
+                    "dimensions,\nand fiber-space subadditivity checks.",
+        epilog="verbs:\n" + "".join(f"  {verb:16}{row[1]}\n"
+                                    for verb, row in VERBS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("verb", choices=VERBS, metavar="VERB",
+                     help="one of the verbs below")
+    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                     help="the verb's options; okbodies VERB -h lists them")
+    call = top.parse_args(argv)
+    fn, about, inputs, options = VERBS[call.verb]
+    p = argparse.ArgumentParser(prog=f"okbodies {call.verb}",
+                                description=about)
+    p.add_argument("--out", help="write the report to this file")
+    for spec in inputs.split():
+        key = spec.rstrip("?")
+        p.add_argument(f"--{key}", dest=f"{key}_path", metavar=key.upper(),
+                       help=f"{key} JSON file",
+                       required=not spec.endswith("?"))
+    for name, keywords in options:
+        p.add_argument(name, **keywords)
+    return p.parse_args(call.args, argparse.Namespace(verb=call.verb, fn=fn))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _load_files(args)
         report, summaries, code = args.fn(args)

@@ -529,7 +529,10 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
     Reports every feasible positive triple on the grid and the minimal
     feasible alpha for beta = gamma = 1 (a bound on the grid, not an
     optimum).  The grid takes bound // grid_step steps per axis, which
-    must be 1 to MAX_GRID_STEPS.
+    must be 1 to MAX_GRID_STEPS.  `grid` lists its values k * grid_step
+    for k = 0 .. steps, and `feasible_indices` gives each triple of
+    `feasible` as its (ka, kb, kg) positions in `grid`, so a caller can
+    format each grid value once.
 
     Certificate: the support function of beta * B x gamma * F at a is
     beta * h_B(a_B) + gamma * h_F(a_F), so on each integer row (c, h_B, h_F)
@@ -566,12 +569,15 @@ def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
                 elif s > 0:
                     hi = 0
             columns[kb, kg] = lo, hi
-    feasible = [(grid[ka], grid[kb], grid[kg]) for ka in range(1, steps + 1)
-                for (kb, kg), (lo, hi) in columns.items() if lo <= ka <= hi]
+    indices = [(ka, kb, kg) for ka in range(1, steps + 1)
+               for (kb, kg), (lo, hi) in columns.items() if lo <= ka <= hi]
     unit = grid_step.denominator if grid_step.numerator == 1 else 0
     lo, hi = columns.get((unit, unit), (1, 0))
     minimal_alpha = grid[lo] if lo <= hi else None
-    return {"feasible": feasible, "minimal_alpha_for_unit": minimal_alpha,
+    return {"feasible": [(grid[ka], grid[kb], grid[kg])
+                         for ka, kb, kg in indices],
+            "feasible_indices": indices, "grid": grid,
+            "minimal_alpha_for_unit": minimal_alpha,
             "grid_step": grid_step, "bound": bound}
 
 

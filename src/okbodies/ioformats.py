@@ -35,16 +35,18 @@ class InputError(ValueError):
 
 # what `str(Fraction)` writes; Fraction itself would also read decimals,
 # exponents, underscores and padding, and "1e999999999" as 10**999999999
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(value, path="value") -> Fraction:
     """An exact rational from an integer or a 'p/q' string of ASCII
     digits; floats, decimals, exponents and anything else raise
     InputError."""
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+    match = isinstance(value, str) and _RATIONAL.fullmatch(value)
+    if match:
+        p, q = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(path, f"not a rational: {value!r} ({exc})")
     if isinstance(value, int) and not isinstance(value, bool):

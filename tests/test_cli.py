@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 
 from okbodies import fiberspace as fsmod
 from okbodies import toric
-from okbodies.cli import EXIT_INTERNAL, main
+from okbodies.cli import EXIT_INTERNAL, VERBS, main
 from okbodies.ioformats import (canonical_dumps, divisor_from_obj,
                                 flag_from_obj, instance_from_obj, load_json,
-                                model_from_obj)
+                                model_from_obj, rational)
 from okbodies.surface import SurfaceLattice
 
 
@@ -21,6 +23,114 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parse_exit(capsys, *argv):
+    """Run main on argv that argparse itself answers; returns (exit code,
+    stdout, stderr)."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestCommandLineSurface:
+    """The top-level parser reads only the verb, and each call builds the
+    parser of its own verb; what a user types and reads stays the same."""
+
+    HELP = {
+        "body": "valuative body of a divisor",
+        "limbody": "limiting body of a divisor",
+        "zariski": "Zariski decomposition (surface)",
+        "vol": "volume of a divisor",
+        "dims": "kappa/nu/kappa_vol report",
+        "check": "run a fiber-space check on an instance file",
+        "scaling-search": "grid search for feasible body scalings",
+        "oracle-compare": "compare the exact toric body against the "
+                          "finite-level oracle",
+        "emit-plot": "emit csv/svg plot data of a body",
+        "validate": "validate input files",
+    }
+
+    OPTIONS = {
+        "body": {"--model", "--divisor", "--flag"},
+        "limbody": {"--model", "--divisor", "--flag"},
+        "zariski": {"--model", "--divisor"},
+        "vol": {"--model", "--divisor"},
+        "dims": {"--model", "--divisor"},
+        "check": {"--instance", "--all", "check"},
+        "scaling-search": {"--instance", "--grid-step", "--bound"},
+        "oracle-compare": {"--model", "--divisor", "--flag", "--m"},
+        "emit-plot": {"--body", "--format"},
+        "validate": {"--model", "--divisor", "--flag", "--instance"},
+    }
+
+    def test_help_names_every_verb_with_its_help_line(self, capsys):
+        assert set(VERBS) == set(self.HELP)
+        code, out, err = parse_exit(capsys, "-h")
+        assert code == 0 and err == ""
+        for verb, about in self.HELP.items():
+            assert re.search(rf"^ +{re.escape(verb)} +{re.escape(about)}$",
+                             out, re.M), verb
+
+    @pytest.mark.parametrize("verb", sorted(OPTIONS))
+    def test_verb_help_lists_its_options(self, capsys, verb):
+        code, out, err = parse_exit(capsys, verb, "-h")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: okbodies {verb} ")
+        # an option or positional opens its line two spaces in; wrapped
+        # help text is indented further
+        listed = set(re.findall(r"^  ([\w-]+)", out, re.M))
+        assert listed == {"-h", "--out"} | self.OPTIONS[verb]
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--instance", "x"]],
+                             ids=["none", "unknown", "option-first"])
+    def test_missing_or_unknown_verb_is_usage_error(self, capsys, argv):
+        code, out, err = parse_exit(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: okbodies ")
+
+    def test_equals_form_and_option_prefix(self, capsys):
+        ex42 = FIXTURES / "instances/ex42.json"
+        spelled = run(capsys, "scaling-search", "--instance", ex42,
+                      "--grid-step", "1/2", "--bound", "2")
+        assert spelled[0] == 0 and spelled[1]
+        assert run(capsys, "scaling-search", "--inst", ex42,
+                   "--grid-step=1/2", "--bound=2") == spelled
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling-search", "--instance", FIXTURES / "instances/ex42.json"],
+        ["check", "--all", FIXTURES / "instances"]],
+        ids=["scaling-search", "check-all"])
+    def test_a_call_builds_at_most_two_parsers(self, capsys, monkeypatch,
+                                               argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert len(built) <= 2, built
+
+
+class TestRational:
+    """`ioformats.rational` reads the strings that `str(Fraction)` writes,
+    with the value that `Fraction` gives them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sign=st.sampled_from(["", "+", "-"]),
+           numerator=st.just(0) | st.integers(0, 10**30),
+           denominator=st.none() | st.integers(1, 10**12),
+           zeros=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_matches_fraction(self, sign, numerator, denominator, zeros):
+        text = sign + "0" * zeros[0] + str(numerator)
+        if denominator is not None:
+            text += "/" + "0" * zeros[1] + str(denominator)
+        assert rational(text) == Fraction(text)
 
 
 class TestComputeVerbs:
@@ -615,6 +725,9 @@ class TestInstanceShape:
                   ("leading-space", " 1/2"), ("underscore", "1_0"),
                   ("trailing-space", "1/2 "), ("fullwidth-digit", "\uff11"),
                   ("float", 0.5)]],
+            ("ex41-decomposition.D-zero-denominator", "ex41",
+             "decomposition.D", ["1/0", "0"],
+             "decomposition.D[0]: not a rational: '1/0'"),
             ("g2xell-total.declared_kappa-exponent", "g2xell",
              "total.declared_kappa", {"2e0,0": 1},
              "total.declared_kappa[2e0,0]: malformed key")]])

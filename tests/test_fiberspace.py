@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from corpus import INSTANCE_NAMES, instance
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from okbodies import fiberspace as FS
 from okbodies import polytope
 from okbodies import toric as T
+from okbodies.cli import cmd_scaling_search
 from okbodies.ioformats import canonical_dumps
 from okbodies.polytope import Polytope, hull
 
@@ -342,6 +344,16 @@ def test_scaling_search_matches_triple_scan(rows, steps, grid_step):
     feasible, minimal = _triple_scan(rows, grid_step, steps)
     assert res["feasible"] == feasible
     assert res["minimal_alpha_for_unit"] == minimal
+    # the index triples read back through the grid, and the CLI's labels,
+    # formatted once per grid value, are what str writes for each entry
+    grid = res["grid"]
+    assert grid == [k * grid_step for k in range(steps + 1)]
+    assert [(grid[ka], grid[kb], grid[kg])
+            for ka, kb, kg in res["feasible_indices"]] == feasible
+    report, _, _ = cmd_scaling_search(SimpleNamespace(
+        instance=_RowsInstance(rows), grid_step=grid_step,
+        bound=steps * grid_step))
+    assert report["feasible"] == [[str(x) for x in t] for t in feasible]
 
 
 # -- support-function inclusion rule ------------------------------------------

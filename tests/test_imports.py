@@ -176,6 +176,11 @@ def definitions(tree):
     return found
 
 
+# Dunders that Python calls without their name in the source: on
+# construction, `==`, `hash` and `repr`.
+PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__"}
+
+
 def unreached(sources, root=("cli", "main")):
     """(module, qualified name) of each function in `sources` (module name
     -> source) that no chain of references reaches from `root`.
@@ -188,8 +193,11 @@ def unreached(sources, root=("cli", "main")):
     method of that name in every module, so a method call reaches the
     methods of that name on all classes, and no module-level function.  The
     module-level code of each module that importing the root's module runs
-    (class bodies and default values included) is reached, and so are
-    dunder methods, which Python calls implicitly."""
+    (class bodies and default values included) is reached, and so are the
+    PROTOCOL dunders, which construction, comparison, hashing and repr call
+    implicitly.  Any other dunder (an operator such as `__add__`) is
+    reached only by name, because the scanner cannot tell which class an
+    operator is applied to."""
     trees = {module: ast.parse(s) for module, s in sources.items()}
     defs = {(module, q): node for module, tree in trees.items()
             for q, node in definitions(tree)}
@@ -237,8 +245,7 @@ def unreached(sources, root=("cli", "main")):
                     for name in ([n.module] if n.module
                                  else [a.name for a in n.names]))
     reached = {root} | {(module, q) for module, q in defs if module in loaded
-                        and q.rsplit(".", 1)[-1].startswith("__")
-                        and q.endswith("__")}
+                        and q.rsplit(".", 1)[-1] in PROTOCOL}
     todo = list(reached)
     for module in loaded:
         inside = {id(n) for _, node in definitions(trees[module])
@@ -260,6 +267,8 @@ def test_reachability_scanner():
                 "def main():\n    def inner():\n        return lib.go(1)\n"
                 "    return inner() + twin()\n"
                 "def dead():\n    return lib.only_dead()\n"),
+        # `__eq__` runs implicitly and `helper` names `__len__`, but
+        # nothing shows where the operator behind `__add__` is applied
         "lib": ("TABLE = {'t': tabled}\n"
                 "def go(x):\n    return x.size\n"
                 "def only_dead():\n    pass\n"
@@ -267,7 +276,9 @@ def test_reachability_scanner():
                 "def twin():\n    return 0\n"
                 "class A:\n    def size(self):\n        return 0\n"
                 "    def __eq__(self, other):\n        return helper()\n"
-                "def helper():\n    pass\n"),
+                "    def __add__(self, other):\n        return self\n"
+                "    def __len__(self):\n        return 0\n"
+                "def helper():\n    return A.__len__\n"),
         "extra": ("class Box:\n    def size(self):\n        return 1\n"
                   "    def unused(self):\n        pass\n"),
         # `twin` in cli is lib's, so the same name here is not reached, and
@@ -279,6 +290,7 @@ def test_reachability_scanner():
     }
     assert unreached(sources) == {
         ("cli", "dead"), ("lib", "only_dead"), ("extra", "Box.unused"),
+        ("lib", "A.__add__"),
         ("tools", "unused_elsewhere"), ("tools", "twin"), ("tools", "size")}
 
 
