@@ -176,10 +176,13 @@ def divisor_from_obj(obj, path="divisor"):
 
 def flag_from_obj(obj, model, path="flag"):
     """A flag on `model`: a ToricFlag, the flag curve's index on a surface,
-    and None on a curve, whose flag (curve, general point) is implicit."""
+    and None on a curve, whose flag (curve, general point) is implicit and
+    written null: any other value would be read by nothing and written
+    back as null."""
     if isinstance(model, CurveModel):
         if obj is not None:
-            _obj(obj, path)  # not read: a curve flag is implicit
+            raise InputError(path, "expected null: a curve's flag (curve, "
+                                   "general point) is implicit")
         return None
     if isinstance(model, ToricVariety):
         obj = _fields(obj, path, ("cone", "ray_order"))

@@ -2,14 +2,15 @@
 
 These are the hot inner loops of the package: the 2D orientation
 predicate and monotone chain, the fraction-free affine frame, the
-beneath-beyond hull engine for any dimension, the prefilter that keeps
-the two ends of each line along every coordinate axis in turn (the
-other points of a line lie between them) and drops midpoints among
-them, and lattice enumeration, which prunes coordinate prefixes and
-solves the last coordinate by integer floor division, so it yields
-whole lines (prefix, least, greatest) that callers expand to points or
-hull by their ends.  All inputs are plain Python ints, so results are
-exact for any magnitude.
+beneath-beyond hull engine for any dimension, which places the points
+farthest from their centroid first so that most non-extreme points
+build no boundary simplex, the prefilter that keeps the two ends of each
+line along every coordinate axis in turn (the other points of a line lie
+between them) and drops midpoints among them, and lattice enumeration,
+which prunes coordinate prefixes and solves the last coordinate by
+integer floor division, so it yields whole lines (prefix, least,
+greatest) that callers expand to points or hull by their ends.  All
+inputs are plain Python ints, so results are exact for any magnitude.
 """
 
 from __future__ import annotations
@@ -115,12 +116,26 @@ def hull_facets(pts):
     facets as (primitive outward normal a, offset c) with a . p <= c on
     every point, and dvol = d! times the volume of the hull.
 
-    Beneath-beyond, building a placing triangulation: start from the
-    first affinely independent (d + 1)-subset and place the other points
-    in order.  A boundary simplex F has the outward normal N_F of
-    `_normal` and offset c_F = N_F . f at its vertices; it is visible from
-    p when h_F(p) = N_F . p - c_F > 0, and the simplex conv(F, p) then
-    has d! times its volume equal to h_F(p).  The visible simplices give
+    Beneath-beyond, building a placing triangulation, farthest point
+    first.  The points are ordered by decreasing distance from their
+    centroid g, compared exactly as |n p - (sum of all points)|^2 =
+    n^2 |p - g|^2 for n points, ties by index.  The first affinely
+    independent (d + 1)-subset in that order starts the triangulation and
+    the other points are placed in that order.  A point farthest from any
+    fixed point is extreme: were it strictly between two points of the
+    hull, one of them would be farther, as |x - g|^2 is strictly convex.
+    So the points likely to be extreme come first, and most of the others
+    then lie in the hull already, see no boundary simplex and build none.
+    The starting simplex's indices are sorted, as is every simplex built
+    later, because ridges are matched as sorted tuples.  Only the order
+    of the facet list depends on the placing order: extreme indices are
+    sorted, facets are keyed by primitive (normal, offset) and dvol is
+    exact.
+
+    A boundary simplex F has the outward normal N_F of `_normal` and
+    offset c_F = N_F . f at its vertices; it is visible from p when
+    h_F(p) = N_F . p - c_F > 0, and the simplex conv(F, p) then has d!
+    times its volume equal to h_F(p).  The visible simplices give
     way to p joined to the horizon ridges, those seen once among them;
     a point that sees nothing lies in the hull and is skipped.  Facets
     are the boundary simplices grouped by primitive (normal, offset).  A
@@ -130,9 +145,14 @@ def hull_facets(pts):
     triangulation of every facet containing the face must use.
     """
     d = len(pts[0])
-    rank, _pivots, _rows, base = affine_frame(pts)
+    n = len(pts)
+    total = tuple(map(sum, zip(*pts)))
+    order = sorted(range(n), key=lambda i: -sum(  # stable: ties by index
+        (n * a - s) ** 2 for a, s in zip(pts[i], total)))
+    rank, _pivots, _rows, base = affine_frame([pts[i] for i in order])
     if rank != d:
         raise ValueError("point set is not full-dimensional")
+    base = sorted(order[j] for j in base)  # ridges match as sorted tuples
     # d + 1 times an interior point: orients every normal outward
     inner = tuple(map(sum, zip(*(pts[i] for i in base))))
     k = d + 1
@@ -148,9 +168,10 @@ def hull_facets(pts):
     nrm, c, _ = faces[0]  # the facet opposite pts[base[0]]
     dvol = c - sum(map(mul, nrm, pts[base[0]]))
     placed = set(base)
-    for i, p in enumerate(pts):
+    for i in order:
         if i in placed:
             continue
+        p = pts[i]
         keep = []
         horizon = set()
         for face in faces:

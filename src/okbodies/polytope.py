@@ -17,8 +17,9 @@ hull, whose pivot coordinates are exact integer hull coordinates, and
 maps back to R^n, and d! times their volume, which `volume_in_dim`
 divides out.  A segment and a polygon are hulled directly; every higher
 dimension runs the one beneath-beyond engine `kernel.hull_facets`, whose
-placing triangulation gives the volume.  Every constructor that hulls ends
-in `_int_polytope`: `hull` clears one common denominator, and
+placing triangulation, built farthest point from the centroid first, gives
+the volume; no result depends on that order.  Every constructor that hulls
+ends in `_int_polytope`: `hull` clears one common denominator, and
 `lattice_hull` passes its integer points over m.  `_from_rows`, behind
 `from_halfspaces` and `slice_prefix_zero`, hulls in R^(n+1) instead:
 `_vertex_enum` reads exact vertex keys off the facets of the cone polar

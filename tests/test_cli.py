@@ -579,6 +579,7 @@ class TestInstanceShape:
     def test_toric_total_over_curve(self, capsys, tmp_path, part):
         obj = load_json(FIXTURES / "instances/prod_line_line.json")
         obj[part] = {"kind": "curve", "genus": 0}
+        obj["flags"][part] = None  # a curve's flag is null
         path = self._write(tmp_path, obj)
         code, _, err = run(capsys, "validate", "--instance", path)
         assert code == 2
@@ -658,6 +659,11 @@ class TestInstanceShape:
              [["2", "0"], ["0", "0"]], "restriction must be a 1 x 2 matrix"),
             ("prod_line_line-flags.base", "prod_line_line", "flags.base",
              None, "flags.base: expected an object"),
+            # a curve's flag is implicit: any object would be read by
+            # nothing and written back as null
+            ("ex41-flags.base", "ex41", "flags.base", {},
+             "flags.base: expected null: a curve's flag (curve, general "
+             "point) is implicit"),
             ("prod_line_line-total_flag", "prod_line_line", "total_flag",
              None,
              "total_flag: null differs from the fiber-type flag derived"),

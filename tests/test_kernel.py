@@ -10,6 +10,8 @@ from operator import mul
 
 import pytest
 from hull_reference import brute_hull, brute_volume
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from okbodies import kernel
 from okbodies.linalg import int_det
@@ -157,33 +159,66 @@ class TestHullEngine:
         assert dvol == k ** d
 
     @pytest.mark.parametrize("body", ["cube", "cross-polytope"])
-    def test_boundary_points_placed_before_corners(self, d, body):
-        # midpoints of edges (and of the cube's facets) start the
-        # triangulation and end up on the boundary, each a vertex of some
-        # boundary simplices without being extreme; an edge of the 4D
-        # cross-polytope lies in four facets, so a facet count cannot tell
-        if body == "cube":
-            edges = [c[:i] + (1,) + c[i:] for i in range(d)
-                     for c in product((0, 2), repeat=d - 1)]
-            centres = [(1,) * i + (c,) + (1,) * (d - 1 - i)
-                       for i in range(d) for c in (0, 2)]
-            mids = list(dict.fromkeys(edges + centres))  # equal for d = 2
-            corners = list(product((0, 2), repeat=d))
-        else:
-            units = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-            mids = [tuple(s * x + t * y for x, y in zip(e, f))
-                    for e, f in combinations(units, 2)
-                    for s in (1, -1) for t in (1, -1)]
-            corners = [tuple(2 * s * x for x in e)
-                       for e in units for s in (1, -1)]
+    def test_boundary_points_placed_before_corners(self, d, body,
+                                                   monkeypatch):
+        # midpoints of edges lie farther from the centroid than the near
+        # corners, so each is placed while outside the hull of the points
+        # before it, and ends up on the boundary, a vertex of some boundary
+        # simplices without being extreme; an edge of the 4D cross-polytope
+        # lies in four facets, so a facet count cannot tell
+        if body == "cube":  # a frustum: far corners at x0 = 0, near at 2
+            far = [(0,) + s for s in product((-3, 3), repeat=d - 1)]
+            mids = [(1,) + s for s in product((-2, 2), repeat=d - 1)]
+            corners = far + [(2,) + s for s in product((-1, 1), repeat=d - 1)]
+        else:  # stretched along x0: far corners +-12 e0, near +-2 e_i
+            mids = [(6 * s,) + tuple(t * (j == i) for j in range(1, d))
+                    for s in (1, -1) for i in range(1, d) for t in (1, -1)]
+            corners = [(12 * s,) + (0,) * (d - 1) for s in (1, -1)] + [
+                (0,) + tuple(2 * t * (j == i) for j in range(1, d))
+                for i in range(1, d) for t in (1, -1)]
         pts = mids + corners
+        simplices = []
+        normal = kernel._normal
+
+        def recorded(f):
+            simplices.append(f)
+            return normal(f)
+
+        monkeypatch.setattr(kernel, "_normal", recorded)
         assert kernel.hull_facets(pts)[0] == list(range(len(mids), len(pts)))
+        assert set(mids) <= {p for f in simplices for p in f}
         _check_engine(pts)
 
     def test_flat_input_rejected(self, d):
         with pytest.raises(ValueError, match="not full-dimensional"):
             kernel.hull_facets([(0,) * d, (0,) + (1,) * (d - 1),
                                 (0, 2) + (0,) * (d - 2)])
+
+
+@st.composite
+def _even_corners_and_midpoints(draw, d):
+    """Points with even coordinates spanning R^d, and the midpoints of
+    their pairs: those lie on edges, on facets or inside."""
+    corners = draw(st.lists(st.tuples(*[st.integers(-3, 3).map(
+        lambda x: 2 * x)] * d), min_size=d + 1, max_size=8, unique=True))
+    assume(kernel.affine_frame(corners)[0] == d)
+    mids = [tuple((a + b) // 2 for a, b in zip(p, q))
+            for p, q in combinations(corners, 2)]
+    return list(dict.fromkeys(corners + mids))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hull_does_not_depend_on_point_order(d, data):
+    pts = data.draw(_even_corners_and_midpoints(d))
+    shuffled = data.draw(st.permutations(pts))
+    extreme, facets, dvol = kernel.hull_facets(pts)
+    got_extreme, got_facets, got_dvol = kernel.hull_facets(shuffled)
+    assert {shuffled[i] for i in got_extreme} == {pts[i] for i in extreme}
+    assert sorted(got_facets) == sorted(facets)
+    assert got_dvol == dvol
+    assert Polytope.hull(shuffled) == Polytope.hull(pts)
 
 
 def test_normal_closed_forms_match_minors():

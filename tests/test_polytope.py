@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, lcm
 
 import pytest
@@ -8,7 +8,7 @@ from hull_reference import brute_hull, brute_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okbodies import lp, polytope, toric
+from okbodies import kernel, lp, polytope, toric
 from okbodies.ioformats import body_from_obj
 from okbodies.linalg import dot, nullspace, primitive_int_vector, qvec, solve
 from okbodies.lp import recession_is_trivial
@@ -563,6 +563,39 @@ def test_one_hull_per_polytope(monkeypatch):
         Q.to_hrep()
         assert Q.volume_in_dim(Q.dim()) == 3 ** P.dim() * P.volume_in_dim(P.dim())
         assert len(calls) == 2
+
+
+def _box_plus_octahedron():
+    box = hull([(x, y, z) for x in (0, 3) for y in (0, 2) for z in (0, 1)])
+    octahedron = hull([(1, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -2, 0),
+                       (0, 0, 3), (0, 0, -3)])
+    return lambda: box + octahedron
+
+
+def _cut_cube_system():
+    # every nonzero {-1, 0, 1} normal n, at offset 4 |n|^2 + 3: 26 rows
+    return lambda: Polytope.from_halfspaces(
+        [HalfSpace(tuple(map(F, n)), F(4 * sum(x * x for x in n) + 3))
+         for n in product((-1, 0, 1), repeat=3) if any(n)], 3)
+
+
+# boundary simplices the engine builds when it places points farthest from
+# their centroid first; lexicographic placement builds 216 and 233
+@pytest.mark.parametrize("make,bound", [(_box_plus_octahedron, 91),
+                                        (_cut_cube_system, 165)],
+                         ids=["minkowski-sum", "from-halfspaces"])
+def test_hull_engine_builds_few_simplices(monkeypatch, make, bound):
+    run = make()  # the summands' own hulls are built here, not counted
+    built = []
+    normal = kernel._normal
+
+    def counted(f):
+        built.append(f)
+        return normal(f)
+
+    monkeypatch.setattr(kernel, "_normal", counted)
+    assert len(run().vertices) == 24
+    assert 0 < len(built) <= bound
 
 
 # -- lattice hull ----------------------------------------------------------------
