@@ -73,7 +73,7 @@ class ToricBackend:
         return self.X.dim
 
     def canonical_class(self):
-        return tuple(Fraction(-1) for _ in self.X.rays)
+        return (Fraction(-1),) * len(self.X.rays)
 
     def stratum(self, flag, dim):
         """Ray indices cutting out the flag stratum of dimension `dim`."""
@@ -94,7 +94,7 @@ class ToricBackend:
 
     def same_class(self, diff):
         """Equality in the class group: diff must be principal."""
-        if solve_rect([qvec(r) for r in self.X.rays], list(diff)) is None:
+        if solve_rect(self.X.rays, diff) is None:
             raise ValueError("decomposition fails: D - f*D_Y - R is not "
                              "principal")
 
@@ -126,9 +126,7 @@ class ToricBackend:
 
     def volume(self, cls) -> Fraction:
         P = toricmod.section_polytope(self.X, self._div(cls))
-        if P.is_empty or P.dim() < self.X.dim:
-            return Fraction(0)
-        return Fraction(math.factorial(self.X.dim)) * P.volume_in_dim(self.X.dim)
+        return math.factorial(self.X.dim) * P.volume_in_dim(self.X.dim)
 
     def kappa(self, cls):
         return toricmod.kappa(self.X, self._div(cls))

@@ -109,7 +109,7 @@ def _normal(f):
                  for k in range(d))
 
 
-def hull_facets(pts):
+def hull_facets(pts, base=None):
     """Hull of distinct integer points spanning R^d, d >= 2.
 
     Returns (extreme indices, facets, dvol): extreme indices sorted,
@@ -120,10 +120,12 @@ def hull_facets(pts):
     first.  The points are ordered by decreasing distance from their
     centroid g, compared exactly as |n p - (sum of all points)|^2 =
     n^2 |p - g|^2 for n points, ties by index.  The first affinely
-    independent (d + 1)-subset in that order starts the triangulation and
-    the other points are placed in that order.  A point farthest from any
-    fixed point is extreme: were it strictly between two points of the
-    hull, one of them would be farther, as |x - g|^2 is strictly convex.
+    independent (d + 1)-subset in that order, or the indices `base` of a
+    caller that holds a frame of the points already, starts the
+    triangulation, and the other points are placed in that order.  A
+    point farthest from any fixed point is extreme: were it strictly
+    between two points of the hull, one of them would be farther, as
+    |x - g|^2 is strictly convex.
     So the points likely to be extreme come first, and most of the others
     then lie in the hull already, see no boundary simplex and build none.
     The starting simplex's indices are sorted, as is every simplex built
@@ -149,10 +151,12 @@ def hull_facets(pts):
     total = tuple(map(sum, zip(*pts)))
     order = sorted(range(n), key=lambda i: -sum(  # stable: ties by index
         (n * a - s) ** 2 for a, s in zip(pts[i], total)))
-    rank, _pivots, _rows, base = affine_frame([pts[i] for i in order])
-    if rank != d:
-        raise ValueError("point set is not full-dimensional")
-    base = sorted(order[j] for j in base)  # ridges match as sorted tuples
+    if base is None:
+        rank, _pivots, _rows, base = affine_frame([pts[i] for i in order])
+        if rank != d:
+            raise ValueError("point set is not full-dimensional")
+        base = [order[j] for j in base]
+    base = sorted(base)  # ridges match as sorted tuples
     # d + 1 times an interior point: orients every normal outward
     inner = tuple(map(sum, zip(*(pts[i] for i in base))))
     k = d + 1

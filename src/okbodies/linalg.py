@@ -1,9 +1,12 @@
 """Small exact linear algebra over the rationals.
 
-Everything here works on lists/tuples of ``fractions.Fraction`` and stays
-exact; no floats.  Matrices are lists of row tuples.  Sizes are tiny (the
-ambient dimensions in this package are 1-4), so plain Gaussian elimination
-with first-nonzero pivoting is all we need.
+Matrices are lists of row tuples of ints or `Fraction`s; no floats.  One
+fraction-free elimination (Bareiss 1968), `_eliminate`, runs behind
+`solve`, `solve_rect`, `nullspace` and `rank`, and its pivot step behind
+`int_det`, `det` and `signature`: the rows are scaled to integers, every
+division is exact, and `Fraction`s are made only for the results, which
+`int_solve` and `int_nullspace` give as integers over one denominator.
+Sizes are tiny (ambient dimensions 1-4), so first-nonzero pivoting does.
 """
 
 from __future__ import annotations
@@ -33,62 +36,61 @@ def mat_vec(rows, v):
     return tuple(dot(r, v) for r in rows)
 
 
+def _reduce(m, r, c, d, rows):
+    """One Bareiss step: with pivot p = m[r][c] and previous pivot d, each
+    row i in `rows` becomes (p m[i] - m[i][c] m[r]) / d, exactly, as every
+    entry is then a minor of the starting rows (Sylvester).  Returns p."""
+    top = m[r]
+    p = top[c]
+    for i in rows:
+        row = m[i]
+        f = row[c]
+        m[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+    return p
+
+
 def _eliminate(rows):
-    """Row-reduce a copy of `rows`; returns (echelon rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Returns (m, pivots, d): integer rows m, the first len(pivots) of them
+    d > 0 times the reduced row echelon form of `rows`, the rest zero, and
+    the pivot columns.  Each step reduces all other rows, so every pivot
+    ends up d.
+    """
+    m = clear_denominators(rows)[0]
+    n = len(m)
+    pivots, d = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        d = _reduce(m, r, c, d, [i for i in range(n) if i != r])
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == n:
             break
-    return m, pivots
+    if d < 0:
+        m, d = [[-x for x in row] for row in m], -d
+    return m, pivots, d
 
 
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_eliminate(rows)[1])
-
-
-def nullspace(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : rows @ x = 0}, one tuple per basis vector."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _eliminate(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
+def int_solve(rows):
+    """(X, d) with A X = d B, for augmented rows (A | B) with A square and
+    nonsingular: X as rows of integers, d > 0; None if A is singular."""
+    n = len(rows)
+    m, pivots, d = _eliminate(rows)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in m], d
 
 
 def solve(rows, rhs):
     """Solve the square system rows @ x = rhs; None if singular."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _eliminate(aug)
-    if pivots != list(range(n)):
+    sol = int_solve([(*r, b) for r, b in zip(rows, rhs)])
+    if sol is None:
         return None
-    return tuple(m[i][n] for i in range(n))
+    return tuple(Fraction(x, sol[1]) for (x,) in sol[0])
 
 
 def solve_rect(rows, rhs):
@@ -96,54 +98,62 @@ def solve_rect(rows, rhs):
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = _eliminate(aug)
+    m, pivots, d = _eliminate([(*r, b) for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None  # inconsistent: pivot in the rhs column
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = m[i][ncols]
-    return tuple(x)
+    x = [0] * ncols
+    for row, pc in zip(m, pivots):
+        x[pc] = row[ncols]
+    return tuple(Fraction(v, d) for v in x)
+
+
+def rank(rows) -> int:
+    return len(_eliminate(rows)[1])
+
+
+def int_nullspace(rows):
+    """(basis, d): an integer basis of {x : rows @ x = 0}, `nullspace`'s
+    vectors times one d > 0."""
+    if not rows:
+        return [], 1
+    ncols = len(rows[0])
+    m, pivots, d = _eliminate(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = d
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis, d
+
+
+def nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : rows @ x = 0}, one tuple per basis vector: for each
+    non-pivot column, the solution that is 1 there and 0 on the others."""
+    basis, d = int_nullspace(rows)
+    return [tuple(Fraction(x, d) for x in v) for v in basis]
 
 
 def det(rows) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
+    ints, q = clear_denominators(rows)
+    return Fraction(int_det(ints), q ** len(rows))
 
 
 def int_det(rows) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss
-    elimination: every division is exact); 1 for the empty matrix."""
+    """Determinant of a square integer matrix by forward Bareiss steps."""
     m = [list(r) for r in rows]
     n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+    sign, d = 1, 1
+    for k in range(n):
+        if not m[k][k]:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pr is None:
                 return 0
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
+        d = _reduce(m, k, k, d, range(k + 1, n))
+    return sign * d
 
 
 def primitive_int_vector(v):
@@ -173,53 +183,36 @@ def signature(sym_rows) -> tuple[int, int, int]:
     """(n_pos, n_neg, n_zero) eigenvalue signs of a symmetric rational matrix.
 
     Computed exactly by congruence diagonalization (Sylvester's law of
-    inertia), so no tolerance is involved.
+    inertia), so no tolerance is involved: Bareiss steps on diagonal
+    pivots leave d times the Schur complement below the pivot, d the
+    pivot before it, so the pivot p of the diagonalization is p / d.  When
+    every remaining diagonal entry is 0, adding row and column j to row
+    and column i, a unimodular congruence, makes 2 m[i][j] one.
     """
-    n = len(sym_rows)
-    m = [[frac(x) for x in row] for row in sym_rows]
-    pos = neg = zero = 0
-    k = 0
+    m = [list(r) for r in clear_denominators(sym_rows)[0]]
+    n = len(m)
+    pos = neg = k = 0
+    d = 1
     while k < n:
-        # find a nonzero diagonal pivot at or after k
-        p = next((i for i in range(k, n) if m[i][i] != 0), None)
+        p = next((i for i in range(k, n) if m[i][i]), None)
         if p is None:
-            # all remaining diagonal entries vanish; look for off-diagonal
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if m[i][j]), None)
             if off is None:
-                zero += n - k
                 break
             i, j = off
-            # row/col addition makes a nonzero diagonal entry at i
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
             continue
         if p != k:
             m[k], m[p] = m[p], m[k]
-            for r in range(n):
-                m[r][k], m[r][p] = m[r][p], m[r][k]
-        d = m[k][k]
-        if d > 0:
+            for row in m:
+                row[k], row[p] = row[p], row[k]
+        if m[k][k] * d > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / d
-                for c in range(n):
-                    m[i][c] -= f * m[k][c]
-        for j in range(k + 1, n):
-            if m[k][j] != 0:
-                f = m[k][j] / d
-                for r in range(n):
-                    m[r][j] -= f * m[r][k]
+        d = _reduce(m, k, k, d, range(k + 1, n))
         k += 1
-    return pos, neg, zero
+    return pos, neg, n - pos - neg

@@ -17,10 +17,11 @@ hull, whose pivot coordinates are exact integer hull coordinates, and
 maps back to R^n, and d! times their volume, which `volume_in_dim`
 divides out.  A segment and a polygon are hulled directly; every higher
 dimension runs the one beneath-beyond engine `kernel.hull_facets`, whose
-placing triangulation, built farthest point from the centroid first, gives
-the volume; no result depends on that order.  Every constructor that hulls
-ends in `_int_polytope`: `hull` clears one common denominator, and
-`lattice_hull` passes its integer points over m.  `_from_rows`, behind
+placing triangulation, started on the frame's d + 1 independent points and
+built farthest point from the centroid first, gives the volume; no result
+depends on that order.  Every constructor that hulls ends in
+`_int_polytope`: `hull` clears one common denominator, and `lattice_hull`
+passes its integer points over m.  `_from_rows`, behind
 `from_halfspaces` and `slice_prefix_zero`, hulls in R^(n+1) instead:
 `_vertex_enum` reads exact vertex keys off the facets of the cone polar
 to the homogenised system.
@@ -39,7 +40,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import kernel
-from .linalg import (clear_denominators, dot, frac, nullspace,
+from .linalg import (clear_denominators, dot, frac, int_nullspace,
                      primitive_int_vector, qvec)
 # unused here, but perfbench's tracer rebinds both names and needs them
 from .linalg import solve  # noqa: F401
@@ -393,17 +394,19 @@ def _frame_hull(pts, q):
     in `kernel.affine_frame`, and facets and dvol of the points' pivot
     coordinates, which are q times points of the body, as in `_int_hull`.
     """
-    d, pivots, rows, _base = kernel.affine_frame(pts)
+    d, pivots, rows, base = kernel.affine_frame(pts)
     if d == 0:
         return [0], (0, pivots, rows, q, [], 1)
     ints = pts if d == len(pts[0]) else [tuple(p[c] for c in pivots)
                                          for p in pts]
-    extreme, facets, dvol = _int_hull(ints, d)
+    extreme, facets, dvol = _int_hull(ints, base)
     return sorted(extreme), (d, pivots, rows, q, facets, dvol)
 
 
-def _int_hull(ints, d):
-    """Hull of a full-dimensional set of distinct integer points in R^d.
+def _int_hull(ints, base):
+    """Hull of a full-dimensional set of distinct integer points in R^d,
+    given the indices `base` of d + 1 affinely independent ones, which
+    start the engine's triangulation: the frame is computed once per hull.
 
     Returns (extreme indices, facets, dvol): each facet is (outward
     integer normal, offset) with normal . p <= offset on every point, and
@@ -411,10 +414,11 @@ def _int_hull(ints, d):
     above that `kernel.hull_facets` runs, on the points that
     `kernel.prune_interior` keeps when there are more than 64: those that
     are an end of their line along every coordinate axis in turn and not
-    a midpoint of two other such points.  Each dropped point lies strictly
-    between two kept ones, so none is extreme, and the hull and its volume
-    are those of all the points.
+    a midpoint of two other such points, and `base`.  Each dropped point
+    lies strictly between two kept ones, so none is extreme, and the hull
+    and its volume are those of all the points.
     """
+    d = len(base) - 1
     if d == 1:
         lo = min(range(len(ints)), key=lambda i: ints[i])
         hi = max(range(len(ints)), key=lambda i: ints[i])
@@ -432,9 +436,11 @@ def _int_hull(ints, d):
                    for i, j in zip(cyc[1:], cyc[2:]))
         return cyc, facets, dvol
     if len(ints) <= 64:
-        return kernel.hull_facets(ints)
-    idxmap = kernel.prune_interior(ints, kernel.plus_minus_directions(d))
-    extreme, facets, dvol = kernel.hull_facets([ints[i] for i in idxmap])
+        return kernel.hull_facets(ints, base)
+    idxmap = sorted(set(kernel.prune_interior(
+        ints, kernel.plus_minus_directions(d))).union(base))
+    extreme, facets, dvol = kernel.hull_facets(
+        [ints[i] for i in idxmap], [idxmap.index(i) for i in base])
     return [idxmap[i] for i in extreme], facets, dvol
 
 
@@ -451,7 +457,7 @@ def _hull_rows(r0, q0, frame_hull):
     d, pivots, rows, qh, facets, _dvol = frame_hull
     out = []
     if d < n:
-        hullspace = (nullspace(rows) if rows else
+        hullspace = (int_nullspace(rows)[0] if rows else
                      [tuple(int(j == i) for j in range(n)) for i in range(n)])
         k = qh // q0
         for w in hullspace:

@@ -7,8 +7,13 @@ pattern, nef/effective pairings) but cannot certify the declarations
 against actual geometry.
 
 Classes enter the module through `SurfaceLattice._class`, which checks
-their length, and pairings run on integer numerators over one denominator
-per class.  Cone tests are integer too: the effective cone's facets are
+their length; inside, a class is integer numerators over one denominator
+(`SurfaceLattice._ints`), as is each affine family p0 + s p1.  A lattice
+keeps the Gram images G g of its effective generators, so a pairing with
+a generator is one integer dot product, and the Zariski support is solved
+fraction-free (`linalg.int_solve`); `Fraction`s are made only for results
+such as `pair`, `ZariskiPair` and body vertices.  Cone tests are integer
+too: the effective cone's facets are
 the facets through the origin of hull(0, g_1, ..., g_k), as in a
 double-description step (Fukuda-Prodon 1996), read once per lattice as
 integer rows (`SurfaceLattice.cone_rows`); D is psef iff every row pairs
@@ -30,8 +35,8 @@ more chambers than negative curves.
 
 The eps-limits over D + eps*A (the limiting body, nu and kappa_vol) are
 the same for every ample A (`limiting_body_surface`), so no function here
-takes one; only `numerical_dims_surface` picks one, `some_ample`, for its
-cone-data cross-checks.
+takes one; only `numerical_dims_surface` picks one, `_ample_class`, for
+its cone-data cross-checks.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .linalg import clear_denominators, frac, qvec, signature, solve
+from .linalg import clear_denominators, frac, int_solve, qvec, signature
 from .polytope import Polytope
 
 
@@ -50,6 +55,10 @@ class ConeDataError(ValueError):
 
 def class_key(cls) -> str:
     return ",".join(str(frac(c)) for c in cls)
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,9 @@ class SurfaceLattice:
     declared_kappa: dict = field(default_factory=dict)
     _cone: tuple | None = field(default=None, init=False, compare=False,
                                 repr=False)
+    # the effective generators as (integer row g, q), and their images G g
+    _gens: tuple = field(default=(), init=False, compare=False, repr=False)
+    _imgs: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         r = self.rank
@@ -82,18 +94,21 @@ class SurfaceLattice:
                   self.canonical_class):
             if len(v) != r:
                 raise ValueError("class vectors must have length rank")
-        for nf in self.nef_generators:
-            for g in self.effective_generators:
-                if self.pair(nf, g) < 0:
-                    raise ValueError("a nef generator pairs negatively with "
-                                     "an effective generator")
+        gens = tuple(map(self._ints, self.effective_generators))
+        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_imgs",
+                           tuple(self._image(g) for g, _q in gens))
+        if any(_dot(self._ints(nf)[0], img) < 0
+               for nf in self.nef_generators for img in self._imgs):
+            raise ValueError("a nef generator pairs negatively with "
+                             "an effective generator")
         classes, n = set(), len(self.effective_generators)
         for i in self.negative_curves:
             if not 0 <= i < n:
                 raise ValueError("negative curve index out of range")
-            c = self.effective_generators[i]
-            if self.pair(c, c) >= 0:
+            if _dot(gens[i][0], self._imgs[i]) >= 0:
                 raise ValueError("declared negative curve has self-intersection >= 0")
+            c = self.effective_generators[i]
             if c in classes:
                 raise ValueError(f"negative_curves names the class of "
                                  f"effective generator {i} twice")
@@ -121,10 +136,13 @@ class SurfaceLattice:
         (ints,), q = clear_denominators([self._class(v)])
         return ints, q
 
+    def _image(self, v) -> tuple[int, ...]:
+        """G v for an integer vector v."""
+        return tuple(_dot(row, v) for row in self.gram)
+
     def pair(self, a, b) -> Fraction:
         (a, qa), (b, qb) = self._ints(a), self._ints(b)
-        return Fraction(sum(x * sum(map(mul, row, b))
-                            for x, row in zip(a, self.gram)), qa * qb)
+        return Fraction(_dot(a, self._image(b)), qa * qb)
 
     def cone_rows(self) -> tuple[tuple[int, ...], ...]:
         """Inward integer normals w of the effective cone's facets, made on
@@ -173,28 +191,27 @@ class ZariskiPair:
     support: tuple[int, ...]            # indices into effective_generators
     coefficients: tuple[Fraction, ...]  # of the support curves in N
 
-    def coefficient_of(self, gen_index: int) -> Fraction:
-        for i, c in zip(self.support, self.coefficients):
-            if i == gen_index:
-                return c
-        return Fraction(0)
-
 
 # -- cone membership ----------------------------------------------------------
 
 
+def _in_cone(S, d) -> bool:
+    return all(_dot(w, d) >= 0 for w in S.cone_rows())
+
+
 def is_psef(S: SurfaceLattice, D) -> bool:
-    d, _q = S._ints(D)
-    return all(sum(map(mul, w, d)) >= 0 for w in S.cone_rows())
+    return _in_cone(S, S._ints(D)[0])
 
 
 def is_nef(S: SurfaceLattice, D) -> bool:
-    return all(S.pair(D, g) >= 0 for g in S.effective_generators)
+    d, _q = S._ints(D)
+    return all(_dot(d, img) >= 0 for img in S._imgs)
 
 
 def is_ample(S: SurfaceLattice, D) -> bool:
-    return (all(S.pair(D, g) > 0 for g in S.effective_generators)
-            and S.pair(D, D) > 0)
+    d, _q = S._ints(D)
+    return (all(_dot(d, img) > 0 for img in S._imgs)
+            and _dot(d, S._image(d)) > 0)
 
 
 def is_big(S: SurfaceLattice, D) -> bool:
@@ -202,17 +219,15 @@ def is_big(S: SurfaceLattice, D) -> bool:
     return volume_surface(S, D) > 0
 
 
-def some_ample(S: SurfaceLattice):
-    """A convenient ample class; declared cones always admit one here."""
-    candidates = []
-    if S.nef_generators:
-        candidates.append(tuple(sum(col, Fraction(0))
-                                for col in zip(*S.nef_generators)))
-    candidates.append(tuple(sum(col, Fraction(0))
-                            for col in zip(*S.effective_generators)))
-    for cand in candidates:
-        if is_ample(S, cand):
-            return qvec(cand)
+def _ample_class(S: SurfaceLattice):
+    """A convenient ample class (a, q), the sum of the nef generators or
+    else of the effective ones; declared cones always admit one here."""
+    for gens in (S.nef_generators, S.effective_generators):
+        if gens:
+            ints, q = clear_denominators(gens)
+            a = tuple(map(sum, zip(*ints)))
+            if is_ample(S, a):
+                return a, q
     raise ConeDataError("declared cones admit no visible ample class")
 
 
@@ -222,63 +237,66 @@ def some_ample(S: SurfaceLattice):
 def zariski_decompose(S: SurfaceLattice, D) -> ZariskiPair:
     """Iterative negative-part construction: Zariski's iteration
     `_support_after` on D itself (C = 0, t = 0), then the checks that the
-    declared cone data support its result."""
-    D = S._class(D)
-    if not is_psef(S, D):
+    declared cone data support its result (`_zariski`)."""
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
         raise ValueError("divisor is not pseudoeffective")
-    support, (coeffs, _), (P, _) = _support_after(
-        S, D, (Fraction(0),) * S.rank, Fraction(0))
-    if any(c < 0 for c in coeffs):
+    support, x0, p0, q = _zariski(S, (d, qd))
+    k = q // qd
+    return ZariskiPair(tuple(Fraction(p, q) for p in p0),
+                       tuple(Fraction(k * a - p, q) for a, p in zip(d, p0)),
+                       tuple(support), tuple(Fraction(x, q) for x in x0))
+
+
+def _zariski(S, D):
+    """(support, x0, p0, q) for the class D = (d, qd): the negative part
+    has the coefficients x0 / q on the support curves and the positive
+    part is p0 / q.  Raises ConeDataError when the declared cone data do
+    not support the result."""
+    support, x, (p0, _p1), q = _support_after(S, D, ((0,) * S.rank, 1), 0)
+    if any(a < 0 for a, _b in x):
         raise ConeDataError("cone data incomplete: negative part has a "
                             "negative coefficient")
-    if not is_nef(S, P):
+    if any(_dot(p0, img) < 0 for img in S._imgs):
         raise ConeDataError("cone data incomplete: residual part is not nef")
-    N = tuple(d - p for d, p in zip(D, P))
-    return ZariskiPair(P, N, tuple(support), tuple(coeffs))
+    return support, [a for a, _b in x], p0, q
+
+
+def _drops(a, b, t) -> bool:
+    """Whether a + b*s < 0 just above s = t (at s = t+)."""
+    v = a * t.denominator + b * t.numerator
+    return v < 0 or (v == 0 and b < 0)
 
 
 def _support_after(S, D, C, t):
-    """Zariski's iteration on D - sC just above s = t (at s = t+).
+    """Zariski's iteration on D - sC just above s = t (at s = t+), for
+    classes D = (d, qd) and C = (c, qc).
 
     Start from the empty support and add every negative curve that the
     positive part of the current support meets negatively at t+, until
-    none does.  For a fixed support the negative-part coefficients
-    x0 + s*x1 and the positive part p0 + s*p1 are affine in s
-    (`_fixed_support_affine`), so each pairing is some a + b*s: negative
-    at t+ iff a + b*t < 0, or a + b*t = 0 and b < 0.  Returns (support,
-    (x0, x1), (p0, p1)).
+    none does.  For a fixed support the negative-part coefficients and
+    the positive part are affine in s (`_fixed_support_affine`), so each
+    pairing is some (a + b*s) / q with q > 0: negative at t+ iff a + b*t
+    < 0, or a + b*t = 0 and b < 0.  Returns (support, x, (p0, p1), q) as
+    `_fixed_support_affine` does.
     """
     support = []
     while True:
-        x, p = _fixed_support_affine(S, D, C, support)
-        extra = []
-        for i in S.negative_curves:
-            if i not in support:
-                g = S.effective_generators[i]
-                a, b = S.pair(p[0], g), S.pair(p[1], g)
-                if a + b * t < 0 or (a + b * t == 0 and b < 0):
-                    extra.append(i)
+        x, (p0, p1), q = _fixed_support_affine(S, D, C, support)
+        extra = [i for i in S.negative_curves if i not in support
+                 and _drops(_dot(p0, S._imgs[i]), _dot(p1, S._imgs[i]), t)]
         if not extra:
-            return support, x, p
+            return support, x, (p0, p1), q
         support = sorted(support + extra)
-
-
-def _combo(S, indices, coeffs):
-    out = [Fraction(0)] * S.rank
-    for i, c in zip(indices, coeffs):
-        g = S.effective_generators[i]
-        for k in range(S.rank):
-            out[k] += c * g[k]
-    return tuple(out)
 
 
 def volume_surface(S: SurfaceLattice, D) -> Fraction:
     """Self-intersection of the Zariski positive part (0 off the cone)."""
-    D = S._class(D)
-    if not is_psef(S, D):
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
         return Fraction(0)
-    zp = zariski_decompose(S, D)
-    return S.pair(zp.positive, zp.positive)
+    _support, _x0, p, q = _zariski(S, (d, qd))
+    return Fraction(_dot(p, S._image(p)), q * q)
 
 
 # -- bodies -------------------------------------------------------------------
@@ -296,8 +314,8 @@ def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
     (d, qd), (c, qc) = S._ints(D), S._ints(C)
     lo, hi = Fraction(0), None
     for w in S.cone_rows():
-        u = sum(map(mul, w, d)) * qc
-        v = sum(map(mul, w, c)) * qd
+        u = _dot(w, d) * qc
+        v = _dot(w, c) * qd
         if v > 0:
             hi = Fraction(u, v) if hi is None else min(hi, Fraction(u, v))
         elif v < 0:
@@ -312,82 +330,76 @@ def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
 
 
 def _fixed_support_affine(S, D, C, support):
-    """Negative part and positive part of D - tC for a fixed support.
+    """Negative and positive part of D - tC for a fixed support, for the
+    classes D = (d, qd) and C = (c, qc).
 
-    Returns ((x0, x1), (p0, p1)): N(D - tC) has coefficients x0 + t*x1 on
-    the support curves and P(D - tC) = p0 + t*p1 while `support` is the
-    Zariski support.  A support that is not negative definite raises.
+    With the support curves g_i / q_i, N(D - tC) = sum(y_i g_i), where
+    sum_i y_i (g_i . g_j) = (D - tC) . g_j on the support: times qd qc, an
+    integer system with the right-hand side qc (d . g_j) - t qd (c . g_j),
+    so one elimination solves it as qd qc y = (y0 + t y1) / e.  Returns
+    (x, (p0, p1), q), q = e qd qc: N(D - tC) has the coefficients
+    (x0 + t x1) / q on the support curves, [(x0, x1)] = x, and P(D - tC)
+    = (p0 + t p1) / q while `support` is the Zariski support.  A support
+    that is not negative definite raises.
     """
-    curves = [S.effective_generators[i] for i in support]
-    x0 = x1 = ()
+    (d, qd), (c, qc) = D, C
+    gens = [S._gens[i] for i in support]
+    ys, e = [], 1
     if support:
-        gram = [[S.pair(a, b) for b in curves] for a in curves]
+        imgs = [S._imgs[i] for i in support]
+        gram = [[_dot(g, img) for g, _q in gens] for img in imgs]
         pos, _neg, zero = signature(gram)
         if (pos, zero) != (0, 0):
             raise ConeDataError("cone data incomplete: support curves are "
                                 "not negative definite")
-        x0 = solve(gram, [S.pair(D, c) for c in curves])
-        x1 = solve(gram, [-S.pair(C, c) for c in curves])
-    n0 = _combo(S, support, x0)
-    n1 = _combo(S, support, x1)
-    p0 = tuple(d - n for d, n in zip(D, n0))
-    p1 = tuple(-c - n for c, n in zip(C, n1))
-    return (x0, x1), (p0, p1)
+        ys, e = int_solve([row + [qc * _dot(d, img), -qd * _dot(c, img)]
+                           for row, img in zip(gram, imgs)])
+    p0 = [e * qc * a for a in d]
+    p1 = [-e * qd * a for a in c]
+    for (y0, y1), (g, _q) in zip(ys, gens):
+        p0 = [a - y0 * b for a, b in zip(p0, g)]
+        p1 = [a - y1 * b for a, b in zip(p1, g)]
+    x = [(qg * y0, qg * y1) for (y0, y1), (_g, qg) in zip(ys, gens)]
+    return x, (p0, p1), e * qd * qc
 
 
 def _chamber_after(S, D, C, t, hi):
-    """(t_end, (p0, p1)) with P(D - sC) = p0 + s*p1 on the whole closed
-    chamber [t, t_end] that starts at s = t, and t < t_end <= hi.
+    """(t_end, (p0, p1), q) with P(D - sC) = (p0 + s*p1) / q on the whole
+    closed chamber [t, t_end] that starts at s = t, and t < t_end <= hi.
 
-    `_support_after` gives the support at t+.  It is the Zariski support
-    wherever its affine conditions hold, the support coefficients >= 0
-    and P nef, and `_cond_window` gives where they do.
+    `_support_after` gives the support at t+, the Zariski support wherever
+    its affine conditions a + b*s >= 0 hold: the support coefficients and
+    P's pairings with the effective generators.  None may drop at t+, and
+    the chamber ends at hi or the least root -a/b of those with b < 0.
     """
-    _support, (x0, x1), (p0, p1) = _support_after(S, D, C, t)
-    conds = list(zip(x0, x1))
-    conds += [(S.pair(p0, g), S.pair(p1, g)) for g in S.effective_generators]
-    win = _cond_window(conds, t)
-    if win is None or (win[1] is not None and win[1] <= t):
+    _support, x, (p0, p1), q = _support_after(S, D, C, t)
+    conds = x + [(_dot(p0, img), _dot(p1, img)) for img in S._imgs]
+    if any(_drops(a, b, t) for a, b in conds):
         raise ConeDataError("cone data incomplete: no Zariski chamber "
                             "starts at t=%s" % t)
-    return (hi if win[1] is None else min(win[1], hi)), (p0, p1)
-
-
-def _cond_window(conds, t):
-    """Largest interval [lo, hi] around `t` where all conditions hold."""
-    lo, hi = None, None
+    end = hi.numerator, hi.denominator
     for a, b in conds:
-        if b == 0:
-            if a < 0:
-                return None
-            continue
-        root = Fraction(-a, b)
-        if b > 0:  # holds for t >= root
-            lo = root if lo is None or root > lo else lo
-        else:      # holds for t <= root
-            hi = root if hi is None or root < hi else hi
-    if (lo is not None and lo > t) or (hi is not None and hi < t):
-        return None
-    return lo, hi
+        if b < 0 and a * end[1] < -b * end[0]:
+            end = a, -b
+    return Fraction(*end), (p0, p1), q
 
 
 def _beta_breakpoints(S, D, C, lo, hi):
-    """[(t, beta(t))] at every chamber breakpoint of [lo, hi], exact."""
+    """[(t, beta(t))] at every chamber breakpoint of [lo, hi], exact, for
+    beta(t) = P(D - tC).C and classes D = (d, qd), C = (c, qc)."""
+    c, qc = C
+    img = S._image(c)
     pts = []
     t = lo
     for _ in range(len(S.negative_curves) + 1):
-        t_end, p = _chamber_after(S, D, C, t, hi)
-        beta = (S.pair(p[0], C), S.pair(p[1], C))  # P(D - tC).C
-        pts.append((t, beta[0] + beta[1] * t))
-        pts.append((t_end, beta[0] + beta[1] * t_end))
+        t_end, (p0, p1), q = _chamber_after(S, D, C, t, hi)
+        b0, b1 = _dot(p0, img), _dot(p1, img)  # beta = (b0 + b1 t) / (q qc)
+        pts += [(s, Fraction(b0 * s.denominator + b1 * s.numerator,
+                             q * qc * s.denominator)) for s in (t, t_end)]
         if t_end >= hi:
             return pts
         t = t_end
     raise ConeDataError("chamber sweep did not terminate")
-
-
-def _shift(D, C, t):
-    return tuple(d - t * c for d, c in zip(qvec(D), qvec(C)))
 
 
 def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
@@ -400,19 +412,22 @@ def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     For big D this is the body of the honest sections; for psef non-big D
     it is the limiting body.
     """
-    D = S._class(D)
-    if not is_psef(S, D):
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
         raise ValueError("divisor is not pseudoeffective")
-    C = S.effective_generators[flag_curve]
-    zp = zariski_decompose(S, D)
-    a = zp.coefficient_of(flag_curve)
-    mu = psef_threshold(S, D, C)
-    if a == mu:
-        top = S.pair(zariski_decompose(S, _shift(D, C, mu)).positive, C)
-        return Polytope.hull([(mu, Fraction(0)), (mu, top)])
-    pts = _beta_breakpoints(S, D, C, a, mu)
-    verts = [(a, Fraction(0)), (mu, Fraction(0))] + [(t, y) for t, y in pts]
-    return Polytope.hull(verts)
+    C = S._gens[flag_curve]
+    support, x0, _p0, q = _zariski(S, (d, qd))
+    a = Fraction(x0[support.index(flag_curve)] if flag_curve in support
+                 else 0, q)
+    mu = psef_threshold(S, D, S.effective_generators[flag_curve])
+    if a == mu:  # P(D - mu C).C, with D - mu C over qd qc den(mu)
+        (c, qc), m, n = C, mu.numerator, mu.denominator
+        shifted = [n * qc * x - m * qd * y for x, y in zip(d, c)]
+        _s, _x, p, q = _zariski(S, (shifted, qd * qc * n))
+        top = Fraction(_dot(p, S._imgs[flag_curve]), q * qc)
+        return Polytope.hull([(mu, 0), (mu, top)])
+    pts = _beta_breakpoints(S, (d, qd), C, a, mu)
+    return Polytope.hull([(a, 0), (mu, 0)] + pts)
 
 
 def limiting_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
@@ -443,30 +458,27 @@ def numerical_dims_surface(S: SurfaceLattice, D) -> dict:
     """nu and kappa_vol of a pseudoeffective class.
 
     Classified by the Zariski positive part and cross-checked against the
-    exact growth of vol(D + eps*A) for A = `some_ample(S)`; the order of
+    exact growth of vol(D + eps*A) for A = `_ample_class(S)`; the order of
     that growth is the same for every ample A.  The chamber of D + eps*A
     that starts at eps = 0 (`_chamber_after` along the direction -A) is
-    [0, eps1], where P(D + eps*A) = p0 + eps*p1; so vol(D + eps*A) =
-    (p0 + eps*p1)^2 there, with constant term p0^2 and linear term
-    2 p0.p1, exactly.  Declared cone data that admit no visible ample
-    class, or that contradict the classification, raise ConeDataError.
+    [0, eps1], where P(D + eps*A) = (p0 + eps*p1) / q; so vol(D + eps*A)
+    = (p0 + eps*p1)^2 / q^2 there, with constant term p0^2 / q^2 and
+    linear term 2 p0.p1 / q^2, exactly.  Declared cone data that admit no
+    visible ample class, or that contradict the classification, raise
+    ConeDataError.
     """
-    D = S._class(D)
-    if not is_psef(S, D):
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
         raise ValueError("divisor is not pseudoeffective")
-    A = some_ample(S)
-    zp = zariski_decompose(S, D)
-    p2 = S.pair(zp.positive, zp.positive)
-    if p2 > 0:
-        k = 2
-    elif any(c != 0 for c in zp.positive):
-        k = 1
-    else:
-        k = 0
-    _, (p0, p1) = _chamber_after(S, D, tuple(-a for a in A),
-                                 Fraction(0), Fraction(1))
-    a0, a1 = S.pair(p0, p0), 2 * S.pair(p0, p1)
-    if a0 != p2:
+    a, qa = _ample_class(S)
+    _support, _x0, p, qz = _zariski(S, (d, qd))
+    p2 = _dot(p, S._image(p))
+    k = 2 if p2 > 0 else (1 if any(p) else 0)
+    _, (p0, p1), q = _chamber_after(S, (d, qd), (tuple(-x for x in a), qa),
+                                    0, 1)
+    img = S._image(p0)
+    a0, a1 = _dot(p0, img), _dot(p1, img)
+    if a0 * qz * qz != p2 * q * q:
         raise ConeDataError("chamber volume at eps=0 contradicts the "
                             "Zariski decomposition")
     fitted = 2 if a0 > 0 else (1 if a1 > 0 else 0)
@@ -479,31 +491,17 @@ def numerical_dims_surface(S: SurfaceLattice, D) -> dict:
 def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     """Body of honest sections of a canonical-type class, via the declared
     degree of the Iitaka map on the flag curve: (1/deg) * limiting body."""
-    D = S._class(D)
+    (d, _q), (k, _qk) = S._ints(D), S._ints(S.canonical_class)
     if flag_curve not in S.iitaka_degrees:
         raise ValueError("valuative body undeterminable from numerical data")
-    if not _proportional(D, S.canonical_class):
+    # D = rK with r > 0, or D = 0: d.k > 0 and Cauchy-Schwarz holds with
+    # equality, which it does exactly for parallel d and k
+    dk = _dot(d, k)
+    if any(d) and not (dk > 0 and dk * dk == _dot(d, d) * _dot(k, k)):
         raise ValueError("abundance declaration only covers canonical-type "
                          "classes")
     body = limiting_body_surface(S, D, flag_curve)
     return body.scale(Fraction(1, S.iitaka_degrees[flag_curve]))
-
-
-def _proportional(D, K):
-    if all(c == 0 for c in D) or all(c == 0 for c in K):
-        return all(c == 0 for c in D)
-    ratio = None
-    for d, k in zip(D, K):
-        if k == 0:
-            if d != 0:
-                return False
-            continue
-        r = frac(d) / frac(k)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return ratio is not None and ratio > 0
 
 
 # -- augmented restricted volumes --------------------------------------------

@@ -5,12 +5,15 @@ Everything on these models is computable exactly from the fan: global
 sections of an invariant divisor are lattice points of its section
 polytope, and the flag valuation of a monomial section is an explicit
 unimodular-affine function of its exponent, so bodies come out as exact
-images of section polytopes.  The finite-level brute-force path exists as
-an independent oracle for that exact path: it enumerates the level-m
-sections as lattice lines by integer bounds, hulls the two ends of each
-line (the line's other points lie between them), and maps the hull's
-vertices by the valuation, which is exact because the valuation is
-affine.
+images of section polytopes.  The class arithmetic runs on integers: a
+divisor keeps its coefficients as numerators over one denominator
+(`ToricDivisor.num`, `.q`), and bodies, restricted volumes and ampleness
+map integer vertex rows; `Fraction`s appear only at the API edge.  The
+finite-level brute-force path exists as an independent oracle for that
+exact path: it enumerates the level-m sections as lattice lines by
+integer bounds, hulls the two ends of each line (the line's other points
+lie between them), and maps the hull's vertices by the valuation, which
+is exact because the valuation is affine.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from fractions import Fraction
 from operator import mul
 
 from . import kernel
-from .linalg import clear_denominators, dot, int_det, qvec, solve
+from .linalg import clear_denominators, dot, int_det, int_solve, qvec
+# unused here, but perfbench's tracer rebinds the name and needs it
+from .linalg import solve  # noqa: F401
 from .polytope import Polytope, _from_rows
 
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
@@ -83,15 +88,21 @@ class ToricVariety:
 @dataclass(frozen=True)
 class ToricDivisor:
     """Invariant divisor sum(coeffs[i] * D_rays[i]); coeffs may be any
-    sequence of exact numbers and is stored as a tuple of Fractions."""
+    sequence of exact numbers and is stored as a tuple of Fractions, and
+    as integer numerators `num` over their least common denominator `q`."""
 
     variety: ToricVariety
     coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    q: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", qvec(self.coeffs))
         if len(self.coeffs) != len(self.variety.rays):
             raise ValueError("divisor needs one coefficient per ray")
+        (num,), q = clear_denominators([self.coeffs])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -151,34 +162,25 @@ def kappa(X, D):
     return NEG_INF if P.is_empty else P.dim()
 
 
-def _cone_vertex(X, D, cone):
-    rows = [list(map(Fraction, X.rays[i])) for i in cone]
-    rhs = [-D.coeffs[i] for i in cone]
-    return solve(rows, rhs)
-
-
-def _slacks(X, D):
-    """<u, ray_j> + a_j at the vertex u of each maximal cone, for each ray j
-    off that cone (on it the slack is 0)."""
-    for cone in X.max_cones:
-        u = _cone_vertex(X, D, cone)
-        yield from (dot(u, qvec(ray)) + D.coeffs[j]
-                    for j, ray in enumerate(X.rays) if j not in cone)
-
-
 def is_ample(X, D) -> bool:
-    """Strict convexity of the support function over the complete fan."""
-    return all(s > 0 for s in _slacks(X, D))
+    """Strict convexity of the support function over the complete fan: at
+    the vertex u = w / (d D.q) of each maximal cone, <u, ray_j> + a_j > 0
+    for each ray j off the cone, on integers times d D.q > 0."""
+    for cone in X.max_cones:
+        w, d = int_solve([X.rays[i] + (-D.num[i],) for i in cone])
+        if any(sum(a * x for (a,), x in zip(w, ray)) + d * D.num[j] <= 0
+               for j, ray in enumerate(X.rays) if j not in cone):
+            return False
+    return True
 
 
 # -- sections and valuations -------------------------------------------------
 
 
 def _integral_multiple(D: ToricDivisor, m: int):
-    coeffs = [m * a for a in D.coeffs]
-    if any(c.denominator != 1 for c in coeffs):
+    if m % D.q:
         raise ValueError("non-integral multiple")
-    return [int(c) for c in coeffs]
+    return [m // D.q * a for a in D.num]
 
 
 def sections(X: ToricVariety, D: ToricDivisor, m: int):
@@ -199,9 +201,9 @@ def _face_box(X, D, m, stratum, face):
         return None
     normals = list(X.rays) + [tuple(-x for x in X.rays[i]) for i in stratum]
     offsets += [-offsets[i] for i in stratum]
-    cols = list(zip(*face.vertices))
-    lo = [math.ceil(m * min(col)) for col in cols]
-    hi = [math.floor(m * max(col)) for col in cols]
+    cols, q = list(zip(*face._rows)), face._q
+    lo = [-(-m * min(col) // q) for col in cols]
+    hi = [m * max(col) // q for col in cols]
     return normals, offsets, lo, hi
 
 
@@ -210,13 +212,6 @@ def _face_points(X, D, m, stratum, face):
     along `stratum`."""
     box = _face_box(X, D, m, stratum, face)
     return kernel.lattice_points(*box) if box else []
-
-
-def _flag_affine_map(X, flag: ToricFlag, D: ToricDivisor):
-    """val(u) = (<u, v_i> + a_i) over the flag's ordered rays v_i."""
-    rows = [qvec(X.rays[i]) for i in flag.ray_order]
-    shift = qvec([D.coeffs[i] for i in flag.ray_order])
-    return rows, shift
 
 
 def flag_valuation(X, flag: ToricFlag, exponent, D: ToricDivisor):
@@ -228,10 +223,16 @@ def flag_valuation(X, flag: ToricFlag, exponent, D: ToricDivisor):
     flag.validate(X)
     u = qvec(exponent)
     for ray, a in zip(X.rays, D.coeffs):
-        if dot(u, qvec(ray)) < -a:
+        if dot(u, ray) < -a:
             raise ValueError("exponent outside the section polytope")
-    rows, shift = _flag_affine_map(X, flag, D)
-    return tuple(dot(r, u) + s for r, s in zip(rows, shift))
+    return tuple(dot(u, X.rays[i]) + D.coeffs[i] for i in flag.ray_order)
+
+
+def _flag_images(X, flag: ToricFlag, pts, k, shift):
+    """The integer vectors (k <u, v_i> + shift[i]) over the flag's ordered
+    rays v_i, for integer points u."""
+    rows = [(X.rays[i], shift[i]) for i in flag.ray_order]
+    return [tuple(k * sum(map(mul, r, u)) + s for r, s in rows) for u in pts]
 
 
 def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
@@ -239,14 +240,18 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
 
     The valuation map is unimodular-affine, so no limit over levels is
     needed; the finite-level brute-force body below converges to this.
+    On the section polytope's integer vertex rows u over its denominator
+    p, and D's numerators over D.q, it is (k <u, v_i> + s num_i) / q, with
+    q = lcm(p, D.q), k = q / p and s = q / D.q.
     """
     flag.validate(X)
     P = section_polytope(X, D)
     if P.is_empty:
         raise ValueError("divisor has no sections")
-    rows, shift = _flag_affine_map(X, flag, D)
-    return Polytope.hull(
-        [tuple(dot(r, v) + s for r, s in zip(rows, shift)) for v in P.vertices])
+    q = math.lcm(P._q, D.q)
+    shift = [q // D.q * a for a in D.num]
+    return Polytope.lattice_hull(
+        _flag_images(X, flag, P._rows, q // P._q, shift), q)
 
 
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
@@ -272,14 +277,9 @@ def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Pol
         raise ValueError("divisor has no sections")
     ends = [head + (v,) for head, a, b in lines
             for v in ((a,) if a == b else (a, b))]
-    verts = [tuple(int(m * x) for x in v)
-             for v in Polytope.lattice_hull(ends, m).vertices]
-    macoeffs = _integral_multiple(D, m)
-    rows = [X.rays[i] for i in flag.ray_order]
-    shift = [macoeffs[i] for i in flag.ray_order]
-    vals = [tuple(sum(map(mul, r, u)) + s for r, s in zip(rows, shift))
-            for u in verts]
-    return Polytope.lattice_hull(vals, m)
+    H = Polytope.lattice_hull(ends, m)  # its vertex rows over H._q | m
+    return Polytope.lattice_hull(_flag_images(
+        X, flag, H._rows, m // H._q, _integral_multiple(D, m)), m)
 
 
 # -- restriction to invariant strata ------------------------------------------
@@ -312,7 +312,7 @@ def _face(X, D, stratum):
 
     Memoized: models and divisors are frozen and compare by value, and the
     returned Polytope is immutable (its lazy caches are deterministic)."""
-    (num,), q = clear_denominators([D.coeffs])
+    num, q = D.num, D.q
     rows = [tuple(-q * x for x in ray) + (a,) for ray, a in zip(X.rays, num)]
     rows += [tuple(q * x for x in X.rays[i]) + (-num[i],) for i in stratum]
     return _from_rows(rows, X.dim)
@@ -347,9 +347,10 @@ def restricted_volume_toric(X, D: ToricDivisor, stratum) -> Fraction:
         return Fraction(0)
     if v == 0:
         return Fraction(1)
-    image = Polytope.hull([tuple(dot(qvec(X.rays[j]), u) for j in rest)
-                           for u in face.vertices])
-    return Fraction(math.factorial(v)) * image.volume_in_dim(v)
+    image = Polytope.lattice_hull(
+        [tuple(sum(map(mul, X.rays[j], u)) for j in rest) for u in face._rows],
+        face._q)
+    return math.factorial(v) * image.volume_in_dim(v)
 
 
 def nakayama_verdict(X, D: ToricDivisor, stratum):
@@ -369,8 +370,7 @@ def nakayama_verdict(X, D: ToricDivisor, stratum):
     off_face = [v for v in P.vertices if v not in on_face]
     if not off_face:
         return "certified", None
-    den = math.lcm(*(a.denominator for a in D.coeffs))
-    return "false", min(math.lcm(den, *(c.denominator for c in v))
+    return "false", min(math.lcm(D.q, *(c.denominator for c in v))
                         for v in off_face)
 
 
@@ -389,7 +389,7 @@ class ToricFibration:
 
     def _unit_rows(self):
         n = len(self.total.rays)
-        return tuple(qvec([int(i == j) for j in range(n)]) for i in range(n))
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     @property
     def pullback(self):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from okbodies.linalg import int_det, rank
+from fraction_reference import int_det, rank
 
 
 def _dot(a, b):

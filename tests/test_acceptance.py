@@ -9,12 +9,13 @@ from fractions import Fraction as F
 
 import pytest
 from corpus import INSTANCE_NAMES, instance, model
+from fraction_reference import solve
 
 from okbodies import fiberspace as FS
 from okbodies import surface as SF
 from okbodies import toric as T
 from okbodies.invariants import ToricBackend
-from okbodies.linalg import qvec, solve
+from okbodies.linalg import qvec
 from okbodies.polytope import Polytope, hull
 
 P1 = T.projective_line()

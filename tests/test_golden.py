@@ -8,6 +8,7 @@ shows up here.  Edited copies of the instances pin the gated reports that
 the shipped corpus never prints.
 """
 
+import fractions
 import hashlib
 import json
 from pathlib import Path
@@ -203,6 +204,28 @@ def test_check_all_builds_no_halfspace(capsys, monkeypatch):
     monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(no_halfspace))
     monkeypatch.setattr(HalfSpace, "__post_init__", no_halfspace)
     test_stdout_digest("check_all", capsys, monkeypatch)
+
+
+# `Fraction`s one in-process `check --all` builds, with the section
+# polytope memo cleared: classes run on integers over one denominator in
+# linalg, toric and surface, and `Fraction`s are made at the API edge and
+# in report writing (1638 here; 4609 when that arithmetic ran on them)
+FRACTIONS_BUILT = 1800
+
+
+def test_check_all_builds_few_fractions(capsys, monkeypatch):
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    toric._face.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", counted)
+    test_stdout_digest("check_all", capsys, monkeypatch)
+    monkeypatch.undo()
+    assert 0 < len(built) <= FRACTIONS_BUILT
 
 
 def test_check_all_serialises_each_instance_once(capsys, monkeypatch):

@@ -5,13 +5,14 @@ from fractions import Fraction as F
 import pytest
 from corpus import model
 from exact_strategies import fractions_in
+from fraction_reference import solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import invariants as I
 from okbodies import toric as T
 from okbodies.curve import CurveModel
-from okbodies.linalg import dot, qvec, solve
+from okbodies.linalg import dot, qvec
 from okbodies.polytope import HalfSpace
 from okbodies.surface import SurfaceLattice
 from okbodies.toric import NEG_INF

@@ -9,12 +9,12 @@ from math import factorial
 from operator import mul
 
 import pytest
+from fraction_reference import int_det
 from hull_reference import brute_hull, brute_volume
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from okbodies import kernel
-from okbodies.linalg import int_det
 from okbodies.polytope import Polytope
 
 

@@ -1,10 +1,38 @@
 from fractions import Fraction as F
 
+import fraction_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import linalg, lp, toric
+
+# entries for the elimination properties: ints and Fractions of mixed
+# denominators, zero often
+ENTRIES = st.one_of(st.just(0), st.integers(-4, 4),
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rows of ENTRIES, 0-4 of them and 1-4 columns (n x n if square); a
+    drawn kind makes one row a combination of two others (singular) or
+    zero."""
+    nrows = draw(st.integers(0, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    rows = [tuple(draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
+            for _ in range(nrows)]
+    kind = draw(st.sampled_from(("random", "singular", "zero-row")))
+    if kind == "singular" and nrows >= 3:
+        a, b = draw(ENTRIES), draw(ENTRIES)
+        rows[-1] = tuple(a * x + b * y for x, y in zip(rows[0], rows[1]))
+    elif kind == "zero-row" and nrows:
+        rows[draw(st.integers(0, nrows - 1))] = (0,) * ncols
+    return rows
+
+
+def _fraction_results(values):
+    return values is None or all(type(x) is F for x in values)
 
 
 class TestLinalg:
@@ -28,7 +56,7 @@ class TestLinalg:
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
         min_size=n, max_size=n)))
     def test_int_det_matches_rational_det(self, rows):
-        want = linalg.det([[F(x) for x in r] for r in rows]) if rows else 1
+        want = ref.det(rows)
         assert linalg.int_det(rows) == want
 
     def test_primitive(self):
@@ -45,6 +73,55 @@ class TestLinalg:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             linalg.frac(0.5)
+
+
+class TestFractionFree:
+    """The one fraction-free elimination against the `Fraction`
+    Gauss-Jordan reference, on singular, rectangular and zero-row
+    matrices, and on consistent and inconsistent right-hand sides."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(matrices(), st.data())
+    def test_rectangular(self, rows, data):
+        assert linalg.rank(rows) == ref.rank(rows)
+        ns = linalg.nullspace(rows)
+        assert ns == ref.nullspace(rows)
+        assert all(_fraction_results(v) for v in ns)
+        ncols = len(rows[0]) if rows else 0
+        x = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+        consistent = [sum((a * b for a, b in zip(r, x)), F(0)) for r in rows]
+        drawn = data.draw(st.lists(ENTRIES, min_size=len(rows),
+                                   max_size=len(rows)))
+        for rhs in (consistent, drawn):
+            got = linalg.solve_rect(rows, rhs)
+            assert got == ref.solve_rect(rows, rhs)
+            assert _fraction_results(got)
+
+    @settings(max_examples=120, deadline=None)
+    @given(matrices(square=True), st.data())
+    def test_square(self, rows, data):
+        n = len(rows)
+        rhs = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        got = linalg.solve(rows, rhs)
+        assert got == ref.solve(rows, rhs) and _fraction_results(got)
+        assert linalg.det(rows) == ref.det(rows)
+        ints = [[int(x * 12) for x in r] for r in rows]  # 12 clears them
+        assert linalg.int_det(ints) == ref.int_det(ints) == ref.det(ints)
+
+    @settings(max_examples=120, deadline=None)
+    @given(matrices(square=True), st.booleans())
+    def test_signature(self, rows, hollow):
+        """Symmetric A + A^T, with a zero diagonal when `hollow` (the
+        congruence step that makes a pivot), and the singular A A^T."""
+        n = len(rows)
+        sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        if hollow:
+            for i in range(n):
+                sym[i][i] = 0
+        gram = [[sum((a * b for a, b in zip(r, s)), F(0)) for s in rows]
+                for r in rows]
+        for m in (sym, gram):
+            assert linalg.signature(m) == ref.signature(m)
 
 
 class TestSimplex:

@@ -4,13 +4,14 @@ from itertools import combinations, product
 from math import factorial, lcm
 
 import pytest
+from fraction_reference import nullspace, solve
 from hull_reference import brute_hull, brute_volume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import kernel, lp, polytope, toric
 from okbodies.ioformats import body_from_obj
-from okbodies.linalg import dot, nullspace, primitive_int_vector, qvec, solve
+from okbodies.linalg import dot, primitive_int_vector, qvec
 from okbodies.lp import recession_is_trivial
 from okbodies.polytope import HalfSpace, Polytope, hull
 

@@ -4,12 +4,13 @@ from functools import lru_cache
 import pytest
 from corpus import model
 from exact_strategies import fractions_in
+from fraction_reference import signature, solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okbodies import lp
 from okbodies import surface as S
-from okbodies.linalg import qvec, signature, solve
+from okbodies.linalg import qvec
 from okbodies.polytope import Polytope, hull
 
 BL = model("blown_up_plane_surface")
@@ -422,21 +423,25 @@ def loop_zariski_decompose(L, D):
     if not S.is_psef(L, D):
         raise ValueError("divisor is not pseudoeffective")
     support = sorted(i for i in L.negative_curves
-                     if L.pair(D, L.effective_generators[i]) < 0)
+                     if fraction_pair(L, D, L.effective_generators[i]) < 0)
     while True:
         coeffs = []
         if support:
             curves = [L.effective_generators[i] for i in support]
-            gram = [[L.pair(a, b) for b in curves] for a in curves]
+            gram = [[fraction_pair(L, a, b) for b in curves] for a in curves]
             pos, _neg, zero = signature(gram)
             if (pos, zero) != (0, 0):
                 raise S.ConeDataError("cone data incomplete: support curves "
                                       "are not negative definite")
-            coeffs = list(solve(gram, [L.pair(D, c) for c in curves]))
-        N = S._combo(L, support, coeffs)
+            coeffs = list(solve(gram, [fraction_pair(L, D, c)
+                                       for c in curves]))
+        N = tuple(sum((c * L.effective_generators[i][k]
+                       for i, c in zip(support, coeffs)), F(0))
+                  for k in range(L.rank))
         P = tuple(d - n for d, n in zip(D, N))
         extra = [i for i in L.negative_curves
-                 if i not in support and L.pair(P, L.effective_generators[i]) < 0]
+                 if i not in support
+                 and fraction_pair(L, P, L.effective_generators[i]) < 0]
         if not extra:
             break
         support = sorted(support + extra)
@@ -633,3 +638,146 @@ def test_pair_matches_fraction_double_sum(case):
     L, a, b = case
     got = L.pair(a, b)
     assert type(got) is F and got == fraction_pair(L, a, b)
+
+
+# -- the Fraction chamber sweep the body ran before its integer classes -------
+
+
+def fraction_fixed_support_affine(L, D, C, support):
+    curves = [L.effective_generators[i] for i in support]
+    x0 = x1 = ()
+    if support:
+        gram = [[fraction_pair(L, a, b) for b in curves] for a in curves]
+        pos, _neg, zero = signature(gram)
+        if (pos, zero) != (0, 0):
+            raise S.ConeDataError("cone data incomplete: support curves are "
+                                  "not negative definite")
+        x0 = solve(gram, [fraction_pair(L, D, c) for c in curves])
+        x1 = solve(gram, [-fraction_pair(L, C, c) for c in curves])
+    n0, n1 = ([sum((c * g[k] for c, g in zip(x, curves)), F(0))
+               for k in range(L.rank)] for x in (x0, x1))
+    return (x0, x1), (tuple(d - n for d, n in zip(D, n0)),
+                      tuple(-c - n for c, n in zip(C, n1)))
+
+
+def fraction_support_after(L, D, C, t):
+    support = []
+    while True:
+        x, (p0, p1) = fraction_fixed_support_affine(L, D, C, support)
+        extra = []
+        for i in L.negative_curves:
+            if i not in support:
+                g = L.effective_generators[i]
+                a, b = fraction_pair(L, p0, g), fraction_pair(L, p1, g)
+                if a + b * t < 0 or (a + b * t == 0 and b < 0):
+                    extra.append(i)
+        if not extra:
+            return x, (p0, p1)
+        support = sorted(support + extra)
+
+
+def fraction_cond_window(conds, t):
+    """Largest interval [lo, hi] around `t` where all a + b*s >= 0 hold."""
+    lo, hi = None, None
+    for a, b in conds:
+        if b == 0:
+            if a < 0:
+                return None
+            continue
+        root = F(-a, b)
+        if b > 0:
+            lo = root if lo is None or root > lo else lo
+        else:
+            hi = root if hi is None or root < hi else hi
+    if (lo is not None and lo > t) or (hi is not None and hi < t):
+        return None
+    return lo, hi
+
+
+def fraction_chamber_after(L, D, C, t, hi):
+    (x0, x1), (p0, p1) = fraction_support_after(L, D, C, t)
+    conds = list(zip(x0, x1)) + [
+        (fraction_pair(L, p0, g), fraction_pair(L, p1, g))
+        for g in L.effective_generators]
+    win = fraction_cond_window(conds, t)
+    if win is None or (win[1] is not None and win[1] <= t):
+        raise S.ConeDataError("cone data incomplete: no Zariski chamber "
+                              "starts at t=%s" % t)
+    return (hi if win[1] is None else min(win[1], hi)), (p0, p1)
+
+
+def fraction_body(L, D, flag_curve):
+    """`okounkov_body_surface` on `Fraction` classes."""
+    D = qvec(D)
+    if not S.is_psef(L, D):
+        raise ValueError("divisor is not pseudoeffective")
+    C = L.effective_generators[flag_curve]
+    zp = loop_zariski_decompose(L, D)
+    a = dict(zip(zp.support, zp.coefficients)).get(flag_curve, F(0))
+    mu = simplex_threshold(L, D, C)
+    if a == mu:
+        P = loop_zariski_decompose(L, [x - mu * c for x, c in zip(D, C)])
+        return hull([(mu, 0), (mu, fraction_pair(L, P.positive, C))])
+    pts, t = [(a, 0), (mu, 0)], a
+    for _ in range(len(L.negative_curves) + 1):
+        t_end, (p0, p1) = fraction_chamber_after(L, D, C, t, mu)
+        b0, b1 = fraction_pair(L, p0, C), fraction_pair(L, p1, C)
+        pts += [(t, b0 + b1 * t), (t_end, b0 + b1 * t_end)]
+        if t_end >= mu:
+            return hull(pts)
+        t = t_end
+    raise S.ConeDataError("chamber sweep did not terminate")
+
+
+def fraction_numerical_dims(L, D):
+    """`numerical_dims_surface` on `Fraction` classes."""
+    D = qvec(D)
+    if not S.is_psef(L, D):
+        raise ValueError("divisor is not pseudoeffective")
+    sums = [tuple(sum(col, F(0)) for col in zip(*gens))
+            for gens in (L.nef_generators, L.effective_generators) if gens]
+    A = next((c for c in sums if S.is_ample(L, c)), None)
+    if A is None:
+        raise S.ConeDataError("declared cones admit no visible ample class")
+    P = loop_zariski_decompose(L, D).positive
+    p2 = fraction_pair(L, P, P)
+    k = 2 if p2 > 0 else (1 if any(P) else 0)
+    _, (p0, p1) = fraction_chamber_after(L, D, tuple(-a for a in A), F(0),
+                                         F(1))
+    a0, a1 = fraction_pair(L, p0, p0), fraction_pair(L, p0, p1)
+    if a0 != p2:
+        raise S.ConeDataError("chamber volume at eps=0 contradicts the "
+                              "Zariski decomposition")
+    if (2 if a0 > 0 else (1 if a1 > 0 else 0)) != k:
+        raise S.ConeDataError("volume growth contradicts the Zariski "
+                              "classification")
+    return {"nu_bdpp": k, "kappa_vol": k}
+
+
+def fraction_volume(L, D):
+    if not S.is_psef(L, D):
+        return F(0)
+    P = loop_zariski_decompose(L, D).positive
+    return fraction_pair(L, P, P)
+
+
+@st.composite
+def flagged_classes(draw):
+    L, D = draw(any_classes())
+    return L, D, draw(st.integers(0, len(L.effective_generators) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_classes())
+def test_integer_surface_arithmetic_matches_fraction_path(case):
+    """Body, numerical dimensions and volume on integer classes equal
+    their `Fraction` forms, errors included; `test_zariski_matches_loop`
+    and `test_pair_matches_fraction_double_sum` do the same for
+    `zariski_decompose` and `pair`."""
+    L, D, flag = case
+    assert (_outcome(S.okounkov_body_surface, L, D, flag)
+            == _outcome(fraction_body, L, D, flag))
+    assert (_outcome(S.numerical_dims_surface, L, D)
+            == _outcome(fraction_numerical_dims, L, D))
+    assert (_outcome(S.volume_surface, L, D)
+            == _outcome(fraction_volume, L, D))

@@ -4,8 +4,9 @@ from fractions import Fraction as F
 from functools import lru_cache
 from operator import mul
 
+import fraction_reference as ref
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okbodies import kernel
@@ -23,6 +24,13 @@ STD_FLAG = T.ToricFlag(0, (0, 1))
 
 def d(X, coeffs):
     return T.ToricDivisor(X, coeffs)
+
+
+def flag_map(X, flag, D):
+    """The flag valuation u -> (<u, v_i> + a_i) as its rows v_i and shifts
+    a_i, in the flag's ray order."""
+    return ([X.rays[i] for i in flag.ray_order],
+            [D.coeffs[i] for i in flag.ray_order])
 
 
 class TestValidation:
@@ -172,7 +180,7 @@ class TestFlagValuation:
     def test_additivity_of_monomial_valuations(self):
         # values of s*t sections add, exhaustively through level 5
         D = d(P2, [0, 0, 1])
-        rows, shift = T._flag_affine_map(P2, STD_FLAG, D)
+        rows, shift = flag_map(P2, STD_FLAG, D)
         for m1 in range(1, 3):
             for m2 in range(1, 6 - m1):
                 for u1 in T.sections(P2, D, m1):
@@ -357,7 +365,7 @@ class TestInvariants:
     @pytest.mark.parametrize("X,coeffs,flag", FIXTURE_BODIES[:4])
     def test_valuation_injective_per_level(self, X, coeffs, flag):
         D = d(X, coeffs)
-        rows, shift = T._flag_affine_map(X, flag, D)
+        rows, shift = flag_map(X, flag, D)
         for m in range(1, 11):
             pts = T.sections(X, D, m)
             vals = {tuple(sum(r[c] * u[c] for c in range(X.dim))
@@ -367,7 +375,7 @@ class TestInvariants:
     def test_bruteforce_hulls_integer_valuations(self, monkeypatch):
         X, coeffs, flag = FIXTURE_BODIES[-1]
         D = d(X, coeffs)
-        rows, shift = T._flag_affine_map(X, flag, D)
+        rows, shift = flag_map(X, flag, D)
         vals = [tuple(sum(r[c] * u[c] for c in range(X.dim)) + 3 * s
                       for r, s in zip(rows, shift)) for u in T.sections(X, D, 3)]
         expected = hull(vals).scale(F(1, 3))
@@ -642,3 +650,73 @@ def test_face_enumeration_matches_section_filter(case):
     series = T.restricted_series(X, D, stratum, levels)
     assert series.levels == filtered_series(X, D, stratum, levels)
     assert T.nakayama_verdict(X, D, stratum) == fraction_nakayama(X, D, stratum)
+
+
+# -- the integer class arithmetic against the Fraction path -------------------
+
+# each coefficient over its own denominator, so that D's denominator is
+# often not the section polytope's
+COEFFS = st.builds(F, st.integers(-2, 4), st.integers(1, 4))
+
+
+@lru_cache(maxsize=None)
+def coefficient_tuples(n):
+    return st.tuples(*[COEFFS] * n)
+
+
+@st.composite
+def flagged_divisors(draw):
+    """(model, D, flag): coefficients in [-2, 4] over denominators <= 4, a
+    drawn maximal cone and a drawn order of its rays."""
+    X = draw(st.sampled_from(SERIES_MODELS))
+    D = d(X, draw(coefficient_tuples(len(X.rays))))
+    cone = draw(st.integers(0, len(X.max_cones) - 1))
+    return X, D, T.ToricFlag(cone, tuple(draw(st.permutations(
+        X.max_cones[cone]))))
+
+
+def fraction_is_ample(X, D):
+    """Strict convexity with each cone vertex from the `Fraction` solve."""
+    for cone in X.max_cones:
+        u = ref.solve([X.rays[i] for i in cone], [-D.coeffs[i] for i in cone])
+        if any(dot(u, ray) + D.coeffs[j] <= 0
+               for j, ray in enumerate(X.rays) if j not in cone):
+            return False
+    return True
+
+
+def fraction_restricted_volume(X, D, stratum):
+    """v! vol of the face's `Fraction` vertices mapped to the stratum."""
+    _stratum, rest = T._stratum_frame(X, stratum)
+    face, v = T._face(X, D, tuple(stratum)), X.dim - len(stratum)
+    if face.is_empty:
+        return F(0)
+    if v == 0:
+        return F(1)
+    image = hull([tuple(dot(u, X.rays[j]) for j in rest)
+                  for u in face.vertices])
+    return math.factorial(v) * image.volume_in_dim(v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(flagged_divisors())
+# a third on the exceptional ray, which bounds no facet: D's denominator 3
+# is not the section polytope's 1
+@example((BL, d(BL, [0, 0, 1, F(1, 3)]), T.ToricFlag(0, (3, 0))))
+def test_integer_toric_arithmetic_matches_fraction_path(case):
+    """The body is the hull of the `flag_valuation` images of the section
+    polytope's vertices; ampleness and the restricted volumes along the
+    flag's strata agree with their `Fraction` forms."""
+    X, D, flag = case
+    assert T.is_ample(X, D) == fraction_is_ample(X, D)
+    for k in range(X.dim + 1):
+        stratum = flag.ray_order[:k]
+        assert (T.restricted_volume_toric(X, D, stratum)
+                == fraction_restricted_volume(X, D, stratum))
+    P = T.section_polytope(X, D)
+    if P.is_empty:
+        with pytest.raises(ValueError, match="no sections"):
+            T.okounkov_body_toric(X, D, flag)
+        return
+    assert T.okounkov_body_toric(X, D, flag) == hull(
+        [T.flag_valuation(X, flag, v, D) for v in P.vertices])
