@@ -4,17 +4,21 @@ Its divisor classes, tracked by degree, live in `invariants.CurveBackend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class CurveModel:
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise ValueError("genus must be >= 0")
+        self.genus = genus
+
+    def __eq__(self, other):
+        return (self.genus == other.genus if type(other) is CurveModel
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.genus,))
 
     @property
     def canonical_degree(self) -> Fraction:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import toric as toricmod
@@ -60,7 +59,6 @@ def _matrix_obj(rows):
     return [[str(x) for x in row] for row in rows]
 
 
-@dataclass(frozen=True)
 class FiberTypeFlag:
     """Composite flag: base strata pulled back, then fiber strata.
 
@@ -68,50 +66,54 @@ class FiberTypeFlag:
     right-hand side of subadditivity is the product Delta_Y x Delta_F.
     """
 
-    base_flag: object   # ToricFlag or None (curves have a unique flag shape)
-    fiber_flag: object
+    def __init__(self, base_flag, fiber_flag):
+        # ToricFlag or None (curves have a unique flag shape)
+        self.base_flag, self.fiber_flag = base_flag, fiber_flag
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is FiberTypeFlag
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def to_obj(self):
         return {"base": _flag_obj(self.base_flag),
                 "fiber": _flag_obj(self.fiber_flag)}
 
 
-@dataclass
 class FiberSpaceInstance:
-    name: str
-    base: object
-    fiber: object
-    total: object
-    D: tuple
-    D_Y: tuple
-    R: tuple
-    hypotheses: dict
-    flag: FiberTypeFlag
-    # class maps base -> total -> fiber from `total_backend.fibration`; a
-    # declared copy must match.  A surface's pullback column is its fiber F.
-    pullback: tuple = None
-    restriction: tuple = None
-    # optional classes: "A_Y", the base pad of thm1_3, and "A", an ample
-    # class on the total space that is checked on input and read by no
-    # computation (every eps-limit is the same for each ample A)
-    ample: dict = field(default_factory=dict)
-    # derived: ToricFlag, or the flag-curve index for surfaces
-    total_flag: object = field(init=False)
-    # derived after `_validate`: R|_F, and 16 hex digits of sha256(to_obj)
-    R_fiber: tuple = field(init=False)
-    digest: str = field(init=False)
-
-    def __post_init__(self):
-        self.D = qvec(self.D)
-        self.D_Y = qvec(self.D_Y)
-        self.R = qvec(self.R)
-        self.total_backend = backend_for(self.total)
-        self.base_backend = backend_for(self.base)
-        self.fiber_backend = backend_for(self.fiber)
+    def __init__(self, name: str, base, fiber, total, D: tuple, D_Y: tuple,
+                 R: tuple, hypotheses: dict, flag: FiberTypeFlag,
+                 pullback: tuple = None, restriction: tuple = None,
+                 ample: dict | None = None):
+        self.name, self.base, self.fiber, self.total = name, base, fiber, total
+        self.D, self.D_Y, self.R = qvec(D), qvec(D_Y), qvec(R)
+        self.hypotheses, self.flag = hypotheses, flag
+        # class maps base -> total -> fiber from `total_backend.fibration`; a
+        # declared copy must match.  A surface's pullback column is its fiber F.
+        self.pullback, self.restriction = pullback, restriction
+        # optional classes: "A_Y", the base pad of thm1_3, and "A", an ample
+        # class on the total space that is checked on input and read by no
+        # computation (every eps-limit is the same for each ample A)
+        self.ample = {} if ample is None else ample
+        self.total_backend, self.base_backend, self.fiber_backend = map(
+            backend_for, (total, base, fiber))
+        # derives total_flag: ToricFlag, or the flag-curve index for surfaces
         self._validate()
+        # R|_F, and 16 hex digits of sha256(to_obj)
         self.R_fiber = mat_vec(self.restriction, self.R)
         blob = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
         self.digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+    def __eq__(self, other):
+        # the backends take no part
+        if type(other) is not FiberSpaceInstance:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in (
+            "name", "base", "fiber", "total", "D", "D_Y", "R", "hypotheses",
+            "flag", "pullback", "restriction", "ample", "total_flag",
+            "R_fiber", "digest"))
 
     # -- structure ----------------------------------------------------------
 
@@ -209,18 +211,21 @@ def _flag_has_pvs(backend, cls, flag, nu) -> bool:
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
-    check_name: str
-    instance: str
-    digest: str
-    verdict: str
-    margin: Fraction | None = None
-    lhs: dict | None = None
-    rhs: dict | None = None
-    dims: dict = field(default_factory=dict)
-    volumes: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    def __init__(self, check_name: str, instance: str, digest: str,
+                 verdict: str, margin: Fraction | None = None,
+                 lhs: dict | None = None, rhs: dict | None = None,
+                 dims: dict | None = None, volumes: dict | None = None,
+                 notes: list | None = None):
+        self.check_name, self.instance, self.digest = check_name, instance, digest
+        self.verdict, self.margin, self.lhs, self.rhs = verdict, margin, lhs, rhs
+        self.dims = {} if dims is None else dims
+        self.volumes = {} if volumes is None else volumes
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is CheckReport
+                else NotImplemented)
 
     @property
     def exit_code(self) -> int:

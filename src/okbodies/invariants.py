@@ -14,7 +14,6 @@ the class group (`same_class`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import surface as surfmod
@@ -27,7 +26,6 @@ from .toric import NEG_INF
 UNDECLARED = "undeclared"
 
 
-@dataclass(frozen=True)
 class DimsReport:
     """kappa / nu / kappa_vol / kappa_sigma of one divisor class.
 
@@ -36,17 +34,25 @@ class DimsReport:
     and is None, printed "undeclared", on toric and surface models.
     """
 
-    kappa: object   # int, NEG_INF, or None for undeclared
-    nu_bdpp: int
-    kappa_vol: int
-    kappa_sigma: object  # int or None
-
-    def __post_init__(self):
-        chain = [k for k in (self.kappa, self.nu_bdpp, self.kappa_vol)
-                 if k is not None]
+    def __init__(self, kappa, nu_bdpp: int, kappa_vol: int, kappa_sigma):
+        # kappa: int, NEG_INF, or None for undeclared; kappa_sigma: int or None
+        self.kappa, self.nu_bdpp, self.kappa_vol = kappa, nu_bdpp, kappa_vol
+        self.kappa_sigma = kappa_sigma
+        chain = [k for k in (kappa, nu_bdpp, kappa_vol) if k is not None]
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi:
                 raise ValueError("dimension chain violated: %r" % (self,))
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is DimsReport
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return "DimsReport(%s)" % ", ".join(f"{k}={v!r}"
+                                            for k, v in vars(self).items())
 
     def to_obj(self):
         def enc(v):

@@ -251,8 +251,9 @@ def instance_from_obj(obj, path="instance"):
         R=_rat_vec(dec["R"], f"{path}.decomposition.R"),
         hypotheses=hypotheses,
         flag=FiberTypeFlag(
-            flag_from_obj(flags["base"], base, f"{path}.flags.base"),
-            flag_from_obj(flags["fiber"], fiber, f"{path}.flags.fiber")),
+            base_flag=flag_from_obj(flags["base"], base, f"{path}.flags.base"),
+            fiber_flag=flag_from_obj(flags["fiber"], fiber,
+                                     f"{path}.flags.fiber")),
         ample={k: _rat_vec(v, f"{path}.ample.{k}") for k, v in ample.items()})
     declared, derived = (json.dumps(flag, sort_keys=True) for flag in
                          (obj["total_flag"], _flag_obj(fs.total_flag)))

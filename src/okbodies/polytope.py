@@ -33,7 +33,6 @@ first-class values with an explicit flag rather than a sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import factorial, gcd, lcm
@@ -49,16 +48,20 @@ from .lp import recession_is_trivial  # noqa: F401
 QVec = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class HalfSpace:
     """The set {x : normal . x <= offset}."""
 
-    normal: QVec
-    offset: Fraction
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.normal):
+    def __init__(self, normal: QVec, offset: Fraction):
+        if all(c == 0 for c in normal):
             raise ValueError("half-space normal must be nonzero")
+        self.normal, self.offset = normal, offset
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is HalfSpace
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def violation(self, point) -> Fraction:
         return dot(self.normal, point) - self.offset

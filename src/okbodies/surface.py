@@ -41,7 +41,6 @@ its cone-data cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -61,25 +60,24 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-@dataclass(frozen=True)
 class SurfaceLattice:
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    effective_generators: tuple[tuple[Fraction, ...], ...]
-    nef_generators: tuple[tuple[Fraction, ...], ...]
-    negative_curves: tuple[int, ...]  # indices into effective_generators
-    canonical_class: tuple[Fraction, ...]
-    # declared {effective generator index: degree >= 1 of the Iitaka map on
-    # it} and {class: kappa 0, 1 or 2}; an empty map declares nothing
-    iitaka_degrees: dict = field(default_factory=dict)
-    declared_kappa: dict = field(default_factory=dict)
-    _cone: tuple | None = field(default=None, init=False, compare=False,
-                                repr=False)
-    # the effective generators as (integer row g, q), and their images G g
-    _gens: tuple = field(default=(), init=False, compare=False, repr=False)
-    _imgs: tuple = field(default=(), init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...],
+                 effective_generators: tuple[tuple[Fraction, ...], ...],
+                 nef_generators: tuple[tuple[Fraction, ...], ...],
+                 negative_curves: tuple[int, ...],  # effective generator indices
+                 canonical_class: tuple[Fraction, ...],
+                 iitaka_degrees: dict | None = None,
+                 declared_kappa: dict | None = None):
+        self.rank, self.gram = rank, gram
+        self.effective_generators = effective_generators
+        self.nef_generators = nef_generators
+        self.negative_curves = negative_curves
+        self.canonical_class = canonical_class
+        # declared {effective generator index: degree >= 1 of the Iitaka map
+        # on it} and {class: kappa 0, 1 or 2}; an empty map declares nothing
+        self.iitaka_degrees = {} if iitaka_degrees is None else iitaka_degrees
+        self.declared_kappa = {} if declared_kappa is None else declared_kappa
+        self._cone = None  # made by cone_rows on first use
         r = self.rank
         if len(self.gram) != r or any(len(row) != r for row in self.gram):
             raise ValueError("gram must be rank x rank")
@@ -94,10 +92,9 @@ class SurfaceLattice:
                   self.canonical_class):
             if len(v) != r:
                 raise ValueError("class vectors must have length rank")
-        gens = tuple(map(self._ints, self.effective_generators))
-        object.__setattr__(self, "_gens", gens)
-        object.__setattr__(self, "_imgs",
-                           tuple(self._image(g) for g, _q in gens))
+        # the effective generators as (integer row g, q), and their images G g
+        self._gens = gens = tuple(map(self._ints, self.effective_generators))
+        self._imgs = tuple(self._image(g) for g, _q in gens)
         if any(_dot(self._ints(nf)[0], img) < 0
                for nf in self.nef_generators for img in self._imgs):
             raise ValueError("a nef generator pairs negatively with "
@@ -121,6 +118,15 @@ class SurfaceLattice:
             if len(cls) != r or k not in (0, 1, 2):
                 raise ValueError(f"declared_kappa[{class_key(cls)}] = {k}: "
                                  f"needs a length-{r} class, kappa 0, 1 or 2")
+
+    def __eq__(self, other):
+        # the derived _cone, _gens and _imgs take no part
+        if type(other) is not SurfaceLattice:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in (
+            "rank", "gram", "effective_generators", "nef_generators",
+            "negative_curves", "canonical_class", "iitaka_degrees",
+            "declared_kappa"))
 
     def _class(self, v) -> tuple[Fraction, ...]:
         """v as a class: a tuple of `rank` Fractions; every class enters
@@ -157,8 +163,7 @@ class SurfaceLattice:
         if self._cone is None:
             body = Polytope.hull([(0,) * self.rank, *self.effective_generators])
             rows, _qh = body._facet_rows()
-            object.__setattr__(self, "_cone", tuple(
-                tuple(-x for x in a) for a, c in rows if c == 0))
+            self._cone = tuple(tuple(-x for x in a) for a, c in rows if c == 0)
         return self._cone
 
     def kappa_declared(self, cls):
@@ -184,12 +189,20 @@ class SurfaceLattice:
         return obj
 
 
-@dataclass(frozen=True)
 class ZariskiPair:
-    positive: tuple[Fraction, ...]
-    negative: tuple[Fraction, ...]
-    support: tuple[int, ...]            # indices into effective_generators
-    coefficients: tuple[Fraction, ...]  # of the support curves in N
+    def __init__(self, positive: tuple[Fraction, ...],
+                 negative: tuple[Fraction, ...], support: tuple[int, ...],
+                 coefficients: tuple[Fraction, ...]):
+        self.positive, self.negative = positive, negative
+        self.support = support  # indices into effective_generators
+        self.coefficients = coefficients  # of the support curves in N
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is ZariskiPair
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 # -- cone membership ----------------------------------------------------------

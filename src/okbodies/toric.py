@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -33,16 +32,13 @@ from .polytope import Polytope, _from_rows
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
 
 
-@dataclass(frozen=True)
 class ToricVariety:
     """Complete smooth toric variety: primitive rays plus unimodular
     simplicial maximal cones (as ray index tuples)."""
 
-    dim: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, dim: int, rays: tuple[tuple[int, ...], ...],
+                 max_cones: tuple[tuple[int, ...], ...]):
+        self.dim, self.rays, self.max_cones = dim, rays, max_cones
         n = self.dim
         if n < 1:
             raise ValueError("toric model needs dimension >= 1")
@@ -75,6 +71,13 @@ class ToricVariety:
         if unused:
             raise ValueError(f"rays[{min(unused)}]: not in any maximal cone")
 
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is ToricVariety
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
     def cones_containing(self, ray_indices) -> list[int]:
         want = set(ray_indices)
         return [i for i, c in enumerate(self.max_cones) if want <= set(c)]
@@ -85,27 +88,25 @@ class ToricVariety:
                 "max_cones": [list(c) for c in self.max_cones]}
 
 
-@dataclass(frozen=True)
 class ToricDivisor:
     """Invariant divisor sum(coeffs[i] * D_rays[i]); coeffs may be any
     sequence of exact numbers and is stored as a tuple of Fractions, and
     as integer numerators `num` over their least common denominator `q`."""
 
-    variety: ToricVariety
-    coeffs: tuple[Fraction, ...]
-    num: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    q: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", qvec(self.coeffs))
-        if len(self.coeffs) != len(self.variety.rays):
+    def __init__(self, variety: ToricVariety, coeffs: tuple[Fraction, ...]):
+        self.variety, self.coeffs = variety, qvec(coeffs)
+        if len(self.coeffs) != len(variety.rays):
             raise ValueError("divisor needs one coefficient per ray")
-        (num,), q = clear_denominators([self.coeffs])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "q", q)
+        (self.num,), self.q = clear_denominators([self.coeffs])
+
+    def __eq__(self, other):
+        return ((self.variety, self.coeffs) == (other.variety, other.coeffs)
+                if type(other) is ToricDivisor else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.variety, self.coeffs))
 
 
-@dataclass(frozen=True)
 class ToricFlag:
     """Invariant full flag: a maximal cone plus an ordering of its rays.
 
@@ -113,8 +114,15 @@ class ToricFlag:
     divisors, down to the torus-fixed point of the cone.
     """
 
-    cone: int
-    ray_order: tuple[int, ...]
+    def __init__(self, cone: int, ray_order: tuple[int, ...]):
+        self.cone, self.ray_order = cone, ray_order
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is ToricFlag
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def validate(self, X: ToricVariety):
         if not 0 <= self.cone < len(X.max_cones):
@@ -126,7 +134,6 @@ class ToricFlag:
         return {"cone": self.cone, "ray_order": list(self.ray_order)}
 
 
-@dataclass(frozen=True)
 class GradedSeries:
     """Monomial bases of the levels of a restricted linear series.
 
@@ -134,7 +141,12 @@ class GradedSeries:
     its length is the dimension of the restricted space.
     """
 
-    levels: dict = field(default_factory=dict)
+    def __init__(self, levels: dict | None = None):
+        self.levels = {} if levels is None else levels
+
+    def __eq__(self, other):
+        return (self.levels == other.levels if type(other) is GradedSeries
+                else NotImplemented)
 
     def dimension(self, m: int) -> int:
         return len(self.levels[m])
@@ -310,8 +322,8 @@ def _face(X, D, stratum):
     -q <u, ray_i> <= q a_i on every ray, and q <u, ray_i> <= -q a_i on the
     stratum's.
 
-    Memoized: models and divisors are frozen and compare by value, and the
-    returned Polytope is immutable (its lazy caches are deterministic)."""
+    Memoized: nothing changes models and divisors once built, they compare
+    by value, and a Polytope is immutable (lazy caches are deterministic)."""
     num, q = D.num, D.q
     rows = [tuple(-q * x for x in ray) + (a,) for ray, a in zip(X.rays, num)]
     rows += [tuple(q * x for x in X.rays[i]) + (-num[i],) for i in stratum]
@@ -377,15 +389,21 @@ def nakayama_verdict(X, D: ToricDivisor, stratum):
 # -- product fibrations -------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ToricFibration:
     """Projection of a product fan onto its first factor.  The total space
     lists the base rays first, so on invariant divisor classes the pullback
     and the restriction to a general fiber are coordinate maps."""
 
-    base: ToricVariety
-    fiber: ToricVariety
-    total: ToricVariety
+    def __init__(self, base: ToricVariety, fiber: ToricVariety,
+                 total: ToricVariety):
+        self.base, self.fiber, self.total = base, fiber, total
+
+    def __eq__(self, other):
+        return (vars(self) == vars(other) if type(other) is ToricFibration
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def _unit_rows(self):
         n = len(self.total.rays)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -189,8 +188,12 @@ class TestVerdicts:
     def test_never_holds_when_hypothesis_fails(self):
         # flipping the weak-positivity declaration gates every affected check
         shipped = instance("prod_line_line")
-        fs = replace(shipped, hypotheses=dict(shipped.hypotheses,
-                                              weakly_positive=False))
+        fs = FS.FiberSpaceInstance(
+            name=shipped.name, base=shipped.base, fiber=shipped.fiber,
+            total=shipped.total, D=shipped.D, D_Y=shipped.D_Y, R=shipped.R,
+            hypotheses=dict(shipped.hypotheses, weakly_positive=False),
+            flag=shipped.flag, pullback=shipped.pullback,
+            restriction=shipped.restriction, ample=shipped.ample)
         assert fs.digest != shipped.digest
         for check in (FS.check_thm_1_3, FS.check_cor_3_5, FS.check_lemma_3_1):
             rep = check(fs)

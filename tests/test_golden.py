@@ -174,10 +174,10 @@ def test_check_all_runs_no_cone_simplex(capsys, monkeypatch):
     monkeypatch.setattr(lp, "nonneg_combination", no_lp)
     monkeypatch.setattr(lp, "max_cone_shift", no_lp)
     lattices, hulls = [], []
-    post_init, hull = surface.SurfaceLattice.__post_init__, Polytope.hull
+    init, hull = surface.SurfaceLattice.__init__, Polytope.hull
 
-    def recording_post_init(self):
-        post_init(self)
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         lattices.append(self)
 
     def recording_hull(points):
@@ -185,8 +185,7 @@ def test_check_all_runs_no_cone_simplex(capsys, monkeypatch):
         hulls.append(tuple(map(tuple, points)))
         return hull(points)
 
-    monkeypatch.setattr(surface.SurfaceLattice, "__post_init__",
-                        recording_post_init)
+    monkeypatch.setattr(surface.SurfaceLattice, "__init__", recording_init)
     monkeypatch.setattr(Polytope, "hull", staticmethod(recording_hull))
     test_stdout_digest("check_all", capsys, monkeypatch)
     cones = {((0,) * L.rank,) + L.effective_generators for L in lattices}
@@ -198,11 +197,11 @@ def test_check_all_runs_no_cone_simplex(capsys, monkeypatch):
 def test_check_all_builds_no_halfspace(capsys, monkeypatch):
     # the toric layer passes integer face rows to the polytope layer, so
     # no `HalfSpace` is made and `from_halfspaces` is never entered
-    def no_halfspace(*args):
+    def no_halfspace(*args, **kwargs):
         raise AssertionError("half-space built above the polytope layer")
 
     monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(no_halfspace))
-    monkeypatch.setattr(HalfSpace, "__post_init__", no_halfspace)
+    monkeypatch.setattr(HalfSpace, "__init__", no_halfspace)
     test_stdout_digest("check_all", capsys, monkeypatch)
 
 

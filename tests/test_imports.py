@@ -5,6 +5,9 @@ a parameter that it never reads, and every function is reached from
 through `__all__` counts as used."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -59,6 +62,47 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("module,name", sorted(ALLOWED))
 def test_allowed_names_are_still_imported(module, name):
     assert name in module_imports((SRC / f"{module}.py").read_text())
+
+
+def imported_modules(source):
+    """Top-level names of the absolute modules imported anywhere in
+    `source`, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_import_scanner_finds_nested_imports():
+    source = ("import os.path\nfrom . import x\nfrom .y import z\n"
+              "def f():\n    from dataclasses import field\n"
+              "    import json as j\n")
+    assert imported_modules(source) == {"os", "dataclasses", "json"}
+
+
+# `dataclasses` makes each class's methods by exec-ing generated source
+# when the class is defined, and it imports inspect, ast and dis: together
+# a large share of what starting the CLI costs.  The package's value
+# classes are plain classes.
+CLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_cli_import_loads_no_class_machinery():
+    code = (f"import sys, okbodies.cli; "
+            f"print(*[m for m in {CLASS_MACHINERY!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def _references(node):
@@ -179,7 +223,7 @@ def definitions(tree):
 
 # Dunders that Python calls without their name in the source: on
 # construction, `==`, `hash` and `repr`.
-PROTOCOL = {"__init__", "__post_init__", "__eq__", "__hash__", "__repr__"}
+PROTOCOL = {"__init__", "__eq__", "__hash__", "__repr__"}
 
 
 def unreached(sources, root=("cli", "main")):
