@@ -5,7 +5,8 @@ Modules by layer: `polytope` (exact convex bodies), `toric` / `surface` /
 its bodies, volumes, dimensions, canonical class and flag strata),
 `fiberspace` (subadditivity checks that ask only the backends), `cli`
 (command-line front end).  `kernel` holds the exact integer-geometry
-inner loops the polytope layer runs on.
+inner loops the polytope layer runs on, and `value` the one equality and
+hashing rule of the model and report classes.
 """
 
 from .curve import CurveModel

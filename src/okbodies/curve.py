@@ -6,19 +6,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .value import Value
 
-class CurveModel:
+
+class CurveModel(Value):
     def __init__(self, genus: int):
         if genus < 0:
             raise ValueError("genus must be >= 0")
         self.genus = genus
-
-    def __eq__(self, other):
-        return (self.genus == other.genus if type(other) is CurveModel
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.genus,))
 
     @property
     def canonical_degree(self) -> Fraction:

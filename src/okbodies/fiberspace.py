@@ -44,6 +44,7 @@ from .invariants import backend_for
 from .linalg import frac, mat_vec, qvec
 from .polytope import Polytope
 from .toric import NEG_INF
+from .value import Value
 
 HOLDS = "holds"
 STRICT = "strict"
@@ -59,7 +60,7 @@ def _matrix_obj(rows):
     return [[str(x) for x in row] for row in rows]
 
 
-class FiberTypeFlag:
+class FiberTypeFlag(Value):
     """Composite flag: base strata pulled back, then fiber strata.
 
     Valuation vectors concatenate base coordinates first, so the
@@ -70,19 +71,12 @@ class FiberTypeFlag:
         # ToricFlag or None (curves have a unique flag shape)
         self.base_flag, self.fiber_flag = base_flag, fiber_flag
 
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is FiberTypeFlag
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
     def to_obj(self):
         return {"base": _flag_obj(self.base_flag),
                 "fiber": _flag_obj(self.fiber_flag)}
 
 
-class FiberSpaceInstance:
+class FiberSpaceInstance(Value):
     def __init__(self, name: str, base, fiber, total, D: tuple, D_Y: tuple,
                  R: tuple, hypotheses: dict, flag: FiberTypeFlag,
                  pullback: tuple = None, restriction: tuple = None,
@@ -106,14 +100,14 @@ class FiberSpaceInstance:
         blob = json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
         self.digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def __eq__(self, other):
+    __hash__ = None
+
+    def _key(self):
         # the backends take no part
-        if type(other) is not FiberSpaceInstance:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in (
-            "name", "base", "fiber", "total", "D", "D_Y", "R", "hypotheses",
-            "flag", "pullback", "restriction", "ample", "total_flag",
-            "R_fiber", "digest"))
+        return (self.name, self.base, self.fiber, self.total, self.D,
+                self.D_Y, self.R, self.hypotheses, self.flag, self.pullback,
+                self.restriction, self.ample, self.total_flag, self.R_fiber,
+                self.digest)
 
     # -- structure ----------------------------------------------------------
 
@@ -211,7 +205,7 @@ def _flag_has_pvs(backend, cls, flag, nu) -> bool:
 # -- reports ------------------------------------------------------------------
 
 
-class CheckReport:
+class CheckReport(Value):
     def __init__(self, check_name: str, instance: str, digest: str,
                  verdict: str, margin: Fraction | None = None,
                  lhs: dict | None = None, rhs: dict | None = None,
@@ -223,9 +217,7 @@ class CheckReport:
         self.volumes = {} if volumes is None else volumes
         self.notes = [] if notes is None else notes
 
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is CheckReport
-                else NotImplemented)
+    __hash__ = None
 
     @property
     def exit_code(self) -> int:

@@ -22,11 +22,12 @@ from .curve import CurveModel
 from .linalg import frac, mat_vec, qvec, solve_rect
 from .polytope import Polytope
 from .toric import NEG_INF
+from .value import Value
 
 UNDECLARED = "undeclared"
 
 
-class DimsReport:
+class DimsReport(Value):
     """kappa / nu / kappa_vol / kappa_sigma of one divisor class.
 
     kappa may be undeclared (None): it is not a numerical invariant and is
@@ -42,13 +43,6 @@ class DimsReport:
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi:
                 raise ValueError("dimension chain violated: %r" % (self,))
-
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is DimsReport
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
         return "DimsReport(%s)" % ", ".join(f"{k}={v!r}"

@@ -44,24 +44,18 @@ from .linalg import (clear_denominators, dot, frac, int_nullspace,
 # unused here, but perfbench's tracer rebinds both names and needs them
 from .linalg import solve  # noqa: F401
 from .lp import recession_is_trivial  # noqa: F401
+from .value import Value
 
 QVec = tuple[Fraction, ...]
 
 
-class HalfSpace:
+class HalfSpace(Value):
     """The set {x : normal . x <= offset}."""
 
     def __init__(self, normal: QVec, offset: Fraction):
         if all(c == 0 for c in normal):
             raise ValueError("half-space normal must be nonzero")
         self.normal, self.offset = normal, offset
-
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is HalfSpace
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def violation(self, point) -> Fraction:
         return dot(self.normal, point) - self.offset

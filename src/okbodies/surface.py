@@ -46,6 +46,7 @@ from operator import mul
 
 from .linalg import clear_denominators, frac, int_solve, qvec, signature
 from .polytope import Polytope
+from .value import Value
 
 
 class ConeDataError(ValueError):
@@ -60,7 +61,7 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-class SurfaceLattice:
+class SurfaceLattice(Value):
     def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...],
                  effective_generators: tuple[tuple[Fraction, ...], ...],
                  nef_generators: tuple[tuple[Fraction, ...], ...],
@@ -119,14 +120,13 @@ class SurfaceLattice:
                 raise ValueError(f"declared_kappa[{class_key(cls)}] = {k}: "
                                  f"needs a length-{r} class, kappa 0, 1 or 2")
 
-    def __eq__(self, other):
+    __hash__ = None
+
+    def _key(self):
         # the derived _cone, _gens and _imgs take no part
-        if type(other) is not SurfaceLattice:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in (
-            "rank", "gram", "effective_generators", "nef_generators",
-            "negative_curves", "canonical_class", "iitaka_degrees",
-            "declared_kappa"))
+        return (self.rank, self.gram, self.effective_generators,
+                self.nef_generators, self.negative_curves,
+                self.canonical_class, self.iitaka_degrees, self.declared_kappa)
 
     def _class(self, v) -> tuple[Fraction, ...]:
         """v as a class: a tuple of `rank` Fractions; every class enters
@@ -189,20 +189,13 @@ class SurfaceLattice:
         return obj
 
 
-class ZariskiPair:
+class ZariskiPair(Value):
     def __init__(self, positive: tuple[Fraction, ...],
                  negative: tuple[Fraction, ...], support: tuple[int, ...],
                  coefficients: tuple[Fraction, ...]):
         self.positive, self.negative = positive, negative
         self.support = support  # indices into effective_generators
         self.coefficients = coefficients  # of the support curves in N
-
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is ZariskiPair
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
 
 # -- cone membership ----------------------------------------------------------

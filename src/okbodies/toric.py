@@ -28,11 +28,12 @@ from .linalg import clear_denominators, dot, int_det, int_solve, qvec
 # unused here, but perfbench's tracer rebinds the name and needs it
 from .linalg import solve  # noqa: F401
 from .polytope import Polytope, _from_rows
+from .value import Value
 
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
 
 
-class ToricVariety:
+class ToricVariety(Value):
     """Complete smooth toric variety: primitive rays plus unimodular
     simplicial maximal cones (as ray index tuples)."""
 
@@ -71,13 +72,6 @@ class ToricVariety:
         if unused:
             raise ValueError(f"rays[{min(unused)}]: not in any maximal cone")
 
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is ToricVariety
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
     def cones_containing(self, ray_indices) -> list[int]:
         want = set(ray_indices)
         return [i for i, c in enumerate(self.max_cones) if want <= set(c)]
@@ -88,7 +82,7 @@ class ToricVariety:
                 "max_cones": [list(c) for c in self.max_cones]}
 
 
-class ToricDivisor:
+class ToricDivisor(Value):
     """Invariant divisor sum(coeffs[i] * D_rays[i]); coeffs may be any
     sequence of exact numbers and is stored as a tuple of Fractions, and
     as integer numerators `num` over their least common denominator `q`."""
@@ -99,15 +93,11 @@ class ToricDivisor:
             raise ValueError("divisor needs one coefficient per ray")
         (self.num,), self.q = clear_denominators([self.coeffs])
 
-    def __eq__(self, other):
-        return ((self.variety, self.coeffs) == (other.variety, other.coeffs)
-                if type(other) is ToricDivisor else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.variety, self.coeffs))
+    def _key(self):
+        return self.variety, self.coeffs
 
 
-class ToricFlag:
+class ToricFlag(Value):
     """Invariant full flag: a maximal cone plus an ordering of its rays.
 
     Stratum i is the intersection of the first i ordered invariant
@@ -116,13 +106,6 @@ class ToricFlag:
 
     def __init__(self, cone: int, ray_order: tuple[int, ...]):
         self.cone, self.ray_order = cone, ray_order
-
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is ToricFlag
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def validate(self, X: ToricVariety):
         if not 0 <= self.cone < len(X.max_cones):
@@ -134,7 +117,7 @@ class ToricFlag:
         return {"cone": self.cone, "ray_order": list(self.ray_order)}
 
 
-class GradedSeries:
+class GradedSeries(Value):
     """Monomial bases of the levels of a restricted linear series.
 
     levels[m] is the sorted tuple of surviving exponent images at level m;
@@ -144,9 +127,7 @@ class GradedSeries:
     def __init__(self, levels: dict | None = None):
         self.levels = {} if levels is None else levels
 
-    def __eq__(self, other):
-        return (self.levels == other.levels if type(other) is GradedSeries
-                else NotImplemented)
+    __hash__ = None
 
     def dimension(self, m: int) -> int:
         return len(self.levels[m])
@@ -323,7 +304,8 @@ def _face(X, D, stratum):
     stratum's.
 
     Memoized: nothing changes models and divisors once built, they compare
-    by value, and a Polytope is immutable (lazy caches are deterministic)."""
+    and hash by value (`value.Value`), and a Polytope is immutable (lazy
+    caches are deterministic)."""
     num, q = D.num, D.q
     rows = [tuple(-q * x for x in ray) + (a,) for ray, a in zip(X.rays, num)]
     rows += [tuple(q * x for x in X.rays[i]) + (-num[i],) for i in stratum]
@@ -389,7 +371,7 @@ def nakayama_verdict(X, D: ToricDivisor, stratum):
 # -- product fibrations -------------------------------------------------------
 
 
-class ToricFibration:
+class ToricFibration(Value):
     """Projection of a product fan onto its first factor.  The total space
     lists the base rays first, so on invariant divisor classes the pullback
     and the restriction to a general fiber are coordinate maps."""
@@ -397,13 +379,6 @@ class ToricFibration:
     def __init__(self, base: ToricVariety, fiber: ToricVariety,
                  total: ToricVariety):
         self.base, self.fiber, self.total = base, fiber, total
-
-    def __eq__(self, other):
-        return (vars(self) == vars(other) if type(other) is ToricFibration
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
 
     def _unit_rows(self):
         n = len(self.total.rays)

@@ -2,7 +2,8 @@
 uses, no private helper is left without a caller, no function declares
 a parameter that it never reads, and every function is reached from
 `cli.main` or listed in NOT_REACHED with why it stays.  A name re-exported
-through `__all__` counts as used."""
+through `__all__` counts as used.  Only `value.Value` and `Polytope` define
+`__eq__` or `__hash__`."""
 
 import ast
 import os
@@ -394,3 +395,47 @@ def test_every_function_is_reached_or_allowed():
 
 def test_allowed_functions_are_still_unreached():
     assert sorted(ALLOWED_UNREACHED - _package_unreached()) == []
+
+
+# `value.Value` holds the one equality and hashing rule; Polytope keeps its
+# own, over its canonical integer rows.
+OWN_EQUALITY = {("polytope", "Polytope"), ("value", "Value")}
+
+
+def _sets_equality(item):
+    """Does this class-body statement define `__eq__` or `__hash__`?  A
+    `__hash__ = None`, which makes a class unhashable, does not."""
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return item.name in ("__eq__", "__hash__")
+    if not isinstance(item, ast.Assign):
+        return False
+    names = {getattr(t, "id", None) for t in item.targets}
+    unhashable = (names == {"__hash__"} and isinstance(item.value, ast.Constant)
+                  and item.value.value is None)
+    return bool(names & {"__eq__", "__hash__"}) and not unhashable
+
+
+def equality_definers(source):
+    """Names of the classes in `source`, nested ones too, that define
+    `__eq__` or `__hash__`."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef)
+                  and any(map(_sets_equality, node.body)))
+
+
+def test_equality_scanner():
+    source = ("class A:\n    def __eq__(self, other):\n        return True\n"
+              "class B(A):\n    __hash__ = None\n"
+              "    def _key(self):\n        return ()\n"
+              "class C:\n    __eq__ = A.__eq__\n"
+              "class D:\n    class E:\n        def __hash__(self):\n"
+              "            return 0\n"
+              "def f():\n    class G:\n        __hash__ = object.__hash__\n"
+              "    return G\n")
+    assert equality_definers(source) == ["A", "C", "E", "G"]
+
+
+def test_only_value_and_polytope_define_equality():
+    found = {(p.stem, name) for p in sorted(SRC.glob("*.py"))
+             for name in equality_definers(p.read_text())}
+    assert sorted(found) == sorted(OWN_EQUALITY)

@@ -121,6 +121,16 @@ def test_other_types_are_never_equal(cls):
     assert cls(**a) != a and cls(**a).__eq__(a) is NotImplemented
 
 
+def test_equal_keys_of_different_types_are_never_equal():
+    # both keys are (0, (0,)): only the type tells the two flags apart
+    flag, composite = T.ToricFlag(0, (0,)), FiberTypeFlag(0, (0,))
+    assert flag._key() == composite._key()
+    assert flag != composite and composite != flag
+    assert not flag == composite and not composite == flag
+    assert flag.__eq__(composite) is NotImplemented
+    assert composite.__eq__(flag) is NotImplemented
+
+
 def test_divisor_compares_coefficients_by_value():
     ints = T.ToricDivisor(P2, (0, 0, 3))
     fracs = T.ToricDivisor(P2, (F(0), F(0), F(3)))
