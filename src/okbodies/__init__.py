@@ -3,8 +3,9 @@
 Modules by layer: `polytope` (exact convex bodies), `toric` / `surface` /
 `curve` (variety models), `invariants` (one backend per kind of model, with
 its bodies, volumes, dimensions, canonical class and flag strata),
-`fiberspace` (subadditivity checks that ask only the backends), `cli`
-(command-line front end).  `kernel` holds the exact integer-geometry
+`fiberspace` (subadditivity checks that ask the backends; only
+lemma3_1 still reads toric models and their restricted series directly),
+`cli` (command-line front end).  `kernel` holds the exact integer-geometry
 inner loops the polytope layer runs on, and `value` the one equality and
 hashing rule of the model and report classes.
 """

@@ -205,8 +205,9 @@ VERBS = {
     "scaling-search": (cmd_scaling_search,
                        "grid search for feasible body scalings", "instance",
                        (("--grid-step", {"type": io.rational,
-                                         "default": "1/4"}),
-                        ("--bound", {"type": io.rational, "default": "4"}))),
+                                         "default": fsmod.GRID_STEP}),
+                        ("--bound", {"type": io.rational,
+                                     "default": fsmod.GRID_BOUND}))),
     "oracle-compare": (cmd_oracle_compare, "compare the exact toric body "
                        "against the finite-level oracle", "model divisor flag",
                        (("--m", {"type": int, "default": 20}),)),
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except io.InputError as exc:
         summaries, code = [f"input error: {exc}"], EXIT_INPUT
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         summaries, code = [f"error: {exc}"], EXIT_INPUT
     except Exception as exc:
         summaries = [f"internal error: {type(exc).__name__}: {exc}"]

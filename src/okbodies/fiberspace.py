@@ -13,7 +13,9 @@ compute the three bodies for that flag, and report machine-readable
 verdicts on one path: each check evaluates all of its (label, ok)
 hypotheses, `_gated` turns any failures into the gated report, and
 `_report` builds every report.  Every model-specific rule (canonical
-classes, flag strata, fibration data) is a backend's.
+classes, flag strata, fibration data) is a backend's.  One check still
+reads a model kind itself: lemma3_1 runs on toric totals only and
+enumerates their restricted series with `toric` directly.
 
 Each body check compares the total-space body with the product
 Delta_Y(D_Y) x Delta_F(R|_F) (`Polytope.product`): its vertices are the
@@ -516,10 +518,12 @@ def check_remark_3_6(fs: FiberSpaceInstance) -> CheckReport:
 
 # the grid has (steps per axis)^3 triples: 64 steps is 262144 triples
 MAX_GRID_STEPS = 64
+# the default grid, also the CLI's: steps of 1/4 up to 4, 16 per axis
+GRID_STEP, GRID_BOUND = Fraction(1, 4), Fraction(4)
 
 
-def scaling_search(fs: FiberSpaceInstance, grid_step=Fraction(1, 4),
-                   bound=Fraction(4)) -> dict:
+def scaling_search(fs: FiberSpaceInstance, grid_step=GRID_STEP,
+                   bound=GRID_BOUND) -> dict:
     """Grid scan for dilation factors with
     alpha * body(D) containing beta * body(D_Y) x gamma * body(R|_F).
 

@@ -6,11 +6,11 @@ beneath-beyond hull engine for any dimension, which places the points
 farthest from their centroid first so that most non-extreme points
 build no boundary simplex, the prefilter that keeps the two ends of each
 line along every coordinate axis in turn (the other points of a line lie
-between them) and drops midpoints among them, and lattice enumeration,
-which prunes coordinate prefixes and solves the last coordinate by
-integer floor division, so it yields whole lines (prefix, least,
-greatest) that callers expand to points or hull by their ends.  All
-inputs are plain Python ints, so results are exact for any magnitude.
+between them), and lattice enumeration, which prunes coordinate prefixes
+and solves the last coordinate by integer floor division, so it yields
+whole lines (prefix, least, greatest) that callers expand to points or
+hull by their ends.  All inputs are plain Python ints, so results are
+exact for any magnitude.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def hull_facets(pts, base=None):
 hull3d_facets = hull_facets
 
 
-def prune_interior(pts, dirs):
+def prune_interior(pts):
     """Indices, increasing, of the points that may be extreme.
 
     Points that agree on every coordinate but the k-th lie on one line
@@ -222,12 +222,10 @@ def prune_interior(pts, dirs):
     line among the previous pass's survivors.  A dropped point lies
     strictly between two kept ones, so each pass leaves the hull as it
     was and keeps every extreme point; this holds for any point set,
-    sorted or not, and for pivot projections of a flat one.  A final
-    survivor p with both p+d and p-d among the survivors (d from `dirs`)
-    is their midpoint, hence not extreme either.  Every extreme point is
-    kept.  This is a prefilter for hulls of dense lattice-point clouds.
+    sorted or not, and for pivot projections of a flat one.  This is a
+    prefilter for hulls of dense lattice-point clouds.
     """
-    survivors = range(len(pts))
+    survivors = list(range(len(pts)))
     for k in reversed(range(len(pts[0]) if pts else 0)):
         ends = {}
         for i in survivors:
@@ -241,22 +239,7 @@ def prune_interior(pts, dirs):
             elif p[k] > pts[e[1]][k]:
                 e[1] = i
         survivors = sorted({i for e in ends.values() for i in e})
-    pset = {pts[i] for i in survivors}
-    keep = []
-    for i in survivors:
-        p = pts[i]
-        interior = False
-        for d in dirs:
-            plus = tuple(a + b for a, b in zip(p, d))
-            if plus not in pset:
-                continue
-            minus = tuple(a - b for a, b in zip(p, d))
-            if minus in pset:
-                interior = True
-                break
-        if not interior:
-            keep.append(i)
-    return keep
+    return survivors
 
 
 def lattice_lines(normals, offsets, lo, hi):
@@ -330,19 +313,3 @@ def lattice_points(normals, offsets, lo, hi):
     return [head + (v,) for head, a, b in lattice_lines(normals, offsets, lo, hi)
             for v in range(a, b + 1)]
 
-
-def plus_minus_directions(dim):
-    """Nonzero {-1,0,1} vectors up to sign: `prune_interior`'s midpoints."""
-    dirs = []
-
-    def rec(prefix):
-        if len(prefix) == dim:
-            if any(prefix):
-                dirs.append(tuple(prefix))
-            return
-        first = next((x for x in prefix if x), 0)
-        for v in ((0, 1) if first == 0 else (-1, 0, 1)):
-            rec(prefix + [v])
-
-    rec([])
-    return dirs

@@ -410,10 +410,10 @@ def _int_hull(ints, base):
     dvol is d! times the volume.  A segment and the 2D chain are direct;
     above that `kernel.hull_facets` runs, on the points that
     `kernel.prune_interior` keeps when there are more than 64: those that
-    are an end of their line along every coordinate axis in turn and not
-    a midpoint of two other such points, and `base`.  Each dropped point
-    lies strictly between two kept ones, so none is extreme, and the hull
-    and its volume are those of all the points.
+    are an end of their line along every coordinate axis in turn, and
+    `base`.  Each dropped point lies strictly between two kept ones, so
+    none is extreme, and the hull and its volume are those of all the
+    points.
     """
     d = len(base) - 1
     if d == 1:
@@ -434,8 +434,7 @@ def _int_hull(ints, base):
         return cyc, facets, dvol
     if len(ints) <= 64:
         return kernel.hull_facets(ints, base)
-    idxmap = sorted(set(kernel.prune_interior(
-        ints, kernel.plus_minus_directions(d))).union(base))
+    idxmap = sorted(set(kernel.prune_interior(ints)).union(base))
     extreme, facets, dvol = kernel.hull_facets(
         [ints[i] for i in idxmap], [idxmap.index(i) for i in base])
     return [idxmap[i] for i in extreme], facets, dvol

@@ -514,19 +514,19 @@ def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
 
 
 def restricted_volume_plus(S: SurfaceLattice, D, stratum_dim: int,
-                           flag_curve: int | None = None) -> Fraction:
+                           flag_curve: int) -> Fraction:
     """vol+ of D along a flag stratum (the surface, the flag curve, or the
-    flag point), via Zariski continuity."""
-    D = S._class(D)
-    if not is_psef(S, D):
+    flag point), via Zariski continuity: P^2 on the surface and P.C on
+    the flag curve C, for the positive part P = p / q of D."""
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
         raise ValueError("divisor is not pseudoeffective")
-    if stratum_dim == 2:
-        return volume_surface(S, D)
-    if stratum_dim == 1:
-        if flag_curve is None:
-            raise ValueError("curve stratum needs the flag curve index")
-        zp = zariski_decompose(S, D)
-        return S.pair(zp.positive, S.effective_generators[flag_curve])
     if stratum_dim == 0:
         return Fraction(1)
-    raise ValueError("stratum dimension out of range")
+    if stratum_dim not in (1, 2):
+        raise ValueError("stratum dimension out of range")
+    _support, _x0, p, q = _zariski(S, (d, qd))
+    if stratum_dim == 2:
+        return Fraction(_dot(p, S._image(p)), q * q)
+    _c, qc = S._gens[flag_curve]
+    return Fraction(_dot(p, S._imgs[flag_curve]), q * qc)

@@ -415,6 +415,35 @@ class TestCheckVerb:
         assert err == "internal error: RuntimeError: boom\n"
         assert out == ""
 
+    def test_key_error_is_internal_error(self, capsys, monkeypatch):
+        # `ioformats._fields` checks every input key, so a KeyError past
+        # it is a bug in the program, not bad input
+        def broken(fs):
+            raise KeyError("digest")
+
+        monkeypatch.setitem(fsmod.ALL_CHECKS, "thm1_3", broken)
+        code, out, err = run(capsys, "check", "thm1_3", "--instance",
+                             FIXTURES / "instances/prod_line_line.json")
+        assert code == EXIT_INTERNAL
+        assert err == "internal error: KeyError: 'digest'\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("check", ["thm1_3", "cor3_5", "thm1_2"])
+    def test_unavailable_valuative_body_gates(self, capsys, tmp_path, check):
+        # with no declared Iitaka degree on the flag curve, the surface
+        # total's valuative body of K_X cannot be read off numerical data
+        obj = load_json(FIXTURES / "instances/g2xell.json")
+        del obj["total"]["abundance"]
+        path = tmp_path / "g2xell.json"
+        path.write_text(canonical_dumps(obj))
+        code, out, err = run(capsys, "check", check, "--instance", path)
+        assert code == 2, err
+        rep = json.loads(out)
+        assert rep["verdict"] == "hypotheses-not-met"
+        assert rep["notes"] == [
+            "hypothesis failed: valuative body unavailable: valuative body "
+            "undeterminable from numerical data"]
+
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "check", "thm9_9", "--instance",
                            FIXTURES / "instances/g2xg2.json")

@@ -1,6 +1,6 @@
 """Integer-geometry kernel tests: reference behaviour and brute-force
 oracles for the 2D chain, the hull engine in R^3 and R^4, lattice
-enumeration and the line-end and midpoint hull prefilter."""
+enumeration and the line-end hull prefilter."""
 
 import random
 from fractions import Fraction
@@ -14,7 +14,7 @@ from hull_reference import brute_hull, brute_volume
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from okbodies import kernel
+from okbodies import kernel, toric
 from okbodies.polytope import Polytope
 
 
@@ -305,20 +305,20 @@ class TestLattice:
                 enumerate_([()], [0], [], [])
 
 
-def _check_prune(pts, extreme, dirs):
-    keep = kernel.prune_interior(pts, dirs)
+def _check_prune(pts, extreme):
+    keep = kernel.prune_interior(pts)
     assert keep == sorted(set(keep))
     assert set(extreme) <= set(keep), pts
 
 
 class TestPrune:
     def test_never_drops_extreme(self):
+        assert kernel.prune_interior([]) == []
         rng = random.Random(5)
-        dirs = kernel.plus_minus_directions(2)
         for _ in range(30):
             pts = list({(rng.randint(0, 8), rng.randint(0, 8))
                         for _ in range(rng.randint(6, 40))})
-            keep = set(kernel.prune_interior(pts, dirs))
+            keep = set(kernel.prune_interior(pts))
             hull = set(kernel.hull2d_indices(pts))
             assert hull <= keep
 
@@ -328,7 +328,6 @@ class TestPrune:
         half-spaces) and sparse ones (random points, most lines holding one
         or two), shuffled, against the engine's extreme points."""
         rng = random.Random(50 + d)
-        dirs = kernel.plus_minus_directions(d)
         side = 6 if d == 3 else 4
         checked = 0
         while checked < 24:
@@ -343,13 +342,13 @@ class TestPrune:
             rng.shuffle(pts)
             if len(pts) <= d or kernel.affine_frame(pts)[0] < d:
                 continue
-            _check_prune(pts, kernel.hull_facets(pts)[0], dirs)
+            _check_prune(pts, kernel.hull_facets(pts)[0])
             checked += 1
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_keeps_only_the_corners_of_a_cube(self, d):
         pts = list(product(range(5), repeat=d))
-        keep = kernel.prune_interior(pts, kernel.plus_minus_directions(d))
+        keep = kernel.prune_interior(pts)
         assert [pts[i] for i in keep] == list(product((0, 4), repeat=d))
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -376,7 +375,7 @@ class TestPrune:
             proj = [tuple(p[c] for c in pivots) for p in pts]
             extreme = (kernel.hull2d_indices(proj) if d == 2
                        else kernel.hull_facets(proj)[0])
-            _check_prune(proj, extreme, kernel.plus_minus_directions(d))
+            _check_prune(proj, extreme)
             checked += 1
 
 
@@ -389,7 +388,6 @@ class TestPrune:
         and shuffled.  Every pruned cloud keeps every extreme point of the
         whole cloud."""
         rng = random.Random(70 + d)
-        dirs = kernel.plus_minus_directions(d)
         checked = 0
         while checked < 24:
             m = rng.randint(1, 5 if d == 3 else 2)
@@ -420,10 +418,44 @@ class TestPrune:
             ends = [head + (v,) for head, a, b in lines
                     for v in dict.fromkeys((a, b))]
             for cloud in (full, ends, rng.sample(ends, len(ends))):
-                keep = kernel.prune_interior(cloud, dirs)
+                keep = kernel.prune_interior(cloud)
                 assert keep == sorted(set(keep))
                 assert extreme <= {cloud[i] for i in keep}, (normals, offs)
             checked += 1
+
+    @pytest.mark.parametrize("names,size,most", [
+        (("P2", "P1"), 462, 44), (("P1", "P1", "P1"), 882, 8)])
+    def test_thins_the_oracle_end_clouds(self, monkeypatch, names, size,
+                                         most):
+        """The level-20 brute-force bodies of P^2 x P^1 of bidegree (1, 1)
+        and of (P^1)^3 of tridegree (1, 1, 1) hull the ends of their
+        lattice lines, 462 and 882 points, after one prune each.  The axis
+        passes keep at most 44 and 8 of them, and every extreme point: a
+        pass that keeps too much leaves the hull right and is only slow,
+        so the count is what shows it."""
+        seen = []
+        prune = kernel.prune_interior
+
+        def spy(pts):
+            keep = prune(pts)
+            seen.append((pts, keep))
+            return keep
+
+        monkeypatch.setattr(kernel, "prune_interior", spy)
+        model = {"P1": toric.projective_line(),
+                 "P2": toric.projective_plane()}
+        factors = [model[name] for name in names]
+        X = factors[0]
+        for F in factors[1:]:
+            X = toric.product_fibration(X, F).total
+        # degree 1 on each factor: the class of its last ray
+        D = toric.ToricDivisor(X, [int(i == len(F.rays) - 1) for F in factors
+                                   for i in range(len(F.rays))])
+        flag = toric.ToricFlag(0, X.max_cones[0])
+        toric.okounkov_body_bruteforce(X, D, flag, 20)
+        [(pts, keep)] = seen
+        assert len(pts) == size and len(keep) <= most
+        assert set(kernel.hull_facets(pts)[0]) <= set(keep)
 
 
 def test_active_lane_reports_python():

@@ -482,10 +482,10 @@ ANY_WEIGHTS = fractions_in(-1, 3, 4)
 
 
 @st.composite
-def any_classes(draw):
+def any_classes(draw, lattices=ORACLE_LATTICES + INCOMPLETE_LATTICES):
     """Combinations of the effective generators, a few with a negative
     weight, so that most classes are pseudoeffective."""
-    L = draw(st.sampled_from(ORACLE_LATTICES + INCOMPLETE_LATTICES))
+    L = draw(st.sampled_from(lattices))
     gens = L.effective_generators
     weights = draw(lists_of(ANY_WEIGHTS, len(gens)))
     return L, tuple(sum((w * g[i] for w, g in zip(weights, gens)), F(0))
@@ -498,6 +498,41 @@ def test_zariski_matches_loop(case):
     L, D = case
     assert (_outcome(S.zariski_decompose, L, D)
             == _outcome(loop_zariski_decompose, L, D))
+
+
+# -- vol+ along the flag curve against the Fraction pairing -----------------
+
+
+def fraction_restricted_volume_plus(L, D, flag_curve):
+    """vol+ of D along the flag curve as the Fraction pairing of the
+    Zariski positive part with the curve."""
+    zp = S.zariski_decompose(L, D)
+    return L.pair(zp.positive, L.effective_generators[flag_curve])
+
+
+def divided(L):
+    """L with its i-th effective generator divided by i + 2: the same cone
+    and negative curves, spanned by classes with denominators."""
+    return S.SurfaceLattice(
+        rank=L.rank, gram=L.gram,
+        effective_generators=tuple(tuple(x / (i + 2) for x in g) for i, g
+                                   in enumerate(L.effective_generators)),
+        nef_generators=L.nef_generators, negative_curves=L.negative_curves,
+        canonical_class=L.canonical_class)
+
+
+CURVE_LATTICES = (ORACLE_LATTICES + INCOMPLETE_LATTICES
+                  + tuple(map(divided, ORACLE_LATTICES + INCOMPLETE_LATTICES)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_classes(CURVE_LATTICES), st.data())
+def test_curve_stratum_matches_fraction_pairing(case, data):
+    L, D = case
+    flag = data.draw(st.integers(0, len(L.effective_generators) - 1))
+    got = _outcome(S.restricted_volume_plus, L, D, 1, flag)
+    assert got == _outcome(fraction_restricted_volume_plus, L, D, flag)
+    assert type(got) in (F, tuple)
 
 
 # -- cone tests by facet rows against the simplex ----------------------------
