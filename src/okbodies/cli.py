@@ -37,6 +37,10 @@ from .invariants import backend_for
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+# a check's exit code; `check --all` exits EXIT_FAIL if some report fails
+# and 0 otherwise
+VERDICT_EXIT = {fsmod.HOLDS: 0, fsmod.STRICT: 0, fsmod.FAILS: EXIT_FAIL,
+                fsmod.GATED: EXIT_INPUT}
 
 
 def _load_files(args):
@@ -126,7 +130,7 @@ def cmd_check(args):
     margin = "" if report.margin is None else f" (margin {report.margin})"
     return (report.to_obj(),
             [f"{report.check_name} on {report.instance}: {report.verdict}"
-             + margin], report.exit_code)
+             + margin], VERDICT_EXIT[report.verdict])
 
 
 def cmd_scaling_search(args):

@@ -31,8 +31,6 @@ over the half-spaces is the worst violation of a vertex of Q.
   strict  containment with margin 0 and lhs strictly larger
   fails   some vertex of the product escapes the total-space body
   hypotheses-not-met  a precondition failed; nothing is asserted
-
-Exit semantics for the CLI: holds/strict -> 0, fails -> 1, gated -> 2.
 """
 
 from __future__ import annotations
@@ -153,9 +151,6 @@ class FiberSpaceInstance(Value):
     def total_val_body(self, cls) -> Polytope:
         return self.total_backend.body_val(cls, self.total_flag)
 
-    def total_lim_body(self, cls) -> Polytope:
-        return self.total_backend.body_lim(cls, self.total_flag)
-
     def factor_val_bodies(self, base_cls, fiber_cls):
         """The valuative bodies of base_cls and fiber_cls, for their flags."""
         return (self.base_backend.body_val(base_cls, self.flag.base_flag),
@@ -190,8 +185,6 @@ def _nakayama(backend, cls, flag):
     The candidate stratum is the one whose dimension is the Iitaka
     dimension.  Returns (ok, note)."""
     k = backend.kappa(cls)
-    if k is None:
-        return False, "kappa undeclared; Nakayama stratum unknown"
     if k == NEG_INF:
         return False, "class has no sections"
     verdict, _level = backend.nakayama(cls, backend.stratum(flag, k))
@@ -220,14 +213,6 @@ class CheckReport(Value):
         self.notes = [] if notes is None else notes
 
     __hash__ = None
-
-    @property
-    def exit_code(self) -> int:
-        if self.verdict in (HOLDS, STRICT):
-            return 0
-        if self.verdict == FAILS:
-            return 1
-        return 2
 
     def to_obj(self):
         return {
@@ -270,10 +255,6 @@ def _unavailable(name, fs, exc):
     return _gated(name, fs, [(f"valuative body unavailable: {exc}", False)])
 
 
-def _volume(body: Polytope) -> Fraction:
-    return body.volume_in_dim(body.dim()) if not body.is_empty else Fraction(0)
-
-
 def _body_summary(body: Polytope, volume: Fraction) -> dict:
     return {"vertices": [[str(c) for c in v] for v in body.vertices],
             "dim": body.dim(), "volume": str(volume)}
@@ -289,11 +270,11 @@ def _subadditivity_report(name, fs, lhs: Polytope, base_body: Polytope,
     rows, q = lhs.support_rows(base_body, fiber_body)
     margin = Fraction(max([0] + [hb + hf - c for c, hb, hf in rows]), q)
     verdict = (HOLDS if lhs == rhs else STRICT) if margin == 0 else FAILS
-    rhs_volume = (Fraction(0) if rhs.is_empty
-                  else _volume(base_body) * _volume(fiber_body))
+    vol_b, vol_f = (body.volume_in_dim(body.dim())
+                    for body in (base_body, fiber_body))
     return _report(name, fs, verdict, margin=margin,
-                   lhs=_body_summary(lhs, _volume(lhs)),
-                   rhs=_body_summary(rhs, rhs_volume), **fields)
+                   lhs=_body_summary(lhs, lhs.volume_in_dim(lhs.dim())),
+                   rhs=_body_summary(rhs, vol_b * vol_f), **fields)
 
 
 # -- individual checks --------------------------------------------------------
@@ -385,7 +366,7 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
             ("fiber flag contains a positive volume subvariety of K_F",
              _flag_has_pvs(fs.fiber_backend, kf, fs.flag.fiber_flag, nu_f))]):
         return gated
-    lhs = fs.total_lim_body(kx)
+    lhs = fs.total_backend.body_lim(kx, fs.total_flag)
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)
     fiber_body = fs.fiber_backend.body_lim(kf, fs.flag.fiber_flag)
     nu_x = fs.total_backend.dims(kx).nu_bdpp
@@ -488,7 +469,7 @@ def check_lemma_3_1(fs: FiberSpaceInstance) -> CheckReport:
         series = toricmod.restricted_series(
             X, toricmod.ToricDivisor(X, cls), stratum, range(1, 7))
         notes.append(f"restricted series dims, {side} side, m=1..6: "
-                     f"{[series.dimension(m) for m in range(1, 7)]}")
+                     f"{[len(series[m]) for m in range(1, 7)]}")
     return _report(
         name, fs, HOLDS if lhs == rhs else FAILS, margin=abs(lhs - rhs),
         volumes={"vol_{X|N}(D)": lhs, "vol_{F|N}(R|F)": rhs}, notes=notes)

@@ -117,22 +117,6 @@ class ToricFlag(Value):
         return {"cone": self.cone, "ray_order": list(self.ray_order)}
 
 
-class GradedSeries(Value):
-    """Monomial bases of the levels of a restricted linear series.
-
-    levels[m] is the sorted tuple of surviving exponent images at level m;
-    its length is the dimension of the restricted space.
-    """
-
-    def __init__(self, levels: dict | None = None):
-        self.levels = {} if levels is None else levels
-
-    __hash__ = None
-
-    def dimension(self, m: int) -> int:
-        return len(self.levels[m])
-
-
 # -- cone/divisor predicates -------------------------------------------------
 
 
@@ -312,19 +296,21 @@ def _face(X, D, stratum):
     return _from_rows(rows, X.dim)
 
 
-def restricted_series(X, D: ToricDivisor, stratum, levels) -> GradedSeries:
+def restricted_series(X, D: ToricDivisor, stratum, levels) -> dict:
     """Images of the level-m monomial bases under restriction to a stratum.
 
     A monomial survives restriction exactly when its exponent is on the
     stratum's face of the section polytope, so only the lattice points of
     m * face are enumerated; they inject into the stratum's character
-    lattice via the complementary-ray coordinates.
+    lattice via the complementary-ray coordinates.  Returns {m: the sorted
+    tuple of surviving exponent images at level m}; its length is the
+    dimension of the restricted space.
     """
     stratum, rest = _stratum_frame(X, stratum)
     face = _face(X, D, stratum)
-    return GradedSeries({m: tuple(sorted(
+    return {m: tuple(sorted(
         tuple(sum(map(mul, X.rays[j], u)) for j in rest)
-        for u in _face_points(X, D, m, stratum, face))) for m in levels})
+        for u in _face_points(X, D, m, stratum, face))) for m in levels}
 
 
 def restricted_volume_toric(X, D: ToricDivisor, stratum) -> Fraction:

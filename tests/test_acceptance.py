@@ -202,7 +202,7 @@ def test_criterion_09_dimension_chains():
         kappa = backend.kappa(fs.D)
         if kappa is None or kappa == T.NEG_INF:
             continue
-        lim = fs.total_lim_body(fs.D)
+        lim = backend.body_lim(fs.D, fs.total_flag)
         nu = backend.dims(fs.D).nu_bdpp
         assert kappa <= lim.dim() <= nu, name
     for name, fs in INSTANCES.items():

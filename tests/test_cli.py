@@ -249,6 +249,22 @@ class TestComputeVerbs:
         code, out, _ = run(capsys, "vol", *args)
         assert code == 0 and json.loads(out)["volume"] == "384"
 
+    def test_abundance_covers_canonical_type_classes_only(self, capsys,
+                                                          tmp_path):
+        # ex42's total surface declares the Iitaka degree of K = (1, 0) on
+        # curve 1; (0, 1) is no multiple of K, so its body is undetermined
+        files = {"model": load_json(FIXTURES / "instances/ex42.json")["total"],
+                 "divisor": {"coeffs": ["0", "1"]}, "flag": {"curve": 1}}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(canonical_dumps(obj))
+        code, out, err = run(capsys, "body",
+                             "--model", tmp_path / "model.json",
+                             "--divisor", tmp_path / "divisor.json",
+                             "--flag", tmp_path / "flag.json")
+        assert code == 2 and out == ""
+        assert err == ("error: abundance declaration only covers "
+                       "canonical-type classes\n")
+
 
 class TestEpsLimitVerbs:
     """Classes whose first chamber under the default ample class is far
@@ -369,6 +385,21 @@ class TestCheckVerb:
             code, out, err = run(capsys, "check", check, "--instance",
                                  FIXTURES / f"instances/{inst}.json")
             assert code == expected, (check, inst, err)
+
+    def test_thm1_2_fails_when_kappa_does_not_add(self, capsys, tmp_path):
+        # g2 x g2 with kappa(K_X) declared 1: the bodies still agree, but
+        # kappa(K_X) = 1 is not kappa(K_Y) + kappa(K_F) = 1 + 1
+        obj = load_json(FIXTURES / "instances/g2xg2.json")
+        obj["total"]["declared_kappa"] = {"2,2": 1}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "check", "thm1_2", "--instance", path)
+        rep = json.loads(out)
+        assert code == 1 and err == "thm1_2 on g2xg2: fails (margin 0)\n"
+        assert rep["verdict"] == "fails" and rep["margin"] == "0"
+        assert rep["notes"] == [
+            "kappa addition: 1 == 1 + 1: VIOLATED",
+            "easy addition bound kappa(K_X) <= dim Y + kappa(K_F): ok"]
 
     def test_rem3_6_gates_on_weak_positivity(self, capsys, tmp_path):
         # kappa_vol(D) = 0 < kappa_vol(D_Y) + kappa_vol(R|_F) = 1 + 0: with
@@ -998,6 +1029,41 @@ class TestValidateVerb:
         bad.write_text(json.dumps({"coeffs": [0.5, 1, 1]}))
         code, _, err = run(capsys, "validate", "--divisor", bad)
         assert code == 2 and "p/q" in err
+
+
+class TestVerbInputErrors:
+    """A verb's own check on what it was given exits 2 with its message
+    and writes no report."""
+
+    CASES = {
+        "zariski-on-toric": (
+            ("zariski", "--model", "{m}/plane.json",
+             "--divisor", "{m}/d2.json"),
+            "{m}/plane.json: zariski requires a surface model"),
+        "oracle-compare-on-surface": (
+            ("oracle-compare", "--model", "{m}/blown_up_plane_surface.json",
+             "--divisor", "{m}/d_2h_plus_e.json",
+             "--flag", "{m}/curve_flag.json"),
+            "{m}/blown_up_plane_surface.json: oracle-compare requires a "
+            "toric model"),
+        "check-all-on-empty-dir": (("check", "--all", "{tmp}"),
+                                   "{tmp}: no instance files found"),
+        "check-without-instance": (
+            ("check", "thm1_3"),
+            "check: --instance is required (or use --all)"),
+        "validate-nothing": (
+            ("validate",),
+            "validate: nothing to validate; pass --model, --divisor, --flag "
+            "and/or --instance"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_its_message(self, capsys, tmp_path, case):
+        argv, message = self.CASES[case]
+        where = {"m": FIXTURES / "models", "tmp": tmp_path}
+        code, out, err = run(capsys, *(a.format(**where) for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"input error: {message.format(**where)}\n"
 
 
 class TestCorpusOnDisk:

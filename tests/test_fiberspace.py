@@ -462,7 +462,7 @@ class TestExample42Reproduction:
     def test_bodies(self):
         fs = instance("ex42")
         val = fs.total_val_body(fs.D)
-        lim = fs.total_lim_body(fs.D)
+        lim = fs.total_backend.body_lim(fs.D, fs.total_flag)
         assert val == hull([(0, 0), (0, 1)])
         assert lim == hull([(0, 0), (0, 2)])
 

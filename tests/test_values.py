@@ -58,8 +58,6 @@ CASES = {
                      {"variety": F1, "coeffs": (1, 0, 3, 0)}),
     T.ToricFlag: (lambda: dict(cone=0, ray_order=(0, 1)),
                   {"cone": 1, "ray_order": (1, 0)}),
-    T.GradedSeries: (lambda: dict(levels={1: ((0,), (1,))}),
-                     {"levels": {1: ((0,),)}}),
     T.ToricFibration: (lambda: dict(base=P1, fiber=P1, total=F0),
                        {"base": P2, "fiber": P2, "total": F1}),
     SurfaceLattice: (lattice_args, {
