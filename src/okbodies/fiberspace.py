@@ -191,12 +191,6 @@ def _nakayama(backend, cls, flag):
     return verdict != "false", f"Nakayama stratum verdict: {verdict}"
 
 
-def _flag_has_pvs(backend, cls, flag, nu) -> bool:
-    """Is vol+ of cls restricted to the flag stratum of dimension
-    nu = nu_bdpp(cls) positive?"""
-    return backend.restricted_volume_plus(cls, backend.stratum(flag, nu)) > 0
-
-
 # -- reports ------------------------------------------------------------------
 
 
@@ -362,9 +356,11 @@ def check_thm_1_1(fs: FiberSpaceInstance) -> CheckReport:
     nu_f = fs.fiber_backend.dims(kf).nu_bdpp
     if gated := _gated(name, fs, [
             ("base flag contains a positive volume subvariety of K_Y",
-             _flag_has_pvs(fs.base_backend, ky, fs.flag.base_flag, nu_y)),
+             fs.base_backend.is_pvs(
+                 ky, fs.base_backend.stratum(fs.flag.base_flag, nu_y))),
             ("fiber flag contains a positive volume subvariety of K_F",
-             _flag_has_pvs(fs.fiber_backend, kf, fs.flag.fiber_flag, nu_f))]):
+             fs.fiber_backend.is_pvs(
+                 kf, fs.fiber_backend.stratum(fs.flag.fiber_flag, nu_f)))]):
         return gated
     lhs = fs.total_backend.body_lim(kx, fs.total_flag)
     base_body = fs.base_backend.body_lim(ky, fs.flag.base_flag)

@@ -101,13 +101,16 @@ class ToricBackend:
     def _div(self, cls) -> toricmod.ToricDivisor:
         return toricmod.ToricDivisor(self.X, qvec(cls))
 
+    def _polytope(self, cls) -> Polytope:
+        return toricmod.section_polytope(self.X, self._div(cls))
+
     def is_effective(self, cls):
-        return toricmod.is_effective(self.X, self._div(cls))
+        return not self._polytope(cls).is_empty
 
     is_psef = is_effective  # invariant classes: effective iff psef
 
     def is_big(self, cls):
-        return toricmod.is_big(self.X, self._div(cls))
+        return self._polytope(cls).dim() == self.X.dim
 
     def is_ample(self, cls):
         return toricmod.is_ample(self.X, self._div(cls))
@@ -125,11 +128,13 @@ class ToricBackend:
         return self.body_val(cls, flag)
 
     def volume(self, cls) -> Fraction:
-        P = toricmod.section_polytope(self.X, self._div(cls))
+        P = self._polytope(cls)
         return math.factorial(self.X.dim) * P.volume_in_dim(self.X.dim)
 
     def kappa(self, cls):
-        return toricmod.kappa(self.X, self._div(cls))
+        """Iitaka dimension: growth exponent of the section count."""
+        P = self._polytope(cls)
+        return NEG_INF if P.is_empty else P.dim()
 
     def restricted_volume(self, cls, stratum) -> Fraction:
         return toricmod.restricted_volume_toric(self.X, self._div(cls), stratum)
@@ -222,7 +227,8 @@ class SurfaceBackend:
     is_effective = is_psef
 
     def is_big(self, cls):
-        return surfmod.is_big(self.S, cls)
+        """Pseudoeffective with a positive part of positive self-intersection."""
+        return surfmod.volume_surface(self.S, cls) > 0
 
     def is_ample(self, cls):
         return surfmod.is_ample(self.S, cls)
@@ -326,7 +332,7 @@ class CurveBackend:
         if deg < 0:
             raise ValueError(negative_degree_error)
         if deg == 0:
-            return Polytope.point([0])
+            return Polytope.hull([(0,)])
         return Polytope.hull([(Fraction(0),), (deg,)])
 
     def volume(self, cls) -> Fraction:

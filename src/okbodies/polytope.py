@@ -113,12 +113,6 @@ class Polytope:
         return Polytope(ambient_dim, (), 1, _dim=-1, _trusted=True)
 
     @staticmethod
-    def point(coords) -> "Polytope":
-        v = qvec(coords)
-        ints, q = clear_denominators([v])
-        return Polytope(len(v), ints, q, _dim=0, _trusted=True)
-
-    @staticmethod
     def from_halfspaces(halfspaces, ambient_dim: int) -> "Polytope":
         """Vertex enumeration of an intersection of half-spaces.
 
@@ -295,7 +289,7 @@ class Polytope:
         if self.is_empty:
             return self
         if lam == 0:
-            return Polytope.point([0] * self.ambient_dim)
+            return Polytope.hull([(0,) * self.ambient_dim])
         a = lam.numerator
         rows, q = _lowest([tuple(a * x for x in r) for r in self._rows],
                           self._q * lam.denominator)

@@ -220,11 +220,6 @@ def is_ample(S: SurfaceLattice, D) -> bool:
             and _dot(d, S._image(d)) > 0)
 
 
-def is_big(S: SurfaceLattice, D) -> bool:
-    """Pseudoeffective with a positive part of positive self-intersection."""
-    return volume_surface(S, D) > 0
-
-
 def _ample_class(S: SurfaceLattice):
     """A convenient ample class (a, q), the sum of the nef generators or
     else of the effective ones; declared cones always admit one here."""
@@ -498,6 +493,8 @@ def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     """Body of honest sections of a canonical-type class, via the declared
     degree of the Iitaka map on the flag curve: (1/deg) * limiting body."""
     (d, _q), (k, _qk) = S._ints(D), S._ints(S.canonical_class)
+    if not _in_cone(S, d):
+        raise ValueError("divisor is not pseudoeffective")
     if flag_curve not in S.iitaka_degrees:
         raise ValueError("valuative body undeterminable from numerical data")
     # D = rK with r > 0, or D = 0: d.k > 0 and Cauchy-Schwarz holds with

@@ -125,20 +125,6 @@ def section_polytope(X: ToricVariety, D: ToricDivisor) -> Polytope:
     return _face(X, D, ())
 
 
-def is_effective(X, D) -> bool:
-    return not section_polytope(X, D).is_empty
-
-
-def is_big(X, D) -> bool:
-    return section_polytope(X, D).dim() == X.dim
-
-
-def kappa(X, D):
-    """Iitaka dimension: growth exponent of the section count."""
-    P = section_polytope(X, D)
-    return NEG_INF if P.is_empty else P.dim()
-
-
 def is_ample(X, D) -> bool:
     """Strict convexity of the support function over the complete fan: at
     the vertex u = w / (d D.q) of each maximal cone, <u, ray_j> + a_j > 0

@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -11,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import fiberspace as fsmod
-from okbodies import toric
+from okbodies import plotting, toric
 from okbodies.cli import EXIT_INTERNAL, VERBS, main
 from okbodies.ioformats import (canonical_dumps, divisor_from_obj,
                                 flag_from_obj, instance_from_obj, load_json,
                                 model_from_obj, rational)
+from okbodies.polytope import Polytope
 from okbodies.surface import SurfaceLattice
 
 
@@ -264,6 +268,20 @@ class TestComputeVerbs:
         assert code == 2 and out == ""
         assert err == ("error: abundance declaration only covers "
                        "canonical-type classes\n")
+
+    @pytest.mark.parametrize("verb", ["body", "limbody"])
+    def test_surface_non_psef_class_names_the_cause(self, capsys, tmp_path,
+                                                    verb):
+        # -H is not pseudoeffective; that, not the missing abundance
+        # declaration, is why neither body exists
+        divisor = tmp_path / "divisor.json"
+        divisor.write_text(canonical_dumps({"coeffs": ["-1", "0"]}))
+        code, out, err = run(capsys, verb, "--model",
+                             FIXTURES / "models/blown_up_plane_surface.json",
+                             "--divisor", divisor,
+                             "--flag", FIXTURES / "models/curve_flag.json")
+        assert code == 2 and out == ""
+        assert err == "error: divisor is not pseudoeffective\n"
 
 
 class TestEpsLimitVerbs:
@@ -960,6 +978,43 @@ class TestPlots:
                            "--format", "csv")
         assert code == 0 and out.strip().splitlines()[1:] == ["1,0"]
 
+    @staticmethod
+    def _svg(capsys, tmp_path, ambient_dim, vertices):
+        body_file = tmp_path / "body.json"
+        body_file.write_text(json.dumps(
+            {"ambient_dim": ambient_dim,
+             "vertices": [[str(c) for c in v] for v in vertices]}))
+        return run(capsys, "emit-plot", "--body", body_file, "--format", "svg")
+
+    @pytest.mark.parametrize("ambient_dim,vertices,message", [
+        (2, [], "cannot plot an empty body"),
+        (4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, 1)], "svg output is limited to bodies of dimension <= 3"),
+    ], ids=["empty", "4-simplex"])
+    def test_svg_rejects_body(self, capsys, tmp_path, ambient_dim, vertices,
+                              message):
+        code, out, err = self._svg(capsys, tmp_path, ambient_dim, vertices)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_svg_point_is_a_circle(self, capsys, tmp_path):
+        code, out, _ = self._svg(capsys, tmp_path, 2, [(1, 0)])
+        assert code == 0 and "<circle" in out and "<polygon" not in out
+
+    @pytest.mark.parametrize("ambient_dim,vertices", [
+        (1, [(0,), (2,)]),
+        # projects to three collinear points; the polygon keeps the ends
+        (3, [(0, 0, 0), (1, 1, 0), (2, 2, 1)]),
+    ], ids=["segment-in-R1", "collinear-projection"])
+    def test_svg_segment_is_a_two_point_polygon(self, capsys, tmp_path,
+                                                ambient_dim, vertices):
+        code, out, _ = self._svg(capsys, tmp_path, ambient_dim, vertices)
+        points = re.search(r'<polygon points="([^"]*)"', out).group(1)
+        assert code == 0 and len(points.split()) == 2
+
+    def test_unknown_plot_format(self):
+        with pytest.raises(ValueError, match="unknown plot format: 'png'"):
+            plotting.emit_plot(Polytope.hull([(0,)]), "png")
+
     @pytest.mark.parametrize("obj,where", [
         ({"ambient_dim": 2, "vertices": [[0.5, "1"]]}, "vertices[0][0]"),
         ({"ambient_dim": 2, "vertices": [["1/0", "1"]]}, "vertices[0][0]"),
@@ -984,6 +1039,17 @@ class TestValidateVerb:
         code, _, err = run(capsys, "validate",
                            "--instance", FIXTURES / "instances/ex41.json")
         assert code == 0
+
+    def test_module_entry_point(self):
+        # `python -m okbodies` reaches the same main as the console script
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "okbodies", "validate", "--instance",
+             str(FIXTURES / "instances/ex41.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"ok": True, "validated": 1}
+        assert done.stderr == "validate: 1 file(s) ok\n"
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

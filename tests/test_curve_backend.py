@@ -32,7 +32,7 @@ def _old_body_val(C, deg):
     if deg < 0:
         raise ValueError("divisor has no sections")
     if deg == 0:
-        return Polytope.point([0])
+        return Polytope.hull([(0,)])
     return Polytope.hull([(F(0),), (deg,)])
 
 

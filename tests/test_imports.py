@@ -345,9 +345,6 @@ NOT_REACHED = {
     # perfbench/tracer.py wraps these (its BOUNDARIES), or only functions it
     # wraps call them; they go once the benchmark stops naming them
     "tracer": {
-        ("invariants", "CurveBackend.is_pvs"),
-        ("invariants", "SurfaceBackend.is_pvs"),
-        ("invariants", "ToricBackend.is_pvs"),
         ("linalg", "det"), ("linalg", "nullspace"), ("linalg", "rank"),
         ("linalg", "solve"),
         ("lp", "_pivot"), ("lp", "_run"), ("lp", "max_cone_shift"),

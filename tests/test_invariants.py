@@ -3,13 +3,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from corpus import model
+from corpus import instance, model
 from exact_strategies import fractions_in
 from fraction_reference import solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okbodies import invariants as I
+from okbodies import surface as S
 from okbodies import toric as T
 from okbodies.curve import CurveModel
 from okbodies.linalg import dot, qvec
@@ -21,6 +22,7 @@ P1 = T.projective_line()
 P2 = T.projective_plane()
 STD = T.ToricFlag(0, (0, 1))
 BL = model("blown_up_plane_surface")
+G2XG2 = instance("g2xg2").total  # declares kappa(K) = 2
 
 
 class TestDimsReport:
@@ -101,6 +103,12 @@ class TestRestrictedVolumePlus:
         sb = I.SurfaceBackend(BL)
         assert sb.restricted_volume_plus([0, 1], sb.stratum(0, 2)) == 0
 
+    def test_surface_flag_point_and_range(self):
+        K = G2XG2.canonical_class
+        assert S.restricted_volume_plus(G2XG2, K, 0, 0) == 1
+        with pytest.raises(ValueError, match="stratum dimension out of range"):
+            S.restricted_volume_plus(G2XG2, K, 3, 0)
+
     def test_via_body_matches_toric_direct(self):
         # nu! vol(limiting body) = vol+ along a stratum of dimension nu on
         # which D has positive volume: the horizontal curve of ray 2
@@ -139,6 +147,10 @@ class TestNakayama:
         assert sb.nakayama([2, 1], sb.stratum(0, 2))[0] == "certified"
         assert sb.nakayama([2, 1], sb.stratum(0, 1))[0] == "checked_up_to"
 
+    def test_surface_stratum_off_declared_kappa_is_false(self):
+        sb = I.SurfaceBackend(G2XG2)
+        assert sb.nakayama(sb.canonical_class(), (1, 0)) == ("false", None)
+
     def test_curve(self):
         cb = I.CurveBackend(CurveModel(genus=2))
         assert cb.nakayama([2], 1)[0] == "certified"
@@ -167,11 +179,8 @@ class TestPositiveVolumeSubvariety:
     def test_surface_curve_stratum_keeps_flag_curve(self):
         # H - E has nu = 1 and (H - E).E = 1, so the flag curve E is a
         # positive volume subvariety; the stratum must name it
-        from okbodies import fiberspace as FS
-
         sb = I.SurfaceBackend(BL)
         assert sb.is_pvs([1, -1], sb.stratum(0, 1))
-        assert FS._flag_has_pvs(sb, [1, -1], 0, sb.dims([1, -1]).nu_bdpp)
 
 
 class TestBackendAgreement:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from okbodies import lp
 from okbodies import surface as S
+from okbodies.cli import main
+from okbodies.invariants import SurfaceBackend
 from okbodies.linalg import qvec
 from okbodies.polytope import Polytope, hull
 
@@ -69,6 +72,18 @@ class TestValidation:
                              nef_generators=(), negative_curves=curves,
                              canonical_class=qvec([0, 0]))
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"gram": [[1, 1], [0, -1]]}, "gram must be symmetric"),
+        ({"canonical_class": ["-3"]}, "class vectors must have length rank"),
+        ({"negative_curves": [5]}, "negative curve index out of range"),
+    ], ids=["asymmetric-gram", "class-length", "curve-index"])
+    def test_validate_rejects_model(self, edit, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**BL.to_obj(), **edit}))
+        assert main(["validate", "--model", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"input error: {path}: {message}\n"
+
     def test_negative_curve_must_be_negative(self):
         with pytest.raises(ValueError, match="self-intersection"):
             S.SurfaceLattice(rank=2, gram=((1, 0), (0, -1)),
@@ -112,15 +127,16 @@ class TestConeTests:
     def test_h_minus_e(self):
         D = qvec([1, -1])
         assert S.is_psef(BL, D) and S.is_nef(BL, D)
-        assert not S.is_big(BL, D) and not S.is_ample(BL, D)
+        assert not SurfaceBackend(BL).is_big(D) and not S.is_ample(BL, D)
 
     def test_2h_plus_e(self):
         D = qvec([2, 1])
-        assert S.is_big(BL, D) and S.is_psef(BL, D) and not S.is_nef(BL, D)
+        assert (SurfaceBackend(BL).is_big(D) and S.is_psef(BL, D)
+                and not S.is_nef(BL, D))
 
     def test_minus_h(self):
         assert not S.is_psef(BL, qvec([-1, 0]))
-        assert not S.is_big(BL, qvec([-1, 0]))
+        assert not SurfaceBackend(BL).is_big(qvec([-1, 0]))
 
 
 class TestZariski:

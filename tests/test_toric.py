@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from okbodies import kernel
 from okbodies import toric as T
+from okbodies.cli import main
 from okbodies.invariants import ToricBackend
 from okbodies.linalg import dot, mat_vec, qvec
 from okbodies.polytope import Polytope, hull
@@ -54,6 +56,21 @@ class TestValidation:
     def test_empty_fan(self):
         with pytest.raises(ValueError, match="no maximal cones"):
             T.ToricVariety(1, ((1,),), ())
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"dim": 0}, "toric model needs dimension >= 1"),
+        ({"rays": [[1], [0, 1], [-1, -1]]}, "rays[0]: wrong length"),
+        ({"max_cones": [[0, 0], [1, 2], [2, 0]]},
+         "max_cones[0]: need 2 distinct rays"),
+        ({"max_cones": [[0, 1], [1, 7], [2, 0]]},
+         "max_cones[1]: ray index out of range"),
+    ], ids=["dim-0", "ray-length", "repeated-ray", "ray-index"])
+    def test_validate_rejects_model(self, edit, message, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**P2.to_obj(), **edit}))
+        assert main(["validate", "--model", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"input error: {path}: {message}\n"
 
     def test_ray_in_no_maximal_cone(self):
         # the fan of P^2 is complete without the extra ray (1, 1)
@@ -126,8 +143,9 @@ class TestSectionPolytopeMemo:
                  (F2, [1, 1, 0, 0]), (F2, [0, 0, 0, 1]), (BL, [0, 1, 1, 0])]
 
         def answers():
-            return [(T.is_effective(X, d(X, c)), T.is_big(X, d(X, c)),
-                     T.kappa(X, d(X, c))) for X, c in cases]
+            backends = [(ToricBackend(X), c) for X, c in cases]
+            return [(tb.is_effective(c), tb.is_big(c), tb.kappa(c))
+                    for tb, c in backends]
 
         T._face.cache_clear()
         cold = answers()
@@ -504,9 +522,10 @@ class TestPredicates:
         assert not T.is_ample(F2, d(F2, [1, 1, 1, 1]))
 
     def test_kappa(self):
-        assert T.kappa(P2, d(P2, [0, 0, 2])) == 2
-        assert T.kappa(P2, d(P2, [0, 0, 0])) == 0
-        assert T.kappa(P2, d(P2, [0, 0, -1])) == T.NEG_INF
+        tb = ToricBackend(P2)
+        assert tb.kappa([0, 0, 2]) == 2
+        assert tb.kappa([0, 0, 0]) == 0
+        assert tb.kappa([0, 0, -1]) == T.NEG_INF
 
     def test_nakayama(self):
         fib = T.product_fibration(P1, P1)
