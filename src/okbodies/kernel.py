@@ -5,8 +5,10 @@ predicate and monotone chain, the fraction-free affine frame, the
 beneath-beyond hull engine for any dimension, which places the points
 farthest from their centroid first so that most non-extreme points
 build no boundary simplex, the prefilter that keeps the two ends of each
-line along every coordinate axis in turn (the other points of a line lie
-between them), and lattice enumeration, which prunes coordinate prefixes
+line along every coordinate axis in turn, first axis to last (the other
+points of a line lie between them, and the brute-force oracle's clouds
+hold only line ends along the last axis, so that pass comes last, on the
+fewest points), and lattice enumeration, which prunes coordinate prefixes
 and solves the last coordinate by integer floor division, so it yields
 whole lines (prefix, least, greatest) that callers expand to points or
 hull by their ends.  All inputs are plain Python ints, so results are
@@ -218,15 +220,18 @@ def prune_interior(pts):
     Points that agree on every coordinate but the k-th lie on one line
     along axis k, and only that line's least and greatest points can be
     extreme: any other lies strictly between those two.  So one pass per
-    axis k, from the last to the first, keeps the two ends of each such
+    axis k, from the first to the last, keeps the two ends of each such
     line among the previous pass's survivors.  A dropped point lies
     strictly between two kept ones, so each pass leaves the hull as it
-    was and keeps every extreme point; this holds for any point set,
-    sorted or not, and for pivot projections of a flat one.  This is a
-    prefilter for hulls of dense lattice-point clouds.
+    was and keeps every extreme point, in any pass order; this holds for
+    any point set, sorted or not, and for pivot projections of a flat
+    one.  This is a prefilter for hulls of dense lattice-point clouds.
+    The last axis goes last: the brute-force oracle hands in only the two
+    ends of each lattice line along it, where that pass drops nothing, so
+    it should see the few survivors of the other passes, not the cloud.
     """
     survivors = list(range(len(pts)))
-    for k in reversed(range(len(pts[0]) if pts else 0)):
+    for k in range(len(pts[0]) if pts else 0):
         ends = {}
         for i in survivors:
             p = pts[i]

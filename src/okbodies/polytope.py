@@ -21,7 +21,8 @@ placing triangulation, started on the frame's d + 1 independent points and
 built farthest point from the centroid first, gives the volume; no result
 depends on that order.  Every constructor that hulls ends in
 `_int_polytope`: `hull` clears one common denominator, and `lattice_hull`
-passes its integer points over m.  `_from_rows`, behind
+passes its integer points over m; `_image` does not hull, as an injective
+affine map sends vertices to vertices.  `_from_rows`, behind
 `from_halfspaces` and `slice_prefix_zero`, hulls in R^(n+1) instead:
 `_vertex_enum` reads exact vertex keys off the facets of the cone polar
 to the homogenised system.
@@ -375,6 +376,14 @@ def _int_polytope(n, pts, q):
     extreme, fh = _frame_hull(pts, q)
     rows, q = _lowest([pts[i] for i in extreme], q)
     return Polytope(n, rows, q, _dim=fh[0], _trusted=True, _hull=fh)
+
+
+def _image(rows, q, dim):
+    """The image, of dimension `dim`, of a polytope under an injective
+    affine map, given as its vertices' integer image rows over q: they
+    are the image's vertices, so no hull is run."""
+    rows, q = _lowest(sorted(rows), q)
+    return Polytope(len(rows[0]), rows, q, _dim=dim, _trusted=True)
 
 
 def _frame_hull(pts, q):

@@ -5,15 +5,17 @@ Everything on these models is computable exactly from the fan: global
 sections of an invariant divisor are lattice points of its section
 polytope, and the flag valuation of a monomial section is an explicit
 unimodular-affine function of its exponent, so bodies come out as exact
-images of section polytopes.  The class arithmetic runs on integers: a
-divisor keeps its coefficients as numerators over one denominator
-(`ToricDivisor.num`, `.q`), and bodies, restricted volumes and ampleness
-map integer vertex rows; `Fraction`s appear only at the API edge.  The
-finite-level brute-force path exists as an independent oracle for that
-exact path: it enumerates the level-m sections as lattice lines by
-integer bounds, hulls the two ends of each line (the line's other points
-lie between them), and maps the hull's vertices by the valuation, which
-is exact because the valuation is affine.
+images of section polytopes: an injective affine map sends vertices to
+vertices, so a body is the image of the vertex rows, with no hull run.
+The class arithmetic runs on integers: a divisor keeps its coefficients
+as numerators over one denominator (`ToricDivisor.num`, `.q`), and
+bodies, restricted volumes and ampleness map integer vertex rows;
+`Fraction`s appear only at the API edge.  The finite-level brute-force
+path exists as an independent oracle for that exact path: it enumerates
+the level-m sections as lattice lines by integer bounds, hulls the two
+ends of each line (the line's other points lie between them), and maps
+that hull's vertices by the valuation, which is exact because the
+valuation is injective and affine, so the oracle hulls once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import kernel
 from .linalg import clear_denominators, dot, int_det, int_solve, qvec
 # unused here, but perfbench's tracer rebinds the name and needs it
 from .linalg import solve  # noqa: F401
-from .polytope import Polytope, _from_rows
+from .polytope import Polytope, _from_rows, _image
 from .value import Value
 
 NEG_INF = float("-inf")  # Iitaka dimension of a divisor with no sections
@@ -205,7 +207,9 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
     needed; the finite-level brute-force body below converges to this.
     On the section polytope's integer vertex rows u over its denominator
     p, and D's numerators over D.q, it is (k <u, v_i> + s num_i) / q, with
-    q = lcm(p, D.q), k = q / p and s = q / D.q.
+    q = lcm(p, D.q), k = q / p and s = q / D.q.  The map is injective and
+    affine, so it sends vertices to vertices: the images of P's vertex
+    rows are the body's, and no second hull is run (`polytope._image`).
     """
     flag.validate(X)
     P = section_polytope(X, D)
@@ -213,8 +217,8 @@ def okounkov_body_toric(X, D: ToricDivisor, flag: ToricFlag) -> Polytope:
         raise ValueError("divisor has no sections")
     q = math.lcm(P._q, D.q)
     shift = [q // D.q * a for a in D.num]
-    return Polytope.lattice_hull(
-        _flag_images(X, flag, P._rows, q // P._q, shift), q)
+    return _image(_flag_images(X, flag, P._rows, q // P._q, shift), q,
+                  P.dim())
 
 
 def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Polytope:
@@ -228,11 +232,13 @@ def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Pol
     equal.  The valuation u -> (<u, v_i> + m a_i) is affine, and an
     affine map A sends conv(S) to conv(A S), whose vertices are images of
     vertices of conv(S); so only that hull's vertices, integer exponents
-    over m, are mapped, and their integer valuation vectors are hulled
-    over m in turn, with no `Fraction` made per section.  The oracle stays
-    independent of the exact path: it enumerates lattice rows by integer
-    bounds and hulls lattice points, where the exact path enumerates the
-    vertices of the section polytope from its half-spaces."""
+    over m, are mapped, with no `Fraction` made per section.  The
+    valuation is also injective, so those images are exactly the body's
+    vertices and are not hulled again (`polytope._image`).  The oracle
+    stays independent of the exact path: it enumerates lattice rows by
+    integer bounds and hulls lattice points, where the exact path
+    enumerates the vertices of the section polytope from its half-spaces.
+    """
     flag.validate(X)
     box = _face_box(X, D, m, (), section_polytope(X, D))
     lines = kernel.lattice_lines(*box) if box else []
@@ -241,8 +247,8 @@ def okounkov_body_bruteforce(X, D: ToricDivisor, flag: ToricFlag, m: int) -> Pol
     ends = [head + (v,) for head, a, b in lines
             for v in ((a,) if a == b else (a, b))]
     H = Polytope.lattice_hull(ends, m)  # its vertex rows over H._q | m
-    return Polytope.lattice_hull(_flag_images(
-        X, flag, H._rows, m // H._q, _integral_multiple(D, m)), m)
+    return _image(_flag_images(X, flag, H._rows, m // H._q,
+                               _integral_multiple(D, m)), m, H.dim())
 
 
 # -- restriction to invariant strata ------------------------------------------

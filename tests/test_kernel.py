@@ -423,24 +423,37 @@ class TestPrune:
                 assert extreme <= {cloud[i] for i in keep}, (normals, offs)
             checked += 1
 
-    @pytest.mark.parametrize("names,size,most", [
-        (("P2", "P1"), 462, 44), (("P1", "P1", "P1"), 882, 8)])
+    @pytest.mark.parametrize("names,size,most,visits", [
+        (("P2", "P1"), 462, 44, 588), (("P1", "P1", "P1"), 882, 8, 974)])
     def test_thins_the_oracle_end_clouds(self, monkeypatch, names, size,
-                                         most):
+                                         most, visits):
         """The level-20 brute-force bodies of P^2 x P^1 of bidegree (1, 1)
         and of (P^1)^3 of tridegree (1, 1, 1) hull the ends of their
         lattice lines, 462 and 882 points, after one prune each.  The axis
         passes keep at most 44 and 8 of them, and every extreme point: a
         pass that keeps too much leaves the hull right and is only slow,
-        so the count is what shows it."""
+        so the count is what shows it.  For the same reason the cost is
+        counted: the passes visit at most 588 and 974 points (each visit
+        slices its point twice), as they run first axis to last and so
+        reach the last axis, along which the cloud holds only line ends,
+        with the few survivors of the others (1006 and 1848 visits last
+        axis first).  The body's vertices are the valuation images of the
+        cloud's, so the call runs the hull engine once, on the cloud."""
         seen = []
         prune = kernel.prune_interior
 
         def spy(pts):
-            keep = prune(pts)
-            seen.append((pts, keep))
+            _SliceCounted.slices = 0
+            keep = prune([_SliceCounted(p) for p in pts])
+            seen.append((pts, keep, _SliceCounted.slices))
             return keep
 
+        hulls = []
+        for name in ("hull_facets", "hull2d_indices"):
+            def counted(*args, _f=getattr(kernel, name)):
+                hulls.append(len(args[0]))
+                return _f(*args)
+            monkeypatch.setattr(kernel, name, counted)
         monkeypatch.setattr(kernel, "prune_interior", spy)
         model = {"P1": toric.projective_line(),
                  "P2": toric.projective_plane()}
@@ -452,10 +465,25 @@ class TestPrune:
         D = toric.ToricDivisor(X, [int(i == len(F.rays) - 1) for F in factors
                                    for i in range(len(F.rays))])
         flag = toric.ToricFlag(0, X.max_cones[0])
+        toric.section_polytope(X, D)  # its H->V hull is not the oracle's
+        hulls.clear()
         toric.okounkov_body_bruteforce(X, D, flag, 20)
-        [(pts, keep)] = seen
+        [(pts, keep, slices)] = seen
         assert len(pts) == size and len(keep) <= most
+        assert slices <= 2 * visits
+        assert len(hulls) == 1 and hulls[0] <= len(keep) + X.dim + 1
         assert set(kernel.hull_facets(pts)[0]) <= set(keep)
+
+
+class _SliceCounted(tuple):
+    """A point that counts the slices taken of any such point."""
+
+    slices = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            _SliceCounted.slices += 1
+        return tuple.__getitem__(self, i)
 
 
 def test_active_lane_reports_python():

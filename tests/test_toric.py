@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import permutations
 from operator import mul
 
 import fraction_reference as ref
@@ -498,6 +499,82 @@ def test_bruteforce_matches_valuation_hull_reference():
         assert (T.okounkov_body_bruteforce(X, D, flag, m)
                 == expected), (X.rays, D.coeffs, flag, m)
     assert 0 < empty < 1000
+
+
+# -- bodies as vertex images, against the hull of the same rows ---------------
+
+IMAGE_FACTORS = (P1, P2, T.hirzebruch(0), T.hirzebruch(1), F2,
+                 T.hirzebruch(3), BL)
+
+
+def _same_body(body, expected):
+    """Equal canonical rows, dimension, facets and volumes; a skew flat
+    body's own volume raises the same error on both."""
+    assert body == expected
+    assert body.dim() == expected.dim()
+    assert body.to_hrep() == expected.to_hrep()
+    n, k = body.ambient_dim, body.dim()
+    assert body.volume_in_dim(n) == expected.volume_in_dim(n)
+    try:
+        own = expected.volume_in_dim(k)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            body.volume_in_dim(k)
+    else:
+        assert body.volume_in_dim(k) == own
+
+
+def test_bodies_are_vertex_images_without_a_second_hull():
+    """Seeded smooth complete fans (P^1, P^2, F_a for a <= 3, the blown-up
+    plane, and products of two of them) and divisors a / q with a in
+    [-1, 3], zero often, and q <= 3, redrawn until they have sections, so
+    that many are not big and their bodies are flat.  On every maximal
+    cone and ray order, `okounkov_body_toric` is `lattice_hull` of the
+    `_flag_images` of the section polytope's vertex rows, and the brute
+    body at a level m <= 4 is `lattice_hull` of the images of the vertex
+    rows of the hull of all level-m sections; on fourfolds the brute body
+    takes one drawn order per cone.  The cases include flat bodies (a
+    wrong dimension shows), images that are not sorted and images with a
+    common factor over their denominator (`_lowest` shows)."""
+    rng = random.Random(37)
+    seen = {"flat": 0, "unsorted": 0, "lowered": 0, "brute": 0}
+
+    def check(body, rows, q):
+        expected = Polytope.lattice_hull(rows, q)
+        _same_body(body, expected)
+        seen["flat"] += body.dim() < body.ambient_dim
+        seen["unsorted"] += rows != sorted(rows)
+        seen["lowered"] += expected._q < q
+
+    for draw in range(24):
+        X = rng.choice(IMAGE_FACTORS)
+        if draw % 2:  # a fourfold on every sixth draw: 216 to 384 flags
+            X = T.product_fibration(X, P2 if draw % 6 == 1 else P1).total
+        while True:
+            q = rng.randint(1, 3)
+            D = d(X, [F(rng.choice((0, 0, -1, 1, 2, 3)), q) for _ in X.rays])
+            P = T.section_polytope(X, D)
+            if not P.is_empty:
+                break
+        p = math.lcm(P._q, D.q)
+        shift = [p // D.q * a for a in D.num]
+        m = D.q * rng.randint(1, 4 // D.q)
+        sections = T.sections(X, D, m)
+        H = Polytope.lattice_hull(sections, m) if sections else None
+        for c, cone in enumerate(X.max_cones):
+            orders = list(permutations(cone))
+            brute_orders = orders if X.dim < 4 else [rng.choice(orders)]
+            for order in orders:
+                flag = T.ToricFlag(c, order)
+                check(T.okounkov_body_toric(X, D, flag),
+                      T._flag_images(X, flag, P._rows, p // P._q, shift), p)
+                if H is None or order not in brute_orders:
+                    continue
+                check(T.okounkov_body_bruteforce(X, D, flag, m),
+                      T._flag_images(X, flag, H._rows, m // H._q,
+                                     T._integral_multiple(D, m)), m)
+                seen["brute"] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("m", [0, -1])
