@@ -4,21 +4,23 @@ These are the hot inner loops of the package: the 2D orientation
 predicate and monotone chain, the fraction-free affine frame, the
 beneath-beyond hull engine for any dimension, which places the points
 farthest from their centroid first so that most non-extreme points
-build no boundary simplex, the prefilter that keeps the two ends of each
-line along every coordinate axis in turn, first axis to last (the other
-points of a line lie between them, and the brute-force oracle's clouds
-hold only line ends along the last axis, so that pass comes last, on the
-fewest points), and lattice enumeration, which prunes coordinate prefixes
-and solves the last coordinate by integer floor division, so it yields
-whole lines (prefix, least, greatest) that callers expand to points or
-hull by their ends.  All inputs are plain Python ints, so results are
-exact for any magnitude.
+build no boundary simplex (each one built costs a normal, whose d = 3
+and d = 4 closed forms read the points with no list of difference rows,
+a comprehension and so a function call per row), the prefilter that
+keeps the two ends of each line along every coordinate axis in turn,
+first axis to last (the other points of a line lie between them, and the
+brute-force oracle's clouds hold only line ends along the last axis, so
+that pass comes last, on the fewest points), and lattice enumeration,
+which prunes coordinate prefixes and solves the last coordinate by
+integer floor division, so it yields whole lines (prefix, least,
+greatest) that callers expand to points or hull by their ends.  All
+inputs are plain Python ints, so results are exact for any magnitude.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+from operator import mul, neg
 
 from .linalg import int_det
 
@@ -94,19 +96,30 @@ def affine_frame(pts):
 
 def _normal(f):
     """Unreduced normal of the hyperplane through d integer points in R^d:
-    the vector of signed maximal minors of the differences f[j] - f[0]."""
-    f0 = f[0]
-    u = [[a - b for a, b in zip(p, f0)] for p in f[1:]]
-    d = len(f0)
+    the vector of signed maximal minors of the differences f[j] - f[0].
+
+    It runs once per boundary simplex, so the d = 3 and d = 4 closed forms
+    read the points and subtract inline: a list of difference rows would
+    cost a comprehension, a function call, per row, more than the
+    arithmetic.  Other d expand the minors of those rows."""
+    d = len(f[0])
     if d == 3:
-        (a1, a2, a3), (b1, b2, b3) = u
+        (o1, o2, o3), (a1, a2, a3), (b1, b2, b3) = f
+        a1, a2, a3 = a1 - o1, a2 - o2, a3 - o3
+        b1, b2, b3 = b1 - o1, b2 - o2, b3 - o3
         return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
     if d == 4:  # 3x3 minors along their last row, by the 2x2 minors m_ij
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = u
+        ((o0, o1, o2, o3), (a0, a1, a2, a3), (b0, b1, b2, b3),
+         (c0, c1, c2, c3)) = f
+        a0, a1, a2, a3 = a0 - o0, a1 - o1, a2 - o2, a3 - o3
+        b0, b1, b2, b3 = b0 - o0, b1 - o1, b2 - o2, b3 - o3
+        c0, c1, c2, c3 = c0 - o0, c1 - o1, c2 - o2, c3 - o3
         m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
         m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
         return (c1 * m23 - c2 * m13 + c3 * m12, c2 * m03 - c0 * m23 - c3 * m02,
                 c0 * m13 - c1 * m03 + c3 * m01, c1 * m02 - c0 * m12 - c2 * m01)
+    f0 = f[0]
+    u = [[a - b for a, b in zip(p, f0)] for p in f[1:]]
     return tuple((-1) ** k * int_det([r[:k] + r[k + 1:] for r in u])
                  for k in range(d))
 
@@ -164,10 +177,11 @@ def hull_facets(pts, base=None):
     k = d + 1
 
     def simplex(verts):
-        nrm = _normal([pts[i] for i in verts])
-        c = sum(map(mul, nrm, pts[verts[0]]))
+        f = [pts[i] for i in verts]
+        nrm = _normal(f)
+        c = sum(map(mul, nrm, f[0]))
         if sum(map(mul, nrm, inner)) > k * c:
-            nrm, c = tuple(-x for x in nrm), -c
+            nrm, c = tuple(map(neg, nrm)), -c
         return nrm, c, verts
 
     faces = [simplex(tuple(base[:j] + base[j + 1:])) for j in range(k)]
@@ -199,7 +213,7 @@ def hull_facets(pts, base=None):
     facets = {}
     for nrm, c, verts in faces:
         g = gcd(*nrm)
-        key = (tuple(x // g for x in nrm), c // g)
+        key = (tuple([x // g for x in nrm]), c // g)
         facets.setdefault(key, set()).update(verts)
     incident = {}  # per boundary vertex: the point sets of its facets
     for verts in facets.values():

@@ -362,8 +362,11 @@ def _ambient_dim(pts):
 
 
 def _lowest(rows, q):
-    """(rows, q) with their common factor divided out."""
+    """(rows, q) with their common factor divided out: the same list when
+    that factor is 1, as it mostly is, so no row is copied for nothing."""
     g = gcd(q, *chain.from_iterable(rows))
+    if g == 1:
+        return rows, q
     return [tuple(x // g for x in r) for r in rows], q // g
 
 

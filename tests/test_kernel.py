@@ -235,6 +235,59 @@ def test_normal_closed_forms_match_minors():
                     for k in range(d)), f
 
 
+def _normal_inputs(rng, d, scale):
+    """150 seeded lists of d points in R^d with coordinates up to `scale`.
+    About one in three is flat: a point f[j], j >= 1, moved to f[0] plus
+    an integer combination of the other edges (f[0] itself when d = 2)."""
+    for _ in range(150):
+        f = [tuple(rng.randint(-scale, scale) for _ in range(d))
+             for _ in range(d)]
+        if rng.random() < 1 / 3:
+            j = rng.randrange(1, d)
+            others = [p for i, p in enumerate(f) if i not in (0, j)]
+            coef = [rng.randint(-2, 2) for _ in others]
+            f[j] = tuple(o + sum(c * (p[t] - o) for c, p in zip(coef, others))
+                         for t, o in enumerate(f[0]))
+        yield f
+
+
+@pytest.mark.parametrize("scale", [10, 10**20])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_normal_is_orthogonal_and_vanishes_only_on_flat_input(d, scale):
+    # every branch of _normal by what a normal is, not by a formula: it is
+    # orthogonal to every edge f[j] - f[0], and zero exactly when the
+    # edges do not span a hyperplane
+    rng = random.Random(31 * d + (scale > 10))
+    flat = 0
+    for f in _normal_inputs(rng, d, scale):
+        nrm = kernel._normal(f)
+        assert len(nrm) == d, f
+        for p in f[1:]:
+            assert sum(a * (x - y) for a, x, y in zip(nrm, p, f[0])) == 0, f
+        is_flat = kernel.affine_frame(f)[0] < d - 1
+        assert (not any(nrm)) == is_flat, f
+        flat += is_flat
+        assert kernel._normal(tuple(f)) == nrm
+        assert kernel._normal([list(p) for p in f]) == nrm
+    assert 20 < flat < 130
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hull_started_from_a_callers_base(d, data):
+    # `_int_hull` hands the engine the base of the frame it has computed:
+    # any d + 1 affinely independent points start the same hull
+    pts = data.draw(_even_corners_and_midpoints(d))
+    perm = data.draw(st.permutations(range(len(pts))))
+    base = [perm[j] for j in kernel.affine_frame([pts[i] for i in perm])[3]]
+    extreme, facets, dvol = kernel.hull_facets(pts)
+    got_extreme, got_facets, got_dvol = kernel.hull_facets(pts, base)
+    assert got_extreme == extreme
+    assert sorted(got_facets) == sorted(facets)
+    assert got_dvol == dvol
+
+
 def test_hull3d_facets_is_the_engine():
     assert kernel.hull3d_facets is kernel.hull_facets
 

@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction as F
-from itertools import combinations, product
-from math import factorial, lcm
+from itertools import chain, combinations, product
+from math import factorial, gcd, lcm
 
 import pytest
 from fraction_reference import nullspace, solve
@@ -256,6 +256,61 @@ class TestScaleEmbed:
         P = hull([(0, 0, 0), (1, 2, 3)])
         with pytest.raises(ValueError, match="does not match ambient_dim"):
             P.translate((5,))
+
+
+def _half_triangle():
+    return Polytope.lattice_hull([(0, 0), (1, 0), (0, 1)], 2)
+
+
+def _p2_body(coeffs):
+    X = toric.projective_plane()
+    return lambda: toric.okounkov_body_toric(
+        X, toric.ToricDivisor(X, coeffs), toric.ToricFlag(0, (0, 1)))
+
+
+# every builder that calls `_lowest` (hull, lattice_hull, sum, scale,
+# translate, the first toric body) hands it rows that share a factor with
+# their denominator; `from_halfspaces` reads its vertex keys in lowest terms
+_CANONICAL_CASES = {
+    "hull": lambda: hull([(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 2), 0),
+                          (0, 0, F(1, 2)), (F(1, 4), F(1, 4), 0)]),
+    "lattice_hull": lambda: Polytope.lattice_hull(
+        [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)], 4),
+    "sum": lambda: _half_triangle() + _half_triangle(),
+    "scale": lambda: _half_triangle().scale(F(2, 3)),
+    "translate": lambda: Polytope.lattice_hull(
+        [(1, 1), (3, 1), (1, 3)], 2).translate((F(1, 2), F(1, 2))),
+    "product": lambda: _half_triangle().product(hull([(0,), (F(1, 3),)])),
+    "embed": lambda: _half_triangle().embed(1, 2),
+    "from_halfspaces": lambda: Polytope.from_halfspaces(
+        [HalfSpace((F(1), F(0)), F(1, 2)), HalfSpace((F(-1), F(0)), F(0)),
+         HalfSpace((F(0), F(1)), F(3, 4)), HalfSpace((F(0), F(-1)), F(0))],
+        2),
+    "toric": _p2_body((F(3, 2), F(1, 2), 0)),
+    "toric-halves": _p2_body((F(1, 2), F(1, 2), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("make", list(_CANONICAL_CASES.values()),
+                         ids=list(_CANONICAL_CASES))
+def test_constructors_give_canonical_rows(make):
+    # equality and hashing compare (rows, q), so every constructor must
+    # leave sorted, distinct integer rows over q >= 1 in lowest terms
+    P = make()
+    rows, q = P._rows, P._q
+    assert all(type(r) is tuple and all(type(x) is int for x in r)
+               for r in rows)
+    assert list(rows) == sorted(set(rows))
+    assert q >= 1
+    assert gcd(q, *chain.from_iterable(rows)) == 1
+
+
+def test_lowest_divides_a_common_factor_and_keeps_the_rest():
+    assert polytope._lowest([(2, -4), (6, 0)], 10) == ([(1, -2), (3, 0)], 5)
+    assert polytope._lowest([(0, 0)], 4) == ([(0, 0)], 1)
+    rows = [(2, -4), (6, 0)]  # the rows share 2, but q = 3 does not
+    got, q = polytope._lowest(rows, 3)
+    assert got is rows and q == 3
 
 
 class TestSerialization:
