@@ -102,13 +102,6 @@ class FiberSpaceInstance(Value):
 
     __hash__ = None
 
-    def _key(self):
-        # the backends take no part
-        return (self.name, self.base, self.fiber, self.total, self.D,
-                self.D_Y, self.R, self.hypotheses, self.flag, self.pullback,
-                self.restriction, self.ample, self.total_flag, self.R_fiber,
-                self.digest)
-
     # -- structure ----------------------------------------------------------
 
     def pull(self, base_cls):

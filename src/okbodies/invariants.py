@@ -64,7 +64,7 @@ class DimsReport(Value):
 # -- toric backend ------------------------------------------------------------
 
 
-class ToricBackend:
+class ToricBackend(Value):
     def __init__(self, X: toricmod.ToricVariety):
         self.X = X
 
@@ -182,7 +182,7 @@ class ToricBackend:
 # -- surface backend ----------------------------------------------------------
 
 
-class SurfaceBackend:
+class SurfaceBackend(Value):
     def __init__(self, S: surfmod.SurfaceLattice):
         self.S = S
 
@@ -281,7 +281,7 @@ class SurfaceBackend:
 # -- curve backend ------------------------------------------------------------
 
 
-class CurveBackend:
+class CurveBackend(Value):
     """Divisor classes are tracked by degree (length-1 class vectors).
     Degree zero is taken to be the trivial class, as in every model shipped
     here; a nontrivial degree-zero bundle would have no sections."""

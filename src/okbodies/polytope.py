@@ -94,10 +94,8 @@ class Polytope:
     @staticmethod
     def hull(points) -> "Polytope":
         """Convex hull; removes redundant points, idempotent."""
-        pts = [qvec(p) for p in points]
-        n = _ambient_dim(pts)
-        ints, q = clear_denominators(pts)
-        return _int_polytope(n, ints, q)
+        return Polytope.lattice_hull(
+            *clear_denominators([qvec(p) for p in points]))
 
     @staticmethod
     def lattice_hull(points, m=1) -> "Polytope":

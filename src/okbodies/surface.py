@@ -13,12 +13,12 @@ keeps the Gram images G g of its effective generators, so a pairing with
 a generator is one integer dot product, and the Zariski support is solved
 fraction-free (`linalg.int_solve`); `Fraction`s are made only for results
 such as `pair`, `ZariskiPair` and body vertices.  Cone tests are integer
-too: the effective cone's facets are
-the facets through the origin of hull(0, g_1, ..., g_k), as in a
-double-description step (Fukuda-Prodon 1996), read once per lattice as
-integer rows (`SurfaceLattice.cone_rows`); D is psef iff every row pairs
-with D to >= 0, and the psef threshold along C is the upper end of the
-interval of t the rows leave for D - tC.
+too: the effective cone's facets are the facets through the origin of
+hull(0, g_1, ..., g_k), as in a double-description step (Fukuda-Prodon
+1996), made as integer rows when a lattice is built
+(`SurfaceLattice.cone_rows`); D is psef iff every row pairs with D to
+>= 0, and the psef threshold along C is the upper end of the interval of
+t the rows leave for D - tC.
 
 Bodies for a flag (C, x) with x general on C come out of the Zariski
 decomposition of D - tC: the lower boundary is 0 (general point), the
@@ -78,7 +78,6 @@ class SurfaceLattice(Value):
         # on it} and {class: kappa 0, 1 or 2}; an empty map declares nothing
         self.iitaka_degrees = {} if iitaka_degrees is None else iitaka_degrees
         self.declared_kappa = {} if declared_kappa is None else declared_kappa
-        self._cone = None  # made by cone_rows on first use
         r = self.rank
         if len(self.gram) != r or any(len(row) != r for row in self.gram):
             raise ValueError("gram must be rank x rank")
@@ -119,14 +118,18 @@ class SurfaceLattice(Value):
             if len(cls) != r or k not in (0, 1, 2):
                 raise ValueError(f"declared_kappa[{class_key(cls)}] = {k}: "
                                  f"needs a length-{r} class, kappa 0, 1 or 2")
+        # Inward integer normals w of the effective cone's facets: D is
+        # pseudoeffective iff w . D >= 0 for every w.  cone(g_1, ..., g_k)
+        # is the tangent cone at 0 of hull(0, g_1, ..., g_k), so its facets
+        # are the facet rows of that hull with offset 0, equality pairs
+        # included (a cone that does not span, or no generators at all); a
+        # cone with a line, or zero and duplicate generators, need nothing
+        # extra.
+        body = Polytope.hull([(0,) * r, *self.effective_generators])
+        rows, _qh = body._facet_rows()
+        self.cone_rows = tuple(tuple(-x for x in a) for a, c in rows if c == 0)
 
     __hash__ = None
-
-    def _key(self):
-        # the derived _cone, _gens and _imgs take no part
-        return (self.rank, self.gram, self.effective_generators,
-                self.nef_generators, self.negative_curves,
-                self.canonical_class, self.iitaka_degrees, self.declared_kappa)
 
     def _class(self, v) -> tuple[Fraction, ...]:
         """v as a class: a tuple of `rank` Fractions; every class enters
@@ -149,22 +152,6 @@ class SurfaceLattice(Value):
     def pair(self, a, b) -> Fraction:
         (a, qa), (b, qb) = self._ints(a), self._ints(b)
         return Fraction(_dot(a, self._image(b)), qa * qb)
-
-    def cone_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Inward integer normals w of the effective cone's facets, made on
-        first use: D is pseudoeffective iff w . D >= 0 for every w.
-
-        cone(g_1, ..., g_k) is the tangent cone at 0 of
-        hull(0, g_1, ..., g_k), so its facets are the facet rows of that
-        hull with offset 0, equality pairs included (a cone that does not
-        span, or no generators at all); a cone with a line, or zero and
-        duplicate generators, need nothing extra.
-        """
-        if self._cone is None:
-            body = Polytope.hull([(0,) * self.rank, *self.effective_generators])
-            rows, _qh = body._facet_rows()
-            self._cone = tuple(tuple(-x for x in a) for a, c in rows if c == 0)
-        return self._cone
 
     def kappa_declared(self, cls):
         return self.declared_kappa.get(self._class(cls))
@@ -202,11 +189,19 @@ class ZariskiPair(Value):
 
 
 def _in_cone(S, d) -> bool:
-    return all(_dot(w, d) >= 0 for w in S.cone_rows())
+    return all(_dot(w, d) >= 0 for w in S.cone_rows)
 
 
 def is_psef(S: SurfaceLattice, D) -> bool:
     return _in_cone(S, S._ints(D)[0])
+
+
+def _psef(S, D) -> tuple[tuple[int, ...], int]:
+    """(d, qd) for the class D; ValueError if D is not pseudoeffective."""
+    d, qd = S._ints(D)
+    if not _in_cone(S, d):
+        raise ValueError("divisor is not pseudoeffective")
+    return d, qd
 
 
 def is_nef(S: SurfaceLattice, D) -> bool:
@@ -239,9 +234,7 @@ def zariski_decompose(S: SurfaceLattice, D) -> ZariskiPair:
     """Iterative negative-part construction: Zariski's iteration
     `_support_after` on D itself (C = 0, t = 0), then the checks that the
     declared cone data support its result (`_zariski`)."""
-    d, qd = S._ints(D)
-    if not _in_cone(S, d):
-        raise ValueError("divisor is not pseudoeffective")
+    d, qd = _psef(S, D)
     support, x0, p0, q = _zariski(S, (d, qd))
     k = q // qd
     return ZariskiPair(tuple(Fraction(p, q) for p in p0),
@@ -314,7 +307,7 @@ def psef_threshold(S: SurfaceLattice, D, C) -> Fraction:
     """
     (d, qd), (c, qc) = S._ints(D), S._ints(C)
     lo, hi = Fraction(0), None
-    for w in S.cone_rows():
+    for w in S.cone_rows:
         u = _dot(w, d) * qc
         v = _dot(w, c) * qd
         if v > 0:
@@ -413,9 +406,7 @@ def okounkov_body_surface(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     For big D this is the body of the honest sections; for psef non-big D
     it is the limiting body.
     """
-    d, qd = S._ints(D)
-    if not _in_cone(S, d):
-        raise ValueError("divisor is not pseudoeffective")
+    d, qd = _psef(S, D)
     C = S._gens[flag_curve]
     support, x0, _p0, q = _zariski(S, (d, qd))
     a = Fraction(x0[support.index(flag_curve)] if flag_curve in support
@@ -468,9 +459,7 @@ def numerical_dims_surface(S: SurfaceLattice, D) -> dict:
     visible ample class, or that contradict the classification, raise
     ConeDataError.
     """
-    d, qd = S._ints(D)
-    if not _in_cone(S, d):
-        raise ValueError("divisor is not pseudoeffective")
+    d, qd = _psef(S, D)
     a, qa = _ample_class(S)
     _support, _x0, p, qz = _zariski(S, (d, qd))
     p2 = _dot(p, S._image(p))
@@ -492,9 +481,7 @@ def numerical_dims_surface(S: SurfaceLattice, D) -> dict:
 def valuative_body_abundant(S: SurfaceLattice, D, flag_curve: int) -> Polytope:
     """Body of honest sections of a canonical-type class, via the declared
     degree of the Iitaka map on the flag curve: (1/deg) * limiting body."""
-    (d, _q), (k, _qk) = S._ints(D), S._ints(S.canonical_class)
-    if not _in_cone(S, d):
-        raise ValueError("divisor is not pseudoeffective")
+    (d, _q), (k, _qk) = _psef(S, D), S._ints(S.canonical_class)
     if flag_curve not in S.iitaka_degrees:
         raise ValueError("valuative body undeterminable from numerical data")
     # D = rK with r > 0, or D = 0: d.k > 0 and Cauchy-Schwarz holds with
@@ -515,9 +502,7 @@ def restricted_volume_plus(S: SurfaceLattice, D, stratum_dim: int,
     """vol+ of D along a flag stratum (the surface, the flag curve, or the
     flag point), via Zariski continuity: P^2 on the surface and P.C on
     the flag curve C, for the positive part P = p / q of D."""
-    d, qd = S._ints(D)
-    if not _in_cone(S, d):
-        raise ValueError("divisor is not pseudoeffective")
+    d, qd = _psef(S, D)
     if stratum_dim == 0:
         return Fraction(1)
     if stratum_dim not in (1, 2):

@@ -95,9 +95,6 @@ class ToricDivisor(Value):
             raise ValueError("divisor needs one coefficient per ray")
         (self.num,), self.q = clear_denominators([self.coeffs])
 
-    def _key(self):
-        return self.variety, self.coeffs
-
 
 class ToricFlag(Value):
     """Invariant full flag: a maximal cone plus an ordering of its rays.

@@ -1,20 +1,17 @@
-"""Value semantics for the package's model and report classes."""
+"""Value semantics for the package's model, backend and report classes."""
 
 
 class Value:
     """Two objects are equal when they have the same type and equal
-    `_key()`s, and a hashable one hashes its key.  The key is every
-    instance attribute, in the order `__init__` sets them; a class whose
-    derived attributes take no part overrides `_key`, and one that holds a
-    dict or changes in place sets `__hash__ = None`."""
-
-    def _key(self) -> tuple:
-        return tuple(vars(self).values())
+    instance attributes, and a hashable one hashes their values in the
+    order `__init__` sets them.  Derived attributes take part too: each is
+    a function of the declared ones, so it changes no answer.  A class
+    that holds a dict or changes in place sets `__hash__ = None`."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        return vars(self) == vars(other)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(vars(self).values()))

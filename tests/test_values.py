@@ -1,7 +1,7 @@
-"""Value semantics of the package's model and report classes: equal
-arguments make equal objects, one changed argument makes unequal ones,
-the immutable classes hash by value, and the ones holding a dict or made
-to change do not hash at all."""
+"""Value semantics of the package's model, backend and report classes:
+equal arguments make equal objects, one changed argument makes unequal
+ones, the immutable classes hash by value, and the ones holding a dict or
+made to change do not hash at all."""
 
 import re
 from fractions import Fraction as F
@@ -12,7 +12,8 @@ from corpus import instance
 from okbodies import toric as T
 from okbodies.curve import CurveModel
 from okbodies.fiberspace import CheckReport, FiberSpaceInstance, FiberTypeFlag
-from okbodies.invariants import DimsReport
+from okbodies.invariants import (CurveBackend, DimsReport, SurfaceBackend,
+                                 ToricBackend)
 from okbodies.linalg import qvec
 from okbodies.polytope import HalfSpace
 from okbodies.surface import SurfaceLattice, ZariskiPair
@@ -86,10 +87,17 @@ CASES = {
                    "digest": "1" * 16, "verdict": "strict", "margin": F(1),
                    "lhs": None, "rhs": {"vol": "1"}, "dims": {},
                    "volumes": {}, "notes": []}),
+    # a backend is its model
+    ToricBackend: (lambda: dict(X=F0), {"X": F1}),
+    CurveBackend: (lambda: dict(C=CurveModel(1)), {"C": CurveModel(2)}),
+    SurfaceBackend: (lambda: dict(S=SurfaceLattice(**lattice_args())), {
+        "S": SurfaceLattice(**dict(lattice_args(), gram=((0, 2), (2, 0))))}),
 }
-# memo keys and parts of them; the others hold a dict or change in place
+# memo keys and parts of them; the others hold a dict or change in place,
+# or hold a model that does
 HASHABLE = {CurveModel, HalfSpace, DimsReport, T.ToricVariety, T.ToricDivisor,
-            T.ToricFlag, T.ToricFibration, ZariskiPair, FiberTypeFlag}
+            T.ToricFlag, T.ToricFibration, ZariskiPair, FiberTypeFlag,
+            ToricBackend, CurveBackend}
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
@@ -120,9 +128,9 @@ def test_other_types_are_never_equal(cls):
 
 
 def test_equal_keys_of_different_types_are_never_equal():
-    # both keys are (0, (0,)): only the type tells the two flags apart
+    # both hold (0, (0,)): only the type tells the two flags apart
     flag, composite = T.ToricFlag(0, (0,)), FiberTypeFlag(0, (0,))
-    assert flag._key() == composite._key()
+    assert tuple(vars(flag).values()) == tuple(vars(composite).values())
     assert flag != composite and composite != flag
     assert not flag == composite and not composite == flag
     assert flag.__eq__(composite) is NotImplemented
@@ -146,12 +154,6 @@ def test_equal_models_hit_the_section_polytope_memo():
     assert T.section_polytope(X2, D2) is first
     after = T._face.cache_info()
     assert (after.hits, after.misses) == (info.hits + 1, info.misses)
-
-
-def test_lattice_equality_ignores_its_cone_memo():
-    a, b = SurfaceLattice(**lattice_args()), SurfaceLattice(**lattice_args())
-    a.cone_rows()
-    assert a._cone is not None and b._cone is None and a == b
 
 
 def test_dimension_chain_error_names_the_report():
