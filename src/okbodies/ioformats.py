@@ -11,6 +11,14 @@ expands to a huge integer.  A map key that names a class or an effective
 generator must be written as `to_obj` writes it, so every accepted file
 re-serialises to itself.  Errors are tagged with the JSON path that caused
 them.
+
+Every report and every file is written in one canonical form, the bytes
+`json.dumps(obj, sort_keys=True, indent=2) + "\\n"` gives: keys sorted,
+one item per line, a two-space indent, `": "` after a key, ASCII text
+with `\\uXXXX` escapes, and one trailing newline.  `canonical_dumps`
+writes it itself, because on Python <= 3.12 any `indent` turns off the
+stdlib's C encoder and leaves its pure-Python one, which took most of a
+`scaling-search` run.
 """
 
 from __future__ import annotations
@@ -272,4 +280,48 @@ def load_json(path: str):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj in the canonical form (module docstring): keys sorted, one item
+    per line, a two-space indent, `": "` after a key, ASCII with `\\uXXXX`
+    escapes and one trailing newline, byte for byte what
+    `json.dumps(obj, sort_keys=True, indent=2) + "\\n"` writes: its
+    `indent` forces the stdlib's pure-Python encoder on Python <= 3.12.
+    A dict key that is not a str raises TypeError, where json.dumps would
+    write it as a string; no report or file has one.  Any value json.dumps
+    rejects raises TypeError too."""
+    return _canonical(obj, "\n") + "\n"
+
+
+_str = json.encoder.encode_basestring_ascii
+
+
+def _canonical(o, pad):
+    """o written at the indent `pad` (a newline and spaces): one join per
+    container, with each str item encoded in place, so that the commonest
+    leaf costs no call."""
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        return ("{" + inner + ("," + inner).join([
+            _str(k) + ": " + (_str(v) if type(v) is str
+                              else _canonical(v, inner))
+            for k, v in sorted(o.items())]) + pad + "}")
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return ("[" + inner + ("," + inner).join([
+            _str(v) if type(v) is str else _canonical(v, inner)
+            for v in o]) + pad + "]")
+    if isinstance(o, str):
+        return _str(o)
+    # json's order: a bool is an int, so True and False go first
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    return json.dumps(o)  # a float; anything else raises TypeError

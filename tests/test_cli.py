@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 from corpus import FIXTURES, INSTANCE_NAMES
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from okbodies import fiberspace as fsmod
@@ -1169,3 +1169,58 @@ class TestCorpusOnDisk:
         flag = flag_from_obj(obj, model)
         assert canonical_dumps({"curve": flag} if isinstance(flag, int)
                                else flag.to_obj()) == text
+
+
+# text that json escapes: quotes, backslashes, control characters, non-ASCII,
+# astral characters and lone surrogates, beside whatever `characters` draws
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028')
+                    | st.integers(0xD800, 0xDFFF).map(chr)
+                    | st.integers(0x10000, 0x10FFFF).map(chr))
+JSON_LEAVES = (st.none() | st.sampled_from([True, False, 1, 0])
+               | st.integers(-(2**130), 2**130) | st.floats() | JSON_TEXT)
+# five levels of lists, tuples and dicts of up to three items: a fixed
+# nesting draws several times faster than `st.recursive`
+JSON_TREES = JSON_LEAVES
+for _ in range(5):
+    JSON_TREES = (JSON_LEAVES | st.lists(JSON_TREES, max_size=3)
+                  | st.lists(JSON_TREES, max_size=3).map(tuple)
+                  | st.dictionaries(JSON_TEXT, JSON_TREES, max_size=3))
+
+
+class TestCanonicalDumps:
+    """canonical_dumps writes what json.dumps(sort_keys=True, indent=2)
+    writes, and every verb's stdout is in that form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_TREES)
+    @example(obj={"b": [[], {}, ([{"\ud800": (True, 1, False, 0)}],)],
+                  "a": {"z": {"y": {"x": [None, -(2**64), "\U0001f600"]}}}})
+    def test_matches_json_dumps(self, obj):
+        assert canonical_dumps(obj) == (
+            json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+    @pytest.mark.parametrize("obj", [Fraction(1, 2), [Fraction(1, 2)],
+                                     {"a": Fraction(1, 2)}, {1: "x"},
+                                     {"a": {None: 0}}])
+    def test_unwritable_value_or_key_is_type_error(self, obj):
+        with pytest.raises(TypeError):
+            canonical_dumps(obj)
+
+    M = FIXTURES / "models"
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--all", FIXTURES / "instances"),
+        ("scaling-search", "--instance", FIXTURES / "instances/ex42.json"),
+        ("body", "--model", M / "plane.json", "--divisor", M / "d2.json",
+         "--flag", M / "std_flag.json"),
+        ("body", "--model", M / "blown_up_plane_surface.json",
+         "--divisor", M / "d_2h_plus_e.json", "--flag", M / "curve_flag.json"),
+        ("dims", "--model", M / "plane.json", "--divisor", M / "d2.json"),
+        ("zariski", "--model", M / "blown_up_plane_surface.json",
+         "--divisor", M / "d_2h_plus_e.json")], ids=lambda a: a[0])
+    def test_stdout_is_canonical(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 indent=2) + "\n"
