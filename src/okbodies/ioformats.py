@@ -17,8 +17,8 @@ Every report and every file is written in one canonical form, the bytes
 one item per line, a two-space indent, `": "` after a key, ASCII text
 with `\\uXXXX` escapes, and one trailing newline.  `canonical_dumps`
 writes it itself, because on Python <= 3.12 any `indent` turns off the
-stdlib's C encoder and leaves its pure-Python one, which took most of a
-`scaling-search` run.
+stdlib's C encoder and leaves its pure-Python one, which took most of
+the time of a `scaling-search` run on ex42.
 """
 
 from __future__ import annotations
@@ -283,8 +283,8 @@ def canonical_dumps(obj) -> str:
     """obj in the canonical form (module docstring): keys sorted, one item
     per line, a two-space indent, `": "` after a key, ASCII with `\\uXXXX`
     escapes and one trailing newline, byte for byte what
-    `json.dumps(obj, sort_keys=True, indent=2) + "\\n"` writes: its
-    `indent` forces the stdlib's pure-Python encoder on Python <= 3.12.
+    `json.dumps(obj, sort_keys=True, indent=2) + "\\n"` writes, without
+    the stdlib's pure-Python encoder that `indent` forces on Python <= 3.12.
     A dict key that is not a str raises TypeError, where json.dumps would
     write it as a string; no report or file has one.  Any value json.dumps
     rejects raises TypeError too."""
